@@ -14,6 +14,7 @@ emitted); 2 usage, I/O, or input-format error (message on stderr).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -25,6 +26,7 @@ from pathlib import Path
 from . import __version__
 from .debias import DebiasSpec, debias, fit_eta, write_debiased
 from .errors import (
+    InvalidParams,
     NonMonotonicTime,
     NonPositiveTime,
     ThermoError,
@@ -97,14 +99,24 @@ class _Run:
         )
 
 
+_REPORT_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
+
+
 def _emit(args, report: dict, human_lines: list[str]) -> None:
-    if args.out_report:
-        Path(args.out_report).write_text(
-            json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
-    if args.json:
-        print(json.dumps(report, sort_keys=True, indent=2))
-    elif not args.quiet:
+    with contextlib.ExitStack() as stack:
+        sinks = [sys.stdout] if args.json else []
+        if args.out_report:
+            sinks.append(stack.enter_context(open(args.out_report, "w", encoding="utf-8")))
+        if sinks:
+            # serialize once, streaming each piece to every sink: joined
+            # into one string, the encoder's pieces of a fleet-sized report
+            # take several times the report's size in memory
+            for chunk in _REPORT_ENCODER.iterencode(report):
+                for sink in sinks:
+                    sink.write(chunk)
+            for sink in sinks:
+                sink.write("\n")
+    if not args.json and not args.quiet:
         for line in human_lines:
             print(line)
 
@@ -116,6 +128,7 @@ def _fit_result_dict(result) -> dict:
         "error": result.error,
         "iterations": result.iterations,
         "converged": result.converged,
+        "termination": result.termination,
     }
 
 
@@ -255,13 +268,18 @@ def _load_observations(path: str, run: _Run):
             raise ValueError("a single observations file must hold a JSON list")
     obs = []
     for entry in raw:
-        obs.append(
-            (
-                float(entry["freq_ghz"]),
-                int(entry["cores"]),
-                ModelParams(float(entry["a0"]), float(entry["a1"]), float(entry["a2"])),
+        if not isinstance(entry, dict):
+            raise InvalidParams(f"an observation must be an object, got {entry!r}")
+        try:
+            obs.append(
+                (
+                    float(entry["freq_ghz"]),
+                    int(entry["cores"]),
+                    ModelParams(float(entry["a0"]), float(entry["a1"]), float(entry["a2"])),
+                )
             )
-        )
+        except TypeError as exc:
+            raise InvalidParams(f"observation fields must be numbers: {exc}") from None
     return obs
 
 
@@ -319,11 +337,14 @@ def cmd_debias(args, run: _Run) -> tuple[int, dict, list[str]]:
 # --- sensor-correct ---
 
 def _second_divided_differences(pairs):
+    """Second divided differences of consecutive temperature-sorted points,
+    leaving out triples whose temperatures are not distinct."""
     pts = sorted(pairs)
-    out = []
-    for (x0, y0), (x1, y1), (x2, y2) in zip(pts, pts[1:], pts[2:]):
-        out.append(((y2 - y1) / (x2 - x1) - (y1 - y0) / (x1 - x0)) / (x2 - x0))
-    return out
+    return [
+        ((y2 - y1) / (x2 - x1) - (y1 - y0) / (x1 - x0)) / (x2 - x0)
+        for (x0, y0), (x1, y1), (x2, y2) in zip(pts, pts[1:], pts[2:])
+        if x0 < x1 < x2
+    ]
 
 
 def cmd_sensor_correct(args, run: _Run) -> tuple[int, dict, list[str]]:
@@ -376,8 +397,12 @@ def cmd_sensor_correct(args, run: _Run) -> tuple[int, dict, list[str]]:
             zip((temp for _, temp in corrected), powers)
         )
         results["convexity"] = {
-            "raw_negative_fraction": sum(1 for d in raw if d < 0) / len(raw),
-            "corrected_positive_fraction": sum(1 for d in fixed if d > 0) / len(fixed),
+            "raw_negative_fraction": (
+                sum(1 for d in raw if d < 0) / len(raw) if raw else None
+            ),
+            "corrected_positive_fraction": (
+                sum(1 for d in fixed if d > 0) / len(fixed) if fixed else None
+            ),
         }
     lines = [
         f"B(first)={results['b_first']!r} B(last)={results['b_last']!r}",

@@ -36,11 +36,16 @@ class InvalidParams(ThermoError):
 # --- fitting ---
 
 class DegenerateInput(ThermoError):
-    """Not enough distinct temperatures (or flat data) for the requested fit."""
+    """Not enough distinct temperatures, flat data, or data the requested
+    family cannot represent (an exponential with a non-positive scale)."""
 
 
 class NoConvergence(ThermoError):
-    """Iterative fit hit the iteration cap while still taking large steps."""
+    """An iterative fit failed to converge.
+
+    No fit in this package raises it: the exponential fit reports a search
+    that stopped at a limit through FitResult.converged and termination.
+    """
 
 
 class InitFailure(ThermoError):

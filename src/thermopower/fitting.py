@@ -5,12 +5,16 @@ All three fit families minimize the same objective, the sum of squared
 relative residuals sum(((model_i - y_i)/y_i)**2), so the reported error
 sqrt(objective) is exactly the minimized quantity.  Linear and quadratic
 fits solve it in closed form as weighted least squares with weights
-1/y_i**2; the exponential fit uses damped Gauss-Newton iteration.
+1/y_i**2.  The exponential fit uses variable projection: at each rate the
+offset and scale come from the same kind of weighted solve, leaving a 1-D
+Brent search over the rate (see fit_exponential).  FitResult.termination
+says why a fit stopped: "converged", or the rate limit it reached.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -24,15 +28,13 @@ from .errors import (
     EmptyGroup,
     InitFailure,
     LengthMismatch,
-    NoConvergence,
     ZeroMeasurement,
 )
 from .trace import Trace
 
-MAX_ITER = 200
-REL_OBJECTIVE_TOL = 1e-12
-REL_STEP_TOL = 1e-10
-GIVE_UP_STEP = 1e-6
+_SQRT_EPS = math.sqrt(sys.float_info.epsilon)
+_LOG_TINY = -math.log(sys.float_info.min)
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 class FitKind(Enum):
@@ -46,7 +48,9 @@ class FitResult:
     """A fitted curve.
 
     coeffs ordering: Linear (a1, a0); Quadratic (a2, a1, a0);
-    Exponential (a0, a1, a2).  iterations is 0 for closed-form fits.
+    Exponential (a0, a1, a2).  iterations is 0 for closed-form fits and
+    counts objective evaluations for the exponential one.  termination is
+    "converged" or the search limit the exponential fit stopped at.
     """
 
     kind: FitKind
@@ -54,6 +58,7 @@ class FitResult:
     error: float
     iterations: int
     converged: bool
+    termination: str = "converged"
 
     def predict(self, temp: float) -> float:
         if self.kind is FitKind.LINEAR:
@@ -123,19 +128,177 @@ def fit_quadratic(data) -> FitResult:
     return _weighted_poly_fit(t, y, 2, FitKind.QUADRATIC)
 
 
-def _exp_objective(t, y, a0, a1, a2):
-    with np.errstate(over="ignore", invalid="ignore"):
-        e = np.exp((t - a1) / a2)
-        r = (e + a0 - y) / y
-        s = float(np.sum(r * r)) if np.all(np.isfinite(r)) else math.inf
-    return e, r, s
+class _Separable:
+    """The exponential fit with its linear parameters solved out.
+
+    Temperatures are scaled by the sweep span, so the rate k counts
+    e-folds across the sweep: exp((T - a1)/a2) = C*exp(k*d) with
+    k = span/a2 and d = (T - T_ref)/span.  For a fixed k the model
+    a0 + C*exp(k*d) is linear in (a0, C), and the best pair is a two-column
+    weighted least-squares solve, the same objective as _weighted_poly_fit.
+    T_ref is the end of the sweep the curve rises towards, so k*d <= 0 and
+    every exponential lies in (0, 1]: nothing overflows at any rate the
+    search reaches.  The second column is (exp(k*d) - 1)/k, which spans the
+    same plane with 1/y and tends to d as k -> 0, so the search passes
+    through k = 0, the straight line, as an ordinary point.
+    """
+
+    def __init__(self, t, y):
+        self.t_lo, self.t_hi = float(t.min()), float(t.max())
+        self.span = self.t_hi - self.t_lo
+        self.d_rising = (t - self.t_hi) / self.span
+        self.d_falling = (t - self.t_lo) / self.span
+        self.u = 1.0 / y
+        self.uu = float(self.u @ self.u)
+        self.a_u = float(self.u.sum()) / self.uu
+        self.r0 = 1.0 - self.a_u * self.u  # residual of the best constant model
+        self.evaluations = 0
+
+    def _project(self, k: float):
+        d = self.d_rising if k > 0 else self.d_falling
+        v = (np.expm1(k * d) / k if k else d) * self.u
+        w = v - (float(self.u @ v) / self.uu) * self.u  # orthogonal to 1/y
+        ww = float(w @ w)
+        b = float(w @ self.r0) / ww  # the coefficient of v; C = b/k
+        return d, v, w, ww, b, self.r0 - b * w
+
+    def objective(self, k: float) -> float:
+        """The least sum of squared relative residuals at rate k."""
+        self.evaluations += 1
+        r = self._project(k)[-1]
+        return float(r @ r)
+
+    def params(self, k: float) -> tuple[float, float, float]:
+        """(a0, a1, a2) at rate k; raises DegenerateInput unless C > 0.
+
+        a0 is solved against exp(k*d) itself: from the expm1 column it
+        would lose C*eps, which is large beside a0 on a steep curve.
+        """
+        d, _, _, _, b, _ = self._project(k)
+        c = b / k if k else math.nan
+        if not c > 0:
+            raise DegenerateInput(
+                f"best exponential scale C is {c:.3g}; the family needs C > 0"
+            )
+        a0 = self.a_u - c * float(self.u @ (np.exp(k * d) * self.u)) / self.uu
+        a2 = self.span / k
+        t_ref = self.t_hi if k > 0 else self.t_lo
+        return a0, t_ref - a2 * math.log(c), a2
+
+    def gauss_newton(self, k: float) -> float:
+        """k after one Gauss-Newton step on the reduced objective.
+
+        The Jacobian is Kaufman's: the model's derivative in k with the
+        linear columns projected out (BIT 15, 1975).
+        """
+        if not k:
+            return k
+        d, v, w, ww, b, r = self._project(k)
+        g = b * d * (v + self.u / k)  # C*d*exp(k*d)/y
+        g -= (float(g @ self.u) / self.uu) * self.u + (float(g @ w) / ww) * w
+        gg = float(g @ g)
+        return k + float(g @ r) / gg if gg > 0 else k
+
+
+def _bracket(f, x: float, lo: float, hi: float):
+    """Walk downhill from x until f rises, doubling the step each time.
+
+    Returns (a, x, b, f(x), limit) with a < x < b and f(x) <= f(a).  When f
+    rose at b (or a), f(x) <= f(b) too and limit is None.  When the walk
+    was cut at lo or hi instead, that limit is a or b and is returned as
+    limit: f may then be lowest anywhere between x and it.  x must lie
+    more than 2 inside [lo, hi]; the first step is 1.
+    """
+    fx = f(x)
+    f_ahead = f(x + 1.0)
+    if f_ahead < fx:
+        behind, x, fx, step = x, x + 1.0, f_ahead, 2.0
+    else:
+        behind, step = x + 1.0, -1.0
+    while True:
+        ahead = min(x + step, hi) if step > 0 else max(x + step, lo)
+        f_ahead = f(ahead)
+        ends = (min(behind, ahead), x, max(behind, ahead), fx)
+        if f_ahead > fx:
+            return (*ends, None)
+        if ahead in (lo, hi):
+            return (*ends, ahead)
+        behind, x, fx = x, ahead, f_ahead
+        step *= 2
+
+
+def _brent(f, a: float, x: float, b: float, fx: float):
+    """Minimize f on [a, b] from a point x inside it.
+
+    Brent's method (Algorithms for Minimization without Derivatives, 1973,
+    ch. 5): a parabola through the three best points so far when it steps
+    inside the bracket and shrinks faster than the step before last,
+    otherwise a golden-section step into the larger side.  f is never
+    evaluated at a or b.  Stops when x is known to within
+    tol = _SQRT_EPS*(1 + |x|) and returns the final (a, x, b, f(x)), with
+    b - a <= 4*tol; an end that never moved is one the minimum could not
+    be told apart from.
+    """
+    w = v = x
+    fw = fv = fx
+    step = prev_step = 0.0
+    while True:
+        mid = 0.5 * (a + b)
+        tol = _SQRT_EPS * (1.0 + abs(x))
+        if abs(x - mid) <= 2 * tol - 0.5 * (b - a):
+            return a, x, b, fx
+        parabolic = False
+        if abs(prev_step) > tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0:
+                p = -p
+            q = abs(q)
+            if abs(p) < abs(0.5 * q * prev_step) and q * (a - x) < p < q * (b - x):
+                prev_step, step = step, p / q
+                if min(x + step - a, b - x - step) < 2 * tol:
+                    step = math.copysign(tol, mid - x)
+                parabolic = True
+        if not parabolic:
+            prev_step = (b - x) if x < mid else (a - x)
+            step = _GOLDEN * prev_step
+        u = x + (step if abs(step) >= tol else math.copysign(tol, step))
+        fu = f(u)
+        if fu <= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def fit_exponential(data) -> FitResult:
     """Best P = exp((T - a1)/a2) + a0; coeffs (a0, a1, a2).
 
-    Damped iterative least squares on the relative-residual objective.
-    Starts from a log-linearization with a0 floored at 0.95*min(power).
+    Variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 1973): the
+    best (a0, C) of a0 + C*exp(k*d) is solved exactly at each rate k (see
+    _Separable), leaving a 1-D Brent minimization over k, finished by
+    Gauss-Newton steps while they lower the objective.  The search starts
+    from a log-linear regression with a0 floored at 0.95*min(power) and
+    walks downhill from there, through k = 0 if need be, to bracket the
+    minimum.  It stops at |k| = -ln(smallest normal double), where the
+    exponential's range across the sweep leaves the double range; if the
+    minimum cannot be told apart from that limit, the result has
+    converged=False and termination "exp_range_limit", otherwise
+    termination is "converged".  iterations counts objective evaluations.
+    Raises DegenerateInput when the best C is not positive (concave data,
+    say): the family cannot represent the data.
     """
     t, y = _as_xy(data)
     if np.any(y == 0):
@@ -145,71 +308,44 @@ def fit_exponential(data) -> FitResult:
     if y.size < 3:
         raise DegenerateInput("exponential fit needs >= 3 samples")
 
-    # log-linearized initialization
-    a0 = 0.95 * float(np.min(y))
-    shifted = y - a0
+    # log-linearized starting rate
+    shifted = y - 0.95 * float(np.min(y))
     if np.any(shifted <= 0):
         raise InitFailure("power - a0 floor is non-positive; cannot take logs")
     z = np.log(shifted)
     if float(np.max(z) - np.min(z)) < 1e-13:
         raise DegenerateInput("flat power data; a2 is unidentifiable")
-    slope, intercept = np.polyfit(t, z, 1)
+    slope = float(np.polyfit(t, z, 1)[0])
     if slope == 0 or not math.isfinite(slope):
         raise DegenerateInput("flat power data; a2 is unidentifiable")
-    a2 = 1.0 / float(slope)
-    a1 = -float(intercept) * a2
 
-    _, r, s = _exp_objective(t, y, a0, a1, a2)
-    if not math.isfinite(s):
-        raise InitFailure("initialization evaluates to a non-finite objective")
-
-    lam = 1e-3
-    rel_step = math.inf
-    converged = False
-    iterations = 0
-    while iterations < MAX_ITER:
-        iterations += 1
-        e, r, _ = _exp_objective(t, y, a0, a1, a2)
-        jac = np.column_stack(
-            [1.0 / y, -e / (a2 * y), -e * (t - a1) / (a2 * a2 * y)]
-        )
-        jtj = jac.T @ jac
-        jtr = jac.T @ r
-        try:
-            step = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)), -jtr)
-        except np.linalg.LinAlgError:
-            lam *= 10.0
-            continue
-        trial = (a0 + step[0], a1 + step[1], a2 + step[2])
-        theta = math.sqrt(a0 * a0 + a1 * a1 + a2 * a2)
-        rel_step = float(np.linalg.norm(step)) / (theta + 1e-300)
-        # a2 must keep its sign; a sign flip jumps between disjoint branches
-        if trial[2] == 0 or (trial[2] > 0) != (a2 > 0):
-            lam *= 10.0
-            continue
-        _, _, s_trial = _exp_objective(t, y, *trial)
-        if s_trial < s:
-            a0, a1, a2 = trial
-            drop = (s - s_trial) / max(s, 1e-300)
-            s = s_trial
-            lam /= 10.0
-            if drop < REL_OBJECTIVE_TOL or rel_step < REL_STEP_TOL:
-                converged = True
-                break
-        else:
-            lam *= 10.0
+    model = _Separable(t, y)
+    start = min(max(slope * model.span, 2.0 - _LOG_TINY), _LOG_TINY - 2.0)
+    a, k, b, fk, limit = _bracket(model.objective, start, -_LOG_TINY, _LOG_TINY)
+    a, k, b, fk = _brent(model.objective, a, k, b, fk)
+    if limit in (a, b):
+        k, termination = limit, "exp_range_limit"
     else:
-        if rel_step > GIVE_UP_STEP:
-            raise NoConvergence(
-                f"no fixed point after {MAX_ITER} iterations (step {rel_step:.2e})"
-            )
-
+        # Brent knows k to _SQRT_EPS; Gauss-Newton converges quadratically
+        # where the residual vanishes, so take its steps while they help
+        while True:
+            k_new = model.gauss_newton(k)
+            if not a < k_new < b:
+                break
+            f_new = model.objective(k_new)
+            if not f_new < fk:
+                break
+            k, fk = k_new, f_new
+        termination = "converged"
+    a0, a1, a2 = model.params(k)
+    error = fit_error(y, np.exp((t - a1) / a2) + a0)
     return FitResult(
         FitKind.EXPONENTIAL,
         (float(a0), float(a1), float(a2)),
-        math.sqrt(s),
-        iterations,
-        converged,
+        error,
+        model.evaluations,
+        termination == "converged",
+        termination,
     )
 
 
@@ -243,10 +379,12 @@ def aggregate_error(fits: Sequence[tuple[Trace, FitResult]]) -> float:
 def sign_test(errors_a: Sequence[float], errors_b: Sequence[float]) -> float:
     """Exact two-sided paired sign test.
 
-    Counts k = #{i : a_i < b_i} over the n non-tied pairs and returns
-    2*min(CDF(k), 1 - CDF(k-1)) under Binomial(n, 1/2), clamped to <= 1.
-    Computed in exact rational arithmetic, so sign_test(a, b) equals
-    sign_test(b, a) bit for bit.
+    Counts k = #{i : a_i < b_i} over the n non-tied pairs and returns twice
+    the smaller binomial tail under Binomial(n, 1/2), clamped to <= 1.  The
+    tail is an integer sum of C(n, j) for j <= min(k, n - k), each term
+    from the last by C(n, j+1) = C(n, j)*(n-j)/(j+1), divided by 2**n once
+    in exact rational arithmetic, so sign_test(a, b) equals sign_test(b, a)
+    bit for bit.
     """
     if len(errors_a) != len(errors_b):
         raise LengthMismatch(
@@ -259,11 +397,11 @@ def sign_test(errors_a: Sequence[float], errors_b: Sequence[float]) -> float:
     n = wins + losses
     if n == 0:
         raise AllTies("all pairs are tied; the sign test is uninformative")
-    denom = Fraction(1, 2**n)
-    cdf_k = sum(math.comb(n, j) for j in range(wins + 1)) * denom
-    cdf_km1 = cdf_k - math.comb(n, wins) * denom
-    p = 2 * min(cdf_k, 1 - cdf_km1)
-    return float(min(p, Fraction(1)))
+    term = tail = 1
+    for j in range(min(wins, losses)):
+        term = term * (n - j) // (j + 1)
+        tail += term
+    return float(min(Fraction(2 * tail, 2**n), Fraction(1)))
 
 
 _PAIRS = (

@@ -80,10 +80,19 @@ class CoefficientSet:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CoefficientSet":
+        if not isinstance(data, dict):
+            raise InvalidParams(
+                f"a coefficient set must be an object, got {type(data).__name__}"
+            )
         m = data["m"]
+        if not isinstance(m, list):
+            raise InvalidParams(f"m must be a list of 7 coefficients, got {m!r}")
         if len(m) != 7:
             raise InvalidParams(f"expected 7 m-coefficients, got {len(m)}")
-        return cls(str(data["label"]), *map(float, m), float(data["a2"]))
+        try:
+            return cls(str(data["label"]), *map(float, m), float(data["a2"]))
+        except TypeError as exc:
+            raise InvalidParams(f"coefficients must be numbers: {exc}") from None
 
 
 def _check_operating_point(freq: float, cores: int) -> None:

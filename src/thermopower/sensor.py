@@ -175,6 +175,10 @@ class SensorModel:
 def model_from_json(text: str | bytes) -> SensorModel:
     """Load a SensorModel from {alpha, a, b, t_init_c, t_inf_c} JSON."""
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise InvalidParams(
+            f"sensor model JSON must be an object, got {type(data).__name__}"
+        )
     try:
         return SensorModel(
             float(data["alpha"]),
@@ -185,6 +189,8 @@ def model_from_json(text: str | bytes) -> SensorModel:
         )
     except KeyError as exc:
         raise InvalidParams(f"sensor model JSON is missing {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise InvalidParams(f"sensor model JSON field is not a number: {exc}") from None
 
 
 def model_to_json_dict(model: SensorModel) -> dict:

@@ -123,6 +123,7 @@ def test_fit_all_report_shape(tmp_path, capsys):
     assert len(results["traces"]) == 2
     for entry in results["traces"]:
         assert set(entry["fits"]) == {"linear", "quadratic", "exponential"}
+        assert entry["fits"]["exponential"]["termination"] == "converged"
     assert set(results["sign_tests"]) == {
         "exponential_vs_quadratic", "quadratic_vs_linear", "exponential_vs_linear"
     }
@@ -230,6 +231,16 @@ def test_model_eval_unknown_label_exit_2(capsys):
     assert "Z9" in err
 
 
+def test_model_eval_coeffs_with_scalar_m_exit_2(tmp_path, capsys):
+    path = tmp_path / "coeffs.json"
+    path.write_text('{"label": "x", "m": 5, "a2": 33.0}')
+    code, _, err = run_cli(
+        ["model", "eval", "--coeffs", path, "--temp", "50",
+         "--freq", "1", "--cores", "2"], capsys)
+    assert code == 2
+    assert "Traceback" not in err and "m must be a list" in err
+
+
 def test_model_eval_rejects_bad_operating_point(capsys):
     code, _, err = run_cli(
         ["model", "eval", "--proc", "A7", "--temp", "50",
@@ -282,6 +293,14 @@ def test_calibrate_single_file_list_form(tmp_path, capsys):
     code, report, _ = run_json(["model", "calibrate", combined], capsys)
     assert code == 0
     assert report["results"]["diagnostics"]["n_observations"] == 20
+
+
+def test_calibrate_list_of_numbers_exit_2(tmp_path, capsys):
+    path = tmp_path / "obs.json"
+    path.write_text("[1.0, 2.0, 3.0]")
+    code, _, err = run_cli(["model", "calibrate", path], capsys)
+    assert code == 2
+    assert "Traceback" not in err and "must be an object" in err
 
 
 def test_calibrate_insufficient_span_exit_1(tmp_path, capsys):
@@ -513,3 +532,31 @@ def test_cli_is_byte_deterministic_in_subprocess(tmp_path):
     assert runs[0].returncode == 0
     assert runs[0].stdout == runs[1].stdout
     assert b"\x1b[" not in runs[0].stdout  # no ANSI styling when piped
+
+
+def test_sensor_correct_repeated_temperatures(tmp_path, capsys):
+    series = tmp_path / "repeat.csv"
+    series.write_text(
+        "time_s,temp_c,power_w\n1.0,40.0,1.8\n2.0,45.0,1.9\n3.0,45.0,1.95\n"
+        "4.0,50.0,2.1\n"
+    )
+    _, model_path = write_lagged_series(tmp_path)
+    out_path = tmp_path / "fixed.csv"
+    code, report, err = run_json(
+        ["sensor-correct", series, "--model-json", model_path, "--out", out_path],
+        capsys)
+    assert code == 0 and "Traceback" not in err
+    # both temperature-sorted triples repeat 45.0, so no fraction is defined
+    assert report["results"]["convexity"]["raw_negative_fraction"] is None
+    assert report["results"]["n_samples"] == 4
+
+
+def test_sensor_correct_model_json_list_exit_2(tmp_path, capsys):
+    series, _ = write_lagged_series(tmp_path)
+    model_path = tmp_path / "list.json"
+    model_path.write_text("[1, 2]")
+    code, _, err = run_cli(
+        ["sensor-correct", series, "--model-json", model_path,
+         "--out", tmp_path / "fixed.csv"], capsys)
+    assert code == 2
+    assert "Traceback" not in err and "must be an object" in err

@@ -1,7 +1,10 @@
 """Curve fits, error metric, aggregation, sign test, model comparison."""
 
 import math
+import sys
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -118,6 +121,48 @@ def test_exponential_negative_power_init_failure():
         fit_exponential(([30.0, 40.0, 50.0], [-1.0, 1.2, 1.5]))
 
 
+@pytest.mark.parametrize("n", [20, 1000, 100_000])
+def test_exponential_converges_on_every_noisy_seed(n):
+    # generate_synthetic_trace's curve and noise, without building samples
+    temps = np.linspace(25.0, 85.0, n)
+    clean = np.exp((temps - PARAMS[1]) / PARAMS[2]) + PARAMS[0]
+    for seed in range(20):
+        powers = clean + np.random.default_rng(seed).normal(0.0, 0.002, n)
+        r = fit_exponential((temps, powers))
+        assert r.converged and r.termination == "converged", (n, seed, r)
+
+
+def test_exponential_near_step_outside_initial_bracket():
+    temps = np.linspace(25.0, 85.0, 20)
+    powers = np.exp((temps - 80.0) / 0.5) + 0.3
+    # the log-linear start is more than a first walk step (one e-fold
+    # across the sweep) away from the true rate of 120 e-folds
+    start = np.polyfit(temps, np.log(powers - 0.95 * powers.min()), 1)[0] * 60.0
+    assert 120.0 - start > 2.0
+    r = fit_exponential((temps, powers))
+    assert r.converged and r.termination == "converged"
+    for got, want in zip(r.coeffs, (0.3, 80.0, 0.5)):
+        assert math.isclose(got, want, rel_tol=1e-9)
+
+
+def test_exponential_step_reports_rate_limit():
+    # the two hottest samples are 0.01 C apart and the step lies between
+    # them: the objective falls all the way to the steepest representable
+    # curve, so the fit must not claim convergence
+    temps = np.append(np.linspace(25.0, 80.0, 10), [84.99, 85.0])
+    powers = np.append(np.full(11, 0.3), 1.0)
+    r = fit_exponential((temps, powers))
+    assert not r.converged and r.termination == "exp_range_limit"
+    # a2 = span / -ln(smallest normal double)
+    assert math.isclose(r.coeffs[2], 60.0 / -math.log(sys.float_info.min), rel_tol=1e-12)
+
+
+def test_exponential_concave_data_has_no_positive_scale():
+    temps = np.linspace(25.0, 85.0, 20)
+    with pytest.raises(DegenerateInput, match="C > 0"):
+        fit_exponential((temps, 2.0 - np.exp(-(temps - 20.0) / 20.0)))
+
+
 def test_exponential_result_error_is_consistent():
     r = fit_exponential(synth(noise=0.002, seed=1))
     tr = synth(noise=0.002, seed=1)
@@ -231,6 +276,43 @@ def test_sign_test_symmetry(a, data):
         return
     assert p_ab == sign_test(b, a)
     assert 0.0 < p_ab <= 1.0
+
+
+def _sign_test_reference(a, b):
+    """The textbook form: 2*min(CDF(k), 1 - CDF(k-1)), each term a fresh comb."""
+    wins = sum(1 for x, y in zip(a, b) if x < y)
+    n = wins + sum(1 for x, y in zip(a, b) if x > y)
+    denom = Fraction(1, 2**n)
+    cdf_k = sum(math.comb(n, j) for j in range(wins + 1)) * denom
+    cdf_km1 = cdf_k - math.comb(n, wins) * denom
+    return float(min(2 * min(cdf_k, 1 - cdf_km1), Fraction(1)))
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 150), st.integers(0, 150), st.integers(0, 5))
+def test_sign_test_matches_reference_formula(wins, losses, ties):
+    if wins + losses == 0:
+        return
+    a = [0.0] * (wins + losses + ties)
+    b = [1.0] * wins + [-1.0] * losses + [0.0] * ties
+    assert sign_test(a, b) == _sign_test_reference(a, b)
+    assert sign_test(b, a) == sign_test(a, b)
+
+
+def test_sign_test_n_100000():
+    n, wins = 100_000, 49_400
+    a = [0.0] * n
+    b = [1.0] * wins + [-1.0] * (n - wins)
+    p = sign_test(a, b)
+    # independent float evaluation of the same tail in log space
+    log_half_n = n * math.log(2)
+    log_terms = [
+        math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1) - log_half_n
+        for j in range(wins + 1)
+    ]
+    top = max(log_terms)
+    want = 2 * math.exp(top) * math.fsum(math.exp(t - top) for t in log_terms)
+    assert math.isclose(p, want, rel_tol=1e-9)
 
 
 # --- cross-family properties ---
