@@ -25,8 +25,14 @@ from pathlib import Path
 
 from . import __version__
 from .debias import DebiasSpec, debias, fit_eta, write_debiased
+import numpy as np
+
 from .errors import (
+    EmptyTrace,
     InvalidParams,
+    InvalidSample,
+    MalformedRow,
+    MissingMeta,
     NonMonotonicTime,
     NonPositiveTime,
     ThermoError,
@@ -42,10 +48,10 @@ from .powermodel import (
 from .sensor import SensorModel, b_factor, correct_series, model_from_json
 from .trace import (
     TraceMeta,
-    _fmt,
     generate_synthetic_trace,
     parse_table,
     parse_trace,
+    write_table,
     write_trace,
 )
 
@@ -80,11 +86,20 @@ class _Run:
         self.argv = list(argv)
         self.inputs: dict[str, str] = {}
         self.warnings: list[str] = []
+        self.source: str | None = None  # the file being parsed, if any
 
     def read_bytes(self, path: str) -> bytes:
         data = Path(path).read_bytes()
         self.inputs[path] = _digest(data)
         return data
+
+    def parse(self, path: str, parser):
+        """parser(the bytes of path); an error it raises is blamed on path."""
+        data = self.read_bytes(path)
+        self.source = path
+        result = parser(data)
+        self.source = None
+        return result
 
     def report(self, results) -> dict:
         return _sanitize(
@@ -132,17 +147,21 @@ def _fit_result_dict(result) -> dict:
     }
 
 
-def _write_plot(path: str, pairs) -> None:
-    lines = ["temp_c,power_w"]
-    for temp, power in sorted(pairs):
-        lines.append(f"{_fmt(temp)},{_fmt(power)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_csv(path: str, names, columns) -> None:
+    Path(path).write_text(write_table({}, names, columns), encoding="utf-8")
+
+
+def _write_plot(path: str, temps, powers) -> None:
+    """(temp, power) rows sorted by temperature, then by power."""
+    temps, powers = np.asarray(temps, float), np.asarray(powers, float)
+    order = np.lexsort((powers, temps))
+    _write_csv(path, ("temp_c", "power_w"), (temps[order], powers[order]))
 
 
 # --- fit ---
 
 def cmd_fit(args, run: _Run) -> tuple[int, dict, list[str]]:
-    traces = [parse_trace(run.read_bytes(p)) for p in args.traces]
+    traces = [run.parse(p, parse_trace) for p in args.traces]
     lines = []
     failed = False
 
@@ -222,8 +241,8 @@ def cmd_fit(args, run: _Run) -> tuple[int, dict, list[str]]:
         results = {"traces": per_trace}
 
     if args.plot and plot_source is not None:
-        pairs = [(t, plot_source.predict(t)) for t in traces[0].temps()]
-        _write_plot(args.plot, pairs)
+        temps = traces[0].temp_c
+        _write_plot(args.plot, temps, plot_source.predict(temps))
     return (1 if failed else 0), results, lines
 
 
@@ -238,7 +257,7 @@ def _aggregate_subset(traces, cmp, kind, idxs):
 
 def _load_coeffs(args, run: _Run) -> CoefficientSet:
     if args.coeffs:
-        return CoefficientSet.from_dict(json.loads(run.read_bytes(args.coeffs)))
+        return run.parse(args.coeffs, lambda data: CoefficientSet.from_dict(json.loads(data)))
     return builtin_set(args.proc)
 
 
@@ -257,30 +276,32 @@ def cmd_model_eval(args, run: _Run) -> tuple[int, dict, list[str]]:
     return 0, results, [repr(power)]
 
 
+def _observation(entry):
+    if not isinstance(entry, dict):
+        raise InvalidParams(f"an observation must be an object, got {entry!r}")
+    try:
+        return (
+            float(entry["freq_ghz"]),
+            int(entry["cores"]),
+            ModelParams(float(entry["a0"]), float(entry["a1"]), float(entry["a2"])),
+        )
+    except TypeError as exc:
+        raise InvalidParams(f"observation fields must be numbers: {exc}") from None
+
+
+def _observation_list(data: bytes):
+    raw = json.loads(data)
+    if not isinstance(raw, list):
+        raise ValueError("a single observations file must hold a JSON list")
+    return [_observation(entry) for entry in raw]
+
+
 def _load_observations(path: str, run: _Run):
     p = Path(path)
-    if p.is_dir():
-        files = sorted(f for f in p.iterdir() if f.suffix == ".json")
-        raw = [json.loads(run.read_bytes(str(f))) for f in files]
-    else:
-        raw = json.loads(run.read_bytes(path))
-        if not isinstance(raw, list):
-            raise ValueError("a single observations file must hold a JSON list")
-    obs = []
-    for entry in raw:
-        if not isinstance(entry, dict):
-            raise InvalidParams(f"an observation must be an object, got {entry!r}")
-        try:
-            obs.append(
-                (
-                    float(entry["freq_ghz"]),
-                    int(entry["cores"]),
-                    ModelParams(float(entry["a0"]), float(entry["a1"]), float(entry["a2"])),
-                )
-            )
-        except TypeError as exc:
-            raise InvalidParams(f"observation fields must be numbers: {exc}") from None
-    return obs
+    if not p.is_dir():
+        return run.parse(path, _observation_list)
+    files = sorted(f for f in p.iterdir() if f.suffix == ".json")
+    return [run.parse(str(f), lambda data: _observation(json.loads(data))) for f in files]
 
 
 def cmd_model_calibrate(args, run: _Run) -> tuple[int, dict, list[str]]:
@@ -307,7 +328,7 @@ def cmd_model_calibrate(args, run: _Run) -> tuple[int, dict, list[str]]:
 # --- debias ---
 
 def cmd_debias(args, run: _Run) -> tuple[int, dict, list[str]]:
-    trace = parse_trace(run.read_bytes(args.trace))
+    trace = run.parse(args.trace, parse_trace)
     kind = _MODEL_FLAGS[args.kind]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -320,7 +341,7 @@ def cmd_debias(args, run: _Run) -> tuple[int, dict, list[str]]:
 
     Path(args.out).write_text(write_debiased(result), encoding="utf-8")
     if args.plot:
-        _write_plot(args.plot, zip(trace.temps(), result.ref_power))
+        _write_plot(args.plot, trace.temp_c, result.ref_power)
     m = result.metrics
     results = {
         "spec": {"kind": kind.value, "eta": list(spec.eta), "ref_temp_c": spec.ref_temp},
@@ -336,19 +357,24 @@ def cmd_debias(args, run: _Run) -> tuple[int, dict, list[str]]:
 
 # --- sensor-correct ---
 
-def _second_divided_differences(pairs):
-    """Second divided differences of consecutive temperature-sorted points,
-    leaving out triples whose temperatures are not distinct."""
-    pts = sorted(pairs)
-    return [
-        ((y2 - y1) / (x2 - x1) - (y1 - y0) / (x1 - x0)) / (x2 - x0)
-        for (x0, y0), (x1, y1), (x2, y2) in zip(pts, pts[1:], pts[2:])
-        if x0 < x1 < x2
-    ]
+def _second_divided_differences(x, y) -> np.ndarray:
+    """Second divided differences of consecutive points sorted by x, then y,
+    leaving out triples whose x are not distinct."""
+    order = np.lexsort((y, x))
+    x, y = x[order], y[order]
+    x0, x1, x2 = x[:-2], x[1:-1], x[2:]
+    y0, y1, y2 = y[:-2], y[1:-1], y[2:]
+    keep = (x0 < x1) & (x1 < x2)
+    x0, x1, x2, y0, y1, y2 = (v[keep] for v in (x0, x1, x2, y0, y1, y2))
+    return ((y2 - y1) / (x2 - x1) - (y1 - y0) / (x1 - x0)) / (x2 - x0)
+
+
+def _fraction(hits: np.ndarray):
+    return int(hits.sum()) / len(hits) if len(hits) else None
 
 
 def cmd_sensor_correct(args, run: _Run) -> tuple[int, dict, list[str]]:
-    meta, columns, rows, _ = parse_table(run.read_bytes(args.series))
+    _, columns, rows, _ = run.parse(args.series, parse_table)
     if columns[:2] != ["time_s", "temp_c"] or len(columns) > 3 or (
         len(columns) == 3 and columns[2] != "power_w"
     ):
@@ -356,7 +382,7 @@ def cmd_sensor_correct(args, run: _Run) -> tuple[int, dict, list[str]]:
             f"{args.series}: expected columns time_s,temp_c[,power_w], got {columns}"
         )
     if args.model_json:
-        model = model_from_json(run.read_bytes(args.model_json))
+        model = run.parse(args.model_json, model_from_json)
     else:
         missing = [
             flag
@@ -376,33 +402,23 @@ def cmd_sensor_correct(args, run: _Run) -> tuple[int, dict, list[str]]:
             )
         model = SensorModel(args.alpha, args.a, args.b, args.t_init, args.t_inf)
 
-    series = [(r[0], r[1]) for r in rows]
-    corrected = correct_series(model, series)
-
-    lines_out = ["time_s,temp_c"]
-    for t, temp in corrected:
-        lines_out.append(f"{_fmt(t)},{_fmt(temp)}")
-    Path(args.out).write_text("\n".join(lines_out) + "\n", encoding="utf-8")
+    corrected = correct_series(model, rows[:, :2])
+    times, temps = corrected[:, 0], corrected[:, 1]
+    _write_csv(args.out, ("time_s", "temp_c"), (times, temps))
 
     results = {
         "n_samples": len(corrected),
-        "b_first": b_factor(model, corrected[0][0]),
-        "b_last": b_factor(model, corrected[-1][0]),
+        "b_first": b_factor(model, float(times[0])),
+        "b_last": b_factor(model, float(times[-1])),
         "output": args.out,
     }
     if len(columns) == 3 and len(rows) >= 3:
-        powers = [r[2] for r in rows]
-        raw = _second_divided_differences(zip((r[1] for r in rows), powers))
-        fixed = _second_divided_differences(
-            zip((temp for _, temp in corrected), powers)
-        )
+        powers = rows[:, 2]
+        raw = _second_divided_differences(rows[:, 1], powers)
+        fixed = _second_divided_differences(temps, powers)
         results["convexity"] = {
-            "raw_negative_fraction": (
-                sum(1 for d in raw if d < 0) / len(raw) if raw else None
-            ),
-            "corrected_positive_fraction": (
-                sum(1 for d in fixed if d > 0) / len(fixed) if fixed else None
-            ),
+            "raw_negative_fraction": _fraction(raw < 0),
+            "corrected_positive_fraction": _fraction(fixed > 0),
         }
     lines = [
         f"B(first)={results['b_first']!r} B(last)={results['b_last']!r}",
@@ -432,10 +448,12 @@ def cmd_gen(args, run: _Run) -> tuple[int, dict, list[str]]:
 
 # --- argument parsing ---
 
-def _csv_floats(count):
+def _csv_floats(count=None):
+    """An argparse type for comma-separated floats, ``count`` of them if given."""
+
     def parse(text):
         parts = text.split(",")
-        if len(parts) != count:
+        if count is not None and len(parts) != count:
             raise argparse.ArgumentTypeError(f"expected {count} comma-separated values")
         return [float(p) for p in parts]
 
@@ -465,6 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group-by", choices=["none", "proc-cores"], default="none")
     p.add_argument("--plot", metavar="PATH", help="write temp/fitted-power CSV")
     common(p)
+    p.set_defaults(handler=cmd_fit)
 
     pm = sub.add_parser("model", help="evaluate or calibrate the power model")
     msub = pm.add_subparsers(dest="model_command", required=True)
@@ -477,6 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--freq", type=float, required=True, help="frequency in GHz")
     p.add_argument("--cores", type=int, required=True, help="active cores (1..4)")
     common(p)
+    p.set_defaults(handler=cmd_model_eval)
 
     p = msub.add_parser("calibrate", help="fit a coefficient set from observations")
     p.add_argument(
@@ -486,6 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--label", default="calibrated")
     p.add_argument("--out", metavar="PATH", help="write the coefficient-set JSON")
     common(p)
+    p.set_defaults(handler=cmd_model_calibrate)
 
     p = sub.add_parser("debias", help="transform a trace to a reference temperature")
     p.add_argument("trace", metavar="TRACE")
@@ -493,12 +514,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["linear", "quad", "exp"], default="quad")
     p.add_argument(
         "--eta",
-        type=_csv_floats_any,
+        type=_csv_floats(),
         help="use these coefficients instead of fitting (comma separated)",
     )
     p.add_argument("--out", metavar="PATH", required=True, help="transformed CSV path")
     p.add_argument("--plot", metavar="PATH", help="write temp/transformed-power CSV")
     common(p)
+    p.set_defaults(handler=cmd_debias)
 
     p = sub.add_parser("sensor-correct", help="correct a distant-sensor series")
     p.add_argument("series", metavar="CSV", help="time_s,temp_c[,power_w] input")
@@ -510,6 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-inf", type=float, help="far-field initial temperature")
     p.add_argument("--out", metavar="PATH", required=True, help="corrected CSV path")
     common(p)
+    p.set_defaults(handler=cmd_sensor_correct)
 
     p = sub.add_parser("gen", help="generate a synthetic exponential trace")
     p.add_argument("--params", type=_csv_floats(3), required=True, metavar="A0,A1,A2")
@@ -522,15 +545,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cores", type=int, default=4, help="metadata core count")
     p.add_argument("--out", metavar="PATH", required=True, help="trace CSV path")
     common(p)
+    p.set_defaults(handler=cmd_gen)
 
     return parser
 
 
-def _csv_floats_any(text):
-    return [float(p) for p in text.split(",")]
-
-
 _INPUT_ERRORS = (OSError, ValueError, KeyError, json.JSONDecodeError)
+# errors in what the user supplied, not failures of a computation
+_INPUT_STAGE = (MalformedRow, EmptyTrace, MissingMeta, InvalidSample, InvalidParams)
 
 
 def main(argv=None) -> int:
@@ -539,31 +561,20 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     run = _Run(argv)
 
-    if args.command == "fit":
-        handler = cmd_fit
-    elif args.command == "model":
-        handler = cmd_model_eval if args.model_command == "eval" else cmd_model_calibrate
-    elif args.command == "debias":
-        handler = cmd_debias
-    elif args.command == "sensor-correct":
-        handler = cmd_sensor_correct
-    else:
-        handler = cmd_gen
-
     try:
-        code, results, lines = handler(args, run)
+        code, results, lines = args.handler(args, run)
     except _INPUT_ERRORS as exc:
         # str(KeyError) wraps its message in quotes; unwrap for readability
         msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {msg}", file=sys.stderr)
         return 2
-    except (NonPositiveTime, NonMonotonicTime) as exc:
-        # bad input series, not a computation failure
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ThermoError as exc:
-        if _is_input_stage_error(exc, args):
-            print(f"error: {_name_input(args)}: {exc}", file=sys.stderr)
+        if run.source is not None or isinstance(exc, _INPUT_STAGE):
+            print(f"error: {run.source or args.command}: {exc}", file=sys.stderr)
+            return 2
+        if isinstance(exc, (NonPositiveTime, NonMonotonicTime)):
+            # bad input series, not a computation failure
+            print(f"error: {exc}", file=sys.stderr)
             return 2
         report = run.report({"error": f"{type(exc).__name__}: {exc}"})
         _emit(args, report, [f"failed: {exc}"])
@@ -571,29 +582,6 @@ def main(argv=None) -> int:
 
     _emit(args, run.report(results), lines)
     return code
-
-
-def _name_input(args) -> str:
-    for attr in ("traces", "trace", "series", "observations"):
-        value = getattr(args, attr, None)
-        if value:
-            return value[0] if isinstance(value, list) else value
-    return args.command
-
-
-_PARSE_STAGE = (
-    "MalformedRow",
-    "EmptyTrace",
-    "MissingMeta",
-    "InvalidSample",
-    "InvalidParams",
-    "InvalidFreq",
-    "InvalidCores",
-)
-
-
-def _is_input_stage_error(exc: ThermoError, args) -> bool:
-    return type(exc).__name__ in _PARSE_STAGE
 
 
 if __name__ == "__main__":

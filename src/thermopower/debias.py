@@ -20,12 +20,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from statistics import fmean, median
+from statistics import fmean
 from typing import Sequence
 
+import numpy as np
+
 from .errors import InvalidParams, LengthMismatch, ZeroSpread
-from .fitting import FitKind, fit_exponential, fit_linear, fit_quadratic
-from .trace import Trace, _fmt
+from .fitting import FitKind, each, exp_curve, fit_exponential, fit_linear, fit_quadratic
+from .trace import Trace, _fmt, _trace_header, write_table
 
 _ETA_ARITY = {FitKind.LINEAR: 1, FitKind.QUADRATIC: 2, FitKind.EXPONENTIAL: 2}
 
@@ -56,16 +58,25 @@ class DebiasSpec:
         if self.kind is FitKind.EXPONENTIAL and self.eta[1] == 0:
             raise InvalidParams("exponential debias needs a nonzero a2")
 
-    def shift(self, temp: float) -> float:
-        """Power increment moving a sample from temp to ref_temp."""
+    def shift(self, temp):
+        """Power increment moving a sample from temp to ref_temp.
+
+        temp is a float or an array of them.
+        """
         if self.kind is FitKind.LINEAR:
             (eta1,) = self.eta
             return eta1 * (self.ref_temp - temp)
         if self.kind is FitKind.QUADRATIC:
             eta2, eta1 = self.eta
-            return eta2 * (self.ref_temp**2 - temp**2) + eta1 * (self.ref_temp - temp)
+            # x**2 is the C library's pow(x, 2), which is not always x*x
+            squares = each(_square, temp)
+            return eta2 * (self.ref_temp**2 - squares) + eta1 * (self.ref_temp - temp)
         a1, a2 = self.eta
-        return math.exp((self.ref_temp - a1) / a2) - math.exp((temp - a1) / a2)
+        return exp_curve(self.ref_temp, a1, a2) - exp_curve(temp, a1, a2)
+
+
+def _square(x: float) -> float:
+    return x**2
 
 
 @dataclass(frozen=True)
@@ -84,17 +95,34 @@ class DebiasedTrace:
 
     def __post_init__(self):
         object.__setattr__(self, "ref_power", tuple(self.ref_power))
-        if len(self.ref_power) != len(self.source.samples):
+        if len(self.ref_power) != len(self.source):
             raise LengthMismatch(
                 f"{len(self.ref_power)} transformed powers for "
-                f"{len(self.source.samples)} samples"
+                f"{len(self.source)} samples"
             )
+
+
+def _median(values) -> float:
+    """statistics.median of a non-empty float sequence or array, found by
+    partition instead of a sort: the same middle value, or the same
+    (lower + upper)/2 of the two middle values.
+    """
+    x = np.asarray(values, float)
+    mid = x.size // 2
+    if x.size % 2:
+        return float(np.partition(x, mid)[mid])
+    lower, upper = np.partition(x, (mid - 1, mid))[mid - 1 : mid + 1].tolist()
+    return (lower + upper) / 2
+
+
+def _spread(values) -> float:
+    x = np.asarray(values, float)
+    return float(x.max() - x.min())
 
 
 def metric_afl(trace: Trace) -> float:
     """Measured power spread as a percent of the median."""
-    powers = trace.powers()
-    return 100.0 * (max(powers) - min(powers)) / median(powers)
+    return 100.0 * _spread(trace.power_w) / _median(trace.power_w)
 
 
 def metric_fl(measured: Sequence[float], transformed: Sequence[float]) -> float:
@@ -105,19 +133,19 @@ def metric_fl(measured: Sequence[float], transformed: Sequence[float]) -> float:
         )
     if len(measured) == 0:
         raise LengthMismatch("need at least one sample")
-    spread_m = max(measured) - min(measured)
+    spread_m = _spread(measured)
     if spread_m == 0:
         raise ZeroSpread("measured powers are constant; FL is undefined")
-    spread_t = max(transformed) - min(transformed)
-    return (spread_t / median(transformed)) / (spread_m / median(measured))
+    spread_t = _spread(transformed)
+    return (spread_t / _median(transformed)) / (spread_m / _median(measured))
 
 
 def metric_rat(transformed: Sequence[float]) -> float:
     """(mean - median)/median of the transformed powers."""
     if len(transformed) == 0:
         raise LengthMismatch("need at least one sample")
-    med = median(transformed)
-    return (fmean(transformed) - med) / med
+    med = _median(transformed)
+    return (fmean(np.asarray(transformed, float).tolist()) - med) / med
 
 
 def debias(trace: Trace, spec: DebiasSpec) -> DebiasedTrace:
@@ -127,22 +155,21 @@ def debias(trace: Trace, spec: DebiasSpec) -> DebiasedTrace:
     range; picking an interior reference keeps the transform interpolative.
     FL is NaN for a constant-power input, where it is undefined.
     """
-    temps = trace.temps()
-    lo, hi = min(temps), max(temps)
+    lo, hi = float(trace.temp_c.min()), float(trace.temp_c.max())
     if not lo <= spec.ref_temp <= hi:
         warnings.warn(
             f"reference temperature {spec.ref_temp} is outside the measured "
             f"range [{lo}, {hi}]; the transform extrapolates",
             stacklevel=2,
         )
-    measured = trace.powers()
-    ref_power = tuple(p + spec.shift(t) for t, p in zip(temps, measured))
+    measured = trace.power_w
+    ref_power = measured + spec.shift(trace.temp_c)
     try:
         fl = metric_fl(measured, ref_power)
     except ZeroSpread:
         fl = math.nan
     metrics = DebiasMetrics(afl=metric_afl(trace), fl=fl, rat=metric_rat(ref_power))
-    return DebiasedTrace(trace, spec, ref_power, metrics)
+    return DebiasedTrace(trace, spec, tuple(ref_power.tolist()), metrics)
 
 
 def fit_eta(trace: Trace, kind: FitKind, ref_temp: float) -> DebiasSpec:
@@ -165,18 +192,12 @@ def fit_eta(trace: Trace, kind: FitKind, ref_temp: float) -> DebiasSpec:
 
 def write_debiased(debiased: DebiasedTrace) -> str:
     """Trace CSV with the transformed series as an extra power_ref_w column."""
-    meta = debiased.source.meta
-    lines = [
-        f"#processor={meta.processor}",
-        f"#freq_ghz={_fmt(meta.freq_ghz)}",
-        f"#cores={meta.cores}",
-        f"#ref_temp_c={_fmt(debiased.spec.ref_temp)}",
-        f"#debias_kind={debiased.spec.kind.value}",
-        "time_s,temp_c,power_w,power_ref_w",
-    ]
-    for sample, ref in zip(debiased.source.samples, debiased.ref_power):
-        lines.append(
-            f"{_fmt(sample.time_s)},{_fmt(sample.temp_c)},"
-            f"{_fmt(sample.power_w)},{_fmt(ref)}"
-        )
-    return "\n".join(lines) + "\n"
+    source, spec = debiased.source, debiased.spec
+    meta = _trace_header(source.meta)
+    meta["ref_temp_c"] = _fmt(spec.ref_temp)
+    meta["debias_kind"] = spec.kind.value
+    return write_table(
+        meta,
+        ("time_s", "temp_c", "power_w", "power_ref_w"),
+        (source.time_s, source.temp_c, source.power_w, debiased.ref_power),
+    )

@@ -7,7 +7,15 @@ class ThermoError(Exception):
 
 # --- trace construction / parsing ---
 
-class InvalidSample(ThermoError):
+class _RowError(ThermoError):
+    """An error in one sample; line_no names its line when it came from a file."""
+
+    def __init__(self, reason: str, line_no: int | None = None):
+        super().__init__(reason if line_no is None else f"line {line_no}: {reason}")
+        self.line_no = line_no
+
+
+class InvalidSample(_RowError):
     """A sample field is non-finite or power is not positive."""
 
 
@@ -17,7 +25,7 @@ class MalformedRow(ThermoError):
         self.line_no = line_no
 
 
-class NonMonotonicTime(ThermoError):
+class NonMonotonicTime(_RowError):
     """Sample times are not strictly increasing."""
 
 
@@ -70,11 +78,11 @@ class AllTies(ThermoError):
 
 # --- power model ---
 
-class InvalidFreq(ThermoError):
+class InvalidFreq(InvalidParams):
     """Frequency must be a positive number of GHz."""
 
 
-class InvalidCores(ThermoError):
+class InvalidCores(InvalidParams):
     """Active core count must be an integer in 1..4."""
 
 

@@ -60,7 +60,8 @@ class FitResult:
     converged: bool
     termination: str = "converged"
 
-    def predict(self, temp: float) -> float:
+    def predict(self, temp):
+        """The fitted power at a temperature, or at each of an array of them."""
         if self.kind is FitKind.LINEAR:
             a1, a0 = self.coeffs
             return a1 * temp + a0
@@ -68,16 +69,31 @@ class FitResult:
             a2, a1, a0 = self.coeffs
             return a2 * temp * temp + a1 * temp + a0
         a0, a1, a2 = self.coeffs
-        return math.exp((temp - a1) / a2) + a0
+        return exp_curve(temp, a1, a2) + a0
 
 
-FitInput = "Trace | tuple[Sequence[float], Sequence[float]]"
+def each(fn, x):
+    """fn(x) for a float x, or fn of every element of a 1-D array x.
+
+    The elements go through fn as Python floats, so an array result has
+    the bits the scalar calls would give: numpy's exp, say, may differ
+    from the C library's math.exp in the last place.
+    """
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(fn, x.tolist()), float, x.size)
+    return fn(x)
+
+
+def exp_curve(temp, a1: float, a2: float):
+    """exp((temp - a1)/a2), the temperature term of every exponential
+    curve in the package, at a float or at each element of an array."""
+    return each(math.exp, (temp - a1) / a2)
 
 
 def _as_xy(data) -> tuple[np.ndarray, np.ndarray]:
     """Accept a Trace or a (temps, powers) pair; return float arrays."""
     if isinstance(data, Trace):
-        return np.array(data.temps(), float), np.array(data.powers(), float)
+        return data.temp_c, data.power_w
     temps, powers = data
     t = np.asarray(temps, float)
     y = np.asarray(powers, float)
@@ -368,12 +384,12 @@ def aggregate_error(fits: Sequence[tuple[Trace, FitResult]]) -> float:
     """
     if len(fits) == 0:
         raise EmptyGroup("cannot aggregate an empty group")
-    total = 0.0
+    squares = []
     for trace, result in fits:
-        for sample in trace.samples:
-            rel = (result.predict(sample.temp_c) - sample.power_w) / sample.power_w
-            total += rel * rel
-    return math.sqrt(total)
+        rel = (result.predict(trace.temp_c) - trace.power_w) / trace.power_w
+        squares.append(rel * rel)
+    # a running sum in sample order, not numpy's pairwise one: the bits are frozen
+    return math.sqrt(np.add.accumulate(np.concatenate(squares))[-1])
 
 
 def sign_test(errors_a: Sequence[float], errors_b: Sequence[float]) -> float:

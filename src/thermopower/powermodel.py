@@ -24,11 +24,11 @@ import numpy as np
 
 from .errors import (
     InsufficientSpan,
-    InvalidCores,
-    InvalidFreq,
     InvalidParams,
     SingularFit,
 )
+from .fitting import exp_curve
+from .trace import _check_operating_point
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ class ModelParams:
             raise InvalidParams("a2 must be nonzero")
 
     def power(self, temp: float) -> float:
-        return math.exp((temp - self.a1) / self.a2) + self.a0
+        return exp_curve(temp, self.a1, self.a2) + self.a0
 
 
 @dataclass(frozen=True)
@@ -93,13 +93,6 @@ class CoefficientSet:
             return cls(str(data["label"]), *map(float, m), float(data["a2"]))
         except TypeError as exc:
             raise InvalidParams(f"coefficients must be numbers: {exc}") from None
-
-
-def _check_operating_point(freq: float, cores: int) -> None:
-    if not (isinstance(freq, (int, float)) and math.isfinite(freq) and freq > 0):
-        raise InvalidFreq(f"freq must be a positive number of GHz, got {freq!r}")
-    if not isinstance(cores, int) or not 1 <= cores <= 4:
-        raise InvalidCores(f"cores must be an integer in 1..4, got {cores!r}")
 
 
 def derive_params(coeffs: CoefficientSet, freq: float, cores: int) -> ModelParams:
@@ -157,9 +150,6 @@ class CalibrationDiagnostics:
             "a2_spread": self.a2_spread,
             "used_freqs": list(self.used_freqs),
         }
-
-
-Observation = "tuple[float, int, ModelParams]"
 
 
 def calibrate(

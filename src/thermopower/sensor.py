@@ -22,12 +22,15 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import (
     InvalidParams,
     NonMonotonicTime,
     NonPositiveTime,
     ZeroDenominator,
 )
+from .fitting import each
 
 # Rational minimax fits for the Gauss error function (classic libm-style
 # double precision coefficients); agrees with math.erf to ~1 ulp but does
@@ -112,42 +115,45 @@ _SB = (
 _ONE_BELOW_1 = math.nextafter(1.0, 0.0)
 
 
-def _poly(coeffs: tuple[float, ...], x: float) -> float:
+def _poly(coeffs: tuple[float, ...], x):
     acc = 0.0
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
 
 
-def erf(x: float) -> float:
-    """Gauss error function, odd and confined to the open interval (-1, 1)."""
-    if math.isnan(x):
-        return x
-    sign = -1.0 if x < 0 else 1.0
-    ax = abs(x)
-    if ax < 2.0**-28:
-        return x + _EFX * x
-    if ax < 0.84375:
-        z = ax * ax
-        mag = ax + ax * (_poly(_PP, z) / _poly(_QQ, z))
-    elif ax < 1.25:
-        s = ax - 1.0
-        mag = _ERX + _poly(_PA, s) / _poly(_QA, s)
-    elif ax < 6.0:
-        z = ax * ax
+def erf(x):
+    """Gauss error function, odd and confined to the open interval (-1, 1).
+
+    x is a float, or an array evaluated element by element with the same
+    branches and the same Horner order, so both give the same bits.
+    """
+    if not isinstance(x, np.ndarray):
+        return float(erf(np.array([x], float))[0])
+    ax = np.abs(x)
+    mag = np.ones_like(ax)  # 1 from 6 up
+    low = ax < 0.84375
+    z = ax[low] * ax[low]
+    mag[low] = ax[low] + ax[low] * (_poly(_PP, z) / _poly(_QQ, z))
+    mid = ~low & (ax < 1.25)
+    s = ax[mid] - 1.0
+    mag[mid] = _ERX + _poly(_PA, s) / _poly(_QA, s)
+    for tail, (num, den) in (
+        (~low & ~mid & (ax < 1.0 / 0.35), (_RA, _SA)),
+        ((ax >= 1.0 / 0.35) & (ax < 6.0), (_RB, _SB)),
+    ):
+        z = ax[tail] * ax[tail]
         s = 1.0 / z
-        if ax < 1.0 / 0.35:
-            big_r = _poly(_RA, s) / _poly(_SA, s)
-        else:
-            big_r = _poly(_RB, s) / _poly(_SB, s)
-        mag = 1.0 - math.exp(-z - 0.5625 + big_r) / ax
-    else:
-        mag = 1.0
+        big_r = _poly(num, s) / _poly(den, s)
+        mag[tail] = 1.0 - each(math.exp, -z - 0.5625 + big_r) / ax[tail]
     # keep the range open: true values this close to 1 are not
     # representable below it in double precision anyway
-    if mag >= 1.0:
-        mag = _ONE_BELOW_1
-    return sign * mag
+    mag[mag >= 1.0] = _ONE_BELOW_1
+    out = np.where(x < 0, -mag, mag)
+    tiny = ax < 2.0**-28
+    out[tiny] = x[tiny] + _EFX * x[tiny]
+    out[np.isnan(x)] = np.nan
+    return out
 
 
 @dataclass(frozen=True)
@@ -203,36 +209,51 @@ def model_to_json_dict(model: SensorModel) -> dict:
     }
 
 
-def b_factor(model: SensorModel, t: float) -> float:
-    """The correction factor at time t > 0, evaluated as printed."""
-    if not (math.isfinite(t) and t > 0):
-        raise NonPositiveTime(f"the correction is only defined for t > 0, got {t!r}")
+def b_factor(model: SensorModel, t):
+    """The correction factor at time t > 0, evaluated as printed.
+
+    t is a float, or an array of times; for an array the factors come back
+    as an array and a vanishing denominator names the first sample index
+    it occurs at.
+    """
+    times = np.asarray(t, float)
+    if times.ndim == 0:
+        if not (math.isfinite(t) and t > 0):
+            raise NonPositiveTime(f"the correction is only defined for t > 0, got {t!r}")
+        try:
+            return float(b_factor(model, times.reshape(1))[0])
+        except ZeroDenominator as exc:
+            raise ZeroDenominator(exc.t) from None
     delta = model.t_inf - model.t_init
-    num = delta * (1.0 - math.exp(-t / model.b)) + model.t_init
-    den = delta * erf(model.a / math.sqrt(4.0 * model.alpha * t)) + model.t_init
+    num = delta * (1.0 - each(math.exp, -times / model.b)) + model.t_init
+    den = delta * erf(model.a / np.sqrt(4.0 * model.alpha * times)) + model.t_init
     scale = abs(delta) + abs(model.t_init)
-    if abs(den) <= 1e-12 * scale:
-        raise ZeroDenominator(t)
+    zero = np.abs(den) <= 1e-12 * scale
+    if zero.any():
+        i = int(np.argmax(zero))
+        raise ZeroDenominator(float(times[i]), index=i)
     return num / den
 
 
-def correct_series(
-    model: SensorModel, sensor_temps: Sequence[tuple[float, float]]
-) -> list[tuple[float, float]]:
-    """Scale each (time, sensor temperature) sample to the hotspot estimate."""
-    prev = 0.0
-    for i, (t, _) in enumerate(sensor_temps):
-        if not (math.isfinite(t) and t > 0):
-            raise NonPositiveTime(f"sample {i}: the correction needs t > 0, got {t!r}")
-        if i > 0 and t <= prev:
-            raise NonMonotonicTime(
-                f"time must strictly increase ({prev!r} then {t!r} at sample {i})"
+def correct_series(model: SensorModel, sensor_temps: Sequence[tuple[float, float]]):
+    """Scale each (time, sensor temperature) sample to the hotspot estimate.
+
+    sensor_temps is a sequence of pairs or an (n, 2) array; the result is
+    an (n, 2) array of (time, corrected temperature) rows.
+    """
+    series = np.asarray(sensor_temps, float).reshape(-1, 2)
+    times = series[:, 0]
+    bad = ~np.isfinite(times) | ~(times > 0)
+    steps = np.diff(times) <= 0
+    if bad.any() or steps.any():
+        i = int(np.argmax(bad)) if bad.any() else len(times)
+        j = int(np.argmax(steps)) + 1 if steps.any() else len(times)
+        if i <= j:
+            raise NonPositiveTime(
+                f"sample {i}: the correction needs t > 0, got {float(times[i])!r}"
             )
-        prev = t
-    out = []
-    for i, (t, temp) in enumerate(sensor_temps):
-        try:
-            out.append((t, b_factor(model, t) * temp))
-        except ZeroDenominator as exc:
-            raise ZeroDenominator(exc.t, index=i) from None
-    return out
+        raise NonMonotonicTime(
+            f"time must strictly increase ({float(times[j - 1])!r} then "
+            f"{float(times[j])!r} at sample {j})"
+        )
+    return np.column_stack((times, b_factor(model, times) * series[:, 1]))

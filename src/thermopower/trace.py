@@ -12,26 +12,42 @@ A trace file is UTF-8 text with LF line endings::
 ``#key=value`` comment lines are only allowed before the column header.
 Numbers use ``.`` as the decimal separator and are written in the shortest
 decimal form that parses back to the identical float, so write/parse is a
-bit-exact round trip.
+bit-exact round trip.  Every CSV the package writes goes through
+write_table and every one it reads through parse_table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import (
     EmptyTrace,
+    InvalidCores,
+    InvalidFreq,
     InvalidParams,
     InvalidSample,
+    LengthMismatch,
     MalformedRow,
     MissingMeta,
     NonMonotonicTime,
 )
 
 HEADER = "time_s,temp_c,power_w"
+_COLUMNS = tuple(HEADER.split(","))
+
+
+def _check_sample(time_s: float, temp_c: float, power_w: float, line_no=None) -> None:
+    for name, value in zip(_COLUMNS, (time_s, temp_c, power_w)):
+        if not math.isfinite(value):
+            raise InvalidSample(f"{name} must be finite, got {value!r}", line_no)
+    if time_s < 0:
+        raise InvalidSample(f"time_s must be non-negative, got {time_s!r}", line_no)
+    if power_w <= 0:
+        raise InvalidSample(f"power_w must be positive, got {power_w!r}", line_no)
 
 
 @dataclass(frozen=True)
@@ -41,13 +57,7 @@ class TraceSample:
     power_w: float
 
     def __post_init__(self):
-        for name in ("time_s", "temp_c", "power_w"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidSample(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.time_s < 0:
-            raise InvalidSample(f"time_s must be non-negative, got {self.time_s!r}")
-        if self.power_w <= 0:
-            raise InvalidSample(f"power_w must be positive, got {self.power_w!r}")
+        _check_sample(self.time_s, self.temp_c, self.power_w)
 
 
 @dataclass(frozen=True)
@@ -57,38 +67,102 @@ class TraceMeta:
     cores: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.freq_ghz) and self.freq_ghz > 0):
-            raise InvalidParams(f"freq_ghz must be positive, got {self.freq_ghz!r}")
-        if not isinstance(self.cores, int) or not 1 <= self.cores <= 4:
-            raise InvalidParams(f"cores must be an integer in 1..4, got {self.cores!r}")
+        _check_operating_point(self.freq_ghz, self.cores)
 
 
-@dataclass(frozen=True)
+def _check_operating_point(freq: float, cores: int) -> None:
+    if not (isinstance(freq, (int, float)) and math.isfinite(freq) and freq > 0):
+        raise InvalidFreq(f"freq must be a positive number of GHz, got {freq!r}")
+    if not isinstance(cores, int) or not 1 <= cores <= 4:
+        raise InvalidCores(f"cores must be an integer in 1..4, got {cores!r}")
+
+
 class Trace:
-    meta: TraceMeta
-    samples: tuple[TraceSample, ...]
+    """A validated trace: metadata plus three read-only float64 columns.
 
-    def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
-        if len(self.samples) < 3:
-            raise EmptyTrace(f"a trace needs at least 3 samples, got {len(self.samples)}")
-        for prev, cur in zip(self.samples, self.samples[1:]):
-            if cur.time_s <= prev.time_s:
-                raise NonMonotonicTime(
-                    f"time must strictly increase ({prev.time_s!r} then {cur.time_s!r})"
-                )
+    ``time_s``, ``temp_c`` and ``power_w`` are 1-D arrays of one length,
+    at least 3.  Every value is finite, times are non-negative and strictly
+    increasing, and powers are positive.  ``Trace(meta, samples)`` builds
+    one from TraceSample rows and ``Trace.from_columns`` from three
+    sequences; both go through the same bulk validation.  Two traces are
+    equal when their metadata are and their columns match bit for bit.
+    """
+
+    __slots__ = ("meta", "time_s", "temp_c", "power_w")
+
+    def __init__(self, meta: TraceMeta, samples: Iterable[TraceSample]):
+        rows = [(s.time_s, s.temp_c, s.power_w) for s in samples]
+        self._set(meta, np.array(rows, float).reshape(-1, 3).T)
+
+    @classmethod
+    def from_columns(cls, meta: TraceMeta, time_s, temp_c, power_w) -> "Trace":
+        lengths = {len(time_s), len(temp_c), len(power_w)}
+        if len(lengths) != 1:
+            raise LengthMismatch(f"column lengths differ: {sorted(lengths)}")
+        trace = cls.__new__(cls)
+        trace._set(meta, (time_s, temp_c, power_w))
+        return trace
+
+    def _set(self, meta: TraceMeta, columns, line_of=None) -> None:
+        """Validate and store the columns; line_of(i) names row i's file line."""
+        cols = []
+        for values in columns:
+            col = np.array(values, float)
+            if col.ndim != 1:
+                raise LengthMismatch(f"a column must be 1-D, got shape {col.shape}")
+            col.flags.writeable = False
+            cols.append(col)
+        time_s, temp_c, power_w = cols
+        bad = ~np.isfinite(time_s) | ~np.isfinite(temp_c) | ~np.isfinite(power_w)
+        bad |= (time_s < 0) | ~(power_w > 0)
+        if bad.any():
+            i = int(np.argmax(bad))
+            row = (float(time_s[i]), float(temp_c[i]), float(power_w[i]))
+            _check_sample(*row, line_of(i) if line_of else None)
+        if len(time_s) < 3:
+            raise EmptyTrace(f"a trace needs at least 3 samples, got {len(time_s)}")
+        steps = np.diff(time_s) <= 0
+        if steps.any():
+            i = int(np.argmax(steps)) + 1
+            raise NonMonotonicTime(
+                f"time must strictly increase ({float(time_s[i - 1])!r} then "
+                f"{float(time_s[i])!r})",
+                line_of(i) if line_of else None,
+            )
+        for name, value in zip(self.__slots__, (meta, *cols)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Trace is immutable; cannot set {name!r}")
+
+    @property
+    def samples(self) -> tuple[TraceSample, ...]:
+        return tuple(map(TraceSample, self.times(), self.temps(), self.powers()))
 
     def times(self) -> list[float]:
-        return [s.time_s for s in self.samples]
+        return self.time_s.tolist()
 
     def temps(self) -> list[float]:
-        return [s.temp_c for s in self.samples]
+        return self.temp_c.tolist()
 
     def powers(self) -> list[float]:
-        return [s.power_w for s in self.samples]
+        return self.power_w.tolist()
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.time_s)
+
+    def __eq__(self, other):
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return self.meta == other.meta and all(
+            a.tobytes() == b.tobytes()
+            for a, b in zip(
+                (self.time_s, self.temp_c, self.power_w),
+                (other.time_s, other.temp_c, other.power_w),
+            )
+        )
+
+    __hash__ = None
 
 
 def _parse_number(token: str, line_no: int) -> float:
@@ -101,52 +175,97 @@ def _parse_number(token: str, line_no: int) -> float:
     return value
 
 
-def parse_table(text: str | bytes) -> tuple[dict[str, str], list[str], list[list[float]], int]:
-    """Parse the comment/header/rows skeleton shared by all CSV outputs.
-
-    Returns (meta dict, column names, float rows, header line number).
-    """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    meta: dict[str, str] = {}
-    columns: list[str] | None = None
-    rows: list[list[float]] = []
-    header_line = 0
-    for line_no, raw in enumerate(text.split("\n"), start=1):
+def _rows_line_by_line(lines: list[str], start: int, width: int) -> list[list[float]]:
+    """The body rows, parsed one line at a time; raises at the first bad line."""
+    rows = []
+    for line_no, raw in enumerate(lines[start:], start=start + 1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
-            if columns is not None:
-                raise MalformedRow(line_no, "comment lines must precede the column header")
-            key, sep, value = line[1:].partition("=")
-            if not sep or not key:
-                raise MalformedRow(line_no, f"bad metadata comment: {line!r}")
-            meta[key.strip()] = value.strip()
-            continue
-        if columns is None:
-            columns = [c.strip() for c in line.split(",")]
-            header_line = line_no
-            continue
+            raise MalformedRow(line_no, "comment lines must precede the column header")
         tokens = line.split(",")
-        if len(tokens) != len(columns):
-            raise MalformedRow(
-                line_no, f"expected {len(columns)} columns, got {len(tokens)}"
-            )
+        if len(tokens) != width:
+            raise MalformedRow(line_no, f"expected {width} columns, got {len(tokens)}")
         rows.append([_parse_number(tok, line_no) for tok in tokens])
-    if columns is None:
-        raise EmptyTrace("no column header found")
-    return meta, columns, rows, header_line
+    return rows
+
+
+def _rows(lines: list[str], start: int, width: int) -> np.ndarray:
+    """lines[start:] as a (rows, width) float array; blank lines are skipped.
+
+    The whole body is split and converted with float() at once.  Rows are
+    joined with a ";" field between them, which float() rejects, so every
+    row has exactly ``width`` fields when each ";" lands on its own slot and
+    everything else converts.  Any failure reparses line by line, which
+    raises MalformedRow naming the first bad line.
+    """
+    body = [line for line in map(str.strip, lines[start:]) if line]
+    tokens = ",;,".join(body).split(",")
+    n = len(body)
+    if n and len(tokens) == n * (width + 1) - 1 and tokens[width :: width + 1] == [";"] * (n - 1):
+        del tokens[width :: width + 1]
+        try:
+            values = np.fromiter(map(float, tokens), float, len(tokens))
+        except ValueError:
+            values = None
+        if values is not None and np.isfinite(values).all():
+            return values.reshape(n, width)
+    return np.array(_rows_line_by_line(lines, start, width), float).reshape(-1, width)
+
+
+def _data_line(lines: list[str], header_line: int, row: int) -> int:
+    """The 1-based line number of data row ``row`` below the header."""
+    for line_no, raw in enumerate(lines[header_line:], start=header_line + 1):
+        if raw.strip():
+            if row == 0:
+                return line_no
+            row -= 1
+    raise IndexError(row)
+
+
+def _split(text: str | bytes) -> list[str]:
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    return text.split("\n")
+
+
+def _parse_lines(lines: list[str]) -> tuple[dict[str, str], list[str], np.ndarray, int]:
+    meta: dict[str, str] = {}
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if not line.startswith("#"):
+            columns = [c.strip() for c in line.split(",")]
+            return meta, columns, _rows(lines, line_no, len(columns)), line_no
+        key, sep, value = line[1:].partition("=")
+        if not sep or not key:
+            raise MalformedRow(line_no, f"bad metadata comment: {line!r}")
+        meta[key.strip()] = value.strip()
+    raise EmptyTrace("no column header found")
+
+
+def parse_table(text: str | bytes) -> tuple[dict[str, str], list[str], np.ndarray, int]:
+    """Parse the comment/header/rows skeleton shared by all CSV outputs.
+
+    Returns (meta dict, column names, a (rows, columns) float array,
+    header line number).
+    """
+    return _parse_lines(_split(text))
 
 
 def parse_trace(text: str | bytes) -> Trace:
     """Parse trace CSV text into a validated Trace.
 
     A missing ``#processor`` defaults to "unknown"; missing ``#freq_ghz``
-    or ``#cores`` raises MissingMeta.
+    or ``#cores`` raises MissingMeta.  An invalid sample or a time that
+    does not increase raises InvalidSample or NonMonotonicTime naming its
+    line.
     """
-    meta_raw, columns, rows, header_line = parse_table(text)
-    if columns != HEADER.split(","):
+    lines = _split(text)
+    meta_raw, columns, rows, header_line = _parse_lines(lines)
+    if columns != list(_COLUMNS):
         raise MalformedRow(header_line, f"expected header {HEADER!r}")
     if "freq_ghz" not in meta_raw:
         raise MissingMeta("missing #freq_ghz header")
@@ -163,8 +282,9 @@ def parse_trace(text: str | bytes) -> Trace:
     meta = TraceMeta(meta_raw.get("processor", "unknown"), freq, cores)
     if len(rows) < 3:
         raise EmptyTrace(f"a trace needs at least 3 samples, got {len(rows)}")
-    samples = tuple(TraceSample(t, temp, power) for t, temp, power in rows)
-    return Trace(meta, samples)
+    trace = Trace.__new__(Trace)
+    trace._set(meta, rows.T, lambda row: _data_line(lines, header_line, row))
+    return trace
 
 
 def _fmt(value: float) -> str:
@@ -172,17 +292,29 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def write_table(meta: Mapping[str, str], names: Sequence[str], columns) -> str:
+    """CSV text: ``#key=value`` lines, the header, then one row per index.
+
+    ``columns`` holds one float sequence or array per name; every number is
+    written as its repr, the shortest decimal that parses back to it.
+    """
+    head = "".join(f"#{key}={value}\n" for key, value in meta.items())
+    rows = np.column_stack([np.asarray(col, float) for col in columns])
+    # %r of a float is its repr; one format call writes every row
+    row = ",".join(["%r"] * len(names)) + "\n"
+    return head + ",".join(names) + "\n" + (row * len(rows)) % tuple(rows.ravel().tolist())
+
+
+def _trace_header(meta: TraceMeta) -> dict[str, str]:
+    """The ``#key=value`` lines of a trace file, in file order."""
+    return {"processor": meta.processor, "freq_ghz": _fmt(meta.freq_ghz), "cores": str(meta.cores)}
+
+
 def write_trace(trace: Trace) -> str:
     """Serialize a Trace to CSV text; parse_trace(write_trace(t)) == t."""
-    lines = [
-        f"#processor={trace.meta.processor}",
-        f"#freq_ghz={_fmt(trace.meta.freq_ghz)}",
-        f"#cores={trace.meta.cores}",
-        HEADER,
-    ]
-    for s in trace.samples:
-        lines.append(f"{_fmt(s.time_s)},{_fmt(s.temp_c)},{_fmt(s.power_w)}")
-    return "\n".join(lines) + "\n"
+    return write_table(
+        _trace_header(trace.meta), _COLUMNS, (trace.time_s, trace.temp_c, trace.power_w)
+    )
 
 
 def generate_synthetic_trace(
@@ -219,7 +351,4 @@ def generate_synthetic_trace(
         powers = powers + rng.normal(0.0, noise, count)
     if quantum > 0:
         powers = np.round(powers / quantum) * quantum
-    samples = tuple(
-        TraceSample(0.2 * i, float(temps[i]), float(powers[i])) for i in range(count)
-    )
-    return Trace(meta, samples)
+    return Trace.from_columns(meta, 0.2 * np.arange(count), temps, powers)

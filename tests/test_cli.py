@@ -560,3 +560,64 @@ def test_sensor_correct_model_json_list_exit_2(tmp_path, capsys):
          "--out", tmp_path / "fixed.csv"], capsys)
     assert code == 2
     assert "Traceback" not in err and "must be an object" in err
+
+
+# --- input errors name the file whose content raised ---
+
+def test_fit_error_names_the_bad_file_not_the_first(tmp_path, capsys):
+    good = gen_trace(tmp_path, capsys, name="good.csv")
+    bad = tmp_path / "bad.csv"
+    bad.write_text(
+        "#processor=X\n#freq_ghz=1.0\n#cores=2\n"
+        "time_s,temp_c,power_w\n0.0,30.0,not-a-number\n"
+    )
+    code, out, err = run_cli(["fit", good, bad], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {bad}: line 5: not a number: 'not-a-number'\n"
+
+
+def test_sensor_model_error_names_the_model_file(tmp_path, capsys):
+    series, _ = write_lagged_series(tmp_path)
+    model_path = tmp_path / "list.json"
+    model_path.write_text("[1, 2]")
+    code, _, err = run_cli(
+        ["sensor-correct", series, "--model-json", model_path,
+         "--out", tmp_path / "fixed.csv"], capsys)
+    assert code == 2
+    assert err.startswith(f"error: {model_path}: ") and str(series) not in err
+
+
+def test_sample_error_in_file_names_file_and_line(tmp_path, capsys):
+    path = tmp_path / "neg.csv"
+    path.write_text(
+        "#processor=X\n#freq_ghz=1.0\n#cores=2\n"
+        "time_s,temp_c,power_w\n0.0,30.0,1.0\n\n0.2,31.0,-1.0\n0.4,32.0,1.2\n"
+    )
+    code, out, err = run_cli(["fit", path], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: line 7: power_w must be positive, got -1.0\n"
+
+
+def test_bad_flag_value_names_the_command(tmp_path, capsys):
+    code, _, err = run_cli(GEN + ["--cores", "7", "--out", tmp_path / "t.csv"], capsys)
+    assert code == 2
+    assert err == "error: gen: cores must be an integer in 1..4, got 7\n"
+
+
+# --- cold start ---
+
+def test_import_loads_only_stdlib_and_numpy():
+    # compare sys.modules around the import, so that whatever site loads
+    # at start-up is not counted
+    probe = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import thermopower.cli\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    loaded = {name.split(".")[0] for name in json.loads(done.stdout)}
+    third_party = loaded - set(sys.stdlib_module_names) - {"thermopower"}
+    assert third_party == {"numpy"}
+    assert not loaded & {"scipy", "hypothesis", "pandas"}

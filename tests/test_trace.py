@@ -255,3 +255,75 @@ def test_generator_param_validation():
         generate_synthetic_trace(META, (0.25, 185.0, 33.0), (50.0, 80.0, 5), noise=-0.1)
     with pytest.raises(InvalidParams):
         generate_synthetic_trace(META, (0.25, 185.0, 33.0), (50.0, 80.0, 5), quantum=-1.0)
+
+
+# --- row errors in a long file name their line ---
+
+LONG_ROWS = 100_000
+FIRST_ROW_LINE = 5  # three metadata lines and the header come first
+
+
+@pytest.fixture(scope="module")
+def long_lines():
+    tr = generate_synthetic_trace(META, (0.25, 185.0, 33.0), (30.0, 80.0, LONG_ROWS),
+                                  noise=0.002, seed=1)
+    return write_trace(tr).split("\n")
+
+
+def _with_row(lines, row, text, blank_before=False):
+    """The file with data row ``row`` replaced, optionally after a blank line."""
+    i = FIRST_ROW_LINE - 1 + row
+    return "\n".join(lines[:i] + ([""] if blank_before else []) + [text] + lines[i + 1:])
+
+
+def test_long_file_bad_token_on_last_line(long_lines):
+    text = _with_row(long_lines, LONG_ROWS - 1, "19999.8,80.0,2.1x")
+    with pytest.raises(MalformedRow) as exc:
+        parse_trace(text)
+    assert exc.value.line_no == FIRST_ROW_LINE + LONG_ROWS - 1
+    assert "not a number: '2.1x'" in str(exc.value)
+
+
+def test_long_file_nan_in_the_middle(long_lines):
+    row = LONG_ROWS // 2
+    t, _, p = long_lines[FIRST_ROW_LINE - 1 + row].split(",")
+    with pytest.raises(MalformedRow) as exc:
+        parse_trace(_with_row(long_lines, row, f"{t},nan,{p}"))
+    assert exc.value.line_no == FIRST_ROW_LINE + row
+    assert "not a finite decimal" in str(exc.value)
+
+
+def test_long_file_short_row(long_lines):
+    row = 31_415
+    with pytest.raises(MalformedRow) as exc:
+        parse_trace(_with_row(long_lines, row, "6283.0,41.0"))
+    assert exc.value.line_no == FIRST_ROW_LINE + row
+    assert "expected 3 columns, got 2" in str(exc.value)
+
+
+def test_long_file_repeated_time(long_lines):
+    row = 77_777
+    prev_time = long_lines[FIRST_ROW_LINE - 2 + row].split(",")[0]
+    _, temp, p = long_lines[FIRST_ROW_LINE - 1 + row].split(",")
+    with pytest.raises(NonMonotonicTime) as exc:
+        parse_trace(_with_row(long_lines, row, f"{prev_time},{temp},{p}"))
+    assert exc.value.line_no == FIRST_ROW_LINE + row
+    assert str(exc.value).startswith(f"line {FIRST_ROW_LINE + row}: time must strictly increase")
+
+
+def test_long_file_blank_line_before_bad_row(long_lines):
+    row = 60_000
+    t, temp, _ = long_lines[FIRST_ROW_LINE - 1 + row].split(",")
+    text = _with_row(long_lines, row, f"{t},{temp},-1.0", blank_before=True)
+    with pytest.raises(InvalidSample) as exc:
+        parse_trace(text)
+    assert exc.value.line_no == FIRST_ROW_LINE + row + 1
+    assert str(exc.value) == (
+        f"line {FIRST_ROW_LINE + row + 1}: power_w must be positive, got -1.0")
+
+
+def test_sample_errors_from_code_carry_no_line():
+    with pytest.raises(InvalidSample) as exc:
+        Trace.from_columns(META, [0.0, 0.2, 0.4], [30.0, 31.0, 32.0], [1.0, 0.0, 1.0])
+    assert exc.value.line_no is None
+    assert str(exc.value) == "power_w must be positive, got 0.0"
