@@ -23,10 +23,10 @@ import sys
 import warnings
 from pathlib import Path
 
-from . import __version__
-from .debias import DebiasSpec, debias, fit_eta, write_debiased
 import numpy as np
 
+from . import __version__
+from .debias import DebiasSpec, debias, fit_eta, write_debiased
 from .errors import (
     EmptyTrace,
     InvalidParams,

@@ -151,18 +151,14 @@ class Trace:
     def __len__(self) -> int:
         return len(self.time_s)
 
-    def __eq__(self, other):
-        if not isinstance(other, Trace):
-            return NotImplemented
-        return self.meta == other.meta and all(
-            a.tobytes() == b.tobytes()
-            for a, b in zip(
-                (self.time_s, self.temp_c, self.power_w),
-                (other.time_s, other.temp_c, other.power_w),
-            )
-        )
+    def _key(self):
+        return (self.meta, self.time_s.tobytes(), self.temp_c.tobytes(), self.power_w.tobytes())
 
-    __hash__ = None
+    def __eq__(self, other):
+        return isinstance(other, Trace) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def _parse_number(token: str, line_no: int) -> float:
@@ -214,9 +210,15 @@ def _rows(lines: list[str], start: int, width: int) -> np.ndarray:
     return np.array(_rows_line_by_line(lines, start, width), float).reshape(-1, width)
 
 
-def _data_line(lines: list[str], header_line: int, row: int) -> int:
+def _lines(text: str | bytes) -> list[str]:
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    return text.split("\n")
+
+
+def _data_line(text: str | bytes, header_line: int, row: int) -> int:
     """The 1-based line number of data row ``row`` below the header."""
-    for line_no, raw in enumerate(lines[header_line:], start=header_line + 1):
+    for line_no, raw in enumerate(_lines(text)[header_line:], start=header_line + 1):
         if raw.strip():
             if row == 0:
                 return line_no
@@ -224,13 +226,13 @@ def _data_line(lines: list[str], header_line: int, row: int) -> int:
     raise IndexError(row)
 
 
-def _split(text: str | bytes) -> list[str]:
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    return text.split("\n")
+def parse_table(text: str | bytes) -> tuple[dict[str, str], list[str], np.ndarray, int]:
+    """Parse the comment/header/rows skeleton shared by all CSV outputs.
 
-
-def _parse_lines(lines: list[str]) -> tuple[dict[str, str], list[str], np.ndarray, int]:
+    Returns (meta dict, column names, a (rows, columns) float array,
+    header line number).
+    """
+    lines = _lines(text)
     meta: dict[str, str] = {}
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -246,15 +248,6 @@ def _parse_lines(lines: list[str]) -> tuple[dict[str, str], list[str], np.ndarra
     raise EmptyTrace("no column header found")
 
 
-def parse_table(text: str | bytes) -> tuple[dict[str, str], list[str], np.ndarray, int]:
-    """Parse the comment/header/rows skeleton shared by all CSV outputs.
-
-    Returns (meta dict, column names, a (rows, columns) float array,
-    header line number).
-    """
-    return _parse_lines(_split(text))
-
-
 def parse_trace(text: str | bytes) -> Trace:
     """Parse trace CSV text into a validated Trace.
 
@@ -263,8 +256,7 @@ def parse_trace(text: str | bytes) -> Trace:
     does not increase raises InvalidSample or NonMonotonicTime naming its
     line.
     """
-    lines = _split(text)
-    meta_raw, columns, rows, header_line = _parse_lines(lines)
+    meta_raw, columns, rows, header_line = parse_table(text)
     if columns != list(_COLUMNS):
         raise MalformedRow(header_line, f"expected header {HEADER!r}")
     if "freq_ghz" not in meta_raw:
@@ -283,7 +275,7 @@ def parse_trace(text: str | bytes) -> Trace:
     if len(rows) < 3:
         raise EmptyTrace(f"a trace needs at least 3 samples, got {len(rows)}")
     trace = Trace.__new__(Trace)
-    trace._set(meta, rows.T, lambda row: _data_line(lines, header_line, row))
+    trace._set(meta, rows.T, lambda row: _data_line(text, header_line, row))
     return trace
 
 
@@ -299,10 +291,11 @@ def write_table(meta: Mapping[str, str], names: Sequence[str], columns) -> str:
     written as its repr, the shortest decimal that parses back to it.
     """
     head = "".join(f"#{key}={value}\n" for key, value in meta.items())
-    rows = np.column_stack([np.asarray(col, float) for col in columns])
+    table = np.column_stack([np.asarray(col, float) for col in columns])
     # %r of a float is its repr; one format call writes every row
-    row = ",".join(["%r"] * len(names)) + "\n"
-    return head + ",".join(names) + "\n" + (row * len(rows)) % tuple(rows.ravel().tolist())
+    row_format = ",".join(["%r"] * len(names)) + "\n"
+    body = (row_format * len(table)) % tuple(table.ravel().tolist())
+    return head + ",".join(names) + "\n" + body
 
 
 def _trace_header(meta: TraceMeta) -> dict[str, str]:
