@@ -94,7 +94,7 @@ class _Run:
         return data
 
     def parse(self, path: str, parser):
-        """parser(the bytes of path); an error it raises is blamed on path."""
+        """parser(the bytes of path); if it raises, source is left naming path."""
         data = self.read_bytes(path)
         self.source = path
         result = parser(data)

@@ -152,7 +152,8 @@ def erf(x):
     out = np.where(x < 0, -mag, mag)
     tiny = ax < 2.0**-28
     out[tiny] = x[tiny] + _EFX * x[tiny]
-    out[np.isnan(x)] = np.nan
+    nan = np.isnan(x)
+    out[nan] = x[nan]
     return out
 
 

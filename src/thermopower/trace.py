@@ -18,7 +18,9 @@ write_table and every one it reads through parse_table.
 
 from __future__ import annotations
 
+import itertools
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -187,19 +189,22 @@ def _rows_line_by_line(lines: list[str], start: int, width: int) -> list[list[fl
     return rows
 
 
-def _rows(lines: list[str], start: int, width: int) -> np.ndarray:
-    """lines[start:] as a (rows, width) float array; blank lines are skipped.
+_BLANK_LINES = re.compile(r"\n\s*\n")
 
-    The whole body is split and converted with float() at once.  Rows are
-    joined with a ";" field between them, which float() rejects, so every
-    row has exactly ``width`` fields when each ";" lands on its own slot and
-    everything else converts.  Any failure reparses line by line, which
-    raises MalformedRow naming the first bad line.
+
+def _rows(text: str, start: int, header_line: int, width: int) -> np.ndarray:
+    """text[start:], the lines below the header, as a (rows, width) float array.
+
+    The whole body is split and converted with float() at once: blank lines
+    are dropped, and a ";" field goes between rows.  float() rejects ";",
+    so every row has exactly ``width`` fields when each ";" lands on its own
+    slot and everything else converts.  Any failure reparses line by line,
+    which raises MalformedRow naming the first bad line.
     """
-    body = [line for line in map(str.strip, lines[start:]) if line]
-    tokens = ",;,".join(body).split(",")
-    n = len(body)
-    if n and len(tokens) == n * (width + 1) - 1 and tokens[width :: width + 1] == [";"] * (n - 1):
+    body = _BLANK_LINES.sub("\n", text[start:].strip())
+    n = body.count("\n") + 1
+    tokens = body.replace("\n", ",;,").split(",")
+    if body and len(tokens) == n * (width + 1) - 1 and tokens[width :: width + 1] == [";"] * (n - 1):
         del tokens[width :: width + 1]
         try:
             values = np.fromiter(map(float, tokens), float, len(tokens))
@@ -207,7 +212,8 @@ def _rows(lines: list[str], start: int, width: int) -> np.ndarray:
             values = None
         if values is not None and np.isfinite(values).all():
             return values.reshape(n, width)
-    return np.array(_rows_line_by_line(lines, start, width), float).reshape(-1, width)
+    rows = _rows_line_by_line(_lines(text), header_line, width)
+    return np.array(rows, float).reshape(-1, width)
 
 
 def _lines(text: str | bytes) -> list[str]:
@@ -232,20 +238,24 @@ def parse_table(text: str | bytes) -> tuple[dict[str, str], list[str], np.ndarra
     Returns (meta dict, column names, a (rows, columns) float array,
     header line number).
     """
-    lines = _lines(text)
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
     meta: dict[str, str] = {}
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if not line.startswith("#"):
+    start = 0
+    for line_no in itertools.count(1):
+        end = text.find("\n", start)
+        line = text[start : None if end < 0 else end].strip()
+        start = len(text) if end < 0 else end + 1
+        if line.startswith("#"):
+            key, sep, value = line[1:].partition("=")
+            if not sep or not key:
+                raise MalformedRow(line_no, f"bad metadata comment: {line!r}")
+            meta[key.strip()] = value.strip()
+        elif line:
             columns = [c.strip() for c in line.split(",")]
-            return meta, columns, _rows(lines, line_no, len(columns)), line_no
-        key, sep, value = line[1:].partition("=")
-        if not sep or not key:
-            raise MalformedRow(line_no, f"bad metadata comment: {line!r}")
-        meta[key.strip()] = value.strip()
-    raise EmptyTrace("no column header found")
+            return meta, columns, _rows(text, start, line_no, len(columns)), line_no
+        if end < 0:
+            raise EmptyTrace("no column header found")
 
 
 def parse_trace(text: str | bytes) -> Trace:

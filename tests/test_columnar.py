@@ -257,7 +257,7 @@ def test_parse_table_with_no_rows():
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=30))
 def test_parse_table_is_bit_exact_against_float(values):
     width = 3
-    values = (values * width)[: width * max(1, len(values) // width)]
+    values = (values * width)[: width * math.ceil(len(values) / width)]
     rows = [values[i : i + width] for i in range(0, len(values), width)]
     text = "a,b,c\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
     got = parse_table(text)[2]
