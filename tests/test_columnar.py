@@ -273,7 +273,7 @@ def test_from_columns_and_samples_build_equal_traces(noisy):
         META, noisy.time_s[:50], noisy.temp_c[:50], noisy.power_w[:50])
 
 
-def test_columns_are_read_only_copies(noisy):
+def test_columns_are_read_only_copies():
     times = [0.0, 0.2, 0.4]
     tr = Trace.from_columns(META, times, [30.0, 31.0, 32.0], [1.0, 1.1, 1.2])
     times[0] = 5.0
