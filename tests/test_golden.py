@@ -6,14 +6,23 @@ the repository lives.  The human stdout, the ``--out-report`` JSON and every
 CSV a case writes must equal the files under ``golden/expected/<case>/``.
 
 The expected files are a record of behaviour, not a specification: a change
-that means to alter an output regenerates them with
+that means to alter an output regenerates the cases it names with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py CASE [CASE ...]
 
-and the diff of ``tests/golden/expected`` shows exactly what moved.
+and the diff of ``tests/golden/expected`` shows exactly what moved.  Only
+the named cases are rewritten, so adding a case leaves the others as they
+were recorded.
+
+``golden/inputs/fleet`` is a small fleet: f00-f39 are 20-sample traces of
+the built-in A7/A15 power models at assorted operating points, with 2, 5
+or 10 mW of noise (seeds 0-39, every fourth rounded to 0.5 mW), and
+concave0-2 fall away from a parabola's peak, which the exponential family
+cannot fit.
 """
 
 import shutil
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -23,6 +32,7 @@ from thermopower.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 TRACES = ["a15_c4_s5.csv", "a15_c4_s9.csv", "a7_c2_s2.csv"]
+FLEET = sorted(f"fleet/{p.name}" for p in (GOLDEN / "inputs" / "fleet").iterdir())
 REF = ["--ref-temp", "55"]
 
 # name -> (argv, exit code, files the command writes besides the report)
@@ -33,6 +43,9 @@ CASES = {
          "--freq", "1.2", "--cores", "4", "--out", "gen.csv"],
         0, ["gen.csv"]),
     "fit_all_grouped": (["fit", *TRACES, "--group-by", "proc-cores"], 0, []),
+    "fit_fleet_grouped": (["fit", *FLEET, *TRACES, "--group-by", "proc-cores"],
+                          1, []),
+    "fit_fleet_exp": (["fit", *FLEET, *TRACES, "--model", "exp"], 1, []),
     "fit_exp_plot": (["fit", TRACES[0], "--model", "exp", "--plot", "plot.csv"],
                      0, ["plot.csv"]),
     "debias_linear": (
@@ -59,8 +72,7 @@ CASES = {
 def run_case(name: str, work: Path) -> tuple[int, dict[str, bytes]]:
     """Run one case in ``work`` and return its exit code and output bytes."""
     argv, _, written = CASES[name]
-    for src in (GOLDEN / "inputs").iterdir():
-        shutil.copy(src, work / src.name)
+    shutil.copytree(GOLDEN / "inputs", work, dirs_exist_ok=True)
     with open(work / "stdout", "w", encoding="utf-8") as out, redirect_stdout(out):
         code = main([*argv, "--out-report", "report.json"])
     files = ["stdout", "report.json", *written]
@@ -78,12 +90,16 @@ def test_golden_outputs_are_byte_identical(name, tmp_path, monkeypatch):
         assert data == (expected / file).read_bytes(), f"{name}/{file} differs"
 
 
-def regenerate() -> None:
+def regenerate(names: list[str]) -> None:
     import os
     import tempfile
 
+    unknown = sorted(set(names) - set(CASES))
+    if not names or unknown:
+        sys.exit(f"usage: test_golden.py CASE [CASE ...]; cases: {' '.join(sorted(CASES))}"
+                 + (f"; unknown: {' '.join(unknown)}" if unknown else ""))
     here = os.getcwd()
-    for name in sorted(CASES):
+    for name in names:
         with tempfile.TemporaryDirectory() as tmp:
             os.chdir(tmp)
             try:
@@ -99,4 +115,4 @@ def regenerate() -> None:
 
 
 if __name__ == "__main__":
-    regenerate()
+    regenerate(sys.argv[1:])
