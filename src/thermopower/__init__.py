@@ -59,6 +59,7 @@ from .fitting import (
     aggregate_error,
     compare_models,
     fit,
+    fit_batch,
     fit_error,
     fit_exponential,
     fit_linear,
@@ -131,6 +132,7 @@ __all__ = [
     "FitResult",
     "ModelComparison",
     "fit",
+    "fit_batch",
     "fit_linear",
     "fit_quadratic",
     "fit_exponential",

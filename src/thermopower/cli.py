@@ -37,7 +37,7 @@ from .errors import (
     NonPositiveTime,
     ThermoError,
 )
-from .fitting import FitKind, aggregate_error, compare_models, fit as fit_one
+from .fitting import FitKind, compare_models, fit_batch
 from .powermodel import (
     CoefficientSet,
     ModelParams,
@@ -166,7 +166,12 @@ def cmd_fit(args, run: _Run) -> tuple[int, dict, list[str]]:
     failed = False
 
     if args.model == "all":
-        cmp = compare_models(traces)
+        groups: dict[str, list[int]] | None = None
+        if args.group_by == "proc-cores":
+            groups = {}
+            for i, tr in enumerate(traces):
+                groups.setdefault(f"{tr.meta.processor}/c{tr.meta.cores}", []).append(i)
+        cmp = compare_models(traces, groups)
         per_trace = []
         for path, row in zip(args.traces, cmp.results):
             per_trace.append(
@@ -190,16 +195,10 @@ def cmd_fit(args, run: _Run) -> tuple[int, dict, list[str]]:
             ],
         }
         failed = bool(cmp.failures)
-        if args.group_by == "proc-cores":
-            groups: dict[str, list[int]] = {}
-            for i, tr in enumerate(traces):
-                groups.setdefault(f"{tr.meta.processor}/c{tr.meta.cores}", []).append(i)
+        if groups is not None:
             results["groups"] = {
-                key: {
-                    kind.value: _aggregate_subset(traces, cmp, kind, idxs)
-                    for kind in FitKind
-                }
-                for key, idxs in sorted(groups.items())
+                key: {kind.value: error for kind, error in errors.items()}
+                for key, errors in sorted(cmp.groups.items())
             }
         for entry in per_trace:
             lines.append(_styled(entry["path"]))
@@ -223,16 +222,14 @@ def cmd_fit(args, run: _Run) -> tuple[int, dict, list[str]]:
         kind = _MODEL_FLAGS[args.model]
         per_trace = []
         plot_source = None
-        for i, (path, tr) in enumerate(zip(args.traces, traces)):
-            try:
-                r = fit_one(tr, kind)
-            except ThermoError as exc:
+        for i, (path, r) in enumerate(zip(args.traces, fit_batch(traces, kind))):
+            if isinstance(r, Exception):
                 per_trace.append(
                     {"path": path, "fits": {kind.value: None},
-                     "message": f"{type(exc).__name__}: {exc}"}
+                     "message": f"{type(r).__name__}: {r}"}
                 )
                 failed = True
-                lines.append(f"{path}: {kind.value} failed: {exc}")
+                lines.append(f"{path}: {kind.value} failed: {r}")
                 continue
             if i == 0:
                 plot_source = r
@@ -244,13 +241,6 @@ def cmd_fit(args, run: _Run) -> tuple[int, dict, list[str]]:
         temps = traces[0].temp_c
         _write_plot(args.plot, temps, plot_source.predict(temps))
     return (1 if failed else 0), results, lines
-
-
-def _aggregate_subset(traces, cmp, kind, idxs):
-    group = [
-        (traces[i], cmp.results[i][kind]) for i in idxs if cmp.results[i][kind] is not None
-    ]
-    return aggregate_error(group) if group else None
 
 
 # --- model eval / calibrate ---
@@ -373,8 +363,15 @@ def _fraction(hits: np.ndarray):
     return int(hits.sum()) / len(hits) if len(hits) else None
 
 
+def _series_table(data: bytes):
+    table = parse_table(data)
+    if len(table[2]) == 0:
+        raise EmptyTrace("a series needs at least 1 sample, got 0")
+    return table
+
+
 def cmd_sensor_correct(args, run: _Run) -> tuple[int, dict, list[str]]:
-    _, columns, rows, _ = run.parse(args.series, parse_table)
+    _, columns, rows, _ = run.parse(args.series, _series_table)
     if columns[:2] != ["time_s", "temp_c"] or len(columns) > 3 or (
         len(columns) == 3 and columns[2] != "power_w"
     ):
@@ -570,7 +567,8 @@ def main(argv=None) -> int:
         return 2
     except ThermoError as exc:
         if run.source is not None or isinstance(exc, _INPUT_STAGE):
-            print(f"error: {run.source or args.command}: {exc}", file=sys.stderr)
+            command = " ".join(filter(None, (args.command, getattr(args, "model_command", None))))
+            print(f"error: {run.source or command}: {exc}", file=sys.stderr)
             return 2
         if isinstance(exc, (NonPositiveTime, NonMonotonicTime)):
             # bad input series, not a computation failure

@@ -9,16 +9,23 @@ fits solve it in closed form as weighted least squares with weights
 offset and scale come from the same kind of weighted solve, leaving a 1-D
 Brent search over the rate (see fit_exponential).  FitResult.termination
 says why a fit stopped: "converged", or the rate limit it reached.
+
+Fits run over batches (fit_batch).  Traces of one length are stacked as
+the rows of (m, n) arrays, up to BLOCK of them, and every numpy step
+covers the whole block.  Each row goes through the same IEEE operations
+in the same order as a trace fitted on its own, with row sums and dot
+products taken by the same numpy and BLAS routines, so a fit does not
+depend on the batch it is in; fitting one trace is a batch of one.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -27,6 +34,7 @@ from .errors import (
     DegenerateInput,
     EmptyGroup,
     InitFailure,
+    InvalidParams,
     LengthMismatch,
     ZeroMeasurement,
 )
@@ -35,6 +43,11 @@ from .trace import Trace
 _SQRT_EPS = math.sqrt(sys.float_info.epsilon)
 _LOG_TINY = -math.log(sys.float_info.min)
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
+_ZERO_POWER = "relative residuals undefined for measured power 0"
+
+# Traces fitted together: enough to spread numpy's per-call cost thin, few
+# enough that a block's stacked arrays stay small beside the traces.
+BLOCK = 512
 
 
 class FitKind(Enum):
@@ -43,7 +56,7 @@ class FitKind(Enum):
     EXPONENTIAL = "exponential"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FitResult:
     """A fitted curve.
 
@@ -62,32 +75,48 @@ class FitResult:
 
     def predict(self, temp):
         """The fitted power at a temperature, or at each of an array of them."""
-        if self.kind is FitKind.LINEAR:
-            a1, a0 = self.coeffs
-            return a1 * temp + a0
-        if self.kind is FitKind.QUADRATIC:
-            a2, a1, a0 = self.coeffs
-            return a2 * temp * temp + a1 * temp + a0
-        a0, a1, a2 = self.coeffs
-        return exp_curve(temp, a1, a2) + a0
+        return _curve(self.kind, self.coeffs, temp)
+
+
+def _curve(kind: FitKind, coeffs, temp):
+    """The curve of family kind at temp; coeffs ordered as in FitResult,
+    each a float or a column broadcast against an array of temperatures."""
+    if kind is FitKind.LINEAR:
+        a1, a0 = coeffs
+        return a1 * temp + a0
+    if kind is FitKind.QUADRATIC:
+        a2, a1, a0 = coeffs
+        return a2 * temp * temp + a1 * temp + a0
+    a0, a1, a2 = coeffs
+    return exp_curve(temp, a1, a2) + a0
 
 
 def each(fn, x):
-    """fn(x) for a float x, or fn of every element of a 1-D array x.
+    """fn(x) for a float x, or fn of every element of an array x.
 
     The elements go through fn as Python floats, so an array result has
     the bits the scalar calls would give: numpy's exp, say, may differ
     from the C library's math.exp in the last place.
     """
     if isinstance(x, np.ndarray):
-        return np.fromiter(map(fn, x.tolist()), float, x.size)
+        return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
     return fn(x)
 
 
-def exp_curve(temp, a1: float, a2: float):
+def exp_curve(temp, a1, a2):
     """exp((temp - a1)/a2), the temperature term of every exponential
-    curve in the package, at a float or at each element of an array."""
-    return each(math.exp, (temp - a1) / a2)
+    curve in the package, at a float or at each element of an array.
+
+    Raises InvalidParams when the result leaves the double range.
+    """
+    x = (temp - a1) / a2
+    try:
+        return each(math.exp, x)
+    except OverflowError:
+        raise InvalidParams(
+            f"exp((T - a1)/a2) leaves the double range: (T - a1)/a2 reaches "
+            f"{float(np.max(x))!r}"
+        ) from None
 
 
 def _as_xy(data) -> tuple[np.ndarray, np.ndarray]:
@@ -102,6 +131,11 @@ def _as_xy(data) -> tuple[np.ndarray, np.ndarray]:
     return t, y
 
 
+def _errors(y: np.ndarray, model: np.ndarray) -> np.ndarray:
+    """fit_error of each row of (y, model)."""
+    return np.sqrt(np.sum(((model - y) / y) ** 2, axis=1))
+
+
 def fit_error(measured: Sequence[float], model: Sequence[float]) -> float:
     """sqrt(sum(((model_i - measured_i)/measured_i)**2))."""
     y = np.asarray(measured, float)
@@ -111,129 +145,216 @@ def fit_error(measured: Sequence[float], model: Sequence[float]) -> float:
     if y.size == 0:
         raise LengthMismatch("need at least one sample")
     if np.any(y == 0):
-        raise ZeroMeasurement("relative residuals undefined for measured power 0")
-    return float(np.sqrt(np.sum(((m - y) / y) ** 2)))
+        raise ZeroMeasurement(_ZERO_POWER)
+    return float(_errors(y[None], m[None])[0])
 
 
-def _weighted_poly_fit(t, y, degree: int, kind: FitKind) -> FitResult:
-    if np.any(y == 0):
-        raise ZeroMeasurement("relative residuals undefined for measured power 0")
-    if len(np.unique(t)) < degree + 1:
-        raise DegenerateInput(
-            f"{kind.value} fit needs >= {degree + 1} distinct temperatures"
-        )
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] @ b[i] for every row i.  A stacked matmul of a row by a column
+    is the dot product that a 1-D a[i] @ b[i] takes, bit for bit."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _distinct(t: np.ndarray) -> np.ndarray:
+    """len(np.unique(row)) for every row of t; NaNs count once, as there."""
+    s = np.sort(t, axis=1)
+    # NaNs sort last, so a NaN after a NaN is the only unequal pair to skip
+    new = (s[:, 1:] != s[:, :-1]) & ~np.isnan(s[:, :-1])
+    return new.sum(axis=1) + (t.shape[1] > 0)
+
+
+class _Rows:
+    """The traces of one block still being fitted.
+
+    t and y hold the live traces as rows; out holds, for every trace of the
+    block, its FitResult or the exception its fit raised.  fail() sets
+    traces aside at the step where a fit of that trace alone would have
+    raised, so every later step runs on exactly the traces that reach it.
+    """
+
+    def __init__(self, t: np.ndarray, y: np.ndarray):
+        self.t, self.y = t, y
+        self.ids = np.arange(len(t))  # block index of each live row
+        self.out: list[FitResult | Exception | None] = [None] * len(t)
+
+    def fail(self, bad, error, *arrays):
+        """Fail live row j with error(j) wherever bad[j]; return arrays
+        (aligned with the live rows) cut to the rows left."""
+        bad = np.asarray(bad, bool)
+        if not bad.any():
+            return arrays
+        for j, i in zip(np.flatnonzero(bad).tolist(), self.ids[bad].tolist()):
+            self.out[i] = error(j)
+        keep = ~bad
+        self.t, self.y, self.ids = self.t[keep], self.y[keep], self.ids[keep]
+        return tuple(a[keep] for a in arrays)
+
+    def drop(self, errors: dict[int, Exception], *arrays):
+        """fail() each live row j in errors with errors[j]."""
+        bad = np.zeros(len(self.ids), bool)
+        bad[list(errors)] = True
+        return self.fail(bad, errors.__getitem__, *arrays)
+
+    def solve(self, fn, *arrays) -> list:
+        """fn(*row) for every live row of arrays.  A row whose fn raises
+        fails with that exception, as its fit alone would have; the list
+        holds the values of the rows left."""
+        values, errors = [], {}
+        for j, row in enumerate(zip(*arrays)):
+            try:
+                values.append(fn(*row))
+            except Exception as exc:  # the trace's failure, not the batch's
+                errors[j] = exc.with_traceback(None)
+        self.drop(errors)
+        return values
+
+    def finish(self, kind: FitKind, coeffs, errors, iterations=None, terminations=None):
+        """Store a FitResult for every live row."""
+        n = len(self.ids)
+        iterations = [0] * n if iterations is None else iterations.tolist()
+        terminations = ["converged"] * n if terminations is None else terminations.tolist()
+        for i, c, e, it, why in zip(
+            self.ids.tolist(), coeffs.tolist(), errors.tolist(), iterations, terminations
+        ):
+            self.out[i] = FitResult(kind, tuple(c), e, it, why == "converged", why)
+
+
+def _zero_division(_=None) -> ZeroDivisionError:
+    """What Python's float division by zero raised in the per-trace fit."""
+    return ZeroDivisionError("float division by zero")
+
+
+def _fit_poly(rows: _Rows, degree: int, kind: FitKind) -> None:
+    rows.fail((rows.y == 0).any(axis=1), lambda _: ZeroMeasurement(_ZERO_POWER))
+    rows.fail(
+        _distinct(rows.t) < degree + 1,
+        lambda _: DegenerateInput(f"{kind.value} fit needs >= {degree + 1} distinct temperatures"),
+    )
+    t, y = rows.t, rows.y
     # minimize sum((p(t_i)/y_i - 1)^2): rows [t^d/y ... 1/y], target 1
-    cols = [t**k / y for k in range(degree, -1, -1)]
-    design = np.column_stack(cols)
-    coeffs, _, rank, _ = np.linalg.lstsq(design, np.ones_like(y), rcond=None)
-    if rank < degree + 1:
-        raise DegenerateInput(f"{kind.value} fit design matrix is rank-deficient")
-    model = np.polyval(coeffs, t)
-    return FitResult(kind, tuple(map(float, coeffs)), fit_error(y, model), 0, True)
+    design = np.stack([t**k / y for k in range(degree, -1, -1)], axis=2)
+    target = np.ones(t.shape[1])
 
+    def solve(a):
+        coeffs, _, rank, _ = np.linalg.lstsq(a, target, rcond=None)
+        if rank < degree + 1:
+            raise DegenerateInput(f"{kind.value} fit design matrix is rank-deficient")
+        return coeffs
 
-def fit_linear(data) -> FitResult:
-    """Best P = a1*T + a0 in the relative-residual sense; coeffs (a1, a0)."""
-    t, y = _as_xy(data)
-    return _weighted_poly_fit(t, y, 1, FitKind.LINEAR)
-
-
-def fit_quadratic(data) -> FitResult:
-    """Best P = a2*T^2 + a1*T + a0; coeffs (a2, a1, a0)."""
-    t, y = _as_xy(data)
-    return _weighted_poly_fit(t, y, 2, FitKind.QUADRATIC)
+    coeffs = np.array(rows.solve(solve, design)).reshape(-1, degree + 1)
+    model = np.zeros_like(rows.t)  # np.polyval over rows
+    for c in coeffs.T:
+        model = model * rows.t + c[:, None]
+    rows.finish(kind, coeffs, _errors(rows.y, model))
 
 
 class _Separable:
-    """The exponential fit with its linear parameters solved out.
+    """The exponential fit with its linear parameters solved out, for every
+    row of a block.
 
     Temperatures are scaled by the sweep span, so the rate k counts
     e-folds across the sweep: exp((T - a1)/a2) = C*exp(k*d) with
     k = span/a2 and d = (T - T_ref)/span.  For a fixed k the model
     a0 + C*exp(k*d) is linear in (a0, C), and the best pair is a two-column
-    weighted least-squares solve, the same objective as _weighted_poly_fit.
+    weighted least-squares solve, the same objective as the polynomial fits.
     T_ref is the end of the sweep the curve rises towards, so k*d <= 0 and
     every exponential lies in (0, 1]: nothing overflows at any rate the
     search reaches.  The second column is (exp(k*d) - 1)/k, which spans the
     same plane with 1/y and tends to d as k -> 0, so the search passes
     through k = 0, the straight line, as an ordinary point.
+
+    Each method takes the rates k of the rows ids.  objective and
+    gauss_newton also return a mask of the rows where a fit of that trace
+    alone divides a float by a zero w.w and raises ZeroDivisionError.
     """
 
-    def __init__(self, t, y):
-        self.t_lo, self.t_hi = float(t.min()), float(t.max())
+    def __init__(self, t: np.ndarray, y: np.ndarray, u: np.ndarray, uu: np.ndarray):
+        self.t_lo, self.t_hi = t.min(axis=1), t.max(axis=1)
         self.span = self.t_hi - self.t_lo
-        self.d_rising = (t - self.t_hi) / self.span
-        self.d_falling = (t - self.t_lo) / self.span
-        self.u = 1.0 / y
-        self.uu = float(self.u @ self.u)
-        self.a_u = float(self.u.sum()) / self.uu
-        self.r0 = 1.0 - self.a_u * self.u  # residual of the best constant model
-        self.evaluations = 0
+        self.d_rising = (t - self.t_hi[:, None]) / self.span[:, None]
+        self.d_falling = (t - self.t_lo[:, None]) / self.span[:, None]
+        self.u, self.uu = u, uu  # 1/y and its squared norm, nonzero
+        self.a_u = u.sum(axis=1) / uu
+        self.r0 = 1.0 - self.a_u[:, None] * u  # residual of the best constant model
 
-    def _project(self, k: float):
-        d = self.d_rising if k > 0 else self.d_falling
-        v = (np.expm1(k * d) / k if k else d) * self.u
-        w = v - (float(self.u @ v) / self.uu) * self.u  # orthogonal to 1/y
-        ww = float(w @ w)
-        b = float(w @ self.r0) / ww  # the coefficient of v; C = b/k
-        return d, v, w, ww, b, self.r0 - b * w
+    def _project(self, k: np.ndarray, ids):
+        kc = k[:, None]
+        u, r0 = self.u[ids], self.r0[ids]
+        rising, line = kc > 0, kc == 0
+        # selects only where rows differ: on a long trace each is a full pass
+        d = self.d_rising[ids]
+        if not rising.all():
+            d = np.where(rising, d, self.d_falling[ids])
+        if line.any():
+            v = np.where(line, d, np.expm1(kc * d) / np.where(line, 1.0, kc)) * u
+        else:
+            v = np.expm1(kc * d) / kc * u
+        w = v - (_dots(u, v) / self.uu[ids])[:, None] * u  # orthogonal to 1/y
+        ww = _dots(w, w)
+        b = _dots(w, r0) / ww  # the coefficient of v; C = b/k
+        return d, u, v, w, ww, b, r0 - b[:, None] * w
 
-    def objective(self, k: float) -> float:
-        """The least sum of squared relative residuals at rate k."""
-        self.evaluations += 1
-        r = self._project(k)[-1]
-        return float(r @ r)
+    def objective(self, k: np.ndarray, ids):
+        """The least sum of squared relative residuals at each rate k."""
+        *_, ww, _, r = self._project(k, ids)
+        return _dots(r, r), ww == 0
 
-    def params(self, k: float) -> tuple[float, float, float]:
-        """(a0, a1, a2) at rate k; raises DegenerateInput unless C > 0.
-
-        a0 is solved against exp(k*d) itself: from the expm1 column it
-        would lose C*eps, which is large beside a0 on a steep curve.
-        """
-        d, _, _, _, b, _ = self._project(k)
-        c = b / k if k else math.nan
-        if not c > 0:
-            raise DegenerateInput(
-                f"best exponential scale C is {c:.3g}; the family needs C > 0"
-            )
-        a0 = self.a_u - c * float(self.u @ (np.exp(k * d) * self.u)) / self.uu
-        a2 = self.span / k
-        t_ref = self.t_hi if k > 0 else self.t_lo
-        return a0, t_ref - a2 * math.log(c), a2
-
-    def gauss_newton(self, k: float) -> float:
-        """k after one Gauss-Newton step on the reduced objective.
+    def gauss_newton(self, k: np.ndarray, ids):
+        """Each k after one Gauss-Newton step on the reduced objective; a
+        k of 0 stays.
 
         The Jacobian is Kaufman's: the model's derivative in k with the
         linear columns projected out (BIT 15, 1975).
         """
-        if not k:
-            return k
-        d, v, w, ww, b, r = self._project(k)
-        g = b * d * (v + self.u / k)  # C*d*exp(k*d)/y
-        g -= (float(g @ self.u) / self.uu) * self.u + (float(g @ w) / ww) * w
-        gg = float(g @ g)
-        return k + float(g @ r) / gg if gg > 0 else k
+        d, u, v, w, ww, b, r = self._project(k, ids)
+        kc = k[:, None]
+        g = b[:, None] * d * (v + u / np.where(kc == 0, 1.0, kc))  # C*d*exp(k*d)/y
+        g = g - ((_dots(g, u) / self.uu[ids])[:, None] * u + (_dots(g, w) / ww)[:, None] * w)
+        gg = _dots(g, g)
+        stepped = k + _dots(g, r) / np.where(gg > 0, gg, 1.0)
+        return np.where((k == 0) | ~(gg > 0), k, stepped), (ww == 0) & (k != 0)
+
+    def params(self, k: np.ndarray, ids):
+        """(a0, a1, a2, C) of each row at rate k; C is nan where k is 0, and
+        a0, a1, a2 are only meaningful where C > 0.  k must be a rate the
+        objective took without a zero w.w.
+
+        a0 is solved against exp(k*d) itself: from the expm1 column it
+        would lose C*eps, which is large beside a0 on a steep curve.
+        """
+        d, u, _, _, _, b, _ = self._project(k, ids)
+        c = np.where(k != 0, b / np.where(k != 0, k, 1.0), math.nan)
+        positive = c > 0
+        c1 = np.where(positive, c, 1.0)  # logs and rates only where C > 0
+        k1 = np.where(positive, k, 1.0)
+        a0 = self.a_u[ids] - c1 * _dots(u, np.exp(k1[:, None] * d) * u) / self.uu[ids]
+        a2 = self.span[ids] / k1
+        t_ref = np.where(k > 0, self.t_hi[ids], self.t_lo[ids])
+        return a0, t_ref - a2 * each(math.log, c1), a2, c
 
 
-def _bracket(f, x: float, lo: float, hi: float):
+_OBJECTIVE, _STEP = "objective", "gauss_newton"
+
+
+def _bracket(x: float, lo: float, hi: float):
     """Walk downhill from x until f rises, doubling the step each time.
 
-    Returns (a, x, b, f(x), limit) with a < x < b and f(x) <= f(a).  When f
-    rose at b (or a), f(x) <= f(b) too and limit is None.  When the walk
-    was cut at lo or hi instead, that limit is a or b and is returned as
-    limit: f may then be lowest anywhere between x and it.  x must lie
-    more than 2 inside [lo, hi]; the first step is 1.
+    A coroutine: it yields (_OBJECTIVE, x) for each f(x) it needs and is
+    sent the value.  Returns (a, x, b, f(x), limit) with a < x < b and
+    f(x) <= f(a).  When f rose at b (or a), f(x) <= f(b) too and limit is
+    None.  When the walk was cut at lo or hi instead, that limit is a or b
+    and is returned as limit: f may then be lowest anywhere between x and
+    it.  x must lie more than 2 inside [lo, hi]; the first step is 1.
     """
-    fx = f(x)
-    f_ahead = f(x + 1.0)
+    fx = yield _OBJECTIVE, x
+    f_ahead = yield _OBJECTIVE, x + 1.0
     if f_ahead < fx:
         behind, x, fx, step = x, x + 1.0, f_ahead, 2.0
     else:
         behind, step = x + 1.0, -1.0
     while True:
         ahead = min(x + step, hi) if step > 0 else max(x + step, lo)
-        f_ahead = f(ahead)
+        f_ahead = yield _OBJECTIVE, ahead
         ends = (min(behind, ahead), x, max(behind, ahead), fx)
         if f_ahead > fx:
             return (*ends, None)
@@ -243,17 +364,17 @@ def _bracket(f, x: float, lo: float, hi: float):
         step *= 2
 
 
-def _brent(f, a: float, x: float, b: float, fx: float):
+def _brent(a: float, x: float, b: float, fx: float):
     """Minimize f on [a, b] from a point x inside it.
 
-    Brent's method (Algorithms for Minimization without Derivatives, 1973,
-    ch. 5): a parabola through the three best points so far when it steps
-    inside the bracket and shrinks faster than the step before last,
-    otherwise a golden-section step into the larger side.  f is never
-    evaluated at a or b.  Stops when x is known to within
-    tol = _SQRT_EPS*(1 + |x|) and returns the final (a, x, b, f(x)), with
-    b - a <= 4*tol; an end that never moved is one the minimum could not
-    be told apart from.
+    A coroutine like _bracket.  Brent's method (Algorithms for
+    Minimization without Derivatives, 1973, ch. 5): a parabola through the
+    three best points so far when it steps inside the bracket and shrinks
+    faster than the step before last, otherwise a golden-section step into
+    the larger side.  f is never evaluated at a or b.  Stops when x is
+    known to within tol = _SQRT_EPS*(1 + |x|) and returns the final
+    (a, x, b, f(x)), with b - a <= 4*tol; an end that never moved is one
+    the minimum could not be told apart from.
     """
     w = v = x
     fw = fv = fx
@@ -281,7 +402,7 @@ def _brent(f, a: float, x: float, b: float, fx: float):
             prev_step = (b - x) if x < mid else (a - x)
             step = _GOLDEN * prev_step
         u = x + (step if abs(step) >= tol else math.copysign(tol, step))
-        fu = f(u)
+        fu = yield _OBJECTIVE, u
         if fu <= fx:
             if u < x:
                 b = x
@@ -297,6 +418,161 @@ def _brent(f, a: float, x: float, b: float, fx: float):
                 v, fv, w, fw = w, fw, u, fu
             elif fu <= fv or v == x or v == w:
                 v, fv = u, fu
+
+
+def _rate_search(start: float):
+    """The search for one trace's rate, as a coroutine: it yields
+    (_OBJECTIVE, k) or (_STEP, k), is sent f(k) or k after a Gauss-Newton
+    step, and returns (k, termination)."""
+    a, k, b, fk, limit = yield from _bracket(start, -_LOG_TINY, _LOG_TINY)
+    a, k, b, fk = yield from _brent(a, k, b, fk)
+    if limit in (a, b):
+        return limit, "exp_range_limit"
+    # Brent knows k to _SQRT_EPS; Gauss-Newton converges quadratically
+    # where the residual vanishes, so take its steps while they help
+    while True:
+        k_new = yield _STEP, k
+        if not a < k_new < b:
+            break
+        f_new = yield _OBJECTIVE, k_new
+        if not f_new < fk:
+            break
+        k, fk = k_new, f_new
+    return k, "converged"
+
+
+def _search(model: _Separable, starts: np.ndarray):
+    """Run _rate_search from each row's start, all rows in step: each round
+    answers every pending request of a kind with one stacked call.
+
+    Returns (k, termination, evaluations) per row and a dict of the rows
+    whose search raised, to their exception.  Every k returned is a rate
+    the objective took.
+    """
+    m = len(starts)
+    k, terminations, evaluations = [math.nan] * m, [""] * m, [0] * m
+    errors: dict[int, Exception] = {}
+    searches = [_rate_search(s) for s in starts.tolist()]
+    pending = {j: next(search) for j, search in enumerate(searches)}
+    while pending:
+        asks: dict[str, list[int]] = {_OBJECTIVE: [], _STEP: []}
+        for j, (op, _) in pending.items():
+            asks[op].append(j)
+        for op, ids in asks.items():
+            if not ids:
+                continue
+            rates = np.array([pending[j][1] for j in ids])
+            where = slice(None) if len(ids) == m else np.array(ids)
+            values, zero = getattr(model, op)(rates, where)
+            for j, value, div0 in zip(ids, values.tolist(), zero.tolist()):
+                evaluations[j] += op == _OBJECTIVE
+                try:
+                    if div0:
+                        raise _zero_division()
+                    pending[j] = searches[j].send(value)
+                except StopIteration as done:
+                    k[j], terminations[j] = done.value
+                    del pending[j]
+                except Exception as exc:  # the trace's failure, not the batch's
+                    errors[j] = exc.with_traceback(None)
+                    del pending[j]
+    return np.array(k), np.array(terminations), np.array(evaluations), errors
+
+
+def _fit_exponential(rows: _Rows) -> None:
+    def flat(_):
+        return DegenerateInput("flat power data; a2 is unidentifiable")
+
+    rows.fail((rows.y == 0).any(axis=1), lambda _: ZeroMeasurement(_ZERO_POWER))
+    rows.fail(
+        _distinct(rows.t) < 3,
+        lambda _: DegenerateInput("exponential fit needs >= 3 distinct temperatures"),
+    )
+    # log-linearized starting rate
+    shifted = rows.y - 0.95 * rows.y.min(axis=1, keepdims=True)
+    (shifted,) = rows.fail(
+        (shifted <= 0).any(axis=1),
+        lambda _: InitFailure("power - a0 floor is non-positive; cannot take logs"),
+        shifted,
+    )
+    z = np.log(shifted)
+    (z,) = rows.fail(z.max(axis=1) - z.min(axis=1) < 1e-13, flat, z)
+    slope = np.array(rows.solve(lambda t, z: np.polyfit(t, z, 1)[0], rows.t, z))
+    (slope,) = rows.fail((slope == 0) | ~np.isfinite(slope), flat, slope)
+
+    u = 1.0 / rows.y
+    uu = _dots(u, u)
+    u, uu, slope = rows.fail(uu == 0, _zero_division, u, uu, slope)
+    model = _Separable(rows.t, rows.y, u, uu)
+    starts = np.minimum(np.maximum(slope * model.span, 2.0 - _LOG_TINY), _LOG_TINY - 2.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k, terminations, evaluations, errors = _search(model, starts)
+        ids, k, terminations, evaluations = rows.drop(
+            errors, np.arange(len(k)), k, terminations, evaluations
+        )
+        a0, a1, a2, c = model.params(k, ids)
+    a0, a1, a2, terminations, evaluations = rows.fail(
+        ~(c > 0),
+        lambda j: DegenerateInput(f"best exponential scale C is {c[j]:.3g}; the family needs C > 0"),
+        a0, a1, a2, terminations, evaluations,
+    )
+    curve = np.exp((rows.t - a1[:, None]) / a2[:, None]) + a0[:, None]
+    rows.finish(
+        FitKind.EXPONENTIAL,
+        np.stack([a0, a1, a2], axis=1),
+        _errors(rows.y, curve),
+        evaluations,
+        terminations,
+    )
+
+
+def _blocks(keys: Sequence):
+    """The indices of equal keys, in order, at most BLOCK at a time."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    for idx in groups.values():
+        for start in range(0, len(idx), BLOCK):
+            yield idx[start : start + BLOCK]
+
+
+def fit_batch(data: Sequence, kind: FitKind) -> list[FitResult | Exception]:
+    """Fit family kind to every Trace or (temps, powers) pair of data.
+
+    Returns, in order, each trace's FitResult or the exception its fit
+    raised (without its traceback), the same result or error, bit for bit,
+    as fitting that trace alone.  Raises LengthMismatch for a pair whose
+    temps and powers differ in shape.
+    """
+    xys = [_as_xy(d) for d in data]
+    out: list[FitResult | Exception] = [None] * len(xys)  # type: ignore[list-item]
+    for idx in _blocks([t.size for t, _ in xys]):
+        rows = _Rows(np.array([xys[i][0] for i in idx]), np.array([xys[i][1] for i in idx]))
+        if kind is FitKind.EXPONENTIAL:
+            _fit_exponential(rows)
+        else:
+            _fit_poly(rows, 1 if kind is FitKind.LINEAR else 2, kind)
+        for i, result in zip(idx, rows.out):
+            out[i] = result
+    return out
+
+
+def fit(data, kind: FitKind) -> FitResult:
+    """Fit family kind to one Trace or (temps, powers) pair: a batch of one."""
+    (result,) = fit_batch([data], kind)
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def fit_linear(data) -> FitResult:
+    """Best P = a1*T + a0 in the relative-residual sense; coeffs (a1, a0)."""
+    return fit(data, FitKind.LINEAR)
+
+
+def fit_quadratic(data) -> FitResult:
+    """Best P = a2*T^2 + a1*T + a0; coeffs (a2, a1, a0)."""
+    return fit(data, FitKind.QUADRATIC)
 
 
 def fit_exponential(data) -> FitResult:
@@ -316,64 +592,26 @@ def fit_exponential(data) -> FitResult:
     Raises DegenerateInput when the best C is not positive (concave data,
     say): the family cannot represent the data.
     """
-    t, y = _as_xy(data)
-    if np.any(y == 0):
-        raise ZeroMeasurement("relative residuals undefined for measured power 0")
-    if len(np.unique(t)) < 3:
-        raise DegenerateInput("exponential fit needs >= 3 distinct temperatures")
-    if y.size < 3:
-        raise DegenerateInput("exponential fit needs >= 3 samples")
-
-    # log-linearized starting rate
-    shifted = y - 0.95 * float(np.min(y))
-    if np.any(shifted <= 0):
-        raise InitFailure("power - a0 floor is non-positive; cannot take logs")
-    z = np.log(shifted)
-    if float(np.max(z) - np.min(z)) < 1e-13:
-        raise DegenerateInput("flat power data; a2 is unidentifiable")
-    slope = float(np.polyfit(t, z, 1)[0])
-    if slope == 0 or not math.isfinite(slope):
-        raise DegenerateInput("flat power data; a2 is unidentifiable")
-
-    model = _Separable(t, y)
-    start = min(max(slope * model.span, 2.0 - _LOG_TINY), _LOG_TINY - 2.0)
-    a, k, b, fk, limit = _bracket(model.objective, start, -_LOG_TINY, _LOG_TINY)
-    a, k, b, fk = _brent(model.objective, a, k, b, fk)
-    if limit in (a, b):
-        k, termination = limit, "exp_range_limit"
-    else:
-        # Brent knows k to _SQRT_EPS; Gauss-Newton converges quadratically
-        # where the residual vanishes, so take its steps while they help
-        while True:
-            k_new = model.gauss_newton(k)
-            if not a < k_new < b:
-                break
-            f_new = model.objective(k_new)
-            if not f_new < fk:
-                break
-            k, fk = k_new, f_new
-        termination = "converged"
-    a0, a1, a2 = model.params(k)
-    error = fit_error(y, np.exp((t - a1) / a2) + a0)
-    return FitResult(
-        FitKind.EXPONENTIAL,
-        (float(a0), float(a1), float(a2)),
-        error,
-        model.evaluations,
-        termination == "converged",
-        termination,
-    )
+    return fit(data, FitKind.EXPONENTIAL)
 
 
-_FITTERS = {
-    FitKind.LINEAR: fit_linear,
-    FitKind.QUADRATIC: fit_quadratic,
-    FitKind.EXPONENTIAL: fit_exponential,
-}
+def _squares(fits: Sequence[tuple[Trace, FitResult]]) -> list[np.ndarray]:
+    """Each fit's squared relative residuals over its trace, in order,
+    computed a block of same-length, same-family fits at a time."""
+    out: list[np.ndarray] = [None] * len(fits)  # type: ignore[list-item]
+    for idx in _blocks([(len(trace), result.kind) for trace, result in fits]):
+        t = np.array([fits[i][0].temp_c for i in idx])
+        y = np.array([fits[i][0].power_w for i in idx])
+        coeffs = np.array([fits[i][1].coeffs for i in idx]).T[:, :, None]
+        rel = (_curve(fits[idx[0]][1].kind, coeffs, t) - y) / y
+        for i, row in zip(idx, rel * rel):
+            out[i] = row
+    return out
 
 
-def fit(data, kind: FitKind) -> FitResult:
-    return _FITTERS[kind](data)
+def _pool(squares: Sequence[np.ndarray]) -> float:
+    # a running sum in sample order, not numpy's pairwise one: the bits are frozen
+    return math.sqrt(np.add.accumulate(np.concatenate(squares))[-1])
 
 
 def aggregate_error(fits: Sequence[tuple[Trace, FitResult]]) -> float:
@@ -384,12 +622,7 @@ def aggregate_error(fits: Sequence[tuple[Trace, FitResult]]) -> float:
     """
     if len(fits) == 0:
         raise EmptyGroup("cannot aggregate an empty group")
-    squares = []
-    for trace, result in fits:
-        rel = (result.predict(trace.temp_c) - trace.power_w) / trace.power_w
-        squares.append(rel * rel)
-    # a running sum in sample order, not numpy's pairwise one: the bits are frozen
-    return math.sqrt(np.add.accumulate(np.concatenate(squares))[-1])
+    return _pool(_squares(fits))
 
 
 def sign_test(errors_a: Sequence[float], errors_b: Sequence[float]) -> float:
@@ -434,48 +667,66 @@ class ModelComparison:
     results[i][kind] is the FitResult or None when that fit failed;
     failures records (trace index, kind, message) for every None;
     aggregated[kind] pools residuals over the traces where kind succeeded
-    (None if it succeeded nowhere); p_values[(a, b)] is the sign test over
-    traces where both families succeeded (None if that set is empty or
-    fully tied).
+    (None if it succeeded nowhere); groups[key][kind] does the same over
+    the traces of each group passed to compare_models; p_values[(a, b)] is
+    the sign test over traces where both families succeeded (None if that
+    set is empty or fully tied).
     """
 
     results: list[dict[FitKind, FitResult | None]]
     failures: list[tuple[int, FitKind, str]]
     aggregated: dict[FitKind, float | None]
     p_values: dict[tuple[FitKind, FitKind], float | None]
+    groups: dict[str, dict[FitKind, float | None]] = field(default_factory=dict)
 
 
-def compare_models(traces: Sequence[Trace]) -> ModelComparison:
-    """Fit all three families to every trace and test them pairwise."""
+def compare_models(
+    traces: Sequence[Trace], groups: Mapping[str, Sequence[int]] | None = None
+) -> ModelComparison:
+    """Fit all three families to every trace and test them pairwise.
+
+    groups maps a name to trace indices; each group's residuals are pooled
+    per family into ModelComparison.groups, as the whole set's are into
+    aggregated.
+    """
     if len(traces) == 0:
         raise EmptyGroup("need at least one trace to compare")
-    results: list[dict[FitKind, FitResult | None]] = []
-    failures: list[tuple[int, FitKind, str]] = []
-    for i, trace in enumerate(traces):
-        row: dict[FitKind, FitResult | None] = {}
-        for kind, fitter in _FITTERS.items():
-            try:
-                row[kind] = fitter(trace)
-            except Exception as exc:  # record and exclude, never abort the batch
-                row[kind] = None
-                failures.append((i, kind, f"{type(exc).__name__}: {exc}"))
-        results.append(row)
+    fits = {kind: fit_batch(traces, kind) for kind in FitKind}
+    # record and exclude every failure, never abort the batch
+    failures = [
+        (i, kind, f"{type(r).__name__}: {r}")
+        for i, row in enumerate(zip(*fits.values()))
+        for kind, r in zip(FitKind, row)
+        if isinstance(r, Exception)
+    ]
+    done = {
+        kind: [None if isinstance(r, Exception) else r for r in column]
+        for kind, column in fits.items()
+    }
+    results = [dict(zip(FitKind, row)) for row in zip(*done.values())]
 
+    # one family's squared residuals at a time, pooled for the whole set
+    # and for each group in trace order
     aggregated: dict[FitKind, float | None] = {}
-    for kind in _FITTERS:
-        group = [
-            (trace, row[kind])
-            for trace, row in zip(traces, results)
-            if row[kind] is not None
-        ]
-        aggregated[kind] = aggregate_error(group) if group else None
+    group_errors: dict[str, dict[FitKind, float | None]] = {key: {} for key in groups or {}}
+    for kind, column in done.items():
+        ok = [i for i, r in enumerate(column) if r is not None]
+        squares = dict(zip(ok, _squares([(traces[i], column[i]) for i in ok])))
+
+        def pooled(indices) -> float | None:
+            rows = [squares[i] for i in indices if i in squares]
+            return _pool(rows) if rows else None
+
+        aggregated[kind] = pooled(range(len(traces)))
+        for key, indices in (groups or {}).items():
+            group_errors[key][kind] = pooled(indices)
 
     p_values: dict[tuple[FitKind, FitKind], float | None] = {}
     for ka, kb in _PAIRS:
         pairs = [
-            (row[ka].error, row[kb].error)
-            for row in results
-            if row[ka] is not None and row[kb] is not None
+            (a.error, b.error)
+            for a, b in zip(done[ka], done[kb])
+            if a is not None and b is not None
         ]
         if not pairs:
             p_values[(ka, kb)] = None
@@ -484,4 +735,4 @@ def compare_models(traces: Sequence[Trace]) -> ModelComparison:
             p_values[(ka, kb)] = sign_test([a for a, _ in pairs], [b for _, b in pairs])
         except AllTies:
             p_values[(ka, kb)] = None
-    return ModelComparison(results, failures, aggregated, p_values)
+    return ModelComparison(results, failures, aggregated, p_values, group_errors)

@@ -223,6 +223,14 @@ def test_model_eval_json_carries_derived_params(capsys):
     assert results["params"]["a1"] == pytest.approx(106.3436, rel=1e-9)
 
 
+def test_model_eval_temperature_out_of_double_range_exit_2(capsys):
+    code, out, err = run_cli(
+        ["model", "eval", "--proc", "A7", "--temp", "1e5", "--freq", "1", "--cores", "2"],
+        capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: model eval: exp((T - a1)/a2) leaves the double range")
+
+
 def test_model_eval_unknown_label_exit_2(capsys):
     code, _, err = run_cli(
         ["model", "eval", "--proc", "Z9", "--temp", "50",
@@ -353,6 +361,17 @@ def test_debias_explicit_eta_skips_fitting(tmp_path, capsys):
         assert row[3] == pytest.approx(1.2, rel=1e-12)
 
 
+def test_debias_exp_eta_out_of_double_range_exit_2(tmp_path, capsys):
+    path = tmp_path / "line.csv"
+    path.write_text(COLLINEAR)
+    code, out, err = run_cli(
+        ["debias", path, "--kind", "exp", "--eta", "0,0.001", "--ref-temp", "50",
+         "--out", tmp_path / "ref.csv"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: debias: exp((T - a1)/a2) leaves the double range")
+    assert "Traceback" not in err
+
+
 def test_debias_wrong_eta_arity_exit_2(tmp_path, capsys):
     path = tmp_path / "line.csv"
     path.write_text(COLLINEAR)
@@ -444,6 +463,17 @@ def test_sensor_correct_zero_time_sample_exit_2(tmp_path, capsys):
          "--out", tmp_path / "fixed.csv"], capsys)
     assert code == 2
     assert "t > 0" in err
+
+
+def test_sensor_correct_header_only_series_exit_2(tmp_path, capsys):
+    series = tmp_path / "empty.csv"
+    series.write_text("time_s,temp_c\n")
+    _, model_path = write_lagged_series(tmp_path)
+    code, out, err = run_cli(
+        ["sensor-correct", series, "--model-json", model_path,
+         "--out", tmp_path / "fixed.csv"], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {series}: a series needs at least 1 sample, got 0\n"
 
 
 def test_sensor_correct_zero_denominator_exit_1(tmp_path, capsys):
