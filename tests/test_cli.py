@@ -157,6 +157,19 @@ def test_fit_failure_gives_exit_1_and_partial_report(tmp_path, capsys):
     assert "message" in report["results"]["traces"][0]
 
 
+def test_fit_single_family_reports_a_division_by_zero_as_a_failure(tmp_path, capsys):
+    # powers near 1e161: the exponential fit's projected column underflows
+    path = tmp_path / "huge.csv"
+    rows = "".join(f"{0.2 * i!r},{25.0 + 3 * i!r},{(1.0 + i / 20) * 1e161!r}\n"
+                   for i in range(20))
+    path.write_text("#processor=X\n#freq_ghz=1.0\n#cores=2\ntime_s,temp_c,power_w\n" + rows)
+    code, report, err = run_json(["fit", path, "--model", "exp"], capsys)
+    assert code == 1 and "Traceback" not in err
+    entry = report["results"]["traces"][0]
+    assert entry["fits"]["exponential"] is None
+    assert entry["message"] == "ZeroDivisionError: float division by zero"
+
+
 def test_fit_all_marks_failures_and_keeps_other_families(tmp_path, capsys):
     path = tmp_path / "flat.csv"
     path.write_text(FLAT)
