@@ -280,15 +280,14 @@ class _Separable:
     def _project(self, k: np.ndarray, ids):
         kc = k[:, None]
         u, r0 = self.u[ids], self.r0[ids]
-        rising, line = kc > 0, kc == 0
-        # selects only where rows differ: on a long trace each is a full pass
-        d = self.d_rising[ids]
-        if not rising.all():
-            d = np.where(rising, d, self.d_falling[ids])
-        if line.any():
-            v = np.where(line, d, np.expm1(kc * d) / np.where(line, 1.0, kc)) * u
-        else:
+        rising = kc > 0
+        if rising.all():  # the usual case; on a long trace each select is a full pass
+            d = self.d_rising[ids]
             v = np.expm1(kc * d) / kc * u
+        else:
+            line = kc == 0
+            d = np.where(rising, self.d_rising[ids], self.d_falling[ids])
+            v = np.where(line, d, np.expm1(kc * d) / np.where(line, 1.0, kc)) * u
         w = v - (_dots(u, v) / self.uu[ids])[:, None] * u  # orthogonal to 1/y
         ww = _dots(w, w)
         b = _dots(w, r0) / ww  # the coefficient of v; C = b/k
