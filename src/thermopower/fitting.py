@@ -45,9 +45,12 @@ _LOG_TINY = -math.log(sys.float_info.min)
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 _ZERO_POWER = "relative residuals undefined for measured power 0"
 
-# Traces fitted together: enough to spread numpy's per-call cost thin, few
-# enough that a block's stacked arrays stay small beside the traces.
+# Traces fitted together: enough to spread numpy's per-call cost thin.  A
+# block's fit holds about ten (traces, samples) float arrays at once, so a
+# block is also cut to BLOCK_SAMPLES samples: 512 traces of 20 samples, but
+# one of 100k.
 BLOCK = 512
+BLOCK_SAMPLES = 1 << 15
 
 
 class FitKind(Enum):
@@ -280,14 +283,9 @@ class _Separable:
     def _project(self, k: np.ndarray, ids):
         kc = k[:, None]
         u, r0 = self.u[ids], self.r0[ids]
-        rising = kc > 0
-        if rising.all():  # the usual case; on a long trace each select is a full pass
-            d = self.d_rising[ids]
-            v = np.expm1(kc * d) / kc * u
-        else:
-            line = kc == 0
-            d = np.where(rising, self.d_rising[ids], self.d_falling[ids])
-            v = np.where(line, d, np.expm1(kc * d) / np.where(line, 1.0, kc)) * u
+        line = kc == 0
+        d = np.where(kc > 0, self.d_rising[ids], self.d_falling[ids])
+        v = np.where(line, d, np.expm1(kc * d) / np.where(line, 1.0, kc)) * u
         w = v - (_dots(u, v) / self.uu[ids])[:, None] * u  # orthogonal to 1/y
         ww = _dots(w, w)
         b = _dots(w, r0) / ww  # the coefficient of v; C = b/k
@@ -487,6 +485,8 @@ def _fit_exponential(rows: _Rows) -> None:
         _distinct(rows.t) < 3,
         lambda _: DegenerateInput("exponential fit needs >= 3 distinct temperatures"),
     )
+    if not rows.ids.size:  # the min() below has no identity for empty traces
+        return
     # log-linearized starting rate
     shifted = rows.y - 0.95 * rows.y.min(axis=1, keepdims=True)
     (shifted,) = rows.fail(
@@ -525,14 +525,17 @@ def _fit_exponential(rows: _Rows) -> None:
     )
 
 
-def _blocks(keys: Sequence):
-    """The indices of equal keys, in order, at most BLOCK at a time."""
+def _blocks(keys: Sequence[tuple]):
+    """The indices of equal keys, in order, in blocks of at most BLOCK
+    traces and BLOCK_SAMPLES samples, and at least one trace.  A key is a
+    tuple whose first item is the trace's sample count."""
     groups: dict = {}
     for i, key in enumerate(keys):
         groups.setdefault(key, []).append(i)
-    for idx in groups.values():
-        for start in range(0, len(idx), BLOCK):
-            yield idx[start : start + BLOCK]
+    for key, idx in groups.items():
+        size = max(1, min(BLOCK, BLOCK_SAMPLES // max(key[0], 1)))
+        for start in range(0, len(idx), size):
+            yield idx[start : start + size]
 
 
 def fit_batch(data: Sequence, kind: FitKind) -> list[FitResult | Exception]:
@@ -545,7 +548,7 @@ def fit_batch(data: Sequence, kind: FitKind) -> list[FitResult | Exception]:
     """
     xys = [_as_xy(d) for d in data]
     out: list[FitResult | Exception] = [None] * len(xys)  # type: ignore[list-item]
-    for idx in _blocks([t.size for t, _ in xys]):
+    for idx in _blocks([(t.size,) for t, _ in xys]):
         rows = _Rows(np.array([xys[i][0] for i in idx]), np.array([xys[i][1] for i in idx]))
         if kind is FitKind.EXPONENTIAL:
             _fit_exponential(rows)

@@ -407,6 +407,47 @@ def test_power_pairs_with_zero_or_negative_powers_match_reference(data):
         assert [described(r) for r in fit_batch(data, kind)] == expected
 
 
+def test_empty_and_short_pairs_match_reference():
+    good = generate_synthetic_trace(META, (0.3, 100.0, 33.0), (25.0, 85.0, 20),
+                                    noise=0.002, seed=1)
+    data = [([], []), ([30.0], [1.0]), good, ([30.0, 40.0], [1.0, 2.0]), ([], [])]
+    for kind, ref in REF_FITTERS.items():
+        expected = [outcome(ref, xy) for xy in data]
+        assert [outcome(fitting.fit, xy, kind) for xy in data] == expected
+        assert [described(r) for r in fit_batch(data, kind)] == expected
+    assert outcome(fit_exponential, ([], [])) == (
+        "DegenerateInput: exponential fit needs >= 3 distinct temperatures")
+
+
+def test_blocks_are_cut_by_samples_as_well_as_traces():
+    def sizes(keys):
+        return [len(idx) for idx in fitting._blocks(keys)]
+
+    assert sizes([(20,)] * 600) == [fitting.BLOCK, 600 - fitting.BLOCK]
+    assert sizes([(100_000,)] * 3) == [1, 1, 1]
+    assert sizes([(0,)] * 3) == [3]
+    per_block = fitting.BLOCK_SAMPLES // 1000
+    assert sizes([(1000, FitKind.LINEAR)] * (per_block + 1)) == [per_block, 1]
+
+
+def test_long_equal_length_traces_are_fitted_one_at_a_time(monkeypatch):
+    rows_seen = []
+    fit_poly = fitting._fit_poly
+
+    def spy(rows, degree, kind):
+        rows_seen.append(rows.t.shape)
+        fit_poly(rows, degree, kind)
+
+    monkeypatch.setattr(fitting, "_fit_poly", spy)
+    n = 100_000
+    long = [generate_synthetic_trace(META, (0.3, 100.0, 33.0), (25.0, 85.0, n),
+                                     noise=0.002, seed=s) for s in range(3)]
+    got = fit_batch(long, FitKind.LINEAR)
+    assert rows_seen == [(1, n)] * 3
+    assert [described(r) for r in got] == [outcome(REF_FITTERS[FitKind.LINEAR], tr)
+                                           for tr in long]
+
+
 @settings(max_examples=40, deadline=None)
 @given(trace_list=st.lists(traces(n=12), min_size=1, max_size=8),
        block=st.sampled_from([1, 3, 512]))
