@@ -398,25 +398,17 @@ def pairs(draw):
     return trace.temp_c, y
 
 
+# pairs with fewer than three temperatures, down to none at all
+SHORT_PAIRS = [([], []), ([30.0], [1.0]), ([30.0, 40.0], [1.0, 2.0])]
+
+
 @settings(max_examples=60, deadline=None)
-@given(data=st.lists(pairs(), min_size=1, max_size=4))
+@given(data=st.lists(pairs() | st.sampled_from(SHORT_PAIRS), min_size=1, max_size=4))
 def test_power_pairs_with_zero_or_negative_powers_match_reference(data):
     for kind, ref in REF_FITTERS.items():
         expected = [outcome(ref, xy) for xy in data]
         assert [outcome(fitting.fit, xy, kind) for xy in data] == expected
         assert [described(r) for r in fit_batch(data, kind)] == expected
-
-
-def test_empty_and_short_pairs_match_reference():
-    good = generate_synthetic_trace(META, (0.3, 100.0, 33.0), (25.0, 85.0, 20),
-                                    noise=0.002, seed=1)
-    data = [([], []), ([30.0], [1.0]), good, ([30.0, 40.0], [1.0, 2.0]), ([], [])]
-    for kind, ref in REF_FITTERS.items():
-        expected = [outcome(ref, xy) for xy in data]
-        assert [outcome(fitting.fit, xy, kind) for xy in data] == expected
-        assert [described(r) for r in fit_batch(data, kind)] == expected
-    assert outcome(fit_exponential, ([], [])) == (
-        "DegenerateInput: exponential fit needs >= 3 distinct temperatures")
 
 
 def test_blocks_are_cut_by_samples_as_well_as_traces():
