@@ -222,11 +222,6 @@ class _Rows:
             self.out[i] = FitResult(kind, tuple(c), e, it, why == "converged", why)
 
 
-def _zero_division(_=None) -> ZeroDivisionError:
-    """What Python's float division by zero raised in the per-trace fit."""
-    return ZeroDivisionError("float division by zero")
-
-
 def _fit_poly(rows: _Rows, degree: int, kind: FitKind) -> None:
     rows.fail((rows.y == 0).any(axis=1), lambda _: ZeroMeasurement(_ZERO_POWER))
     rows.fail(
@@ -266,18 +261,25 @@ class _Separable:
     same plane with 1/y and tends to d as k -> 0, so the search passes
     through k = 0, the straight line, as an ordinary point.
 
+    The weights are u = scale/y, with scale the power of two that puts the
+    largest in (1, 2]: no weight underflows, however large the powers, and
+    since scaling by a power of two is exact, the search takes the same
+    steps at every scale.  params undoes the scale on a0 and C.
+
     Each method takes the rates k of the rows ids.  objective and
     gauss_newton also return a mask of the rows where a fit of that trace
     alone divides a float by a zero w.w and raises ZeroDivisionError.
     """
 
-    def __init__(self, t: np.ndarray, y: np.ndarray, u: np.ndarray, uu: np.ndarray):
+    def __init__(self, t: np.ndarray, y: np.ndarray):
         self.t_lo, self.t_hi = t.min(axis=1), t.max(axis=1)
         self.span = self.t_hi - self.t_lo
         self.d_rising = (t - self.t_hi[:, None]) / self.span[:, None]
         self.d_falling = (t - self.t_lo[:, None]) / self.span[:, None]
-        self.u, self.uu = u, uu  # 1/y and its squared norm, nonzero
-        self.a_u = u.sum(axis=1) / uu
+        self.scale = np.ldexp(1.0, np.frexp(y.max(axis=1))[1])
+        self.u = u = self.scale[:, None] / y
+        self.uu = _dots(u, u)
+        self.a_u = u.sum(axis=1) / self.uu
         self.r0 = 1.0 - self.a_u[:, None] * u  # residual of the best constant model
 
     def _project(self, k: np.ndarray, ids):
@@ -320,6 +322,7 @@ class _Separable:
         would lose C*eps, which is large beside a0 on a steep curve.
         """
         d, u, _, _, _, b, _ = self._project(k, ids)
+        scale = self.scale[ids]
         c = np.where(k != 0, b / np.where(k != 0, k, 1.0), math.nan)
         positive = c > 0
         c1 = np.where(positive, c, 1.0)  # logs and rates only where C > 0
@@ -327,7 +330,7 @@ class _Separable:
         a0 = self.a_u[ids] - c1 * _dots(u, np.exp(k1[:, None] * d) * u) / self.uu[ids]
         a2 = self.span[ids] / k1
         t_ref = np.where(k > 0, self.t_hi[ids], self.t_lo[ids])
-        return a0, t_ref - a2 * each(math.log, c1), a2, c
+        return a0 * scale, t_ref - a2 * each(math.log, c1 * scale), a2, c * scale
 
 
 _OBJECTIVE, _STEP = "objective", "gauss_newton"
@@ -465,7 +468,8 @@ def _search(model: _Separable, starts: np.ndarray):
                 evaluations[j] += op == _OBJECTIVE
                 try:
                     if div0:
-                        raise _zero_division()
+                        # what Python's float division raised in the per-trace fit
+                        raise ZeroDivisionError("float division by zero")
                     pending[j] = searches[j].send(value)
                 except StopIteration as done:
                     k[j], terminations[j] = done.value
@@ -499,10 +503,7 @@ def _fit_exponential(rows: _Rows) -> None:
     slope = np.array(rows.solve(lambda t, z: np.polyfit(t, z, 1)[0], rows.t, z))
     (slope,) = rows.fail((slope == 0) | ~np.isfinite(slope), flat, slope)
 
-    u = 1.0 / rows.y
-    uu = _dots(u, u)
-    u, uu, slope = rows.fail(uu == 0, _zero_division, u, uu, slope)
-    model = _Separable(rows.t, rows.y, u, uu)
+    model = _Separable(rows.t, rows.y)
     starts = np.minimum(np.maximum(slope * model.span, 2.0 - _LOG_TINY), _LOG_TINY - 2.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         k, terminations, evaluations, errors = _search(model, starts)

@@ -77,7 +77,8 @@ class RefSeparable:
         self.span = self.t_hi - self.t_lo
         self.d_rising = (t - self.t_hi) / self.span
         self.d_falling = (t - self.t_lo) / self.span
-        self.u = 1.0 / y
+        self.scale = math.ldexp(1.0, math.frexp(float(y.max()))[1])
+        self.u = self.scale / y
         self.uu = float(self.u @ self.u)
         self.a_u = float(self.u.sum()) / self.uu
         self.r0 = 1.0 - self.a_u * self.u
@@ -98,13 +99,13 @@ class RefSeparable:
 
     def params(self, k):
         d, _, _, _, b, _ = self._project(k)
-        c = b / k if k else math.nan
+        c = (b / k if k else math.nan) * self.scale
         if not c > 0:
             raise DegenerateInput(f"best exponential scale C is {c:.3g}; the family needs C > 0")
-        a0 = self.a_u - c * float(self.u @ (np.exp(k * d) * self.u)) / self.uu
+        a0 = self.a_u - c / self.scale * float(self.u @ (np.exp(k * d) * self.u)) / self.uu
         a2 = self.span / k
         t_ref = self.t_hi if k > 0 else self.t_lo
-        return a0, t_ref - a2 * math.log(c), a2
+        return a0 * self.scale, t_ref - a2 * math.log(c), a2
 
     def gauss_newton(self, k):
         if not k:
@@ -318,7 +319,7 @@ def traces(draw, n=None):
         y = 1.0 + x
     elif shape == "flat":
         y = np.full(n, 1.5)
-    else:  # 1/y so small that the exponential fit's dot products underflow
+    else:  # powers whose unscaled weights 1/y would underflow
         y = (1.0 + x) * 10.0 ** draw(st.sampled_from([150, 160, 161, 170]))
     noise = draw(st.sampled_from([0.0, 1e-6, 1e-3, 2e-2]))
     y = np.abs(y * (1.0 + noise * rng.standard_normal(n))) + 1e-12
@@ -454,24 +455,23 @@ def test_aggregate_error_of_mixed_families_matches_reference(trace_list, block):
             assert repr(aggregate_error(fits)) == repr(ref_aggregate(fits))
 
 
-def test_division_by_zero_fails_the_trace_as_before():
-    # 1/y underflows: at 1e161 the projected column w.w is 0 inside the
-    # search, at 1e170 the norm of 1/y itself is 0 before it starts
+def test_huge_and_tiny_powers_fit_like_their_unit_scale_twin():
+    # unscaled, the weights 1/y of powers near 1e161 underflow inside the
+    # search and those near 1e170 before it starts
     t = np.linspace(25.0, 85.0, 20)
-    huge = [Trace.from_columns(META, 0.2 * np.arange(20), t, (1.0 + t / 100) * 10.0**e)
-            for e in (161, 170)]
-    for trace in huge:
-        with pytest.raises(ZeroDivisionError):
-            ref_fit_exponential(trace)
-    good = generate_synthetic_trace(META, (0.3, 100.0, 33.0), (25.0, 85.0, 20),
-                                    noise=0.002, seed=1)
-    got = compare_models([huge[0], good, huge[1]])
-    assert [(i, kind) for i, kind, _ in got.failures] == [
-        (0, FitKind.EXPONENTIAL), (2, FitKind.EXPONENTIAL)]
-    assert {msg for _, _, msg in got.failures} == {"ZeroDivisionError: float division by zero"}
-    assert_same_comparison([huge[0], good, huge[1]], {})
-    with pytest.raises(ZeroDivisionError, match="float division by zero"):
-        fit_exponential(huge[0])
+    y = np.exp((t - 100.0) / 33.0) + 0.3 + np.random.default_rng(3).normal(0.0, 0.002, 20)
+    twin = fit_exponential((t, y))
+    assert twin.converged
+    huge = []
+    for scale in (1e-300, 2.0**-1000, 1e-161, 1e161, 1e170, 2.0**1000, 1e300):
+        r = fit_exponential((t, y * scale))
+        assert r.converged
+        assert math.isclose(r.coeffs[0] / scale, twin.coeffs[0], rel_tol=1e-6)
+        assert math.isclose(r.coeffs[2], twin.coeffs[2], rel_tol=1e-6)
+        assert math.isclose(r.error, twin.error, rel_tol=1e-9)
+        huge.append(Trace.from_columns(META, 0.2 * np.arange(20), t, y * scale))
+    assert compare_models(huge).failures == []
+    assert_same_comparison(huge, {})
 
 
 def test_fleet_across_the_default_block_boundary():
