@@ -26,7 +26,6 @@ from .errors import (
     DegenerateInput,
     EmptyGroup,
     EmptyTrace,
-    InitFailure,
     InsufficientSpan,
     InvalidCores,
     InvalidFreq,
@@ -35,7 +34,6 @@ from .errors import (
     LengthMismatch,
     MalformedRow,
     MissingMeta,
-    NoConvergence,
     NonMonotonicTime,
     NonPositiveTime,
     SingularFit,
@@ -107,8 +105,6 @@ __all__ = [
     "MissingMeta",
     "InvalidParams",
     "DegenerateInput",
-    "NoConvergence",
-    "InitFailure",
     "LengthMismatch",
     "ZeroMeasurement",
     "EmptyGroup",

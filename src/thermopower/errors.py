@@ -44,20 +44,8 @@ class InvalidParams(ThermoError):
 # --- fitting ---
 
 class DegenerateInput(ThermoError):
-    """Not enough distinct temperatures, flat data, or data the requested
-    family cannot represent (an exponential with a non-positive scale)."""
-
-
-class NoConvergence(ThermoError):
-    """An iterative fit failed to converge.
-
-    No fit in this package raises it: the exponential fit reports a search
-    that stopped at a limit through FitResult.converged and termination.
-    """
-
-
-class InitFailure(ThermoError):
-    """Exponential fit could not build a positive-argument log initialization."""
+    """Not enough distinct temperatures, or data the requested family cannot
+    represent (an exponential with a non-positive or unbounded scale)."""
 
 
 class LengthMismatch(ThermoError):
@@ -65,7 +53,8 @@ class LengthMismatch(ThermoError):
 
 
 class ZeroMeasurement(ThermoError):
-    """A measured power of zero makes relative residuals undefined."""
+    """fit_error was given a measured power of zero, for which relative
+    residuals are undefined."""
 
 
 class EmptyGroup(ThermoError):

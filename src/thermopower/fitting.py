@@ -7,8 +7,11 @@ sqrt(objective) is exactly the minimized quantity.  Linear and quadratic
 fits solve it in closed form as weighted least squares with weights
 1/y_i**2.  The exponential fit uses variable projection: at each rate the
 offset and scale come from the same kind of weighted solve, leaving a 1-D
-Brent search over the rate (see fit_exponential).  FitResult.termination
-says why a fit stopped: "converged", or the rate limit it reached.
+Brent search over the rate, started at the straight line (see
+fit_exponential).  FitResult.termination says why a fit stopped:
+"converged", or the rate limit it reached.  A (temps, powers) pair is
+held to the sample checks of a Trace, so every fit sees finite
+temperatures and positive powers.
 
 Fits run over batches (fit_batch).  Traces of one length are stacked as
 the rows of (m, n) arrays, up to BLOCK of them, and every numpy step
@@ -33,17 +36,16 @@ from .errors import (
     AllTies,
     DegenerateInput,
     EmptyGroup,
-    InitFailure,
     InvalidParams,
+    InvalidSample,
     LengthMismatch,
     ZeroMeasurement,
 )
-from .trace import Trace
+from .trace import Trace, check_samples
 
 _SQRT_EPS = math.sqrt(sys.float_info.epsilon)
 _LOG_TINY = -math.log(sys.float_info.min)
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
-_ZERO_POWER = "relative residuals undefined for measured power 0"
 
 # Traces fitted together: enough to spread numpy's per-call cost thin.  A
 # block's fit holds about ten (traces, samples) float arrays at once, so a
@@ -123,7 +125,11 @@ def exp_curve(temp, a1, a2):
 
 
 def _as_xy(data) -> tuple[np.ndarray, np.ndarray]:
-    """Accept a Trace or a (temps, powers) pair; return float arrays."""
+    """Accept a Trace or a (temps, powers) pair; return float arrays.
+
+    A pair must hold samples a Trace could: raises the InvalidSample a
+    Trace would for a non-finite value or a non-positive power.
+    """
     if isinstance(data, Trace):
         return data.temp_c, data.power_w
     temps, powers = data
@@ -131,6 +137,7 @@ def _as_xy(data) -> tuple[np.ndarray, np.ndarray]:
     y = np.asarray(powers, float)
     if t.ndim != 1 or y.ndim != 1 or t.shape != y.shape:
         raise LengthMismatch(f"temps ({t.shape}) and powers ({y.shape}) differ")
+    check_samples(np.zeros(t.size), t, y)  # a pair has no times; any valid ones do
     return t, y
 
 
@@ -148,7 +155,7 @@ def fit_error(measured: Sequence[float], model: Sequence[float]) -> float:
     if y.size == 0:
         raise LengthMismatch("need at least one sample")
     if np.any(y == 0):
-        raise ZeroMeasurement(_ZERO_POWER)
+        raise ZeroMeasurement("relative residuals undefined for measured power 0")
     return float(_errors(y[None], m[None])[0])
 
 
@@ -159,11 +166,9 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _distinct(t: np.ndarray) -> np.ndarray:
-    """len(np.unique(row)) for every row of t; NaNs count once, as there."""
+    """len(np.unique(row)) for every row of t."""
     s = np.sort(t, axis=1)
-    # NaNs sort last, so a NaN after a NaN is the only unequal pair to skip
-    new = (s[:, 1:] != s[:, :-1]) & ~np.isnan(s[:, :-1])
-    return new.sum(axis=1) + (t.shape[1] > 0)
+    return (s[:, 1:] != s[:, :-1]).sum(axis=1) + (t.shape[1] > 0)
 
 
 class _Rows:
@@ -223,7 +228,6 @@ class _Rows:
 
 
 def _fit_poly(rows: _Rows, degree: int, kind: FitKind) -> None:
-    rows.fail((rows.y == 0).any(axis=1), lambda _: ZeroMeasurement(_ZERO_POWER))
     rows.fail(
         _distinct(rows.t) < degree + 1,
         lambda _: DegenerateInput(f"{kind.value} fit needs >= {degree + 1} distinct temperatures"),
@@ -420,11 +424,11 @@ def _brent(a: float, x: float, b: float, fx: float):
                 v, fv = u, fu
 
 
-def _rate_search(start: float):
-    """The search for one trace's rate, as a coroutine: it yields
-    (_OBJECTIVE, k) or (_STEP, k), is sent f(k) or k after a Gauss-Newton
-    step, and returns (k, termination)."""
-    a, k, b, fk, limit = yield from _bracket(start, -_LOG_TINY, _LOG_TINY)
+def _rate_search():
+    """The search for one trace's rate from k = 0, as a coroutine: it
+    yields (_OBJECTIVE, k) or (_STEP, k), is sent f(k) or k after a
+    Gauss-Newton step, and returns (k, termination)."""
+    a, k, b, fk, limit = yield from _bracket(0.0, -_LOG_TINY, _LOG_TINY)
     a, k, b, fk = yield from _brent(a, k, b, fk)
     if limit in (a, b):
         return limit, "exp_range_limit"
@@ -441,18 +445,18 @@ def _rate_search(start: float):
     return k, "converged"
 
 
-def _search(model: _Separable, starts: np.ndarray):
-    """Run _rate_search from each row's start, all rows in step: each round
+def _search(model: _Separable):
+    """Run _rate_search for every row of model, all in step: each round
     answers every pending request of a kind with one stacked call.
 
     Returns (k, termination, evaluations) per row and a dict of the rows
     whose search raised, to their exception.  Every k returned is a rate
     the objective took.
     """
-    m = len(starts)
+    m = len(model.span)
     k, terminations, evaluations = [math.nan] * m, [""] * m, [0] * m
     errors: dict[int, Exception] = {}
-    searches = [_rate_search(s) for s in starts.tolist()]
+    searches = [_rate_search() for _ in range(m)]
     pending = {j: next(search) for j, search in enumerate(searches)}
     while pending:
         asks: dict[str, list[int]] = {_OBJECTIVE: [], _STEP: []}
@@ -481,40 +485,30 @@ def _search(model: _Separable, starts: np.ndarray):
 
 
 def _fit_exponential(rows: _Rows) -> None:
-    def flat(_):
-        return DegenerateInput("flat power data; a2 is unidentifiable")
-
-    rows.fail((rows.y == 0).any(axis=1), lambda _: ZeroMeasurement(_ZERO_POWER))
     rows.fail(
         _distinct(rows.t) < 3,
         lambda _: DegenerateInput("exponential fit needs >= 3 distinct temperatures"),
     )
-    if not rows.ids.size:  # the min() below has no identity for empty traces
+    if not rows.ids.size:  # the reductions below have no identity for empty traces
         return
-    # log-linearized starting rate
-    shifted = rows.y - 0.95 * rows.y.min(axis=1, keepdims=True)
-    (shifted,) = rows.fail(
-        (shifted <= 0).any(axis=1),
-        lambda _: InitFailure("power - a0 floor is non-positive; cannot take logs"),
-        shifted,
-    )
-    z = np.log(shifted)
-    (z,) = rows.fail(z.max(axis=1) - z.min(axis=1) < 1e-13, flat, z)
-    slope = np.array(rows.solve(lambda t, z: np.polyfit(t, z, 1)[0], rows.t, z))
-    (slope,) = rows.fail((slope == 0) | ~np.isfinite(slope), flat, slope)
-
     model = _Separable(rows.t, rows.y)
-    starts = np.minimum(np.maximum(slope * model.span, 2.0 - _LOG_TINY), _LOG_TINY - 2.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        k, terminations, evaluations, errors = _search(model, starts)
+        k, terminations, evaluations, errors = _search(model)
         ids, k, terminations, evaluations = rows.drop(
             errors, np.arange(len(k)), k, terminations, evaluations
         )
         a0, a1, a2, c = model.params(k, ids)
+
+    def degenerate(j):
+        if k[j] == 0:
+            return DegenerateInput(
+                "the best curve is the straight line, which the exponential "
+                "family reaches only as C -> inf"
+            )
+        return DegenerateInput(f"best exponential scale C is {c[j]:.3g}; the family needs C > 0")
+
     a0, a1, a2, terminations, evaluations = rows.fail(
-        ~(c > 0),
-        lambda j: DegenerateInput(f"best exponential scale C is {c[j]:.3g}; the family needs C > 0"),
-        a0, a1, a2, terminations, evaluations,
+        ~(c > 0), degenerate, a0, a1, a2, terminations, evaluations
     )
     curve = np.exp((rows.t - a1[:, None]) / a2[:, None]) + a0[:, None]
     rows.finish(
@@ -544,13 +538,21 @@ def fit_batch(data: Sequence, kind: FitKind) -> list[FitResult | Exception]:
 
     Returns, in order, each trace's FitResult or the exception its fit
     raised (without its traceback), the same result or error, bit for bit,
-    as fitting that trace alone.  Raises LengthMismatch for a pair whose
-    temps and powers differ in shape.
+    as fitting that trace alone.  A pair with a non-finite value or a
+    non-positive power fails with the InvalidSample a Trace of those
+    samples would raise.  Raises LengthMismatch for a pair whose temps and
+    powers differ in shape.
     """
-    xys = [_as_xy(d) for d in data]
-    out: list[FitResult | Exception] = [None] * len(xys)  # type: ignore[list-item]
-    for idx in _blocks([(t.size,) for t, _ in xys]):
-        rows = _Rows(np.array([xys[i][0] for i in idx]), np.array([xys[i][1] for i in idx]))
+    out: list[FitResult | Exception] = [None] * len(data)  # type: ignore[list-item]
+    xys = []
+    for i, d in enumerate(data):
+        try:
+            xys.append((i, *_as_xy(d)))
+        except InvalidSample as exc:
+            out[i] = exc.with_traceback(None)
+    for block in _blocks([(t.size,) for _, t, _ in xys]):
+        idx, t, y = zip(*(xys[b] for b in block))
+        rows = _Rows(np.array(t), np.array(y))
         if kind is FitKind.EXPONENTIAL:
             _fit_exponential(rows)
         else:
@@ -585,15 +587,16 @@ def fit_exponential(data) -> FitResult:
     best (a0, C) of a0 + C*exp(k*d) is solved exactly at each rate k (see
     _Separable), leaving a 1-D Brent minimization over k, finished by
     Gauss-Newton steps while they lower the objective.  The search starts
-    from a log-linear regression with a0 floored at 0.95*min(power) and
-    walks downhill from there, through k = 0 if need be, to bracket the
-    minimum.  It stops at |k| = -ln(smallest normal double), where the
+    at k = 0, the straight line, and walks downhill from there to bracket
+    the minimum.  It stops at |k| = -ln(smallest normal double), where the
     exponential's range across the sweep leaves the double range; if the
     minimum cannot be told apart from that limit, the result has
     converged=False and termination "exp_range_limit", otherwise
     termination is "converged".  iterations counts objective evaluations.
-    Raises DegenerateInput when the best C is not positive (concave data,
-    say): the family cannot represent the data.
+    Raises DegenerateInput when the best C is not positive (concave or
+    flat data, say), or when the best curve is the straight line, which
+    the family reaches only as C -> inf: the family cannot represent the
+    data.
     """
     return fit(data, FitKind.EXPONENTIAL)
 

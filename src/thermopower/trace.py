@@ -52,6 +52,18 @@ def _check_sample(time_s: float, temp_c: float, power_w: float, line_no=None) ->
         raise InvalidSample(f"power_w must be positive, got {power_w!r}", line_no)
 
 
+def check_samples(time_s, temp_c, power_w, line_of=None) -> None:
+    """Raise the InvalidSample a TraceSample would for the first row of the
+    float arrays with a non-finite value, a negative time or a
+    non-positive power; line_of(i) names row i's file line."""
+    bad = ~np.isfinite(time_s) | ~np.isfinite(temp_c) | ~np.isfinite(power_w)
+    bad |= (time_s < 0) | ~(power_w > 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        row = (float(time_s[i]), float(temp_c[i]), float(power_w[i]))
+        _check_sample(*row, line_of(i) if line_of else None)
+
+
 @dataclass(frozen=True)
 class TraceSample:
     time_s: float
@@ -115,12 +127,7 @@ class Trace:
             col.flags.writeable = False
             cols.append(col)
         time_s, temp_c, power_w = cols
-        bad = ~np.isfinite(time_s) | ~np.isfinite(temp_c) | ~np.isfinite(power_w)
-        bad |= (time_s < 0) | ~(power_w > 0)
-        if bad.any():
-            i = int(np.argmax(bad))
-            row = (float(time_s[i]), float(temp_c[i]), float(power_w[i]))
-            _check_sample(*row, line_of(i) if line_of else None)
+        check_samples(time_s, temp_c, power_w, line_of)
         if len(time_s) < 3:
             raise EmptyTrace(f"a trace needs at least 3 samples, got {len(time_s)}")
         steps = np.diff(time_s) <= 0

@@ -18,13 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermopower import fitting
-from thermopower.errors import (
-    AllTies,
-    DegenerateInput,
-    EmptyGroup,
-    InitFailure,
-    ZeroMeasurement,
-)
+from thermopower.errors import AllTies, DegenerateInput, EmptyGroup
 from thermopower.fitting import (
     FitKind,
     FitResult,
@@ -36,7 +30,7 @@ from thermopower.fitting import (
     fit_quadratic,
     sign_test,
 )
-from thermopower.trace import Trace, TraceMeta, generate_synthetic_trace
+from thermopower.trace import Trace, TraceMeta, TraceSample, generate_synthetic_trace
 
 # --- the per-trace reference ---
 
@@ -46,21 +40,20 @@ _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 def ref_fit_error(y, model):
-    if np.any(y == 0):
-        raise ZeroMeasurement("relative residuals undefined for measured power 0")
     return float(np.sqrt(np.sum(((model - y) / y) ** 2)))
 
 
 def ref_xy(data):
     if isinstance(data, Trace):
         return data.temp_c, data.power_w
-    return tuple(np.asarray(a, float) for a in data)
+    t, y = (np.asarray(a, float) for a in data)
+    for temp, power in zip(t.tolist(), y.tolist()):
+        TraceSample(0.0, temp, power)  # raises the InvalidSample a Trace would
+    return t, y
 
 
 def ref_poly_fit(data, degree, kind):
     t, y = ref_xy(data)
-    if np.any(y == 0):
-        raise ZeroMeasurement("relative residuals undefined for measured power 0")
     if len(np.unique(t)) < degree + 1:
         raise DegenerateInput(f"{kind.value} fit needs >= {degree + 1} distinct temperatures")
     design = np.column_stack([t**k / y for k in range(degree, -1, -1)])
@@ -99,7 +92,10 @@ class RefSeparable:
 
     def params(self, k):
         d, _, _, _, b, _ = self._project(k)
-        c = (b / k if k else math.nan) * self.scale
+        if not k:
+            raise DegenerateInput("the best curve is the straight line, which the exponential "
+                                  "family reaches only as C -> inf")
+        c = b / k * self.scale
         if not c > 0:
             raise DegenerateInput(f"best exponential scale C is {c:.3g}; the family needs C > 0")
         a0 = self.a_u - c / self.scale * float(self.u @ (np.exp(k * d) * self.u)) / self.uu
@@ -183,22 +179,10 @@ def ref_brent(f, a, x, b, fx):
 
 def ref_fit_exponential(data):
     t, y = ref_xy(data)
-    if np.any(y == 0):
-        raise ZeroMeasurement("relative residuals undefined for measured power 0")
     if len(np.unique(t)) < 3:
         raise DegenerateInput("exponential fit needs >= 3 distinct temperatures")
-    shifted = y - 0.95 * float(np.min(y))
-    if np.any(shifted <= 0):
-        raise InitFailure("power - a0 floor is non-positive; cannot take logs")
-    z = np.log(shifted)
-    if float(np.max(z) - np.min(z)) < 1e-13:
-        raise DegenerateInput("flat power data; a2 is unidentifiable")
-    slope = float(np.polyfit(t, z, 1)[0])
-    if slope == 0 or not math.isfinite(slope):
-        raise DegenerateInput("flat power data; a2 is unidentifiable")
     model = RefSeparable(t, y)
-    start = min(max(slope * model.span, 2.0 - _LOG_TINY), _LOG_TINY - 2.0)
-    a, k, b, fk, limit = ref_bracket(model.objective, start, -_LOG_TINY, _LOG_TINY)
+    a, k, b, fk, limit = ref_bracket(model.objective, 0.0, -_LOG_TINY, _LOG_TINY)
     a, k, b, fk = ref_brent(model.objective, a, k, b, fk)
     if limit in (a, b):
         k, termination = limit, "exp_range_limit"
@@ -390,13 +374,17 @@ def test_single_trace_fitters_match_reference(trace):
 
 @st.composite
 def pairs(draw):
-    """(temps, powers) of a trace with some powers set to zero or below,
-    which no Trace can hold."""
+    """(temps, powers) of a trace with some powers set to zero, below zero
+    or non-finite, or some temperatures non-finite, which no Trace can
+    hold."""
     trace = draw(traces())
-    y = trace.power_w.copy()
+    t, y = trace.temp_c.copy(), trace.power_w.copy()
     hit = draw(st.lists(st.integers(0, len(y) - 1), min_size=1, max_size=len(y)))
-    y[hit] = draw(st.sampled_from([0.0, -0.5, -2.0]))
-    return trace.temp_c, y
+    if draw(st.booleans()):
+        y[hit] = draw(st.sampled_from([0.0, -0.5, -2.0, math.nan, math.inf, -math.inf]))
+    else:
+        t[hit] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return t, y
 
 
 # pairs with fewer than three temperatures, down to none at all
@@ -462,6 +450,12 @@ def test_huge_and_tiny_powers_fit_like_their_unit_scale_twin():
     y = np.exp((t - 100.0) / 33.0) + 0.3 + np.random.default_rng(3).normal(0.0, 0.002, 20)
     twin = fit_exponential((t, y))
     assert twin.converged
+    for e in (-1000, -500, 500, 1000):
+        # a power of two scales exactly, so the search takes the same steps
+        r = fit_exponential((t, np.ldexp(y, e)))
+        assert r.converged and r.iterations == twin.iterations
+        assert r.coeffs[0] == math.ldexp(twin.coeffs[0], e) and r.coeffs[2] == twin.coeffs[2]
+        assert math.isclose(r.error, twin.error, rel_tol=1e-9)
     huge = []
     for scale in (1e-300, 2.0**-1000, 1e-161, 1e161, 1e170, 2.0**1000, 1e300):
         r = fit_exponential((t, y * scale))

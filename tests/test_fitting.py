@@ -1,6 +1,7 @@
 """Curve fits, error metric, aggregation, sign test, model comparison."""
 
 import math
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -13,14 +14,17 @@ from thermopower.errors import (
     AllTies,
     DegenerateInput,
     EmptyGroup,
-    InitFailure,
+    InvalidSample,
     LengthMismatch,
     ZeroMeasurement,
 )
 from thermopower.fitting import (
     FitKind,
+    FitResult,
     aggregate_error,
     compare_models,
+    fit,
+    fit_batch,
     fit_error,
     fit_exponential,
     fit_linear,
@@ -116,9 +120,63 @@ def test_exponential_needs_three_distinct_temperatures():
         fit_exponential(([30.0, 30.0, 40.0, 40.0], [1.0, 1.0, 1.2, 1.2]))
 
 
-def test_exponential_negative_power_init_failure():
-    with pytest.raises(InitFailure):
-        fit_exponential(([30.0, 40.0, 50.0], [-1.0, 1.2, 1.5]))
+def test_exponential_exact_line_is_degenerate():
+    # the best curve is the line itself, which a0 + C*exp(k*T) reaches only
+    # as k -> 0 with C -> inf; the linear fit of the same data is exact
+    temps = np.linspace(25.0, 85.0, 20)
+    powers = 0.02 * temps + 1.0
+    assert fit_linear((temps, powers)).error < 1e-14
+    with pytest.raises(DegenerateInput, match="straight line"):
+        fit_exponential((temps, powers))
+
+
+# --- pairs: one sample check for every family ---
+
+TEMPS = [30.0, 40.0, 50.0, 60.0]
+POWERS = [1.1, 1.2, 1.5, 1.9]
+BAD_VALUES = [("power_w", v) for v in (-1.0, 0.0, math.nan, math.inf, -math.inf)] + [
+    ("temp_c", v) for v in (math.nan, math.inf, -math.inf)
+]
+
+
+@pytest.mark.parametrize("kind", list(FitKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("column,value", BAD_VALUES, ids=lambda v: repr(v))
+def test_pair_with_a_bad_sample_raises_the_trace_error(kind, column, value):
+    temps, powers = list(TEMPS), list(POWERS)
+    (powers if column == "power_w" else temps)[1] = value
+    with pytest.raises(InvalidSample) as trace_error:
+        Trace.from_columns(META, [0.0, 0.2, 0.4, 0.6], temps, powers)
+    with pytest.raises(InvalidSample) as fit_failure:
+        fit((temps, powers), kind)
+    assert str(fit_failure.value) == str(trace_error.value)
+
+
+def test_bad_pair_fails_alone_in_a_batch():
+    good = [synth(noise=0.002, seed=s) for s in range(3)]
+    batch = [good[0], (TEMPS, [1.1, -1.2, 1.5, 1.9]), good[1], (good[2].temp_c, good[2].power_w)]
+    for kind in FitKind:
+        got = fit_batch(batch, kind)
+        assert isinstance(got[1], InvalidSample)
+        assert str(got[1]) == "power_w must be positive, got -1.2"
+        assert all(isinstance(r, FitResult) and r.converged for i, r in enumerate(got) if i != 1)
+        assert got[3] == fit(good[2], kind)
+
+
+def test_pairs_with_an_infinite_temperature_fail_promptly():
+    # an infinite temperature once sent the quadratic fit's least-squares
+    # solve into a loop that never ended; a child process bounds the wait
+    code = (
+        "import math\n"
+        "from thermopower.errors import InvalidSample\n"
+        "from thermopower.fitting import FitKind, fit\n"
+        "for kind in FitKind:\n"
+        "    for temp in (math.inf, -math.inf, math.nan):\n"
+        f"        try: fit(([temp, 40.0, 50.0, 60.0], {POWERS!r}), kind)\n"
+        "        except InvalidSample: pass\n"
+        "        else: raise SystemExit(1)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60)
+    assert done.returncode == 0, done.stderr.decode()
 
 
 @pytest.mark.parametrize("n", [20, 1000, 100_000])
@@ -135,10 +193,10 @@ def test_exponential_converges_on_every_noisy_seed(n):
 def test_exponential_near_step_outside_initial_bracket():
     temps = np.linspace(25.0, 85.0, 20)
     powers = np.exp((temps - 80.0) / 0.5) + 0.3
-    # the log-linear start is more than a first walk step (one e-fold
-    # across the sweep) away from the true rate of 120 e-folds
-    start = np.polyfit(temps, np.log(powers - 0.95 * powers.min()), 1)[0] * 60.0
-    assert 120.0 - start > 2.0
+    # the search starts at k = 0, more than a first walk step (one e-fold
+    # across the sweep) away from the true rate of span/a2 = 120 e-folds
+    start, rate = 0.0, (85.0 - 25.0) / 0.5
+    assert rate - start > 2.0
     r = fit_exponential((temps, powers))
     assert r.converged and r.termination == "converged"
     for got, want in zip(r.coeffs, (0.3, 80.0, 0.5)):
