@@ -234,7 +234,14 @@ def _fit_poly(rows: _Rows, degree: int, kind: FitKind) -> None:
     )
     t, y = rows.t, rows.y
     # minimize sum((p(t_i)/y_i - 1)^2): rows [t^d/y ... 1/y], target 1
-    design = np.stack([t**k / y for k in range(degree, -1, -1)], axis=2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        design = np.stack([t**k / y for k in range(degree, -1, -1)], axis=2)
+    # LAPACK's least squares may never return on an infinite entry
+    (design,) = rows.fail(
+        ~np.isfinite(design).all(axis=(1, 2)),
+        lambda _: DegenerateInput(f"{kind.value} fit design matrix T^k/P leaves the double range"),
+        design,
+    )
     target = np.ones(t.shape[1])
 
     def solve(a):
