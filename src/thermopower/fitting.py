@@ -7,11 +7,8 @@ sqrt(objective) is exactly the minimized quantity.  Linear and quadratic
 fits solve it in closed form as weighted least squares with weights
 1/y_i**2.  The exponential fit uses variable projection: at each rate the
 offset and scale come from the same kind of weighted solve, leaving a 1-D
-Brent search over the rate, started at the straight line (see
-fit_exponential).  FitResult.termination says why a fit stopped:
-"converged", or the rate limit it reached.  A (temps, powers) pair is
-held to the sample checks of a Trace, so every fit sees finite
-temperatures and positive powers.
+Brent search over the rate (see fit_exponential).  FitResult.termination
+says why a fit stopped: "converged", or the rate limit it reached.
 
 Fits run over batches (fit_batch).  Traces of one length are stacked as
 the rows of (m, n) arrays, up to BLOCK of them, and every numpy step
@@ -125,11 +122,7 @@ def exp_curve(temp, a1, a2):
 
 
 def _as_xy(data) -> tuple[np.ndarray, np.ndarray]:
-    """Accept a Trace or a (temps, powers) pair; return float arrays.
-
-    A pair must hold samples a Trace could: raises the InvalidSample a
-    Trace would for a non-finite value or a non-positive power.
-    """
+    """Accept a Trace or a (temps, powers) pair a Trace could hold; return float arrays."""
     if isinstance(data, Trace):
         return data.temp_c, data.power_w
     temps, powers = data
@@ -272,10 +265,9 @@ class _Separable:
     same plane with 1/y and tends to d as k -> 0, so the search passes
     through k = 0, the straight line, as an ordinary point.
 
-    The weights are u = scale/y, with scale the power of two that puts the
-    largest in (1, 2]: no weight underflows, however large the powers, and
-    since scaling by a power of two is exact, the search takes the same
-    steps at every scale.  params undoes the scale on a0 and C.
+    The weights are u = scale/y, scale the power of two that puts the largest
+    in (1, 2]: none underflows, and as the scaling is exact, the search takes
+    the same steps at every scale.  params undoes it on a0 and C.
 
     Each method takes the rates k of the rows ids.  objective and
     gauss_newton also return a mask of the rows where a fit of that trace
@@ -498,6 +490,11 @@ def _fit_exponential(rows: _Rows) -> None:
     )
     if not rows.ids.size:  # the reductions below have no identity for empty traces
         return
+    # the sign of C is rounding noise when the best constant is exact
+    rows.fail(
+        rows.y.min(axis=1) == rows.y.max(axis=1),
+        lambda _: DegenerateInput("flat power data; a2 is unidentifiable"),
+    )
     model = _Separable(rows.t, rows.y)
     with np.errstate(divide="ignore", invalid="ignore"):
         k, terminations, evaluations, errors = _search(model)
@@ -508,10 +505,8 @@ def _fit_exponential(rows: _Rows) -> None:
 
     def degenerate(j):
         if k[j] == 0:
-            return DegenerateInput(
-                "the best curve is the straight line, which the exponential "
-                "family reaches only as C -> inf"
-            )
+            return DegenerateInput("the best curve is the straight line, which the "
+                                   "exponential family reaches only as C -> inf")
         return DegenerateInput(f"best exponential scale C is {c[j]:.3g}; the family needs C > 0")
 
     a0, a1, a2, terminations, evaluations = rows.fail(

@@ -53,9 +53,8 @@ def _check_sample(time_s: float, temp_c: float, power_w: float, line_no=None) ->
 
 
 def check_samples(time_s, temp_c, power_w, line_of=None) -> None:
-    """Raise the InvalidSample a TraceSample would for the first row of the
-    float arrays with a non-finite value, a negative time or a
-    non-positive power; line_of(i) names row i's file line."""
+    """Raise the InvalidSample a TraceSample would for the first bad row;
+    line_of(i) names row i's file line."""
     bad = ~np.isfinite(time_s) | ~np.isfinite(temp_c) | ~np.isfinite(power_w)
     bad |= (time_s < 0) | ~(power_w > 0)
     if bad.any():

@@ -181,6 +181,8 @@ def ref_fit_exponential(data):
     t, y = ref_xy(data)
     if len(np.unique(t)) < 3:
         raise DegenerateInput("exponential fit needs >= 3 distinct temperatures")
+    if y.min() == y.max():
+        raise DegenerateInput("flat power data; a2 is unidentifiable")
     model = RefSeparable(t, y)
     a, k, b, fk, limit = ref_bracket(model.objective, 0.0, -_LOG_TINY, _LOG_TINY)
     a, k, b, fk = ref_brent(model.objective, a, k, b, fk)

@@ -115,6 +115,9 @@ def test_exponential_three_point_interpolation():
 def test_exponential_constant_power_degenerate():
     with pytest.raises(DegenerateInput):
         fit_exponential(([30.0, 40.0, 50.0, 60.0], [2.0, 2.0, 2.0, 2.0]))
+    # here the rounding noise of the best constant gives a C > 0
+    with pytest.raises(DegenerateInput, match="flat"):
+        fit_exponential((np.linspace(25.0, 85.0, 1000), np.full(1000, 1.1)))
 
 
 def test_exponential_needs_three_distinct_temperatures():
