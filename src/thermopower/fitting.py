@@ -595,10 +595,10 @@ def fit_exponential(data) -> FitResult:
     minimum cannot be told apart from that limit, the result has
     converged=False and termination "exp_range_limit", otherwise
     termination is "converged".  iterations counts objective evaluations.
-    Raises DegenerateInput when the best C is not positive (concave or
-    flat data, say), or when the best curve is the straight line, which
-    the family reaches only as C -> inf: the family cannot represent the
-    data.
+    Raises DegenerateInput when the best C is not positive (concave data,
+    say), when the best curve is the straight line, which the family
+    reaches only as C -> inf, or when the powers are all equal: the family
+    cannot represent the data.
     """
     return fit(data, FitKind.EXPONENTIAL)
 
