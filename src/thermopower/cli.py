@@ -275,7 +275,7 @@ def _observation(entry):
             int(entry["cores"]),
             ModelParams(float(entry["a0"]), float(entry["a1"]), float(entry["a2"])),
         )
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:  # OverflowError: int() of an infinite count
         raise InvalidParams(f"observation fields must be numbers: {exc}") from None
 
 

@@ -332,6 +332,14 @@ def test_calibrate_list_of_numbers_exit_2(tmp_path, capsys):
     assert "Traceback" not in err and "must be an object" in err
 
 
+def test_calibrate_infinite_core_count_exit_2(tmp_path, capsys):
+    path = tmp_path / "obs.json"
+    path.write_text('[{"freq_ghz": 1.0, "cores": 1e999, "a0": 0.1, "a1": 50.0, "a2": 33.0}]')
+    code, _, err = run_cli(["model", "calibrate", path], capsys)
+    assert code == 2
+    assert "Traceback" not in err and "must be numbers" in err
+
+
 def test_calibrate_insufficient_span_exit_1(tmp_path, capsys):
     directory = write_observations(tmp_path, freqs=(0.5, 0.6))
     code, report, _ = run_json(["model", "calibrate", directory], capsys)
