@@ -18,7 +18,9 @@ were recorded.
 the built-in A7/A15 power models at assorted operating points, with 2, 5
 or 10 mW of noise (seeds 0-39, every fourth rounded to 0.5 mW), and
 concave0-2 fall away from a parabola's peak, which the exponential family
-cannot fit.
+cannot fit.  ``observations.json`` holds 18 (freq, cores, a0, a1, a2)
+observations of the built-in A15 model over 5 frequencies, rounded to 4
+significant digits, with a2 moved by up to 0.8%.
 """
 
 import shutil
@@ -66,6 +68,9 @@ CASES = {
     "model_eval": (
         ["model", "eval", "--proc", "A15", "--temp", "63.5", "--freq", "1.4",
          "--cores", "3"], 0, []),
+    "model_calibrate": (
+        ["model", "calibrate", "observations.json", "--label", "A15obs",
+         "--out", "coeffs.json"], 0, ["coeffs.json"]),
 }
 
 
