@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: fit, model eval, model calibrate, debias, sensor-correct, gen.
-Every run produces a JSON-serializable report {schema, tool, command,
-inputs, results, warnings}; --json prints it instead of the human summary.
+Every run produces a report {schema, tool, command, inputs, results,
+warnings}; --json prints it instead of the human summary.  Reports are
+strict JSON with sorted keys and a 2-space indent, non-finite numbers
+written as null.
 Output is byte-deterministic for fixed inputs and flags: reports carry no
 timestamps, input files are identified by content digest, and ANSI styling
 is dropped when stdout is not a terminal or THERMO_NO_COLOR is set.
@@ -21,6 +23,7 @@ import math
 import os
 import sys
 import warnings
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -68,15 +71,50 @@ def _digest(data: bytes) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
-def _sanitize(obj):
-    """Replace non-finite floats with None so reports stay strict JSON."""
+def _text(obj, nl: str = "\n") -> str:
+    """obj as json.dumps(obj, sort_keys=True, indent=2) writes it, but with
+    non-finite floats as null, so reports stay strict JSON.  nl is a newline
+    and the indent of the line obj starts on."""
     if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
+        return float.__repr__(obj) if math.isfinite(obj) else "null"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True or obj is False:
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = nl + "  "
     if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    return obj
+        body = [_text(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(body) + nl + "]" if body else "[]"
+    if isinstance(obj, dict):
+        # encode_basestring_ascii raises TypeError on a key that is not a str
+        body = [encode_basestring_ascii(k) + ": " + _text(v, inner)
+                for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(body) + nl + "}" if body else "{}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _chunks(obj, nl: str = "\n", depth: int = 3):
+    """_text(obj, nl) in pieces: lists and dicts down to depth levels are
+    written one member at a time, so a report is never held as one string."""
+    if depth == 0 or not isinstance(obj, (list, tuple, dict)) or not obj:
+        yield _text(obj, nl)
+        return
+    inner = nl + "  "
+    if isinstance(obj, dict):
+        opening, closing = "{", "}"
+        members = [(encode_basestring_ascii(k) + ": ", v) for k, v in sorted(obj.items())]
+    else:
+        opening, closing = "[", "]"
+        members = [("", v) for v in obj]
+    for prefix, value in members:
+        yield opening + inner + prefix
+        yield from _chunks(value, inner, depth - 1)
+        opening = ","
+    yield nl + closing
 
 
 class _Run:
@@ -102,19 +140,14 @@ class _Run:
         return result
 
     def report(self, results) -> dict:
-        return _sanitize(
-            {
-                "schema": 1,
-                "tool": {"name": "thermo", "version": __version__},
-                "command": self.argv,
-                "inputs": self.inputs,
-                "results": results,
-                "warnings": self.warnings,
-            }
-        )
-
-
-_REPORT_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
+        return {
+            "schema": 1,
+            "tool": {"name": "thermo", "version": __version__},
+            "command": self.argv,
+            "inputs": self.inputs,
+            "results": results,
+            "warnings": self.warnings,
+        }
 
 
 def _emit(args, report: dict, human_lines: list[str]) -> None:
@@ -123,10 +156,9 @@ def _emit(args, report: dict, human_lines: list[str]) -> None:
         if args.out_report:
             sinks.append(stack.enter_context(open(args.out_report, "w", encoding="utf-8")))
         if sinks:
-            # serialize once, streaming each piece to every sink: joined
-            # into one string, the encoder's pieces of a fleet-sized report
-            # take several times the report's size in memory
-            for chunk in _REPORT_ENCODER.iterencode(report):
+            # serialize once, streaming each piece to every sink: a
+            # fleet-sized report as one string costs more memory than the fits
+            for chunk in _chunks(report):
                 for sink in sinks:
                     sink.write(chunk)
             for sink in sinks:
@@ -299,10 +331,7 @@ def cmd_model_calibrate(args, run: _Run) -> tuple[int, dict, list[str]]:
     coeffs, diag = calibrate(obs, label=args.label)
     results = {"coeffs": coeffs.to_dict(), "diagnostics": diag.to_dict()}
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(coeffs.to_dict(), sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
-        )
+        Path(args.out).write_text(_text(coeffs.to_dict()) + "\n", encoding="utf-8")
         results["output"] = args.out
     lines = [
         f"label: {coeffs.label}",
