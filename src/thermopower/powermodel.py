@@ -152,6 +152,15 @@ class CalibrationDiagnostics:
         }
 
 
+def _check_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise SingularFit(
+                f"calibration {name} is {value!r}: the observations leave the double range"
+            )
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # _check_finite reports it
 def calibrate(
     observations: Sequence[tuple[float, int, ModelParams]],
     label: str = "calibrated",
@@ -163,7 +172,8 @@ def calibrate(
     stages: an affine regression of a0 on c within each frequency yields
     g_s(f) (slope) and g_o(f) (intercept); g_s is then fitted quadratically
     in f for (m1, m2, m3), and m4 is the mean of g_s/g_o over the usable
-    frequencies.
+    frequencies.  Raises SingularFit when a coefficient or a residual
+    summary leaves the double range.
     """
     obs = [(float(f), int(c), p) for f, c, p in observations]
     freqs = sorted({f for f, _, _ in obs})
@@ -215,6 +225,7 @@ def calibrate(
     if m4 == 0 or not math.isfinite(m4):
         raise SingularFit("degenerate g_s/g_o ratio")
 
+    _check_finite(m1=m1, m2=m2, m3=m3, m5=m5, m6=m6, m7=m7, a2=a2)
     result = CoefficientSet(label, m1, m2, m3, m4, m5, m6, m7, a2)
     a1_res, a0_res = [], []
     for f, c, p in obs:
@@ -228,4 +239,5 @@ def calibrate(
         a2_spread=float(max(p.a2 for _, _, p in obs) - min(p.a2 for _, _, p in obs)),
         used_freqs=tuple(used),
     )
+    _check_finite(a1_rms=diag.a1_rms, a0_rms=diag.a0_rms, a2_spread=diag.a2_spread)
     return result, diag

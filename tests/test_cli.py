@@ -340,6 +340,21 @@ def test_calibrate_infinite_core_count_exit_2(tmp_path, capsys):
     assert "Traceback" not in err and "must be numbers" in err
 
 
+@pytest.mark.filterwarnings("error")
+def test_calibrate_residual_overflow_exit_1(tmp_path, capsys):
+    from thermopower.powermodel import builtin_set, derive_params
+
+    obs = [{"freq_ghz": f, "cores": c, "a0": p.a0, "a1": p.a1, "a2": p.a2}
+           for f in (0.4, 0.6, 0.8) for c in (1, 2, 3)
+           for p in [derive_params(builtin_set("A7"), f, c)]]
+    obs[4]["a0"] = 1e300
+    path = tmp_path / "obs.json"
+    path.write_text(json.dumps(obs))
+    code, report, err = run_json(["model", "calibrate", path], capsys)
+    assert code == 1 and err == ""
+    assert report["results"]["error"].startswith("SingularFit: calibration a0_rms is inf")
+
+
 def test_calibrate_insufficient_span_exit_1(tmp_path, capsys):
     directory = write_observations(tmp_path, freqs=(0.5, 0.6))
     code, report, _ = run_json(["model", "calibrate", directory], capsys)
