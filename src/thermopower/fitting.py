@@ -495,7 +495,13 @@ def _fit_exponential(rows: _Rows) -> None:
         rows.y.min(axis=1) == rows.y.max(axis=1),
         lambda _: DegenerateInput("flat power data; a2 is unidentifiable"),
     )
-    model = _Separable(rows.t, rows.y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        model = _Separable(rows.t, rows.y)
+    wide = ~np.isfinite(model.uu)
+    if wide.any():  # build the model again without those rows
+        rows.fail(wide, lambda _: DegenerateInput(
+            "the powers span more than the double range: the weights (max P / P)^2 overflow"))
+        model = _Separable(rows.t, rows.y)
     with np.errstate(divide="ignore", invalid="ignore"):
         k, terminations, evaluations, errors = _search(model)
         ids, k, terminations, evaluations = rows.drop(
@@ -598,7 +604,8 @@ def fit_exponential(data) -> FitResult:
     Raises DegenerateInput when the best C is not positive (concave data,
     say), when the best curve is the straight line, which the family
     reaches only as C -> inf, or when the powers are all equal: the family
-    cannot represent the data.
+    cannot represent the data.  So it does when the powers span so wide a
+    range that the squared weights (max P / P)^2 overflow.
     """
     return fit(data, FitKind.EXPONENTIAL)
 

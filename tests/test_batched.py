@@ -471,6 +471,21 @@ def test_huge_and_tiny_powers_fit_like_their_unit_scale_twin():
     assert_same_comparison(huge, {})
 
 
+@pytest.mark.filterwarnings("error")
+def test_powers_spanning_more_than_the_double_range_fail_alone():
+    t = [30.0, 40.0, 50.0, 60.0]
+    ok = (t, [1.0, 1.2, 1.5, 2.0])
+    wide = [(t, [1e-300, 1.2, 1.5, 1e300]), (t, [5e-324, 1.2, 1.5, 2.0]),
+            (t, [1e-20, 1e-10, 1.5, 1e150])]
+    out = fit_batch([ok, *wide, ok], FitKind.EXPONENTIAL)
+    assert out[0] == out[-1] == fit_exponential(ok)
+    for r in out[1:-1]:
+        assert isinstance(r, DegenerateInput)
+        assert str(r).startswith("the powers span more than the double range")
+    with pytest.raises(DegenerateInput, match="span more than the double range"):
+        fit_exponential(wide[0])
+
+
 def test_fleet_across_the_default_block_boundary():
     assert fitting.BLOCK < 520
     rng = np.random.default_rng(7)
