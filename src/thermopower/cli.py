@@ -457,14 +457,22 @@ def cmd_sensor_correct(args, run: _Run) -> tuple[int, dict, list[str]]:
 
 def cmd_gen(args, run: _Run) -> tuple[int, dict, list[str]]:
     meta = TraceMeta(args.processor, args.freq, args.cores)
-    trace = generate_synthetic_trace(
-        meta,
-        tuple(args.params),
-        (args.sweep[0], args.sweep[1], int(args.sweep[2])),
-        noise=args.noise,
-        quantum=args.quantum,
-        seed=args.seed,
-    )
+    lo, hi, count = args.sweep
+    if not count.is_integer():  # False for inf and nan as well
+        raise InvalidParams(f"--sweep COUNT must be a whole number, got {count!r}")
+    try:
+        trace = generate_synthetic_trace(
+            meta,
+            tuple(args.params),
+            (lo, hi, int(count)),
+            noise=args.noise,
+            quantum=args.quantum,
+            seed=args.seed,
+        )
+    except MemoryError:
+        raise InvalidParams(
+            f"--sweep COUNT {int(count)} is more samples than fit in memory"
+        ) from None
     text = write_trace(trace)
     Path(args.out).write_text(text, encoding="utf-8")
     digest = _digest(text.encode("utf-8"))

@@ -96,6 +96,21 @@ def test_gen_rejects_bad_params(tmp_path, capsys):
     assert "error:" in err
 
 
+# 1e15 samples fail numpy's allocation at once
+@pytest.mark.parametrize("count, message", [
+    ("1e999", "must be a whole number, got inf"),
+    ("20.5", "must be a whole number, got 20.5"),
+    ("1e15", "more samples than fit in memory"),
+])
+def test_gen_bad_sweep_count_exit_2(tmp_path, capsys, count, message):
+    code, _, err = run_cli(
+        ["gen", "--params", "0.3,100,33", "--sweep", f"25,85,{count}",
+         "--seed", "1", "--out", tmp_path / "g.csv"], capsys)
+    assert code == 2
+    assert err.startswith("error: gen: --sweep COUNT") and message in err
+    assert len(err.splitlines()) == 1
+
+
 # --- fit ---
 
 def test_fit_linear_recovers_exact_line(tmp_path, capsys):
