@@ -4,11 +4,13 @@ group aggregation, and an exact paired sign test.
 All three fit families minimize the same objective, the sum of squared
 relative residuals sum(((model_i - y_i)/y_i)**2), so the reported error
 sqrt(objective) is exactly the minimized quantity.  Linear and quadratic
-fits solve it in closed form as weighted least squares with weights
-1/y_i**2.  The exponential fit uses variable projection: at each rate the
-offset and scale come from the same kind of weighted solve, leaving a 1-D
-Brent search over the rate (see fit_exponential).  FitResult.termination
-says why a fit stopped: "converged", or the rate limit it reached.
+fits solve it as weighted least squares with weights 1/y_i**2 by modified
+Gram-Schmidt, and fail when some column's remainder is at most
+eps*max(n, p) of the column, in norm (see _lstsq).  The exponential fit
+uses variable projection: at each rate the offset and scale come from the
+same kind of weighted solve, leaving a 1-D Brent search over the rate (see
+fit_exponential).  FitResult.termination says why a fit stopped:
+"converged", or the rate limit it reached.
 
 Fits run over batches (fit_batch).  Traces of one length are stacked as
 the rows of (m, n) arrays, up to BLOCK of them, and every numpy step
@@ -155,7 +157,7 @@ def fit_error(measured: Sequence[float], model: Sequence[float]) -> float:
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a[i] @ b[i] for every row i.  A stacked matmul of a row by a column
     is the dot product that a 1-D a[i] @ b[i] takes, bit for bit."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def _distinct(t: np.ndarray) -> np.ndarray:
@@ -190,25 +192,6 @@ class _Rows:
         self.t, self.y, self.ids = self.t[keep], self.y[keep], self.ids[keep]
         return tuple(a[keep] for a in arrays)
 
-    def drop(self, errors: dict[int, Exception], *arrays):
-        """fail() each live row j in errors with errors[j]."""
-        bad = np.zeros(len(self.ids), bool)
-        bad[list(errors)] = True
-        return self.fail(bad, errors.__getitem__, *arrays)
-
-    def solve(self, fn, *arrays) -> list:
-        """fn(*row) for every live row of arrays.  A row whose fn raises
-        fails with that exception, as its fit alone would have; the list
-        holds the values of the rows left."""
-        values, errors = [], {}
-        for j, row in enumerate(zip(*arrays)):
-            try:
-                values.append(fn(*row))
-            except Exception as exc:  # the trace's failure, not the batch's
-                errors[j] = exc.with_traceback(None)
-        self.drop(errors)
-        return values
-
     def finish(self, kind: FitKind, coeffs, errors, iterations=None, terminations=None):
         """Store a FitResult for every live row."""
         n = len(self.ids)
@@ -220,33 +203,47 @@ class _Rows:
             self.out[i] = FitResult(kind, tuple(c), e, it, why == "converged", why)
 
 
+@np.errstate(divide="ignore", invalid="ignore")
+def _lstsq(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares x of a @ x ~ b for every (n, p) design a[..., :, :] and
+    target b[..., :], and a mask of the rank-deficient designs, whose x
+    means nothing.  Modified Gram-Schmidt with b carried along as the
+    residual (Björck, BIT 7, 1967), on columns scaled by powers of two,
+    which is exact and keeps their dot products in range.  Rank-deficient:
+    some column's remainder has a squared norm at most (eps*max(n, p))**2
+    times the column's own, lstsq's default rcond taken column by column.
+    """
+    n, p = a.shape[-2:]
+    e = np.frexp(np.abs(a).max(axis=-2, initial=0.0))[1]
+    # contiguous columns: a dot product over a strided row may sum in another order
+    w = [np.ldexp(a[..., j], -e[..., j, None]) for j in range(p)]
+    u, (z, ww, aa) = np.zeros((*e.shape, p)), np.zeros((3, *e.shape))
+    for j in range(p):
+        aa[..., j] = _dots(w[j], w[j])
+        for i in range(j):
+            u[..., i, j] = _dots(w[i], w[j]) / ww[..., i]
+            w[j] = w[j] - u[..., i, j, None] * w[i]
+        ww[..., j] = _dots(w[j], w[j])
+        z[..., j] = _dots(w[j], b) / ww[..., j]
+        b = b - z[..., j, None] * w[j]
+    for j, k in [(j, k) for j in range(p - 2, -1, -1) for k in range(j + 1, p)]:
+        z[..., j] -= u[..., j, k] * z[..., k]  # back-substitution
+    return np.ldexp(z, -e), ~(ww > (sys.float_info.epsilon * max(n, p)) ** 2 * aa).all(axis=-1)
+
+
 def _fit_poly(rows: _Rows, degree: int, kind: FitKind) -> None:
-    rows.fail(
-        _distinct(rows.t) < degree + 1,
-        lambda _: DegenerateInput(f"{kind.value} fit needs >= {degree + 1} distinct temperatures"),
-    )
+    rows.fail(_distinct(rows.t) < degree + 1, lambda _: DegenerateInput(
+        f"{kind.value} fit needs >= {degree + 1} distinct temperatures"))
     t, y = rows.t, rows.y
     # minimize sum((p(t_i)/y_i - 1)^2): rows [t^d/y ... 1/y], target 1
     with np.errstate(over="ignore", invalid="ignore"):
         design = np.stack([t**k / y for k in range(degree, -1, -1)], axis=2)
-    # LAPACK's least squares may never return on an infinite entry
-    (design,) = rows.fail(
-        ~np.isfinite(design).all(axis=(1, 2)),
-        lambda _: DegenerateInput(f"{kind.value} fit design matrix T^k/P leaves the double range"),
-        design,
-    )
-    target = np.ones(t.shape[1])
-
-    def solve(a):
-        coeffs, _, rank, _ = np.linalg.lstsq(a, target, rcond=None)
-        if rank < degree + 1:
-            raise DegenerateInput(f"{kind.value} fit design matrix is rank-deficient")
-        return coeffs
-
-    coeffs = np.array(rows.solve(solve, design)).reshape(-1, degree + 1)
-    model = np.zeros_like(rows.t)  # np.polyval over rows
-    for c in coeffs.T:
-        model = model * rows.t + c[:, None]
+    (design,) = rows.fail(~np.isfinite(design).all(axis=(1, 2)), lambda _: DegenerateInput(
+        f"{kind.value} fit design matrix T^k/P leaves the double range"), design)
+    coeffs, singular = _lstsq(design, np.ones_like(rows.y))
+    (coeffs,) = rows.fail(singular, lambda _: DegenerateInput(
+        f"{kind.value} fit design matrix is rank-deficient"), coeffs)
+    model = _curve(kind, coeffs.T[:, :, None], rows.t)
     rows.finish(kind, coeffs, _errors(rows.y, model))
 
 
@@ -504,8 +501,9 @@ def _fit_exponential(rows: _Rows) -> None:
         model = _Separable(rows.t, rows.y)
     with np.errstate(divide="ignore", invalid="ignore"):
         k, terminations, evaluations, errors = _search(model)
-        ids, k, terminations, evaluations = rows.drop(
-            errors, np.arange(len(k)), k, terminations, evaluations
+        ids, k, terminations, evaluations = rows.fail(
+            np.isin(np.arange(len(k)), list(errors)), errors.__getitem__,
+            np.arange(len(k)), k, terminations, evaluations,
         )
         a0, a1, a2, c = model.params(k, ids)
 

@@ -27,7 +27,7 @@ from .errors import (
     InvalidParams,
     SingularFit,
 )
-from .fitting import exp_curve
+from .fitting import _lstsq, exp_curve
 from .trace import _check_operating_point
 
 
@@ -172,8 +172,9 @@ def calibrate(
     stages: an affine regression of a0 on c within each frequency yields
     g_s(f) (slope) and g_o(f) (intercept); g_s is then fitted quadratically
     in f for (m1, m2, m3), and m4 is the mean of g_s/g_o over the usable
-    frequencies.  Raises SingularFit when a coefficient or a residual
-    summary leaves the double range.
+    frequencies.  Each regression is fitting._lstsq.  Raises SingularFit
+    when a regression design is rank-deficient or a coefficient or a
+    residual summary leaves the double range.
     """
     obs = [(float(f), int(c), p) for f, c, p in observations]
     freqs = sorted({f for f, _, _ in obs})
@@ -191,14 +192,12 @@ def calibrate(
     if a2 == 0:
         raise SingularFit("observed a2 values average to zero")
 
-    f_arr = np.array([f for f, _, _ in obs])
-    c_arr = np.array([c for _, c, _ in obs], float)
-    a1_arr = np.array([p.a1 for _, _, p in obs])
+    f_arr, c_arr, a1_arr = np.array([(f, c, p.a1) for f, c, p in obs]).T
     design = np.column_stack([f_arr, np.ones_like(f_arr), 5.0 - c_arr])
-    sol, _, rank, _ = np.linalg.lstsq(design, a1_arr, rcond=None)
-    if rank < 3:
+    sol, singular = _lstsq(design, a1_arr)
+    if singular:
         raise SingularFit("a1 regression design is rank-deficient")
-    m5, m6, m7 = map(float, sol)
+    m5, m6, m7 = sol.tolist()
 
     # per-frequency affine structure of a0 in c
     gs_list, go_list, used = [], [], []
@@ -206,9 +205,8 @@ def calibrate(
         rows = [(c, p.a0) for ff, c, p in obs if ff == f]
         if len({c for c, _ in rows}) < 2:
             continue
-        cs = np.array([c for c, _ in rows], float)
-        a0s = np.array([a0 for _, a0 in rows])
-        slope, intercept = np.polyfit(cs, a0s, 1)
+        cs, a0s = np.array(rows).T
+        (slope, intercept), _ = _lstsq(np.vander(cs, 2), a0s)  # >= 2 core counts: full rank
         gs_list.append(float(slope))
         go_list.append(float(intercept))
         used.append(f)
@@ -217,7 +215,10 @@ def calibrate(
             f"need >= 3 frequencies with >= 2 core counts each to shape g_s(f); "
             f"got {len(used)}"
         )
-    m3, m2, m1 = map(float, np.polyfit(np.array(used), np.array(gs_list), 2))
+    sol, singular = _lstsq(np.vander(used, 3), np.array(gs_list))
+    if singular:
+        raise SingularFit("g_s quadratic design is rank-deficient")
+    m3, m2, m1 = sol.tolist()
     ratios = np.array(gs_list) / np.array(go_list)
     if not np.all(np.isfinite(ratios)):
         raise SingularFit("a0 intercept g_o is zero at some frequency")

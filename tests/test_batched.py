@@ -56,12 +56,29 @@ def ref_poly_fit(data, degree, kind):
     t, y = ref_xy(data)
     if len(np.unique(t)) < degree + 1:
         raise DegenerateInput(f"{kind.value} fit needs >= {degree + 1} distinct temperatures")
-    design = np.column_stack([t**k / y for k in range(degree, -1, -1)])
-    coeffs, _, rank, _ = np.linalg.lstsq(design, np.ones_like(y), rcond=None)
-    if rank < degree + 1:
-        raise DegenerateInput(f"{kind.value} fit design matrix is rank-deficient")
-    model = np.polyval(coeffs, t)
-    return FitResult(kind, tuple(map(float, coeffs)), ref_fit_error(y, model), 0, True)
+    design = [t**k / y for k in range(degree, -1, -1)]
+    # modified Gram-Schmidt on columns scaled by powers of two, with the
+    # target carried along as the residual, then back-substitution
+    e = [math.frexp(float(np.abs(a).max()))[1] for a in design]
+    tol = (sys.float_info.epsilon * max(len(t), degree + 1)) ** 2
+    done, u, z, r = [], {}, [], np.ones_like(y)
+    for j, w in enumerate(np.ldexp(a, -ej) for a, ej in zip(design, e)):
+        aa = float(w @ w)
+        for i, (v, vv) in enumerate(done):
+            u[i, j] = float(v @ w) / vv
+            w = w - u[i, j] * v
+        ww = float(w @ w)
+        if not ww > tol * aa:
+            raise DegenerateInput(f"{kind.value} fit design matrix is rank-deficient")
+        z.append(float(w @ r) / ww)
+        r = r - z[j] * w
+        done.append((w, ww))
+    for j in range(degree - 1, -1, -1):
+        for k in range(j + 1, degree + 1):
+            z[j] -= u[j, k] * z[k]
+    coeffs = tuple(math.ldexp(zj, -ej) for zj, ej in zip(z, e))
+    model = ref_predict(FitResult(kind, coeffs, 0.0, 0, True), t)
+    return FitResult(kind, coeffs, ref_fit_error(y, model), 0, True)
 
 
 class RefSeparable:

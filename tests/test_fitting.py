@@ -96,6 +96,33 @@ def test_quadratic_degenerate_temperatures():
         fit_quadratic(([30.0, 30.0, 40.0], [1.0, 1.0, 1.2]))
 
 
+# temperatures closer together than usual: a design is rank-deficient only
+# when a column's Gram-Schmidt remainder vanishes beside the column itself,
+# however the columns differ in scale
+NEAR_SINGULAR = [
+    ([50.0, 50.0 + 1e-12, 50.0 + 2e-12], fit_linear, "fits"),
+    ([50.0, 50.0 + 1e-12, 50.0 + 2e-12], fit_quadratic, "rank-deficient"),
+    ([50.0, 50.0 + 1e-9, 60.0], fit_linear, "fits"),
+    ([50.0, 50.0 + 1e-9, 60.0], fit_quadratic, "fits"),
+    ([1e4, 1e4 + 1.0, 1e4 + 2.0], fit_linear, "fits"),
+    ([1e4, 1e4 + 1.0, 1e4 + 2.0], fit_quadratic, "fits"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(("temps", "fitter", "outcome"), NEAR_SINGULAR,
+                         ids=[f"{t[1] - t[0]:g}-{f.__name__}" for t, f, _ in NEAR_SINGULAR])
+def test_near_singular_polynomial_designs(temps, fitter, outcome):
+    powers = [1.0, 1.1, 1.2]
+    if outcome == "rank-deficient":
+        with pytest.raises(DegenerateInput, match="design matrix is rank-deficient"):
+            fitter((temps, powers))
+        return
+    r = fitter((temps, powers))
+    assert r.converged and all(map(math.isfinite, r.coeffs))
+    assert r.error == fit_error(powers, r.predict(np.array(temps)))
+
+
 # --- exponential ---
 
 def test_exponential_noiseless_recovery():

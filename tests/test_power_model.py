@@ -184,6 +184,15 @@ def test_calibration_singular_when_core_span_is_local():
         calibrate(obs)
 
 
+def test_calibration_singular_when_freq_is_affine_in_cores():
+    # f = 0.4 + 0.2*c makes the a1 design's columns (f, 1, 5 - c) dependent
+    a15 = builtin_set("A15")
+    obs = [(0.4 + 0.2 * c, c, derive_params(a15, 0.4 + 0.2 * c, c))
+           for c in (1, 2, 3) for _ in range(3)]
+    with pytest.raises(SingularFit, match="^a1 regression design is rank-deficient$"):
+        calibrate(obs)
+
+
 def test_coefficient_set_dict_round_trip():
     cs = builtin_set("A15")
     again = CoefficientSet.from_dict(cs.to_dict())
