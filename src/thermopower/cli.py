@@ -301,14 +301,21 @@ def cmd_model_eval(args, run: _Run) -> tuple[int, dict, list[str]]:
 def _observation(entry):
     if not isinstance(entry, dict):
         raise InvalidParams(f"an observation must be an object, got {entry!r}")
+    freq, cores = entry["freq_ghz"], entry["cores"]
     try:
-        return (
-            float(entry["freq_ghz"]),
-            int(entry["cores"]),
+        obs = (
+            float(freq),
+            int(cores),
             ModelParams(float(entry["a0"]), float(entry["a1"]), float(entry["a2"])),
         )
     except (TypeError, OverflowError) as exc:  # OverflowError: int() of an infinite count
         raise InvalidParams(f"observation fields must be numbers: {exc}") from None
+    if isinstance(freq, bool) or isinstance(cores, bool) or obs[1] != cores:
+        raise InvalidParams(
+            f"an observation needs a number of GHz and a whole number of cores, "
+            f"got freq_ghz {freq!r} and cores {cores!r}"
+        )
+    return obs
 
 
 def _observation_list(data: bytes):
@@ -584,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_INPUT_ERRORS = (OSError, ValueError, KeyError, json.JSONDecodeError)
+_INPUT_ERRORS = (OSError, ValueError, KeyError)  # ValueError covers json.JSONDecodeError
 # errors in what the user supplied, not failures of a computation
 _INPUT_STAGE = (MalformedRow, EmptyTrace, MissingMeta, InvalidSample, InvalidParams)
 

@@ -47,6 +47,8 @@ class ModelParams:
             raise InvalidParams("a2 must be nonzero")
 
     def power(self, temp: float) -> float:
+        if not math.isfinite(temp):
+            raise InvalidParams(f"temperature must be finite, got {temp!r}")
         return exp_curve(temp, self.a1, self.a2) + self.a0
 
 
@@ -172,11 +174,14 @@ def calibrate(
     stages: an affine regression of a0 on c within each frequency yields
     g_s(f) (slope) and g_o(f) (intercept); g_s is then fitted quadratically
     in f for (m1, m2, m3), and m4 is the mean of g_s/g_o over the usable
-    frequencies.  Each regression is fitting._lstsq.  Raises SingularFit
-    when a regression design is rank-deficient or a coefficient or a
-    residual summary leaves the double range.
+    frequencies.  Each regression is fitting._lstsq.  Raises InvalidParams
+    for an operating point TraceMeta would reject, and SingularFit when a
+    regression design is rank-deficient or a coefficient or a residual
+    summary leaves the double range.
     """
-    obs = [(float(f), int(c), p) for f, c, p in observations]
+    for f, c, _ in observations:
+        _check_operating_point(f, c)
+    obs = [(float(f), c, p) for f, c, p in observations]
     freqs = sorted({f for f, _, _ in obs})
     cores_seen = {c for _, c, _ in obs}
     if len(obs) < 8 or len(freqs) < 3 or len(cores_seen) < 2:
@@ -185,8 +190,6 @@ def calibrate(
             f"(got {len(obs)} observations, {len(freqs)} frequencies, "
             f"{len(cores_seen)} core counts)"
         )
-    for f, c, _ in obs:
-        _check_operating_point(f, c)
 
     a2 = float(np.mean([p.a2 for _, _, p in obs]))
     if a2 == 0:

@@ -84,9 +84,12 @@ class TraceMeta:
 
 
 def _check_operating_point(freq: float, cores: int) -> None:
-    if not (isinstance(freq, (int, float)) and math.isfinite(freq) and freq > 0):
+    # bool is an int subclass, but True is not a frequency or a core count
+    if isinstance(freq, bool) or not (
+        isinstance(freq, (int, float)) and math.isfinite(freq) and freq > 0
+    ):
         raise InvalidFreq(f"freq must be a positive number of GHz, got {freq!r}")
-    if not isinstance(cores, int) or not 1 <= cores <= 4:
+    if isinstance(cores, bool) or not isinstance(cores, int) or not 1 <= cores <= 4:
         raise InvalidCores(f"cores must be an integer in 1..4, got {cores!r}")
 
 
@@ -341,23 +344,28 @@ def generate_synthetic_trace(
     taken at 5 Hz starting at t=0.  Gaussian noise (std-dev ``noise`` watts)
     is added, then each power is rounded to the nearest multiple of
     ``quantum`` when quantum > 0 to mimic sensor granularity.  Output is
-    deterministic for a fixed seed.
+    deterministic for a fixed seed.  Every setting must be finite; a power
+    that leaves the double range raises the InvalidSample a Trace of it
+    would.
     """
     a0, a1, a2 = params
     temp_lo, temp_hi, count = sweep
+    if not all(map(math.isfinite, (a0, a1, a2, temp_lo, temp_hi))):
+        raise InvalidParams(f"params and sweep ends must be finite, got {params!r} and {sweep!r}")
     if a2 == 0:
         raise InvalidParams("a2 must be nonzero")
     if count < 3:
         raise InvalidParams(f"sample count must be >= 3, got {count}")
-    if noise < 0:
-        raise InvalidParams(f"noise must be >= 0, got {noise!r}")
-    if quantum < 0:
-        raise InvalidParams(f"quantum must be >= 0, got {quantum!r}")
-    temps = np.linspace(temp_lo, temp_hi, count)
-    powers = np.exp((temps - a1) / a2) + a0
-    if noise > 0:
-        rng = np.random.default_rng(seed)
-        powers = powers + rng.normal(0.0, noise, count)
-    if quantum > 0:
-        powers = np.round(powers / quantum) * quantum
+    if not 0 <= noise < math.inf:  # false for nan too
+        raise InvalidParams(f"noise must be finite and >= 0, got {noise!r}")
+    if not 0 <= quantum < math.inf:
+        raise InvalidParams(f"quantum must be finite and >= 0, got {quantum!r}")
+    with np.errstate(over="ignore", invalid="ignore"):  # the Trace rejects what overflows
+        temps = np.linspace(temp_lo, temp_hi, count)
+        powers = np.exp((temps - a1) / a2) + a0
+        if noise > 0:
+            rng = np.random.default_rng(seed)
+            powers = powers + rng.normal(0.0, noise, count)
+        if quantum > 0:
+            powers = np.round(powers / quantum) * quantum
     return Trace.from_columns(meta, 0.2 * np.arange(count), temps, powers)

@@ -370,6 +370,28 @@ def test_calibrate_residual_overflow_exit_1(tmp_path, capsys):
     assert report["results"]["error"].startswith("SingularFit: calibration a0_rms is inf")
 
 
+@pytest.mark.parametrize("field", ['"cores": 2.5', '"cores": true', '"freq_ghz": true'])
+def test_calibrate_fractional_or_boolean_operating_point_exit_2(tmp_path, capsys, field):
+    directory = write_observations(tmp_path)
+    first = sorted(directory.iterdir())[0]
+    entry = json.loads(first.read_text())
+    entry.update(json.loads("{" + field + "}"))
+    first.write_text(json.dumps(entry))
+    code, out, err = run_cli(["model", "calibrate", directory], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {first}: an observation needs a number of GHz")
+
+
+def test_calibrate_whole_float_core_count_is_the_count(tmp_path, capsys):
+    directory = write_observations(tmp_path)
+    code, report, _ = run_json(["model", "calibrate", directory], capsys)
+    for path in directory.iterdir():
+        path.write_text(path.read_text().replace('"cores": 2', '"cores": 2.0'))
+    code_float, report_float, _ = run_json(["model", "calibrate", directory], capsys)
+    assert code == code_float == 0
+    assert report_float["results"] == report["results"]
+
+
 def test_calibrate_insufficient_span_exit_1(tmp_path, capsys):
     directory = write_observations(tmp_path, freqs=(0.5, 0.6))
     code, report, _ = run_json(["model", "calibrate", directory], capsys)
@@ -691,6 +713,49 @@ def test_bad_flag_value_names_the_command(tmp_path, capsys):
     code, _, err = run_cli(GEN + ["--cores", "7", "--out", tmp_path / "t.csv"], capsys)
     assert code == 2
     assert err == "error: gen: cores must be an integer in 1..4, got 7\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_gen_quantum_finer_than_the_powers_allow_exit_2(tmp_path, capsys):
+    code, out, err = run_cli(GEN + ["--quantum=1e-320", "--out", tmp_path / "g.csv"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: gen: power_w must be finite, got inf\n"
+
+
+# each float flag of each command, as --flag=VALUE with {} standing for
+# the value under test; the = form keeps argparse from taking -inf as a flag
+FLOAT_FLAGS = [
+    ("gen", "--noise={}"), ("gen", "--quantum={}"),
+    ("gen", "--params={},100.0,33.0"), ("gen", "--params=0.3,{},33.0"),
+    ("gen", "--params=0.3,100.0,{}"),
+    ("gen", "--sweep={},85,20"), ("gen", "--sweep=25,{},20"), ("gen", "--sweep=25,85,{}"),
+    ("gen", "--freq={}"),
+    ("model eval", "--temp={}"), ("model eval", "--freq={}"),
+    ("debias", "--ref-temp={}"), ("debias", "--eta={},0.001"), ("debias", "--eta=0.0001,{}"),
+    ("sensor-correct", "--alpha={}"), ("sensor-correct", "--a={}"), ("sensor-correct", "--b={}"),
+    ("sensor-correct", "--t-init={}"), ("sensor-correct", "--t-inf={}"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(("command", "flag"), FLOAT_FLAGS)
+def test_non_finite_float_flag_exit_2(tmp_path, capsys, command, flag, value):
+    series, _ = write_lagged_series(tmp_path)
+    base = {
+        "gen": ["gen", "--params=0.3,100.0,33.0", "--sweep=25,85,20", "--seed", "0",
+                "--out", tmp_path / "g.csv"],
+        "model eval": ["model", "eval", "--proc", "A7", "--temp=50", "--freq=1", "--cores", "2"],
+        "debias": ["debias", gen_trace(tmp_path, capsys), "--ref-temp=50", "--kind", "quad",
+                   "--out", tmp_path / "d.csv"],
+        "sensor-correct": ["sensor-correct", series, "--alpha", MODEL.alpha, "--a", MODEL.a,
+                           "--b", MODEL.b, "--t-init", MODEL.t_init, "--t-inf", MODEL.t_inf,
+                           "--out", tmp_path / "s.csv"],
+    }[command]
+    code, out, err = run_cli(base + [flag.format(value)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Warning" not in err and "Traceback" not in err
 
 
 # --- cold start ---

@@ -20,6 +20,7 @@ from thermopower.powermodel import (
     derive_params,
     evaluate_power,
 )
+from thermopower.trace import TraceMeta
 
 # independently hand-evaluated reference points, frozen before implementation
 A7_POWER_50C = 0.27320476245604647   # f=0.5, c=3
@@ -191,6 +192,28 @@ def test_calibration_singular_when_freq_is_affine_in_cores():
            for c in (1, 2, 3) for _ in range(3)]
     with pytest.raises(SingularFit, match="^a1 regression design is rank-deficient$"):
         calibrate(obs)
+
+
+@pytest.mark.parametrize(("freq", "cores"), [(1.0, 2.5), (1.0, True), (True, 2), (1.0, 2.0)])
+def test_calibration_rejects_fractional_or_boolean_operating_points(freq, cores):
+    obs = grid_observations(builtin_set("A15"))
+    obs[0] = (freq, cores, obs[0][2])
+    with pytest.raises(InvalidParams):
+        calibrate(obs)
+
+
+def test_operating_point_rejects_booleans():
+    with pytest.raises(InvalidCores):
+        TraceMeta("x", 1.0, True)
+    with pytest.raises(InvalidFreq):
+        TraceMeta("x", True, 2)
+
+
+def test_model_power_rejects_non_finite_temperature():
+    params = derive_params(builtin_set("A7"), 1.0, 2)
+    for temp in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidParams, match="temperature must be finite"):
+            params.power(temp)
 
 
 def test_coefficient_set_dict_round_trip():
