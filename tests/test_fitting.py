@@ -111,7 +111,7 @@ NEAR_SINGULAR = [
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(("temps", "fitter", "outcome"), NEAR_SINGULAR,
-                         ids=[f"{t[1] - t[0]:g}-{f.__name__}" for t, f, _ in NEAR_SINGULAR])
+                         ids=[f"{t[0]:g}+{t[1] - t[0]:.0e}-{f.__name__}" for t, f, _ in NEAR_SINGULAR])
 def test_near_singular_polynomial_designs(temps, fitter, outcome):
     powers = [1.0, 1.1, 1.2]
     if outcome == "rank-deficient":
