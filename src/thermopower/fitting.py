@@ -226,8 +226,9 @@ def _lstsq(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ww[..., j] = _dots(w[j], w[j])
         z[..., j] = _dots(w[j], b) / ww[..., j]
         b = b - z[..., j, None] * w[j]
-    for j, k in [(j, k) for j in range(p - 2, -1, -1) for k in range(j + 1, p)]:
-        z[..., j] -= u[..., j, k] * z[..., k]  # back-substitution
+    for j in range(p - 2, -1, -1):  # back-substitution turns z into x
+        for k in range(j + 1, p):
+            z[..., j] -= u[..., j, k] * z[..., k]
     return np.ldexp(z, -e), ~(ww > (sys.float_info.epsilon * max(n, p)) ** 2 * aa).all(axis=-1)
 
 
