@@ -51,6 +51,7 @@ from .powermodel import (
 from .sensor import SensorModel, b_factor, correct_series, model_from_json
 from .trace import (
     TraceMeta,
+    _json_number,
     generate_synthetic_trace,
     parse_table,
     parse_trace,
@@ -301,27 +302,18 @@ def cmd_model_eval(args, run: _Run) -> tuple[int, dict, list[str]]:
 def _observation(entry):
     if not isinstance(entry, dict):
         raise InvalidParams(f"an observation must be an object, got {entry!r}")
-    freq, cores = entry["freq_ghz"], entry["cores"]
-    try:
-        obs = (
-            float(freq),
-            int(cores),
-            ModelParams(float(entry["a0"]), float(entry["a1"]), float(entry["a2"])),
-        )
-    except (TypeError, OverflowError) as exc:  # OverflowError: int() of an infinite count
-        raise InvalidParams(f"observation fields must be numbers: {exc}") from None
-    if isinstance(freq, bool) or isinstance(cores, bool) or obs[1] != cores:
-        raise InvalidParams(
-            f"an observation needs a number of GHz and a whole number of cores, "
-            f"got freq_ghz {freq!r} and cores {cores!r}"
-        )
-    return obs
+    needs = "an observation needs a number of GHz and a whole number of cores"
+    freq, cores, a0, a1, a2 = (_json_number(entry, key, f"{needs}, and its fields")
+                               for key in ("freq_ghz", "cores", "a0", "a1", "a2"))
+    if not cores.is_integer():
+        raise InvalidParams(f"{needs}, got cores {cores!r}")
+    return freq, int(cores), ModelParams(a0, a1, a2)
 
 
 def _observation_list(data: bytes):
     raw = json.loads(data)
     if not isinstance(raw, list):
-        raise ValueError("a single observations file must hold a JSON list")
+        raise InvalidParams("a single observations file must hold a JSON list")
     return [_observation(entry) for entry in raw]
 
 
@@ -593,7 +585,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 _INPUT_ERRORS = (OSError, ValueError, KeyError)  # ValueError covers json.JSONDecodeError
 # errors in what the user supplied, not failures of a computation
-_INPUT_STAGE = (MalformedRow, EmptyTrace, MissingMeta, InvalidSample, InvalidParams)
+_INPUT_STAGE = (MalformedRow, EmptyTrace, MissingMeta, InvalidSample, InvalidParams,
+                NonPositiveTime, NonMonotonicTime)
 
 
 def main(argv=None) -> int:
@@ -613,10 +606,6 @@ def main(argv=None) -> int:
         if run.source is not None or isinstance(exc, _INPUT_STAGE):
             command = " ".join(filter(None, (args.command, getattr(args, "model_command", None))))
             print(f"error: {run.source or command}: {exc}", file=sys.stderr)
-            return 2
-        if isinstance(exc, (NonPositiveTime, NonMonotonicTime)):
-            # bad input series, not a computation failure
-            print(f"error: {exc}", file=sys.stderr)
             return 2
         report = run.report({"error": f"{type(exc).__name__}: {exc}"})
         _emit(args, report, [f"failed: {exc}"])

@@ -192,8 +192,9 @@ class _Rows:
         self.t, self.y, self.ids = self.t[keep], self.y[keep], self.ids[keep]
         return tuple(a[keep] for a in arrays)
 
-    def finish(self, kind: FitKind, coeffs, errors, iterations=None, terminations=None):
-        """Store a FitResult for every live row."""
+    def finish(self, kind: FitKind, coeffs, iterations=None, terminations=None):
+        """Store a FitResult for every live row, its error that of its predict()."""
+        errors = _errors(self.y, _curve(kind, coeffs.T[:, :, None], self.t))
         n = len(self.ids)
         iterations = [0] * n if iterations is None else iterations.tolist()
         terminations = ["converged"] * n if terminations is None else terminations.tolist()
@@ -244,8 +245,7 @@ def _fit_poly(rows: _Rows, degree: int, kind: FitKind) -> None:
     coeffs, singular = _lstsq(design, np.ones_like(rows.y))
     (coeffs,) = rows.fail(singular, lambda _: DegenerateInput(
         f"{kind.value} fit design matrix is rank-deficient"), coeffs)
-    model = _curve(kind, coeffs.T[:, :, None], rows.t)
-    rows.finish(kind, coeffs, _errors(rows.y, model))
+    rows.finish(kind, coeffs)
 
 
 class _Separable:
@@ -517,14 +517,7 @@ def _fit_exponential(rows: _Rows) -> None:
     a0, a1, a2, terminations, evaluations = rows.fail(
         ~(c > 0), degenerate, a0, a1, a2, terminations, evaluations
     )
-    curve = np.exp((rows.t - a1[:, None]) / a2[:, None]) + a0[:, None]
-    rows.finish(
-        FitKind.EXPONENTIAL,
-        np.stack([a0, a1, a2], axis=1),
-        _errors(rows.y, curve),
-        evaluations,
-        terminations,
-    )
+    rows.finish(FitKind.EXPONENTIAL, np.stack([a0, a1, a2], axis=1), evaluations, terminations)
 
 
 def _blocks(keys: Sequence[tuple]):

@@ -17,7 +17,7 @@ observed (f, c, a0, a1, a2) triples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -28,7 +28,7 @@ from .errors import (
     SingularFit,
 )
 from .fitting import _lstsq, exp_curve
-from .trace import _check_operating_point
+from .trace import _check_operating_point, _json_number
 
 
 @dataclass(frozen=True)
@@ -86,15 +86,15 @@ class CoefficientSet:
             raise InvalidParams(
                 f"a coefficient set must be an object, got {type(data).__name__}"
             )
-        m = data["m"]
+        m, label = data.get("m"), data.get("label")
         if not isinstance(m, list):
             raise InvalidParams(f"m must be a list of 7 coefficients, got {m!r}")
         if len(m) != 7:
             raise InvalidParams(f"expected 7 m-coefficients, got {len(m)}")
-        try:
-            return cls(str(data["label"]), *map(float, m), float(data["a2"]))
-        except TypeError as exc:
-            raise InvalidParams(f"coefficients must be numbers: {exc}") from None
+        if not isinstance(label, str):
+            raise InvalidParams(f"label must be a string, got {label!r}")
+        numbers = dict(data, **{f"m{i}": v for i, v in enumerate(m, 1)})
+        return cls(label, *(_json_number(numbers, f.name, "coefficients") for f in fields(cls)[1:]))
 
 
 def derive_params(coeffs: CoefficientSet, freq: float, cores: int) -> ModelParams:

@@ -31,6 +31,7 @@ from .errors import (
     ZeroDenominator,
 )
 from .fitting import each
+from .trace import _json_number
 
 # Rational minimax fits for the Gauss error function (classic libm-style
 # double precision coefficients); agrees with math.erf to ~1 ulp but does
@@ -186,18 +187,8 @@ def model_from_json(text: str | bytes) -> SensorModel:
         raise InvalidParams(
             f"sensor model JSON must be an object, got {type(data).__name__}"
         )
-    try:
-        return SensorModel(
-            float(data["alpha"]),
-            float(data["a"]),
-            float(data["b"]),
-            float(data["t_init_c"]),
-            float(data["t_inf_c"]),
-        )
-    except KeyError as exc:
-        raise InvalidParams(f"sensor model JSON is missing {exc.args[0]!r}") from None
-    except TypeError as exc:
-        raise InvalidParams(f"sensor model JSON field is not a number: {exc}") from None
+    keys = ("alpha", "a", "b", "t_init_c", "t_inf_c")
+    return SensorModel(*(_json_number(data, key, "sensor model fields") for key in keys))
 
 
 def model_to_json_dict(model: SensorModel) -> dict:
@@ -226,7 +217,10 @@ def b_factor(model: SensorModel, t):
         except ZeroDenominator as exc:
             raise ZeroDenominator(exc.t) from None
     delta = model.t_inf - model.t_init
-    num = delta * (1.0 - each(math.exp, -times / model.b)) + model.t_init
+    # a subnormal b sends -t/b to -inf, whose exp is the exact limit 0
+    with np.errstate(over="ignore"):
+        decay = each(math.exp, -times / model.b)
+    num = delta * (1.0 - decay) + model.t_init
     den = delta * erf(model.a / np.sqrt(4.0 * model.alpha * times)) + model.t_init
     scale = abs(delta) + abs(model.t_init)
     zero = np.abs(den) <= 1e-12 * scale

@@ -21,6 +21,8 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import reprlib
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -91,6 +93,18 @@ def _check_operating_point(freq: float, cores: int) -> None:
         raise InvalidFreq(f"freq must be a positive number of GHz, got {freq!r}")
     if isinstance(cores, bool) or not isinstance(cores, int) or not 1 <= cores <= 4:
         raise InvalidCores(f"cores must be an integer in 1..4, got {cores!r}")
+
+
+def _json_number(obj: dict, key: str, what: str) -> float:
+    """obj[key] as a float when it is a JSON number a double can hold: an int
+    or a float, not a bool, no larger than the largest double.  Anything else,
+    a missing key included, raises InvalidParams "<what> must be numbers ..."."""
+    value = obj.get(key)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if number and abs(value) <= sys.float_info.max:  # false for nan, exact for any int
+        return float(value)
+    shown = reprlib.repr(value) if key in obj else "missing"
+    raise InvalidParams(f"{what} must be numbers a double can hold, got {key} {shown}")
 
 
 class Trace:
@@ -291,8 +305,6 @@ def parse_trace(text: str | bytes) -> Trace:
     except ValueError:
         raise MissingMeta(f"bad #cores value: {meta_raw['cores']!r}") from None
     meta = TraceMeta(meta_raw.get("processor", "unknown"), freq, cores)
-    if len(rows) < 3:
-        raise EmptyTrace(f"a trace needs at least 3 samples, got {len(rows)}")
     trace = Trace.__new__(Trace)
     trace._set(meta, rows.T, lambda row: _data_line(text, header_line, row))
     return trace
@@ -344,10 +356,13 @@ def generate_synthetic_trace(
     taken at 5 Hz starting at t=0.  Gaussian noise (std-dev ``noise`` watts)
     is added, then each power is rounded to the nearest multiple of
     ``quantum`` when quantum > 0 to mimic sensor granularity.  Output is
-    deterministic for a fixed seed.  Every setting must be finite; a power
-    that leaves the double range raises the InvalidSample a Trace of it
-    would.
+    deterministic for a fixed seed.  Every setting must be finite; an
+    exponential that leaves the double range raises exp_curve's
+    InvalidParams, and a power that does so after the noise or the
+    rounding raises the InvalidSample a Trace of it would.
     """
+    from .fitting import exp_curve  # fitting imports this module
+
     a0, a1, a2 = params
     temp_lo, temp_hi, count = sweep
     if not all(map(math.isfinite, (a0, a1, a2, temp_lo, temp_hi))):
@@ -362,7 +377,7 @@ def generate_synthetic_trace(
         raise InvalidParams(f"quantum must be finite and >= 0, got {quantum!r}")
     with np.errstate(over="ignore", invalid="ignore"):  # the Trace rejects what overflows
         temps = np.linspace(temp_lo, temp_hi, count)
-        powers = np.exp((temps - a1) / a2) + a0
+        powers = exp_curve(temps, a1, a2) + a0
         if noise > 0:
             rng = np.random.default_rng(seed)
             powers = powers + rng.normal(0.0, noise, count)

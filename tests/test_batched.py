@@ -217,7 +217,8 @@ def ref_fit_exponential(data):
             k, fk = k_new, f_new
         termination = "converged"
     a0, a1, a2 = model.params(k)
-    error = ref_fit_error(y, np.exp((t - a1) / a2) + a0)
+    error = ref_fit_error(
+        y, ref_predict(FitResult(FitKind.EXPONENTIAL, (a0, a1, a2), 0.0, 0, True), t))
     return FitResult(FitKind.EXPONENTIAL, (float(a0), float(a1), float(a2)), error,
                      model.evaluations, termination == "converged", termination)
 

@@ -698,6 +698,57 @@ def test_sensor_model_error_names_the_model_file(tmp_path, capsys):
     assert err.startswith(f"error: {model_path}: ") and str(series) not in err
 
 
+# --- every number in a JSON input is a JSON number a double can hold ---
+
+# (input, field); "m" stands for the first of the seven m-coefficients
+JSON_FIELDS = [
+    ("coeffs", "m"), ("coeffs", "a2"), ("sensor model", "alpha"), ("sensor model", "b"),
+    ("observation", "freq_ghz"), ("observation", "cores"), ("observation", "a1"),
+]
+# the JSON text that replaces the field's number; None removes the field
+NOT_DOUBLES = {"string": '"0.5"', "true": "true", "null": "null",
+               "400-digit": "1" + "0" * 400, "1e999": "1e999", "missing": None}
+
+
+@pytest.mark.parametrize("value", NOT_DOUBLES.values(), ids=NOT_DOUBLES)
+@pytest.mark.parametrize(("source", "field"), JSON_FIELDS)
+def test_json_number_a_double_cannot_hold_exit_2(tmp_path, capsys, source, field, value):
+    from thermopower.powermodel import builtin_set
+
+    series, model_path = write_lagged_series(tmp_path)
+    if source == "coeffs":
+        path = tmp_path / "coeffs.json"
+        data = builtin_set("A7").to_dict()
+        argv = ["model", "eval", "--coeffs", path, "--temp", "50", "--freq", "1", "--cores", "2"]
+    elif source == "sensor model":
+        path, data = model_path, json.loads(model_path.read_text())
+        argv = ["sensor-correct", series, "--model-json", path, "--out", tmp_path / "s.csv"]
+    else:
+        directory = write_observations(tmp_path)
+        path = sorted(directory.iterdir())[0]
+        data = json.loads(path.read_text())
+        argv = ["model", "calibrate", directory]
+    holder, key = (data["m"], 0) if field == "m" else (data, field)
+    if value is None:
+        del holder[key]
+        path.write_text(json.dumps(data))
+    else:
+        holder[key] = "@"
+        path.write_text(json.dumps(data).replace('"@"', value))
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_calibrate_single_file_not_a_list_exit_2(tmp_path, capsys):
+    path = tmp_path / "obs.json"
+    path.write_text('{"freq_ghz": 1.0, "cores": 2, "a0": 0.1, "a1": 50.0, "a2": 33.0}')
+    code, out, err = run_cli(["model", "calibrate", path], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: a single observations file must hold a JSON list\n"
+
+
 def test_sample_error_in_file_names_file_and_line(tmp_path, capsys):
     path = tmp_path / "neg.csv"
     path.write_text(
@@ -720,6 +771,19 @@ def test_gen_quantum_finer_than_the_powers_allow_exit_2(tmp_path, capsys):
     code, out, err = run_cli(GEN + ["--quantum=1e-320", "--out", tmp_path / "g.csv"], capsys)
     assert code == 2 and out == ""
     assert err == "error: gen: power_w must be finite, got inf\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_sensor_correct_subnormal_time_constant_exit_0(tmp_path, capsys):
+    series, _ = write_lagged_series(tmp_path)
+    code, report, err = run_json(
+        ["sensor-correct", series, "--alpha", MODEL.alpha, "--a", MODEL.a, "--b=1e-320",
+         "--t-init", MODEL.t_init, "--t-inf", MODEL.t_inf, "--out", tmp_path / "s.csv"], capsys)
+    assert code == 0 and err == ""
+    # the hotspot has reached t_inf: 1 - exp(-t/b) is 1 at every sample
+    delta = MODEL.t_inf - MODEL.t_init
+    den = delta * erf(MODEL.a / math.sqrt(4.0 * MODEL.alpha * 5.0)) + MODEL.t_init
+    assert report["results"]["b_first"] == pytest.approx(MODEL.t_inf / den, rel=1e-15)
 
 
 # each float flag of each command, as --flag=VALUE with {} standing for

@@ -54,7 +54,7 @@ COMMANDS = {
 NUMBER = re.compile(rb"-?[0-9][0-9.e+-]*")
 # numbers that parse but strain a computation
 HOSTILE_NUMBERS = [b"0", b"-1", b"1e-320", b"1e161", b"1e300", b"-1e300", b"4.0", b"55.0",
-                   b"0.5", b"1e-9"]
+                   b"0.5", b"1e-9", b"1" + b"0" * 400, b"true", b"null", b'"0.5"']
 
 
 @st.composite

@@ -282,6 +282,14 @@ def test_exponential_result_error_is_consistent():
     assert math.isclose(recomputed, r.error, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("fitter", [fit_linear, fit_quadratic, fit_exponential])
+@pytest.mark.parametrize("seed", [4, 7, 9])
+def test_result_error_is_the_fit_error_of_its_predictions(fitter, seed):
+    tr = synth(noise=0.002, seed=seed)
+    r = fitter(tr)
+    assert r.error == fit_error(tr.power_w, r.predict(tr.temp_c))
+
+
 # --- fit_error ---
 
 def test_fit_error_identity():

@@ -222,3 +222,14 @@ def test_coefficient_set_dict_round_trip():
     assert again == cs
     with pytest.raises(InvalidParams):
         CoefficientSet.from_dict({"label": "x", "m": [1, 2, 3], "a2": 30.0})
+    good = cs.to_dict()
+    for value in (True, "33.1", None, 10**400, math.inf, math.nan, [33.1]):
+        with pytest.raises(InvalidParams):
+            CoefficientSet.from_dict({**good, "a2": value})
+        with pytest.raises(InvalidParams):
+            CoefficientSet.from_dict({**good, "m": [value, *good["m"][1:]]})
+    for key in good:
+        with pytest.raises(InvalidParams):
+            CoefficientSet.from_dict({k: v for k, v in good.items() if k != key})
+    with pytest.raises(InvalidParams, match="label must be a string"):
+        CoefficientSet.from_dict({**good, "label": 5})

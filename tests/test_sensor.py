@@ -106,6 +106,10 @@ def test_model_json_round_trip():
     assert again == FIG_MODEL
     with pytest.raises(InvalidParams):
         model_from_json('{"alpha": 1e-7, "a": 8.25, "b": 36.7}')
+    for value in ("true", "null", '"36.7"', "1" + "0" * 400, "1e999", "NaN", "-Infinity"):
+        text = json.dumps(model_to_json_dict(FIG_MODEL)).replace("36.7", value)
+        with pytest.raises(InvalidParams, match="must be numbers a double can hold, got b "):
+            model_from_json(text)
 
 
 # --- b_factor ---

@@ -161,6 +161,12 @@ def test_parse_wrong_header():
         parse_trace(GOOD.replace("time_s,temp_c,power_w", "t,T,P"))
 
 
+def test_parse_short_file_names_the_line_of_a_bad_sample():
+    text = "#freq_ghz=1.0\n#cores=1\ntime_s,temp_c,power_w\n0.0,25.0,1.0\n0.2,26.0,-1.0\n"
+    with pytest.raises(InvalidSample, match="^line 5: power_w must be positive"):
+        parse_trace(text)
+
+
 def test_parse_empty_and_tiny():
     with pytest.raises(EmptyTrace):
         parse_trace("")
