@@ -45,7 +45,6 @@ from .errors import (
 from .trace import (
     Trace,
     TraceMeta,
-    TraceSample,
     generate_synthetic_trace,
     parse_trace,
     write_trace,
@@ -117,7 +116,6 @@ __all__ = [
     "ZeroDenominator",
     "NonPositiveTime",
     # trace
-    "TraceSample",
     "TraceMeta",
     "Trace",
     "parse_trace",

@@ -331,7 +331,8 @@ class _Separable:
         a0 = self.a_u[ids] - c1 * _dots(u, np.exp(k1[:, None] * d) * u) / self.uu[ids]
         a2 = self.span[ids] / k1
         t_ref = np.where(k > 0, self.t_hi[ids], self.t_lo[ids])
-        return a0 * scale, t_ref - a2 * each(math.log, c1 * scale), a2, c * scale
+        with np.errstate(over="ignore"):  # _fit_exponential fails a row whose a0 or C overflows
+            return a0 * scale, t_ref - a2 * each(math.log, c1 * scale), a2, c * scale
 
 
 _OBJECTIVE, _STEP = "objective", "gauss_newton"
@@ -512,10 +513,14 @@ def _fit_exponential(rows: _Rows) -> None:
         if k[j] == 0:
             return DegenerateInput("the best curve is the straight line, which the "
                                    "exponential family reaches only as C -> inf")
+        if c[j] > 0:
+            return DegenerateInput(f"the best curve leaves the double range: a0 is {a0[j]:.3g}, "
+                                   f"C is {c[j]:.3g}")
         return DegenerateInput(f"best exponential scale C is {c[j]:.3g}; the family needs C > 0")
 
     a0, a1, a2, terminations, evaluations = rows.fail(
-        ~(c > 0), degenerate, a0, a1, a2, terminations, evaluations
+        ~(c > 0) | ~(np.isfinite(a0) & np.isfinite(a1)), degenerate,
+        a0, a1, a2, terminations, evaluations,
     )
     rows.finish(FitKind.EXPONENTIAL, np.stack([a0, a1, a2], axis=1), evaluations, terminations)
 

@@ -205,17 +205,21 @@ def b_factor(model: SensorModel, t):
     """The correction factor at time t > 0, evaluated as printed.
 
     t is a float, or an array of times; for an array the factors come back
-    as an array and a vanishing denominator names the first sample index
-    it occurs at.
+    as an array, and a time that is not finite and > 0 or a vanishing
+    denominator names the first sample index it occurs at.
     """
     times = np.asarray(t, float)
     if times.ndim == 0:
-        if not (math.isfinite(t) and t > 0):
-            raise NonPositiveTime(f"the correction is only defined for t > 0, got {t!r}")
         try:
             return float(b_factor(model, times.reshape(1))[0])
+        except NonPositiveTime:
+            raise NonPositiveTime(f"the correction is only defined for t > 0, got {t!r}") from None
         except ZeroDenominator as exc:
             raise ZeroDenominator(exc.t) from None
+    bad = ~np.isfinite(times) | ~(times > 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NonPositiveTime(f"sample {i}: the correction needs t > 0, got {float(times[i])!r}")
     delta = model.t_inf - model.t_init
     # a subnormal b sends -t/b to -inf, whose exp is the exact limit 0
     with np.errstate(over="ignore"):

@@ -24,7 +24,7 @@ import re
 import reprlib
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -44,35 +44,24 @@ HEADER = "time_s,temp_c,power_w"
 _COLUMNS = tuple(HEADER.split(","))
 
 
-def _check_sample(time_s: float, temp_c: float, power_w: float, line_no=None) -> None:
-    for name, value in zip(_COLUMNS, (time_s, temp_c, power_w)):
-        if not math.isfinite(value):
-            raise InvalidSample(f"{name} must be finite, got {value!r}", line_no)
-    if time_s < 0:
-        raise InvalidSample(f"time_s must be non-negative, got {time_s!r}", line_no)
-    if power_w <= 0:
-        raise InvalidSample(f"power_w must be positive, got {power_w!r}", line_no)
-
-
 def check_samples(time_s, temp_c, power_w, line_of=None) -> None:
-    """Raise the InvalidSample a TraceSample would for the first bad row;
+    """Raise InvalidSample for the first bad row: a non-finite field, in
+    column order, then a negative time, then a non-positive power;
     line_of(i) names row i's file line."""
     bad = ~np.isfinite(time_s) | ~np.isfinite(temp_c) | ~np.isfinite(power_w)
     bad |= (time_s < 0) | ~(power_w > 0)
-    if bad.any():
-        i = int(np.argmax(bad))
-        row = (float(time_s[i]), float(temp_c[i]), float(power_w[i]))
-        _check_sample(*row, line_of(i) if line_of else None)
-
-
-@dataclass(frozen=True)
-class TraceSample:
-    time_s: float
-    temp_c: float
-    power_w: float
-
-    def __post_init__(self):
-        _check_sample(self.time_s, self.temp_c, self.power_w)
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    row = (float(time_s[i]), float(temp_c[i]), float(power_w[i]))
+    nonfinite = [(name, v) for name, v in zip(_COLUMNS, row) if not math.isfinite(v)]
+    if nonfinite:
+        message = "%s must be finite, got %r" % nonfinite[0]
+    elif row[0] < 0:
+        message = f"time_s must be non-negative, got {row[0]!r}"
+    else:
+        message = f"power_w must be positive, got {row[2]!r}"
+    raise InvalidSample(message, line_of(i) if line_of else None)
 
 
 @dataclass(frozen=True)
@@ -112,26 +101,19 @@ class Trace:
 
     ``time_s``, ``temp_c`` and ``power_w`` are 1-D arrays of one length,
     at least 3.  Every value is finite, times are non-negative and strictly
-    increasing, and powers are positive.  ``Trace(meta, samples)`` builds
-    one from TraceSample rows and ``Trace.from_columns`` from three
-    sequences; both go through the same bulk validation.  Two traces are
-    equal when their metadata are and their columns match bit for bit.
+    increasing, and powers are positive.  ``Trace(meta, time_s, temp_c,
+    power_w)`` copies three sequences of one length and validates them; use
+    ``trace.time_s.tolist()`` for a plain list.  Two traces are equal when
+    their metadata are and their columns match bit for bit.
     """
 
     __slots__ = ("meta", "time_s", "temp_c", "power_w")
 
-    def __init__(self, meta: TraceMeta, samples: Iterable[TraceSample]):
-        rows = [(s.time_s, s.temp_c, s.power_w) for s in samples]
-        self._set(meta, np.array(rows, float).reshape(-1, 3).T)
-
-    @classmethod
-    def from_columns(cls, meta: TraceMeta, time_s, temp_c, power_w) -> "Trace":
+    def __init__(self, meta: TraceMeta, time_s, temp_c, power_w):
         lengths = {len(time_s), len(temp_c), len(power_w)}
         if len(lengths) != 1:
             raise LengthMismatch(f"column lengths differ: {sorted(lengths)}")
-        trace = cls.__new__(cls)
-        trace._set(meta, (time_s, temp_c, power_w))
-        return trace
+        self._set(meta, (time_s, temp_c, power_w))
 
     def _set(self, meta: TraceMeta, columns, line_of=None) -> None:
         """Validate and store the columns; line_of(i) names row i's file line."""
@@ -159,19 +141,6 @@ class Trace:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Trace is immutable; cannot set {name!r}")
-
-    @property
-    def samples(self) -> tuple[TraceSample, ...]:
-        return tuple(map(TraceSample, self.times(), self.temps(), self.powers()))
-
-    def times(self) -> list[float]:
-        return self.time_s.tolist()
-
-    def temps(self) -> list[float]:
-        return self.temp_c.tolist()
-
-    def powers(self) -> list[float]:
-        return self.power_w.tolist()
 
     def __len__(self) -> int:
         return len(self.time_s)
@@ -383,4 +352,4 @@ def generate_synthetic_trace(
             powers = powers + rng.normal(0.0, noise, count)
         if quantum > 0:
             powers = np.round(powers / quantum) * quantum
-    return Trace.from_columns(meta, 0.2 * np.arange(count), temps, powers)
+    return Trace(meta, 0.2 * np.arange(count), temps, powers)

@@ -26,7 +26,6 @@ from thermopower.sensor import SensorModel, b_factor, correct_series, erf
 from thermopower.trace import (
     Trace,
     TraceMeta,
-    TraceSample,
     generate_synthetic_trace,
     parse_trace,
     write_trace,
@@ -73,10 +72,10 @@ def comparison(suite):
 
 @pytest.fixture(scope="module")
 def comparison_truncated(suite):
-    truncated = [
-        Trace(t.meta, [s for s in t.samples if s.temp_c <= TRUNCATE_AT_C])
-        for t in suite
-    ]
+    truncated = []
+    for t in suite:
+        keep = t.temp_c <= TRUNCATE_AT_C
+        truncated.append(Trace(t.meta, t.time_s[keep], t.temp_c[keep], t.power_w[keep]))
     return compare_models(truncated)
 
 
@@ -183,11 +182,9 @@ def test_criterion_5_debias_effectiveness(capsys, suite):
 # --- 6. exact cancellation ---
 
 def _exact_trace(power_of_temp):
-    samples = [
-        TraceSample(0.25 * i, float(temp), power_of_temp(float(temp)))
-        for i, temp in enumerate(range(25, 45))
-    ]
-    return Trace(META, samples)
+    temps = [float(temp) for temp in range(25, 45)]
+    times = [0.25 * i for i in range(len(temps))]
+    return Trace(META, times, temps, [power_of_temp(temp) for temp in temps])
 
 
 def test_criterion_6_exact_cancellation(capsys):

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermopower import fitting
-from thermopower.errors import AllTies, DegenerateInput, EmptyGroup
+from thermopower.errors import AllTies, DegenerateInput, EmptyGroup, InvalidSample
 from thermopower.fitting import (
     FitKind,
     FitResult,
@@ -30,7 +30,7 @@ from thermopower.fitting import (
     fit_quadratic,
     sign_test,
 )
-from thermopower.trace import Trace, TraceMeta, TraceSample, generate_synthetic_trace
+from thermopower.trace import Trace, TraceMeta, generate_synthetic_trace
 
 # --- the per-trace reference ---
 
@@ -48,7 +48,11 @@ def ref_xy(data):
         return data.temp_c, data.power_w
     t, y = (np.asarray(a, float) for a in data)
     for temp, power in zip(t.tolist(), y.tolist()):
-        TraceSample(0.0, temp, power)  # raises the InvalidSample a Trace would
+        for name, value in (("temp_c", temp), ("power_w", power)):
+            if not math.isfinite(value):
+                raise InvalidSample(f"{name} must be finite, got {value!r}")
+        if power <= 0:
+            raise InvalidSample(f"power_w must be positive, got {power!r}")
     return t, y
 
 
@@ -328,7 +332,7 @@ def traces(draw, n=None):
         y = (1.0 + x) * 10.0 ** draw(st.sampled_from([150, 160, 161, 170]))
     noise = draw(st.sampled_from([0.0, 1e-6, 1e-3, 2e-2]))
     y = np.abs(y * (1.0 + noise * rng.standard_normal(n))) + 1e-12
-    return Trace.from_columns(META, 0.2 * np.arange(n), t, y)
+    return Trace(META, 0.2 * np.arange(n), t, y)
 
 
 def described(result) -> str:
@@ -484,7 +488,7 @@ def test_huge_and_tiny_powers_fit_like_their_unit_scale_twin():
         assert math.isclose(r.coeffs[0] / scale, twin.coeffs[0], rel_tol=1e-6)
         assert math.isclose(r.coeffs[2], twin.coeffs[2], rel_tol=1e-6)
         assert math.isclose(r.error, twin.error, rel_tol=1e-9)
-        huge.append(Trace.from_columns(META, 0.2 * np.arange(20), t, y * scale))
+        huge.append(Trace(META, 0.2 * np.arange(20), t, y * scale))
     assert compare_models(huge).failures == []
     assert_same_comparison(huge, {})
 

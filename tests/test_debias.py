@@ -20,7 +20,6 @@ from thermopower.fitting import FitKind
 from thermopower.trace import (
     Trace,
     TraceMeta,
-    TraceSample,
     generate_synthetic_trace,
     parse_table,
 )
@@ -29,10 +28,8 @@ META = TraceMeta("SYN", 1.0, 4)
 
 
 def make_trace(pairs):
-    samples = tuple(
-        TraceSample(0.2 * i, t, p) for i, (t, p) in enumerate(pairs)
-    )
-    return Trace(META, samples)
+    temps, powers = zip(*pairs)
+    return Trace(META, [0.2 * i for i in range(len(pairs))], temps, powers)
 
 
 def linear_trace(eta1=0.02, eta0=0.4, temps=(30.0, 40.0, 50.0, 60.0)):

@@ -33,7 +33,7 @@ from thermopower.fitting import (
     fit_quadratic,
     sign_test,
 )
-from thermopower.trace import Trace, TraceMeta, TraceSample, generate_synthetic_trace
+from thermopower.trace import Trace, TraceMeta, generate_synthetic_trace
 
 META = TraceMeta("SYN", 1.0, 4)
 PARAMS = (0.3, 100.0, 33.0)
@@ -69,7 +69,7 @@ def test_linear_degenerate_temperatures():
 def test_linear_trace_and_pair_inputs_agree():
     tr = synth()
     a = fit_linear(tr)
-    b = fit_linear((tr.temps(), tr.powers()))
+    b = fit_linear((tr.temp_c.tolist(), tr.power_w.tolist()))
     assert a == b
 
 
@@ -210,7 +210,7 @@ def child_outcomes():
 def test_pair_with_a_bad_sample_raises_the_trace_error(kind, case, child_outcomes):
     temps, powers = bad_pair(*BAD_VALUES[case])
     with pytest.raises(InvalidSample) as trace_error:
-        Trace.from_columns(META, [0.0, 0.2, 0.4, 0.6], temps, powers)
+        Trace(META, [0.0, 0.2, 0.4, 0.6], temps, powers)
     assert child_outcomes[case, kind] == f"InvalidSample: {trace_error.value}"
 
 
@@ -275,10 +275,30 @@ def test_exponential_concave_data_has_no_positive_scale():
         fit_exponential((temps, 2.0 - np.exp(-(temps - 20.0) / 20.0)))
 
 
+RANGE_EDGE = {
+    # a0 * scale overflows on the way to the C <= 0 failure
+    "C <= 0": ([5.2963431966683405, 48.56622465956784, 54.36446577638626],
+               [4.933117872297185e307, 3.205772026136974e257, 4.797299808706361e279],
+               "C > 0"),
+    # C * scale overflows, leaving a0 and a1 infinite
+    "C overflows": ([90.01571285538161, 27.612421784778086, 33.71461455412502],
+                    [6.750654604807136e307, 5.61950315403136e304, 6.145977459858917e306],
+                    "leaves the double range: a0 is -inf, C is inf"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", RANGE_EDGE)
+def test_exponential_rescaling_overflow_fails_without_a_warning(case):
+    temps, powers, match = RANGE_EDGE[case]
+    with pytest.raises(DegenerateInput, match=match):
+        fit_exponential((temps, powers))
+
+
 def test_exponential_result_error_is_consistent():
     r = fit_exponential(synth(noise=0.002, seed=1))
     tr = synth(noise=0.002, seed=1)
-    recomputed = fit_error(tr.powers(), [r.predict(t) for t in tr.temps()])
+    recomputed = fit_error(tr.power_w.tolist(), [r.predict(t) for t in tr.temp_c.tolist()])
     assert math.isclose(recomputed, r.error, rel_tol=1e-12)
 
 
@@ -445,7 +465,7 @@ def test_nesting_quadratic_never_worse_than_linear():
 
 def test_scale_covariance():
     tr = synth(noise=0.002, seed=5)
-    temps, powers = tr.temps(), tr.powers()
+    temps, powers = tr.temp_c.tolist(), tr.power_w.tolist()
     scaled = [p * 37.5 for p in powers]
     for fitter in (fit_linear, fit_quadratic, fit_exponential):
         e1 = fitter((temps, powers)).error
@@ -466,9 +486,7 @@ def test_compare_single_noiseless_trace_orders_families():
 
 def test_compare_marks_and_excludes_failures():
     good = [synth(noise=0.002, seed=s) for s in range(3)]
-    flat = Trace(
-        META, tuple(TraceSample(0.2 * i, 30.0 + 5.0 * i, 2.0) for i in range(5))
-    )
+    flat = Trace(META, [0.2 * i for i in range(5)], [30.0 + 5.0 * i for i in range(5)], [2.0] * 5)
     cmp = compare_models(good + [flat])
     failed = [(i, kind) for i, kind, _ in cmp.failures]
     assert (3, FitKind.EXPONENTIAL) in failed

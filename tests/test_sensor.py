@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from thermopower.errors import (
@@ -131,8 +132,12 @@ def test_b_factor_large_time_limit():
 
 def test_b_factor_rejects_nonpositive_time():
     for t in (0.0, -1.0, math.nan):
-        with pytest.raises(NonPositiveTime):
+        with pytest.raises(NonPositiveTime) as exc:
             b_factor(FIG_MODEL, t)
+        assert str(exc.value) == f"the correction is only defined for t > 0, got {t!r}"
+        with pytest.raises(NonPositiveTime) as exc:
+            b_factor(FIG_MODEL, np.array([1.0, t]))
+        assert str(exc.value) == f"sample 1: the correction needs t > 0, got {t!r}"
 
 
 def _denominator_zero_time(model):

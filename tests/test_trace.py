@@ -14,10 +14,10 @@ from thermopower.errors import (
     MissingMeta,
     NonMonotonicTime,
 )
+from thermopower.fitting import FitKind, FitResult, fit_batch
 from thermopower.trace import (
     Trace,
     TraceMeta,
-    TraceSample,
     generate_synthetic_trace,
     parse_trace,
     write_trace,
@@ -28,30 +28,33 @@ META = TraceMeta("A15", 1.2, 4)
 
 def make_trace(powers, temps=None):
     temps = temps if temps is not None else [40.0 + i for i in range(len(powers))]
-    samples = tuple(
-        TraceSample(0.2 * i, t, p) for i, (t, p) in enumerate(zip(temps, powers))
-    )
-    return Trace(META, samples)
+    return Trace(META, [0.2 * i for i in range(len(powers))], temps, powers)
 
 
 # --- construction invariants ---
 
-def test_sample_rejects_nonfinite():
-    with pytest.raises(InvalidSample):
-        TraceSample(0.0, float("nan"), 1.0)
-    with pytest.raises(InvalidSample):
-        TraceSample(0.0, 25.0, float("inf"))
-    with pytest.raises(InvalidSample):
-        TraceSample(float("inf"), 25.0, 1.0)
+BAD_ROWS = {
+    "nan temp": ((0.2, math.nan, 1.1), "temp_c must be finite, got nan"),
+    "inf power": ((0.2, 31.0, math.inf), "power_w must be finite, got inf"),
+    "inf time": ((math.inf, 31.0, 1.1), "time_s must be finite, got inf"),
+    "negative time": ((-0.1, 31.0, 1.1), "time_s must be non-negative, got -0.1"),
+    "zero power": ((0.2, 31.0, 0.0), "power_w must be positive, got 0.0"),
+    "negative power": ((0.2, 31.0, -2.0), "power_w must be positive, got -2.0"),
+}
 
 
-def test_sample_rejects_negative_time_and_nonpositive_power():
-    with pytest.raises(InvalidSample):
-        TraceSample(-0.1, 25.0, 1.0)
-    with pytest.raises(InvalidSample):
-        TraceSample(0.0, 25.0, 0.0)
-    with pytest.raises(InvalidSample):
-        TraceSample(0.0, 25.0, -2.0)
+@pytest.mark.parametrize("case", BAD_ROWS)
+def test_bad_sample_is_rejected(case):
+    (time, temp, power), message = BAD_ROWS[case]
+    temps, powers = [30.0, temp, 32.0], [1.0, power, 1.2]
+    with pytest.raises(InvalidSample) as exc:
+        Trace(META, [0.0, time, 0.4], temps, powers)
+    assert str(exc.value) == message
+    (got,) = fit_batch([(temps, powers)], FitKind.LINEAR)
+    if message.startswith("time_s"):  # a pair has no times to be bad
+        assert isinstance(got, FitResult)
+    else:
+        assert isinstance(got, InvalidSample) and str(got) == message
 
 
 def test_meta_validation():
@@ -66,26 +69,16 @@ def test_meta_validation():
 
 
 def test_trace_needs_three_samples():
-    samples = (TraceSample(0.0, 25.0, 1.0), TraceSample(0.2, 26.0, 1.1))
     with pytest.raises(EmptyTrace):
-        Trace(META, samples)
+        Trace(META, [0.0, 0.2], [25.0, 26.0], [1.0, 1.1])
 
 
 def test_trace_time_strictly_increasing():
-    samples = (
-        TraceSample(0.0, 25.0, 1.0),
-        TraceSample(0.2, 26.0, 1.1),
-        TraceSample(0.2, 27.0, 1.2),
-    )
+    temps, powers = [25.0, 26.0, 27.0], [1.0, 1.1, 1.2]
     with pytest.raises(NonMonotonicTime):
-        Trace(META, samples)
-    reversed_samples = (
-        TraceSample(0.4, 25.0, 1.0),
-        TraceSample(0.2, 26.0, 1.1),
-        TraceSample(0.6, 27.0, 1.2),
-    )
+        Trace(META, [0.0, 0.2, 0.2], temps, powers)
     with pytest.raises(NonMonotonicTime):
-        Trace(META, reversed_samples)
+        Trace(META, [0.4, 0.2, 0.6], temps, powers)
 
 
 # --- parsing ---
@@ -104,9 +97,9 @@ GOOD = (
 def test_parse_good_text():
     tr = parse_trace(GOOD)
     assert tr.meta == TraceMeta("A15", 1.2, 4)
-    assert tr.temps() == [25.5, 26.0, 26.5]
-    assert tr.powers() == [2.1, 2.2, 2.3]
-    assert tr.times() == [0.0, 0.2, 0.4]
+    assert tr.temp_c.tolist() == [25.5, 26.0, 26.5]
+    assert tr.power_w.tolist() == [2.1, 2.2, 2.3]
+    assert tr.time_s.tolist() == [0.0, 0.2, 0.4]
 
 
 def test_parse_accepts_bytes():
@@ -216,8 +209,7 @@ def test_round_trip_property(deltas, data):
     for d in deltas:
         times.append(t)
         t += d
-    samples = tuple(TraceSample(*row) for row in zip(times, temps, powers))
-    tr = Trace(META, samples)
+    tr = Trace(META, times, temps, powers)
     assert parse_trace(write_trace(tr)) == tr
 
 
@@ -225,10 +217,10 @@ def test_round_trip_property(deltas, data):
 
 def test_generator_noiseless_matches_curve():
     tr = generate_synthetic_trace(META, (0.25, 185.0, 33.0), (50.0, 80.0, 3))
-    assert tr.temps() == [50.0, 65.0, 80.0]
-    assert tr.times() == [0.0, 0.2, 0.4]
+    assert tr.temp_c.tolist() == [50.0, 65.0, 80.0]
+    assert tr.time_s.tolist() == [0.0, 0.2, 0.4]
     expected = [0.2667240229884704, 0.2763479808144487, 0.2915101135341151]
-    for got, want in zip(tr.powers(), expected):
+    for got, want in zip(tr.power_w.tolist(), expected):
         assert math.isclose(got, want, rel_tol=1e-12)
 
 
@@ -247,7 +239,7 @@ def test_generator_quantum_rounds_to_grid():
     tr = generate_synthetic_trace(
         META, (0.25, 185.0, 33.0), (50.0, 80.0, 25), noise=0.01, quantum=0.125, seed=3
     )
-    for p in tr.powers():
+    for p in tr.power_w.tolist():
         assert p == round(p / 0.125) * 0.125
         assert float(p / 0.125).is_integer()
 
@@ -330,6 +322,6 @@ def test_long_file_blank_line_before_bad_row(long_lines):
 
 def test_sample_errors_from_code_carry_no_line():
     with pytest.raises(InvalidSample) as exc:
-        Trace.from_columns(META, [0.0, 0.2, 0.4], [30.0, 31.0, 32.0], [1.0, 0.0, 1.0])
+        Trace(META, [0.0, 0.2, 0.4], [30.0, 31.0, 32.0], [1.0, 0.0, 1.0])
     assert exc.value.line_no is None
     assert str(exc.value) == "power_w must be positive, got 0.0"
