@@ -47,6 +47,7 @@ from .trace import (
     TraceMeta,
     generate_synthetic_trace,
     parse_trace,
+    parse_traces,
     write_trace,
 )
 from .fitting import (
@@ -119,6 +120,7 @@ __all__ = [
     "TraceMeta",
     "Trace",
     "parse_trace",
+    "parse_traces",
     "write_trace",
     "generate_synthetic_trace",
     # fitting

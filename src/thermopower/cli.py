@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -40,7 +41,7 @@ from .errors import (
     NonPositiveTime,
     ThermoError,
 )
-from .fitting import FitKind, compare_models, fit_batch
+from .fitting import FitKind, FitResult, compare_models, fit_batch
 from .powermodel import (
     CoefficientSet,
     ModelParams,
@@ -55,6 +56,7 @@ from .trace import (
     generate_synthetic_trace,
     parse_table,
     parse_trace,
+    parse_traces,
     write_table,
     write_trace,
 )
@@ -72,12 +74,46 @@ def _digest(data: bytes) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
+def _float(x: float) -> str:
+    return float.__repr__(x) if math.isfinite(x) else "null"
+
+
+@functools.cache
+def _fit_template(nl: str, n_coeffs: int) -> str:
+    """The %-format of a FitResult's entry with n_coeffs coefficients, as
+    _text writes its dict: keys sorted, one slot per value."""
+    inner, deeper = nl + "  ", nl + "    "
+    coeffs = "[" + deeper + ("," + deeper).join(["%s"] * n_coeffs) + inner + "]" if n_coeffs else "[]"
+    fields = [f'"coeffs": {coeffs}'] + [
+        f'"{key}": %s' for key in ("converged", "error", "iterations", "kind", "termination")
+    ]
+    return "{" + inner + ("," + inner).join(fields) + nl + "}"
+
+
+def _fit_text(fit: FitResult, nl: str) -> str:
+    floats = (*fit.coeffs, fit.error)
+    *coeffs, error = map(
+        float.__repr__ if all(map(math.isfinite, floats)) else _float, floats
+    )
+    return _fit_template(nl, len(coeffs)) % (
+        *coeffs,
+        "true" if fit.converged else "false",
+        error,
+        int.__repr__(fit.iterations),
+        encode_basestring_ascii(fit.kind.value),
+        encode_basestring_ascii(fit.termination),
+    )
+
+
 def _text(obj, nl: str = "\n") -> str:
     """obj as json.dumps(obj, sort_keys=True, indent=2) writes it, but with
-    non-finite floats as null, so reports stay strict JSON.  nl is a newline
-    and the indent of the line obj starts on."""
+    non-finite floats as null, so reports stay strict JSON, and a FitResult
+    as the dict of its fields.  nl is a newline and the indent of the line
+    obj starts on."""
+    if isinstance(obj, FitResult):  # first: a fleet report holds three per trace
+        return _fit_text(obj, nl)
     if isinstance(obj, float):
-        return float.__repr__(obj) if math.isfinite(obj) else "null"
+        return _float(obj)
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if obj is None:
@@ -112,8 +148,11 @@ def _chunks(obj, nl: str = "\n", depth: int = 3):
         opening, closing = "[", "]"
         members = [("", v) for v in obj]
     for prefix, value in members:
-        yield opening + inner + prefix
-        yield from _chunks(value, inner, depth - 1)
+        if depth == 1 or not isinstance(value, (list, tuple, dict)):
+            yield opening + inner + prefix + _text(value, inner)
+        else:
+            yield opening + inner + prefix
+            yield from _chunks(value, inner, depth - 1)
         opening = ","
     yield nl + closing
 
@@ -128,7 +167,8 @@ class _Run:
         self.source: str | None = None  # the file being parsed, if any
 
     def read_bytes(self, path: str) -> bytes:
-        data = Path(path).read_bytes()
+        with open(path, "rb", buffering=0) as fh:  # one read: a buffer is a copy
+            data = fh.read()
         self.inputs[path] = _digest(data)
         return data
 
@@ -169,17 +209,6 @@ def _emit(args, report: dict, human_lines: list[str]) -> None:
             print(line)
 
 
-def _fit_result_dict(result) -> dict:
-    return {
-        "kind": result.kind.value,
-        "coeffs": list(result.coeffs),
-        "error": result.error,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "termination": result.termination,
-    }
-
-
 def _write_csv(path: str, names, columns) -> None:
     Path(path).write_text(write_table({}, names, columns), encoding="utf-8")
 
@@ -193,8 +222,40 @@ def _write_plot(path: str, temps, powers) -> None:
 
 # --- fit ---
 
+_CHUNK_BYTES = 1 << 16  # input parsed at once: a whole fleet at once costs a third more RSS
+
+
+def _parse_chunk(paths: list[str], texts: list[bytes], run: _Run) -> list:
+    try:
+        return parse_traces(texts)
+    except (ThermoError, ValueError):
+        return [run.parse(p, parse_trace) for p in paths]
+
+
+def _read_traces(paths: list[str], run: _Run) -> list:
+    """run.parse(p, parse_trace) of each path, but read into chunks of up
+    to _CHUNK_BYTES of input, at least one file each, that parse_traces
+    parses together.  A chunk that fails is redone one path at a time, so
+    the first bad path in order fails as it would alone."""
+    traces, texts, first, size = [], [], 0, 0
+    for i, path in enumerate(paths):
+        try:
+            data = run.read_bytes(path)
+        except OSError:
+            traces += [run.parse(p, parse_trace) for p in paths[first : i + 1]]
+            texts, first, size = [], i + 1, 0
+            continue
+        if texts and size + len(data) > _CHUNK_BYTES:
+            traces += _parse_chunk(paths[first:i], texts, run)
+            texts, first, size = [], i, 0
+        texts.append(data)
+        size += len(data)
+    return traces + _parse_chunk(paths[first:], texts, run)
+
+
 def cmd_fit(args, run: _Run) -> tuple[int, dict, list[str]]:
-    traces = [run.parse(p, parse_trace) for p in args.traces]
+    traces = _read_traces(args.traces, run)
+    human = not args.json and not args.quiet  # else the lines go unprinted
     lines = []
     failed = False
 
@@ -205,17 +266,10 @@ def cmd_fit(args, run: _Run) -> tuple[int, dict, list[str]]:
             for i, tr in enumerate(traces):
                 groups.setdefault(f"{tr.meta.processor}/c{tr.meta.cores}", []).append(i)
         cmp = compare_models(traces, groups)
-        per_trace = []
-        for path, row in zip(args.traces, cmp.results):
-            per_trace.append(
-                {
-                    "path": path,
-                    "fits": {
-                        kind.value: _fit_result_dict(r) if r else None
-                        for kind, r in row.items()
-                    },
-                }
-            )
+        per_trace = [
+            {"path": path, "fits": {kind.value: r for kind, r in row.items()}}
+            for path, row in zip(args.traces, cmp.results)
+        ]
         results = {
             "traces": per_trace,
             "aggregated": {k.value: v for k, v in cmp.aggregated.items()},
@@ -233,15 +287,13 @@ def cmd_fit(args, run: _Run) -> tuple[int, dict, list[str]]:
                 key: {kind.value: error for kind, error in errors.items()}
                 for key, errors in sorted(cmp.groups.items())
             }
-        for entry in per_trace:
+        for entry in per_trace if human else ():
             lines.append(_styled(entry["path"]))
-            for kind_name, fd in entry["fits"].items():
-                if fd is None:
+            for kind_name, r in entry["fits"].items():
+                if r is None:
                     lines.append(f"  {kind_name}: failed")
                 else:
-                    lines.append(
-                        f"  {kind_name}: error={fd['error']!r} coeffs={fd['coeffs']!r}"
-                    )
+                    lines.append(f"  {kind_name}: error={r.error!r} coeffs={list(r.coeffs)!r}")
         lines.append(
             "aggregated: "
             + " ".join(f"{k}={v!r}" for k, v in results["aggregated"].items())
@@ -262,12 +314,14 @@ def cmd_fit(args, run: _Run) -> tuple[int, dict, list[str]]:
                      "message": f"{type(r).__name__}: {r}"}
                 )
                 failed = True
-                lines.append(f"{path}: {kind.value} failed: {r}")
+                if human:
+                    lines.append(f"{path}: {kind.value} failed: {r}")
                 continue
             if i == 0:
                 plot_source = r
-            per_trace.append({"path": path, "fits": {kind.value: _fit_result_dict(r)}})
-            lines.append(f"{path}: error={r.error!r} coeffs={list(r.coeffs)!r}")
+            per_trace.append({"path": path, "fits": {kind.value: r}})
+            if human:
+                lines.append(f"{path}: error={r.error!r} coeffs={list(r.coeffs)!r}")
         results = {"traces": per_trace}
 
     if args.plot and plot_source is not None:

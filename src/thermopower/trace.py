@@ -18,6 +18,7 @@ write_table and every one it reads through parse_table.
 
 from __future__ import annotations
 
+import codecs
 import itertools
 import math
 import re
@@ -38,6 +39,7 @@ from .errors import (
     MalformedRow,
     MissingMeta,
     NonMonotonicTime,
+    ThermoError,
 )
 
 HEADER = "time_s,temp_c,power_w"
@@ -136,8 +138,15 @@ class Trace:
                 f"{float(time_s[i])!r})",
                 line_of(i) if line_of else None,
             )
-        for name, value in zip(self.__slots__, (meta, *cols)):
-            object.__setattr__(self, name, value)
+        self._store(meta, time_s, temp_c, power_w)
+
+    def _store(self, meta: TraceMeta, time_s, temp_c, power_w) -> None:
+        """Keep meta and three checked, read-only columns as they are."""
+        store = object.__setattr__
+        store(self, "meta", meta)
+        store(self, "time_s", time_s)
+        store(self, "temp_c", temp_c)
+        store(self, "power_w", power_w)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Trace is immutable; cannot set {name!r}")
@@ -155,9 +164,19 @@ class Trace:
         return hash(self._key())
 
 
+def _ascii(token: str, convert):
+    """convert(token), float or int, for a number of ASCII characters
+    without "_" between any whitespace: the two also take "1_3" and digits
+    of other scripts, which a CSV file does not hold."""
+    number = token.strip()
+    if not number.isascii() or "_" in number:
+        raise ValueError(token)
+    return convert(number)
+
+
 def _parse_number(token: str, line_no: int) -> float:
     try:
-        value = float(token)
+        value = _ascii(token, float)
     except ValueError:
         raise MalformedRow(line_no, f"not a number: {token!r}") from None
     if not math.isfinite(value):
@@ -184,34 +203,53 @@ def _rows_line_by_line(lines: list[str], start: int, width: int) -> list[list[fl
 _BLANK_LINES = re.compile(r"\n\s*\n")
 
 
-def _rows(text: str, start: int, header_line: int, width: int) -> np.ndarray:
-    """text[start:], the lines below the header, as a (rows, width) float array.
+def _body(text: str, start: int) -> str:
+    """text[start:], the lines below the header, stripped and without blank lines."""
+    return _BLANK_LINES.sub("\n", text[start:].strip())
 
-    The whole body is split and converted with float() at once: blank lines
-    are dropped, and a ";" field goes between rows.  float() rejects ";",
-    so every row has exactly ``width`` fields when each ";" lands on its own
-    slot and everything else converts.  Any failure reparses line by line,
-    which raises MalformedRow naming the first bad line.
+
+def _values(body: str, n: int, width: int) -> np.ndarray | None:
+    """The n rows of a _body as an (n, width) float array, or None if any
+    row is not ``width`` finite ASCII decimals.
+
+    The whole body is split and converted with float() at once, a ";"
+    field going between rows.  float() rejects ";", so every row has
+    exactly ``width`` fields when each ";" lands on its own slot and
+    everything else converts.
     """
-    body = _BLANK_LINES.sub("\n", text[start:].strip())
-    n = body.count("\n") + 1
+    if not body or not body.isascii() or "_" in body:
+        return None
     tokens = body.replace("\n", ",;,").split(",")
-    if body and len(tokens) == n * (width + 1) - 1 and tokens[width :: width + 1] == [";"] * (n - 1):
-        del tokens[width :: width + 1]
-        try:
-            values = np.fromiter(map(float, tokens), float, len(tokens))
-        except ValueError:
-            values = None
-        if values is not None and np.isfinite(values).all():
-            return values.reshape(n, width)
+    if len(tokens) != n * (width + 1) - 1 or tokens[width :: width + 1] != [";"] * (n - 1):
+        return None
+    del tokens[width :: width + 1]
+    try:
+        values = np.fromiter(map(float, tokens), float, len(tokens))
+    except ValueError:
+        return None
+    return values.reshape(n, width) if np.isfinite(values).all() else None
+
+
+def _rows(text: str, start: int, header_line: int, width: int) -> np.ndarray:
+    """text[start:], the lines below the header, as a (rows, width) float
+    array.  If _values fails, the rows are reparsed line by line, which
+    raises MalformedRow naming the first bad line."""
+    body = _body(text, start)
+    values = _values(body, body.count("\n") + 1, width)
+    if values is not None:
+        return values
     rows = _rows_line_by_line(_lines(text), header_line, width)
     return np.array(rows, float).reshape(-1, width)
 
 
+def _decode(text: str | bytes) -> str:
+    """UTF-8 text without one leading byte order mark, which spreadsheets
+    write; utf-8-sig does the same at four times the cost."""
+    return text.removeprefix(codecs.BOM_UTF8).decode("utf-8") if isinstance(text, bytes) else text
+
+
 def _lines(text: str | bytes) -> list[str]:
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    return text.split("\n")
+    return _decode(text).split("\n")
 
 
 def _data_line(text: str | bytes, header_line: int, row: int) -> int:
@@ -224,14 +262,10 @@ def _data_line(text: str | bytes, header_line: int, row: int) -> int:
     raise IndexError(row)
 
 
-def parse_table(text: str | bytes) -> tuple[dict[str, str], list[str], np.ndarray, int]:
-    """Parse the comment/header/rows skeleton shared by all CSV outputs.
-
-    Returns (meta dict, column names, a (rows, columns) float array,
-    header line number).
-    """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
+def _header(text: str) -> tuple[dict[str, str], list[str], int, int]:
+    """The ``#key=value`` lines and the column header of CSV text: (meta
+    dict, column names, offset of the line below the header, header line
+    number)."""
     meta: dict[str, str] = {}
     start = 0
     for line_no in itertools.count(1):
@@ -244,10 +278,39 @@ def parse_table(text: str | bytes) -> tuple[dict[str, str], list[str], np.ndarra
                 raise MalformedRow(line_no, f"bad metadata comment: {line!r}")
             meta[key.strip()] = value.strip()
         elif line:
-            columns = [c.strip() for c in line.split(",")]
-            return meta, columns, _rows(text, start, line_no, len(columns)), line_no
+            return meta, [c.strip() for c in line.split(",")], start, line_no
         if end < 0:
             raise EmptyTrace("no column header found")
+
+
+def parse_table(text: str | bytes) -> tuple[dict[str, str], list[str], np.ndarray, int]:
+    """Parse the comment/header/rows skeleton shared by all CSV outputs.
+
+    Returns (meta dict, column names, a (rows, columns) float array,
+    header line number).
+    """
+    text = _decode(text)
+    meta, columns, start, header_line = _header(text)
+    return meta, columns, _rows(text, start, header_line, len(columns)), header_line
+
+
+def _trace_meta(meta_raw: dict[str, str], columns: list[str], header_line: int) -> TraceMeta:
+    """A trace file's TraceMeta, from its _header."""
+    if columns != list(_COLUMNS):
+        raise MalformedRow(header_line, f"expected header {HEADER!r}")
+    if "freq_ghz" not in meta_raw:
+        raise MissingMeta("missing #freq_ghz header")
+    if "cores" not in meta_raw:
+        raise MissingMeta("missing #cores header")
+    try:
+        freq = _ascii(meta_raw["freq_ghz"], float)
+    except ValueError:
+        raise MissingMeta(f"bad #freq_ghz value: {meta_raw['freq_ghz']!r}") from None
+    try:
+        cores = _ascii(meta_raw["cores"], int)
+    except ValueError:
+        raise MissingMeta(f"bad #cores value: {meta_raw['cores']!r}") from None
+    return TraceMeta(meta_raw.get("processor", "unknown"), freq, cores)
 
 
 def parse_trace(text: str | bytes) -> Trace:
@@ -259,24 +322,54 @@ def parse_trace(text: str | bytes) -> Trace:
     line.
     """
     meta_raw, columns, rows, header_line = parse_table(text)
-    if columns != list(_COLUMNS):
-        raise MalformedRow(header_line, f"expected header {HEADER!r}")
-    if "freq_ghz" not in meta_raw:
-        raise MissingMeta("missing #freq_ghz header")
-    if "cores" not in meta_raw:
-        raise MissingMeta("missing #cores header")
-    try:
-        freq = float(meta_raw["freq_ghz"])
-    except ValueError:
-        raise MissingMeta(f"bad #freq_ghz value: {meta_raw['freq_ghz']!r}") from None
-    try:
-        cores = int(meta_raw["cores"])
-    except ValueError:
-        raise MissingMeta(f"bad #cores value: {meta_raw['cores']!r}") from None
-    meta = TraceMeta(meta_raw.get("processor", "unknown"), freq, cores)
+    meta = _trace_meta(meta_raw, columns, header_line)
     trace = Trace.__new__(Trace)
     trace._set(meta, rows.T, lambda row: _data_line(text, header_line, row))
     return trace
+
+
+def parse_traces(texts: Sequence[str | bytes]) -> list[Trace]:
+    """[parse_trace(text) for text in texts], with every body split,
+    converted and checked at once.  Each Trace's columns are read-only
+    slices of one C-contiguous (3, rows) array.  If any text fails, each
+    is parsed alone, in order, so the first bad one raises what
+    parse_trace raises for it.
+    """
+    try:
+        traces = _parse_joined(texts)
+    except (ThermoError, UnicodeDecodeError):
+        traces = None
+    return [parse_trace(text) for text in texts] if traces is None else traces
+
+
+def _parse_joined(texts) -> list[Trace] | None:
+    """parse_traces' joined path: None, or a ThermoError, if any text fails."""
+    metas, bodies, ends = [], [], [0]
+    for text in map(_decode, texts):
+        meta_raw, columns, start, header_line = _header(text)
+        metas.append(_trace_meta(meta_raw, columns, header_line))
+        body = _body(text, start)
+        bodies.append(body)
+        ends.append(ends[-1] + body.count("\n") + 1)
+    if not metas:
+        return []
+    values = _values("\n".join(bodies), ends[-1], len(_COLUMNS))
+    if values is None or any(b - a < 3 for a, b in zip(ends, ends[1:])):
+        return None
+    table = np.ascontiguousarray(values.T)
+    table.flags.writeable = False
+    time_s, temp_c, power_w = table
+    check_samples(time_s, temp_c, power_w)
+    steps = np.diff(time_s) <= 0
+    steps[np.array(ends[1:-1], int) - 1] = False  # a text's first time follows none
+    if steps.any():
+        return None
+    traces = []
+    for meta, a, b in zip(metas, ends, ends[1:]):
+        trace = Trace.__new__(Trace)
+        trace._store(meta, time_s[a:b], temp_c[a:b], power_w[a:b])
+        traces.append(trace)
+    return traces
 
 
 def _fmt(value: float) -> str:

@@ -13,10 +13,15 @@ import sys
 import numpy as np
 import pytest
 
-from thermopower import fitting
+from thermopower import cli, fitting
 from thermopower.cli import main
 from thermopower.sensor import SensorModel, b_factor, erf
-from thermopower.trace import parse_table
+from thermopower.trace import (
+    TraceMeta,
+    generate_synthetic_trace,
+    parse_table,
+    write_trace,
+)
 
 GEN = ["gen", "--params", "0.3,100.0,33.0", "--sweep", "25,85,20",
        "--noise", "0.002", "--seed", "0"]
@@ -214,6 +219,17 @@ def test_fit_malformed_input_exit_2_names_file_and_line(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert str(path) in err and "line 5" in err
+
+
+def test_fit_reads_a_trace_with_a_byte_order_mark_and_digests_its_bytes(tmp_path, capsys):
+    plain = gen_trace(tmp_path, capsys)
+    marked = tmp_path / "bom.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    _, report, _ = run_json(["fit", plain, marked], capsys)
+    fits = [entry["fits"] for entry in report["results"]["traces"]]
+    assert fits[0] == fits[1]
+    digest = hashlib.sha256(marked.read_bytes()).hexdigest()
+    assert report["inputs"][str(marked)] == "sha256:" + digest
 
 
 def test_fit_missing_file_exit_2(tmp_path, capsys):
@@ -546,6 +562,16 @@ def test_sensor_correct_zero_time_sample_exit_2(tmp_path, capsys):
     assert "t > 0" in err
 
 
+def test_sensor_correct_series_of_non_ascii_digits_exit_2(tmp_path, capsys):
+    series = tmp_path / "digits.csv"
+    series.write_text("time_s,temp_c\n1.0,30.0\n2.0,3\u0661.0\n", encoding="utf-8")
+    _, model_path = write_lagged_series(tmp_path)
+    code, out, err = run_cli(
+        ["sensor-correct", series, "--model-json", model_path,
+         "--out", tmp_path / "fixed.csv"], capsys)
+    assert (code, out, err) == (2, "", f"error: {series}: line 3: not a number: '3\u0661.0'\n")
+
+
 def test_sensor_correct_header_only_series_exit_2(tmp_path, capsys):
     series = tmp_path / "empty.csv"
     series.write_text("time_s,temp_c\n")
@@ -839,3 +865,92 @@ def test_import_loads_only_stdlib_and_numpy():
     third_party = loaded - set(sys.stdlib_module_names) - {"thermopower"}
     assert third_party <= {"numpy"}, sorted(third_party)
     assert not loaded & {"scipy", "hypothesis", "pandas"}
+
+
+# --- a fleet is parsed in chunks; the first bad file still names itself ---
+
+FLEET_SIZE = 200
+
+
+@pytest.fixture(scope="module")
+def fleet_dir(tmp_path_factory):
+    """200 20-sample traces, t000.csv to t199.csv."""
+    root = tmp_path_factory.mktemp("fleet")
+    for i in range(FLEET_SIZE):
+        meta = TraceMeta(("A7", "A15")[i % 2], 1.2, 1 + i % 4)
+        trace = generate_synthetic_trace(meta, (0.3, 100.0, 33.0), (30.0, 80.0, 20),
+                                         noise=0.002, seed=i)
+        (root / f"t{i:03d}.csv").write_text(write_trace(trace))
+    return root
+
+
+def _chunked(monkeypatch, argv, capsys):
+    """run_cli(argv) and the paths of each chunk cli parsed at once."""
+    chunks = []
+    parse_chunk = cli._parse_chunk
+
+    def spy(paths, texts, run):
+        chunks.append(list(paths))
+        return parse_chunk(paths, texts, run)
+
+    monkeypatch.setattr(cli, "_parse_chunk", spy)
+    return run_cli(argv, capsys), chunks
+
+
+def _broken(text: str, how: str) -> str:
+    """text with one fault, padded with trailing newlines to its length, so
+    the chunks hold the same files."""
+    lines = text.split("\n")  # 3 metadata lines, the header, 20 rows
+    if how == "token":
+        lines[6] = "0.4,26.5,2.1x"
+    elif how == "time":
+        lines[6] = "0.2" + lines[6][3:]
+    elif how == "short":
+        lines = lines[:6]
+    elif how == "meta":
+        del lines[2]
+    elif how == "header":
+        lines[3] = "time_s,temp_c,power"
+    broken = "\n".join(lines)
+    assert len(broken) <= len(text)
+    return broken + "\n" * (len(text) - len(broken))
+
+
+# the parent's stderr for each fault, after "error: <path>: "
+FAULTS = {
+    "token": "line 7: not a number: '2.1x'",
+    "time": "line 7: time must strictly increase (0.2 then 0.2)",
+    "short": "a trace needs at least 3 samples, got 2",
+    "meta": "missing #cores header",
+    "header": "line 4: expected header 'time_s,temp_c,power_w'",
+}
+MISSING = "error: [Errno 2] No such file or directory: 'missing.csv'\n"
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+@pytest.mark.parametrize("place", ["first", "last in a chunk", "first in the next"])
+def test_fleet_fit_names_the_first_bad_file_wherever_its_chunk_starts(
+        fleet_dir, monkeypatch, capsys, tmp_path, fault, place):
+    monkeypatch.chdir(fleet_dir)
+    names = [f"t{i:03d}.csv" for i in range(FLEET_SIZE)]
+    (code, _, _), chunks = _chunked(monkeypatch, ["fit", *names, "--json"], capsys)
+    assert code == 0 and len(chunks) >= 3
+    bad = {"first": chunks[0][0], "last in a chunk": chunks[1][-1],
+           "first in the next": chunks[2][0]}[place]
+    later = chunks[2][-1]  # a second bad file, which must not be the one named
+    for name in (bad, later):
+        (tmp_path / name).write_text(_broken((fleet_dir / name).read_text(), fault))
+    monkeypatch.chdir(tmp_path)
+    for name in set(names) - {bad, later}:
+        (tmp_path / name).symlink_to(fleet_dir / name)
+
+    (code, out, err), seen = _chunked(monkeypatch, ["fit", *names, "--json"], capsys)
+    assert [c for c in seen if bad in c][0] == next(c for c in chunks if bad in c)
+    assert (code, out, err) == (2, "", f"error: {bad}: {FAULTS[fault]}\n")
+
+    i = names.index(bad)
+    missing_first = [*names[:i], "missing.csv", *names[i:]]
+    assert run_cli(["fit", *missing_first], capsys) == (2, "", MISSING)
+    missing_after = [*names[: i + 1], "missing.csv", *names[i + 1:]]
+    assert run_cli(["fit", *missing_after], capsys) == (
+        2, "", f"error: {bad}: {FAULTS[fault]}\n")

@@ -239,7 +239,7 @@ def test_parse_table_matches_float_on_loose_text():
         " a , b \n"
         "1.5, -2\n"
         "\n"
-        "  +3e2 ,4_0\n"
+        "  +3e2 ,4e1\n"
         "\r\n"
         ".5,5.\r\n"
     )

@@ -1,8 +1,9 @@
 """The report writer against the standard library's encoder.
 
 ``cli._text`` must write what ``json.dumps(v, sort_keys=True, indent=2)``
-writes, except that non-finite floats become ``null``; ``cli._chunks``
-must write the same text in pieces, at every streaming depth.
+writes, except that non-finite floats become ``null`` and a FitResult is
+written as the dict of its fields; ``cli._chunks`` must write the same text
+in pieces, at every streaming depth.
 """
 
 import json
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermopower.cli import _chunks, _text
+from thermopower.fitting import FitKind, FitResult
 
 # any code point: non-ASCII, control characters and lone surrogates
 CHARS = st.characters() | st.characters(categories=["Cs"])
@@ -83,3 +85,62 @@ def test_values_that_are_not_report_json_raise_type_error(bad):
     for depth in range(4):
         with pytest.raises(TypeError):
             "".join(_chunks(bad, depth=depth))
+
+
+# --- FitResult entries, written from templates ---
+
+def fit_dict(fit):
+    """A FitResult as a report wrote it through a dict of its fields."""
+    return {"kind": fit.kind.value, "coeffs": list(fit.coeffs), "error": fit.error,
+            "iterations": fit.iterations, "converged": fit.converged,
+            "termination": fit.termination}
+
+
+def as_dicts(v):
+    """v with every FitResult replaced by fit_dict of it."""
+    if isinstance(v, FitResult):
+        return fit_dict(v)
+    if isinstance(v, dict):
+        return {k: as_dicts(x) for k, x in v.items()}
+    if isinstance(v, list):
+        return [as_dicts(x) for x in v]
+    return v
+
+
+FLOATS = FINITE | NON_FINITE
+FITS = st.builds(
+    FitResult,
+    st.sampled_from(list(FitKind)),
+    st.lists(FLOATS, min_size=2, max_size=3).map(tuple),
+    FLOATS,
+    st.integers(0, 10**6),
+    st.booleans(),
+    TEXT,
+)
+# a trace entry of `fit` (every family, some failed) or of `fit --model exp`
+# (one family, a failure carrying its message)
+ENTRIES = st.one_of(
+    st.fixed_dictionaries(
+        {"path": TEXT, "fits": st.dictionaries(st.sampled_from(["exponential", "linear",
+                                                                 "quadratic"]),
+                                               st.none() | FITS, min_size=3)}),
+    st.fixed_dictionaries({"path": TEXT, "fits": st.fixed_dictionaries({"exponential": FITS})}),
+    st.fixed_dictionaries({"path": TEXT, "fits": st.just({"exponential": None}),
+                           "message": TEXT}),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(ENTRIES, max_size=4))
+def test_fit_results_are_written_as_the_dict_of_their_fields(entries):
+    report = {"results": {"traces": entries}}
+    expected = _text(as_dicts(report))
+    assert expected == json.dumps(finite_only(as_dicts(report)), sort_keys=True, indent=2)
+    assert written(report) == [expected] * 6
+
+
+def test_a_numpy_float_in_a_fit_result_is_written_as_its_value():
+    fit = FitResult(FitKind.QUADRATIC, (np.float64(0.1), np.float64(-2.5), 3.0),
+                    np.float64("inf"), 0, True)
+    assert _text(fit) == _text(fit_dict(fit))
+    assert "np.float64" not in _text(fit) and '"error": null' in _text(fit)

@@ -19,7 +19,9 @@ from thermopower.trace import (
     Trace,
     TraceMeta,
     generate_synthetic_trace,
+    parse_table,
     parse_trace,
+    parse_traces,
     write_trace,
 )
 
@@ -165,6 +167,50 @@ def test_parse_empty_and_tiny():
         parse_trace("")
     with pytest.raises(EmptyTrace):
         parse_trace("#freq_ghz=1.0\n#cores=1\ntime_s,temp_c,power_w\n0.0,25.0,1.0\n")
+
+
+# A trace file holds ASCII decimals.  float() and int() also take "1_3"
+# and digits of other scripts; the reader does not.
+NOT_ASCII_DECIMALS = {
+    "underscore": (("0.4,26.5,2.3", "0.4,26.5,1_3"), MalformedRow,
+                   "line 7: not a number: '1_3'"),
+    "arabic-indic digit": (("0.4,26.5,2.3", "0.4,26.5,١.3"), MalformedRow,
+                           "line 7: not a number: '١.3'"),
+    "fullwidth digit": (("0.2,26.0", "０.2,26.0"), MalformedRow,
+                        "line 6: not a number: '０.2'"),
+    "cores": (("#cores=4", "#cores=٣"), MissingMeta, "bad #cores value: '٣'"),
+    "freq": (("#freq_ghz=1.2", "#freq_ghz=1_2"), MissingMeta, "bad #freq_ghz value: '1_2'"),
+}
+
+
+@pytest.mark.parametrize("case", NOT_ASCII_DECIMALS)
+def test_parse_accepts_only_ascii_decimals(case):
+    (old, new), error, message = NOT_ASCII_DECIMALS[case]
+    text = GOOD.replace(old, new)
+    for parse in (parse_trace, lambda t: parse_traces([t])[0]):
+        with pytest.raises(error) as exc:
+            parse(text)
+        assert str(exc.value) == message
+
+
+def test_parse_still_strips_any_whitespace_around_a_number():
+    text = GOOD.replace("0.2,26.0,2.2", "0.2,\u00a026.0\u2003,2.2")  # no-break, em space
+    assert parse_trace(text) == parse_traces([text])[0] == parse_trace(GOOD)
+
+
+def test_parse_table_accepts_only_ascii_decimals():
+    with pytest.raises(MalformedRow) as exc:
+        parse_table("time_s,temp_c\n0.2,4_0\n")
+    assert str(exc.value) == "line 2: not a number: '4_0'"
+
+
+def test_parse_drops_one_leading_byte_order_mark():
+    bom = b"\xef\xbb\xbf"
+    assert parse_trace(bom + GOOD.encode()) == parse_trace(GOOD)
+    assert parse_traces([bom + GOOD.encode(), GOOD]) == [parse_trace(GOOD)] * 2
+    with pytest.raises(MalformedRow) as exc:  # a second one is no comment line
+        parse_trace(bom + bom + GOOD.encode())
+    assert str(exc.value).startswith("line 2: ")
 
 
 # --- serialization ---
@@ -325,3 +371,74 @@ def test_sample_errors_from_code_carry_no_line():
         Trace(META, [0.0, 0.2, 0.4], [30.0, 31.0, 32.0], [1.0, 0.0, 1.0])
     assert exc.value.line_no is None
     assert str(exc.value) == "power_w must be positive, got 0.0"
+
+
+# --- parse_traces: many texts, split and checked at once ---
+
+@pytest.fixture(scope="module")
+def fleet_texts():
+    metas = [TraceMeta(p, f, c) for p in ("A7", "A15") for f in (0.6, 1.2) for c in (1, 4)]
+    return [write_trace(generate_synthetic_trace(metas[i % 8], (0.25, 185.0, 33.0),
+                                                 (30.0, 80.0, 5 + i % 17), noise=0.002,
+                                                 seed=i))
+            for i in range(60)]
+
+
+def test_joined_traces_are_their_per_file_twins_in_read_only_contiguous_columns(fleet_texts):
+    joined = parse_traces(fleet_texts)
+    assert joined == [parse_trace(t) for t in fleet_texts]
+    table = joined[0].time_s.base
+    for trace in joined:
+        for col in (trace.time_s, trace.temp_c, trace.power_w):
+            assert col.base is table  # one (3, rows) array, not a copy per trace
+            assert col.flags.c_contiguous and not col.flags.writeable
+            with pytest.raises(ValueError):
+                col.flags.writeable = True
+    assert table.shape == (3, sum(map(len, joined))) and table.flags.c_contiguous
+    assert parse_traces([]) == []
+
+
+# edits that break a trace text, or leave it valid in a form the joined
+# path does not take (blank lines, a byte order mark, "\r\n")
+EDITS = [
+    ("0.2,", "0.2_,"), ("0.2,", "٠.2,"), (",", ",x"), (",", ",,"), (",", ",nan"),
+    (",", ",-"), ("\n", "\n\n"), ("\n", "\r\n"), ("\n", "\n#c=1\n"), ("\n", "\nfoo\n"),
+    ("0.4,", "0.0,"), ("0.2,", "0.0,"), ("#cores=", "#cores=9"), ("#cores=", "#cores=x"),
+    ("#freq_ghz", "#f"), ("time_s", "time"), ("\n", ""), ("1", ""),
+]
+
+
+@st.composite
+def broken(draw, texts):
+    text = draw(st.sampled_from(texts))
+    for _ in range(draw(st.integers(0, 2))):
+        old, new = draw(st.sampled_from(EDITS))
+        cut = [i for i in range(len(text)) if text.startswith(old, i)]
+        if cut:
+            i = draw(st.sampled_from(cut))
+            text = text[:i] + new + text[i + len(old):]
+    if draw(st.integers(0, 9)) == 0:
+        text = text[: draw(st.integers(0, len(text)))]
+    data = text.encode()
+    kind = draw(st.sampled_from(["str", "str", "bytes", "bytes", "bom", "bad utf-8"]))
+    if kind == "bom":
+        return b"\xef\xbb\xbf" + data
+    if kind == "bad utf-8":
+        return data[:9] + b"\xff" + data[9:]
+    return data if kind == "bytes" else text
+
+
+def outcome(parse):
+    try:
+        return parse()
+    except Exception as exc:  # the type and message, whatever they are
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_parse_traces_is_each_text_parsed_alone(fleet_texts, data):
+    texts = data.draw(st.lists(st.sampled_from(fleet_texts) | broken(fleet_texts[:8]),
+                               max_size=6))
+    alone = outcome(lambda: [parse_trace(t) for t in texts])
+    assert outcome(lambda: parse_traces(texts)) == alone
