@@ -91,14 +91,10 @@ def _fit_template(nl: str, n_coeffs: int) -> str:
 
 
 def _fit_text(fit: FitResult, nl: str) -> str:
-    floats = (*fit.coeffs, fit.error)
-    *coeffs, error = map(
-        float.__repr__ if all(map(math.isfinite, floats)) else _float, floats
-    )
-    return _fit_template(nl, len(coeffs)) % (
-        *coeffs,
+    return _fit_template(nl, len(fit.coeffs)) % (
+        *map(_float, fit.coeffs),
         "true" if fit.converged else "false",
-        error,
+        _float(fit.error),
         int.__repr__(fit.iterations),
         encode_basestring_ascii(fit.kind.value),
         encode_basestring_ascii(fit.termination),
