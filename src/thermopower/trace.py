@@ -25,7 +25,7 @@ import re
 import reprlib
 import sys
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -328,13 +328,15 @@ def parse_trace(text: str | bytes) -> Trace:
     return trace
 
 
-def parse_traces(texts: Sequence[str | bytes]) -> list[Trace]:
+def parse_traces(texts: Iterable[str | bytes]) -> list[Trace]:
     """[parse_trace(text) for text in texts], with every body split,
-    converted and checked at once.  Each Trace's columns are read-only
-    slices of one C-contiguous (3, rows) array.  If any text fails, each
-    is parsed alone, in order, so the first bad one raises what
-    parse_trace raises for it.
+    converted and checked at once, and each Trace's columns read-only
+    slices of one C-contiguous (3, rows) array.  If any text fails, or
+    holds what only the line-by-line reader takes, such as non-ASCII
+    whitespace around a number, each is parsed alone, in order, so the
+    first bad one raises what parse_trace raises for it.
     """
+    texts = list(texts)  # read twice if one fails
     try:
         traces = _parse_joined(texts)
     except (ThermoError, UnicodeDecodeError):
@@ -343,7 +345,7 @@ def parse_traces(texts: Sequence[str | bytes]) -> list[Trace]:
 
 
 def _parse_joined(texts) -> list[Trace] | None:
-    """parse_traces' joined path: None, or a ThermoError, if any text fails."""
+    """parse_traces' joined path: None, or the error of a failed check, if any text fails."""
     metas, bodies, ends = [], [], [0]
     for text in map(_decode, texts):
         meta_raw, columns, start, header_line = _header(text)

@@ -442,3 +442,4 @@ def test_parse_traces_is_each_text_parsed_alone(fleet_texts, data):
                                max_size=6))
     alone = outcome(lambda: [parse_trace(t) for t in texts])
     assert outcome(lambda: parse_traces(texts)) == alone
+    assert outcome(lambda: parse_traces(iter(texts))) == alone  # an iterator reads once
