@@ -106,8 +106,16 @@ def _text(obj, nl: str = "\n") -> str:
     non-finite floats as null, so reports stay strict JSON, and a FitResult
     as the dict of its fields.  nl is a newline and the indent of the line
     obj starts on."""
-    if isinstance(obj, FitResult):  # first: a fleet report holds three per trace
+    # the shapes a fleet report holds most of come first: per trace, a dict
+    # of three FitResults in a dict
+    if isinstance(obj, FitResult):
         return _fit_text(obj, nl)
+    if isinstance(obj, dict):
+        inner = nl + "  "
+        # encode_basestring_ascii raises TypeError on a key that is not a str
+        body = [encode_basestring_ascii(k) + ": " + _text(v, inner)
+                for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(body) + nl + "}" if body else "{}"
     if isinstance(obj, float):
         return _float(obj)
     if isinstance(obj, str):
@@ -118,15 +126,10 @@ def _text(obj, nl: str = "\n") -> str:
         return "true" if obj else "false"
     if isinstance(obj, int):
         return int.__repr__(obj)
-    inner = nl + "  "
     if isinstance(obj, (list, tuple)):
+        inner = nl + "  "
         body = [_text(v, inner) for v in obj]
         return "[" + inner + ("," + inner).join(body) + nl + "]" if body else "[]"
-    if isinstance(obj, dict):
-        # encode_basestring_ascii raises TypeError on a key that is not a str
-        body = [encode_basestring_ascii(k) + ": " + _text(v, inner)
-                for k, v in sorted(obj.items())]
-        return "{" + inner + ("," + inner).join(body) + nl + "}" if body else "{}"
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 

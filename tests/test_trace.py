@@ -398,8 +398,8 @@ def test_joined_traces_are_their_per_file_twins_in_read_only_contiguous_columns(
     assert parse_traces([]) == []
 
 
-# edits that break a trace text, or leave it valid in a form the joined
-# path does not take (blank lines, a byte order mark, "\r\n")
+# edits that break a trace text, or keep it valid in another form (blank
+# lines, "\r\n")
 EDITS = [
     ("0.2,", "0.2_,"), ("0.2,", "٠.2,"), (",", ",x"), (",", ",,"), (",", ",nan"),
     (",", ",-"), ("\n", "\n\n"), ("\n", "\r\n"), ("\n", "\n#c=1\n"), ("\n", "\nfoo\n"),
