@@ -14,14 +14,18 @@ fit_exponential).  FitResult.termination says why a fit stopped:
 
 Fits run over batches (fit_batch).  Traces of one length are stacked as
 the rows of (m, n) arrays, up to BLOCK of them, and every numpy step
-covers the whole block.  Each row goes through the same IEEE operations
-in the same order as a trace fitted on its own, with row sums and dot
-products taken by the same numpy and BLAS routines, so a fit does not
-depend on the batch it is in; fitting one trace is a batch of one.
+covers the whole block; the exponential rate search runs the rows of
+many blocks in step, its state in flat arrays (see _search).  Each row
+goes through the same IEEE operations in the same order as a trace
+fitted on its own, with row sums and dot products taken by the same numpy
+and BLAS routines, so a fit does not depend on the batch it is in;
+fitting one trace is a batch of one.  A fit keeps its squared relative
+residuals, which compare_models pools.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -52,6 +56,11 @@ _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 # one of 100k.
 BLOCK = 512
 BLOCK_SAMPLES = 1 << 15
+# The exponential search runs the blocks of a wave in step, so that short
+# traces of many lengths share its rounds.  A wave holds up to WAVE_SAMPLES
+# samples, one full block or many small ones, which bounds the arrays the
+# search keeps at once.
+WAVE_SAMPLES = 1 << 14
 
 
 class FitKind(Enum):
@@ -136,11 +145,6 @@ def _as_xy(data) -> tuple[np.ndarray, np.ndarray]:
     return t, y
 
 
-def _errors(y: np.ndarray, model: np.ndarray) -> np.ndarray:
-    """fit_error of each row of (y, model)."""
-    return np.sqrt(np.sum(((model - y) / y) ** 2, axis=1))
-
-
 def fit_error(measured: Sequence[float], model: Sequence[float]) -> float:
     """sqrt(sum(((model_i - measured_i)/measured_i)**2))."""
     y = np.asarray(measured, float)
@@ -151,7 +155,7 @@ def fit_error(measured: Sequence[float], model: Sequence[float]) -> float:
         raise LengthMismatch("need at least one sample")
     if np.any(y == 0):
         raise ZeroMeasurement("relative residuals undefined for measured power 0")
-    return float(_errors(y[None], m[None])[0])
+    return math.sqrt(np.sum(((m - y) / y) ** 2))
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -161,7 +165,7 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _distinct(t: np.ndarray) -> np.ndarray:
-    """len(np.unique(row)) for every row of t."""
+    """The number of distinct values in every row of t."""
     s = np.sort(t, axis=1)
     return (s[:, 1:] != s[:, :-1]).sum(axis=1) + (t.shape[1] > 0)
 
@@ -173,12 +177,15 @@ class _Rows:
     block, its FitResult or the exception its fit raised.  fail() sets
     traces aside at the step where a fit of that trace alone would have
     raised, so every later step runs on exactly the traces that reach it.
+    After finish(), the live rows are the fitted traces, and squares holds
+    their squared relative residuals, row by row.
     """
 
     def __init__(self, t: np.ndarray, y: np.ndarray):
         self.t, self.y = t, y
         self.ids = np.arange(len(t))  # block index of each live row
         self.out: list[FitResult | Exception | None] = [None] * len(t)
+        self.squares = np.empty((0, t.shape[1]))
 
     def fail(self, bad, error, *arrays):
         """Fail live row j with error(j) wherever bad[j]; return arrays
@@ -194,7 +201,9 @@ class _Rows:
 
     def finish(self, kind: FitKind, coeffs, iterations=None, terminations=None):
         """Store a FitResult for every live row, its error that of its predict()."""
-        errors = _errors(self.y, _curve(kind, coeffs.T[:, :, None], self.t))
+        rel = (_curve(kind, coeffs.T[:, :, None], self.t) - self.y) / self.y
+        self.squares = rel * rel
+        errors = np.sqrt(np.sum(self.squares, axis=1))
         n = len(self.ids)
         iterations = [0] * n if iterations is None else iterations.tolist()
         terminations = ["converged"] * n if terminations is None else terminations.tolist()
@@ -335,194 +344,220 @@ class _Separable:
             return a0 * scale, t_ref - a2 * each(math.log, c1 * scale), a2, c * scale
 
 
-_OBJECTIVE, _STEP = "objective", "gauss_newton"
+_WALK, _BRENT, _STEP, _TRY = range(4)  # what a row's pending rate waits for; see _search
 
 
-def _bracket(x: float, lo: float, hi: float):
-    """Walk downhill from x until f rises, doubling the step each time.
+def _search(models: Sequence[_Separable]):
+    """Search the rate of every row of every model, all in step.
 
-    A coroutine: it yields (_OBJECTIVE, x) for each f(x) it needs and is
-    sent the value.  Returns (a, x, b, f(x), limit) with a < x < b and
-    f(x) <= f(a).  When f rose at b (or a), f(x) <= f(b) too and limit is
-    None.  When the walk was cut at lo or hi instead, that limit is a or b
-    and is returned as limit: f may then be lowest anywhere between x and
-    it.  x must lie more than 2 inside [lo, hi]; the first step is 1.
+    A row walks downhill from k = 0, doubling its step until f rises, to
+    bracket the minimum (_WALK); runs Brent's method in the bracket
+    (_BRENT); then takes Gauss-Newton steps while they lower f (_STEP, and
+    _TRY for f at the step); see fit_exponential.  The state of every live
+    row sits in flat arrays.  A round answers each row's pending rate k,
+    with objective and gauss_newton called once per model on the rows that
+    asked, and moves every row on by masked updates.  These use + - * /,
+    comparisons, abs and copysign, with Python's min(p, q) written
+    where(q < p, q, p): each row takes, to the bit, the steps of the same
+    search on Python floats.  Steps no row takes may divide by zero.
+
+    Returns each row's k, whether it ended at the exp_range_limit, and its
+    objective evaluations, the rows of models in order, and a mask of the
+    rows whose search divided by a zero w.w (see _Separable).
     """
-    fx = yield _OBJECTIVE, x
-    f_ahead = yield _OBJECTIVE, x + 1.0
-    if f_ahead < fx:
-        behind, x, fx, step = x, x + 1.0, f_ahead, 2.0
-    else:
-        behind, step = x + 1.0, -1.0
-    while True:
-        ahead = min(x + step, hi) if step > 0 else max(x + step, lo)
-        f_ahead = yield _OBJECTIVE, ahead
-        ends = (min(behind, ahead), x, max(behind, ahead), fx)
-        if f_ahead > fx:
-            return (*ends, None)
-        if ahead in (lo, hi):
-            return (*ends, ahead)
-        behind, x, fx = x, ahead, f_ahead
-        step *= 2
+    sizes = [len(model.span) for model in models]
+    starts = list(itertools.accumulate(sizes, initial=0))
+    n = starts[-1]
+    k_out, evaluations = np.full(n, math.nan), np.zeros(n, int)
+    at_limit, failed = np.zeros(n, bool), np.zeros(n, bool)
+    # (x, f(x)), (w, f(w)), (v, f(v)): Brent's best three points, or the
+    # walk's best; (k, f): the pending rate and, once answered, its value
+    s = np.zeros((14, n))
+    x, fx, w, fw, v, fv, k, f, a, b, behind, step, prev, limit = s
+    for model, start, size in zip(models, starts, sizes):
+        for value, rates in ((fx, np.zeros(size)), (f, np.ones(size))):
+            value[start : start + size], zero = model.objective(rates, slice(None))
+            failed[start : start + size] |= zero
+    down = f < fx  # walk on up from 1 if f is lower there, else down from 0
+    behind[:], x[:] = np.where(down, 0.0, 1.0), np.where(down, 1.0, 0.0)
+    step[:] = np.where(down, 2.0, -1.0)
+    np.copyto(fx, f, where=down)
+    k[:] = x + step  # |x + step| <= 3: inside [-_LOG_TINY, _LOG_TINY]
+    ints = np.stack([np.arange(n), np.full(n, _WALK), np.zeros(n, int)])  # row, phase, GN steps
+    s, ints, rounds = s[:, ~failed], ints[:, ~failed], 0
+    while n := s.shape[1]:
+        x, fx, w, fw, v, fv, k, f, a, b, behind, step, prev, limit = s
+        xp, wp, vp, kp = s[0:2], s[2:4], s[4:6], s[6:8]
+        row, phase, steps = ints
+        zero, no = np.empty(n, bool), np.zeros(n, bool)
+        bounds = np.searchsorted(row, starts).tolist()
+        blocks = [(model, lo, hi, slice(None) if hi - lo == size else row[lo:hi] - start)
+                  for model, lo, hi, start, size in zip(models, bounds, bounds[1:], starts, sizes)
+                  if lo < hi]
+        while True:  # rounds until a row retires; each live row asks once a round
+            rounds += 1
+            counts = np.bincount(phase, minlength=4).tolist()
+            was = [phase == p if c else None for p, c in enumerate(counts)]
+            for model, lo, hi, ids in blocks:
+                if not counts[_STEP] or counts[_STEP] == n:
+                    ask = model.gauss_newton if counts[_STEP] else model.objective
+                    f[lo:hi], zero[lo:hi] = ask(k[lo:hi], ids)
+                    continue
+                local = np.arange(hi - lo) if isinstance(ids, slice) else ids
+                stepping = was[_STEP][lo:hi]
+                for ask, asked in ((model.objective, ~stepping), (model.gauss_newton, stepping)):
+                    if np.count_nonzero(asked):
+                        f[lo:hi][asked], zero[lo:hi][asked] = ask(k[lo:hi][asked], local[asked])
+            finished = hit = ended = no  # done; done at the limit; walk ended
+            if counts[_STEP]:  # f is the stepped rate: try it if inside (a, b)
+                m = was[_STEP]
+                steps += m
+                inside = m & (a < f) & (f < b)
+                finished = m & ~inside
+                np.copyto(k, f, where=inside)
+                phase[inside] = _TRY
+            if counts[_TRY]:  # keep the step if it lowered f, and step again
+                m = was[_TRY]
+                better = m & (f < fx)
+                finished = finished | (m & ~better)
+                np.copyto(xp, kp, where=better)
+                phase[better] = _STEP
+            if counts[_WALK]:  # end where f rose or the walk was cut at a limit
+                m = was[_WALK]
+                rose = f > fx
+                ended = m & (rose | (k == -_LOG_TINY) | (k == _LOG_TINY))
+                if np.count_nonzero(ended):  # Brent starts in [a, b] from x
+                    np.copyto(limit, np.where(rose, math.nan, k), where=ended)
+                    np.copyto(a, np.where(k < behind, k, behind), where=ended)
+                    np.copyto(b, np.where(k > behind, k, behind), where=ended)
+                    np.copyto(s[2:6], s[[0, 1, 0, 1]], where=ended)  # w = v = x
+                    np.copyto(s[11:13], 0.0, where=ended)  # step = prev = 0
+                    phase[ended] = _BRENT
+                go = m & ~ended
+                np.copyto(behind, x, where=go)
+                np.copyto(xp, kp, where=go)
+                np.copyto(step, step + step, where=go)
+                ahead = x + step  # min(x + step, hi) up, max(x + step, lo) down
+                np.copyto(ahead, _LOG_TINY, where=_LOG_TINY < ahead)
+                np.copyto(ahead, -_LOG_TINY, where=-_LOG_TINY > ahead)
+                np.copyto(k, ahead, where=go)
+            if counts[_BRENT]:  # f at u = k: shrink the bracket, keep the best three
+                m = was[_BRENT]
+                lower, left = f <= fx, k < x
+                end = np.where(lower, x, k)
+                np.copyto(a, end, where=m & (left != lower))
+                np.copyto(b, end, where=m & (left == lower))
+                kept, higher = m & lower, m & ~lower
+                if np.count_nonzero(higher):  # u is second or third best, or neither
+                    second = higher & ((f <= fw) | (w == x))
+                    np.copyto(vp, kp, where=higher & ((f <= fv) | (v == x) | (v == w)))
+                    np.copyto(vp, wp, where=second)
+                    np.copyto(wp, kp, where=second)
+                np.copyto(vp, wp, where=kept)
+                np.copyto(wp, xp, where=kept)
+                np.copyto(xp, kp, where=kept)
+            if counts[_BRENT] or np.count_nonzero(ended):
+                brent = phase == _BRENT
+                mid = 0.5 * (a + b)
+                tol = _SQRT_EPS * (1.0 + np.abs(x))
+                tol2 = tol + tol  # 2*tol
+                close = brent & (np.abs(x - mid) <= tol2 - 0.5 * (b - a))
+                if np.count_nonzero(go := brent & ~close):
+                    # a parabola through the three points where it steps inside
+                    # the bracket and shrinks faster than the step before last,
+                    # else a golden section into the larger side
+                    parabolic, ax, bx = no, a - x, b - x
+                    if np.count_nonzero(trial := go & (np.abs(prev) > tol)):
+                        xw, xv = x - w, x - v
+                        r = xw * (fx - fv)
+                        q = xv * (fx - fw)
+                        p = xv * q - xw * r
+                        q = 2.0 * (q - r)
+                        np.negative(p, out=p, where=q > 0)
+                        q = np.abs(q)
+                        parabolic = trial & (np.abs(p) < np.abs(0.5 * q * prev))
+                        parabolic &= (q * ax < p) & (p < q * bx)
+                        parabola = p / q
+                        gap_a, gap_b = x + parabola - a, bx - parabola
+                        near = np.where(gap_b < gap_a, gap_b, gap_a) < tol2
+                        np.copyto(parabola, np.copysign(tol, mid - x), where=near)
+                        np.copyto(prev, step, where=parabolic)
+                        np.copyto(step, parabola, where=parabolic)
+                    if np.count_nonzero(golden := go & ~parabolic):
+                        side = np.where(x < mid, bx, ax)
+                        np.copyto(prev, side, where=golden)
+                        np.copyto(step, _GOLDEN * side, where=golden)
+                    move = np.copysign(tol, step)
+                    np.copyto(move, step, where=np.abs(step) >= tol)
+                    np.copyto(k, x + move, where=go)
+                if np.count_nonzero(close):
+                    hit = close & ((limit == a) | (limit == b))
+                    finished = finished | hit
+                    # Brent knows x to _SQRT_EPS; Gauss-Newton converges quadratically
+                    # where the residual vanishes, so take its steps while they help
+                    np.copyto(k, x, where=close)
+                    phase[close] = _STEP
+            if (finished is not no and np.count_nonzero(finished)) or np.count_nonzero(zero):
+                break
+        finished = finished & ~zero
+        k_out[row[finished]] = np.where(hit, limit, x)[finished]
+        at_limit[row[finished]] = hit[finished]
+        evaluations[row[finished]] = 2 + rounds - steps[finished]
+        failed[row[zero]] = True
+        s, ints = s[:, ~(finished | zero)], ints[:, ~(finished | zero)]
+    return k_out, at_limit, evaluations, failed
 
 
-def _brent(a: float, x: float, b: float, fx: float):
-    """Minimize f on [a, b] from a point x inside it.
-
-    A coroutine like _bracket.  Brent's method (Algorithms for
-    Minimization without Derivatives, 1973, ch. 5): a parabola through the
-    three best points so far when it steps inside the bracket and shrinks
-    faster than the step before last, otherwise a golden-section step into
-    the larger side.  f is never evaluated at a or b.  Stops when x is
-    known to within tol = _SQRT_EPS*(1 + |x|) and returns the final
-    (a, x, b, f(x)), with b - a <= 4*tol; an end that never moved is one
-    the minimum could not be told apart from.
-    """
-    w = v = x
-    fw = fv = fx
-    step = prev_step = 0.0
-    while True:
-        mid = 0.5 * (a + b)
-        tol = _SQRT_EPS * (1.0 + abs(x))
-        if abs(x - mid) <= 2 * tol - 0.5 * (b - a):
-            return a, x, b, fx
-        parabolic = False
-        if abs(prev_step) > tol:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0:
-                p = -p
-            q = abs(q)
-            if abs(p) < abs(0.5 * q * prev_step) and q * (a - x) < p < q * (b - x):
-                prev_step, step = step, p / q
-                if min(x + step - a, b - x - step) < 2 * tol:
-                    step = math.copysign(tol, mid - x)
-                parabolic = True
-        if not parabolic:
-            prev_step = (b - x) if x < mid else (a - x)
-            step = _GOLDEN * prev_step
-        u = x + (step if abs(step) >= tol else math.copysign(tol, step))
-        fu = yield _OBJECTIVE, u
-        if fu <= fx:
-            if u < x:
-                b = x
-            else:
-                a = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-
-
-def _rate_search():
-    """The search for one trace's rate from k = 0, as a coroutine: it
-    yields (_OBJECTIVE, k) or (_STEP, k), is sent f(k) or k after a
-    Gauss-Newton step, and returns (k, termination)."""
-    a, k, b, fk, limit = yield from _bracket(0.0, -_LOG_TINY, _LOG_TINY)
-    a, k, b, fk = yield from _brent(a, k, b, fk)
-    if limit in (a, b):
-        return limit, "exp_range_limit"
-    # Brent knows k to _SQRT_EPS; Gauss-Newton converges quadratically
-    # where the residual vanishes, so take its steps while they help
-    while True:
-        k_new = yield _STEP, k
-        if not a < k_new < b:
-            break
-        f_new = yield _OBJECTIVE, k_new
-        if not f_new < fk:
-            break
-        k, fk = k_new, f_new
-    return k, "converged"
-
-
-def _search(model: _Separable):
-    """Run _rate_search for every row of model, all in step: each round
-    answers every pending request of a kind with one stacked call.
-
-    Returns (k, termination, evaluations) per row and a dict of the rows
-    whose search raised, to their exception.  Every k returned is a rate
-    the objective took.
-    """
-    m = len(model.span)
-    k, terminations, evaluations = [math.nan] * m, [""] * m, [0] * m
-    errors: dict[int, Exception] = {}
-    searches = [_rate_search() for _ in range(m)]
-    pending = {j: next(search) for j, search in enumerate(searches)}
-    while pending:
-        asks: dict[str, list[int]] = {_OBJECTIVE: [], _STEP: []}
-        for j, (op, _) in pending.items():
-            asks[op].append(j)
-        for op, ids in asks.items():
-            if not ids:
-                continue
-            rates = np.array([pending[j][1] for j in ids])
-            where = slice(None) if len(ids) == m else np.array(ids)
-            values, zero = getattr(model, op)(rates, where)
-            for j, value, div0 in zip(ids, values.tolist(), zero.tolist()):
-                evaluations[j] += op == _OBJECTIVE
-                try:
-                    if div0:
-                        # what Python's float division raised in the per-trace fit
-                        raise ZeroDivisionError("float division by zero")
-                    pending[j] = searches[j].send(value)
-                except StopIteration as done:
-                    k[j], terminations[j] = done.value
-                    del pending[j]
-                except Exception as exc:  # the trace's failure, not the batch's
-                    errors[j] = exc.with_traceback(None)
-                    del pending[j]
-    return np.array(k), np.array(terminations), np.array(evaluations), errors
-
-
-def _fit_exponential(rows: _Rows) -> None:
-    rows.fail(
-        _distinct(rows.t) < 3,
-        lambda _: DegenerateInput("exponential fit needs >= 3 distinct temperatures"),
-    )
-    if not rows.ids.size:  # the reductions below have no identity for empty traces
-        return
-    # the sign of C is rounding noise when the best constant is exact
-    rows.fail(
-        rows.y.min(axis=1) == rows.y.max(axis=1),
-        lambda _: DegenerateInput("flat power data; a2 is unidentifiable"),
-    )
-    with np.errstate(over="ignore", invalid="ignore"):
-        model = _Separable(rows.t, rows.y)
-    wide = ~np.isfinite(model.uu)
-    if wide.any():  # build the model again without those rows
-        rows.fail(wide, lambda _: DegenerateInput(
-            "the powers span more than the double range: the weights (max P / P)^2 overflow"))
-        model = _Separable(rows.t, rows.y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k, terminations, evaluations, errors = _search(model)
-        ids, k, terminations, evaluations = rows.fail(
-            np.isin(np.arange(len(k)), list(errors)), errors.__getitem__,
-            np.arange(len(k)), k, terminations, evaluations,
+def _fit_exponential(blocks: Sequence[_Rows]) -> None:
+    models = []
+    for rows in blocks:
+        rows.fail(
+            _distinct(rows.t) < 3,
+            lambda _: DegenerateInput("exponential fit needs >= 3 distinct temperatures"),
         )
-        a0, a1, a2, c = model.params(k, ids)
+        if not rows.ids.size:  # the reductions below have no identity for empty traces
+            continue
+        # the sign of C is rounding noise when the best constant is exact
+        rows.fail(
+            rows.y.min(axis=1) == rows.y.max(axis=1),
+            lambda _: DegenerateInput("flat power data; a2 is unidentifiable"),
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            model = _Separable(rows.t, rows.y)
+        wide = ~np.isfinite(model.uu)
+        if wide.any():  # build the model again without those rows
+            rows.fail(wide, lambda _: DegenerateInput(
+                "the powers span more than the double range: the weights (max P / P)^2 overflow"))
+            model = _Separable(rows.t, rows.y)
+        models.append((rows, model))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k_all, limits, evaluations_all, failed = _search([model for _, model in models])
+    end = 0
+    for rows, model in models:
+        start, end = end, end + len(rows.ids)
+        ids, k, terminations, evaluations = rows.fail(  # as Python's float division raised
+            failed[start:end], lambda _: ZeroDivisionError("float division by zero"),
+            np.arange(end - start), k_all[start:end],
+            np.where(limits[start:end], "exp_range_limit", "converged"), evaluations_all[start:end])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a0, a1, a2, c = model.params(k, ids)
 
-    def degenerate(j):
-        if k[j] == 0:
-            return DegenerateInput("the best curve is the straight line, which the "
-                                   "exponential family reaches only as C -> inf")
-        if c[j] > 0:
-            return DegenerateInput(f"the best curve leaves the double range: a0 is {a0[j]:.3g}, "
-                                   f"C is {c[j]:.3g}")
-        return DegenerateInput(f"best exponential scale C is {c[j]:.3g}; the family needs C > 0")
+        def degenerate(j):
+            if k[j] == 0:
+                return DegenerateInput("the best curve is the straight line, which the "
+                                       "exponential family reaches only as C -> inf")
+            if c[j] > 0:
+                return DegenerateInput(f"the best curve leaves the double range: a0 is "
+                                       f"{a0[j]:.3g}, C is {c[j]:.3g}")
+            return DegenerateInput(f"best exponential scale C is {c[j]:.3g}; the family "
+                                   "needs C > 0")
 
-    a0, a1, a2, terminations, evaluations = rows.fail(
-        ~(c > 0) | ~(np.isfinite(a0) & np.isfinite(a1)), degenerate,
-        a0, a1, a2, terminations, evaluations,
-    )
-    rows.finish(FitKind.EXPONENTIAL, np.stack([a0, a1, a2], axis=1), evaluations, terminations)
+        a0, a1, a2, terminations, evaluations = rows.fail(
+            ~(c > 0) | ~(np.isfinite(a0) & np.isfinite(a1)), degenerate,
+            a0, a1, a2, terminations, evaluations,
+        )
+        rows.finish(FitKind.EXPONENTIAL, np.stack([a0, a1, a2], axis=1), evaluations,
+                    terminations)
 
 
 def _blocks(keys: Sequence[tuple]):
@@ -532,10 +567,42 @@ def _blocks(keys: Sequence[tuple]):
     groups: dict = {}
     for i, key in enumerate(keys):
         groups.setdefault(key, []).append(i)
-    for key, idx in groups.items():
-        size = max(1, min(BLOCK, BLOCK_SAMPLES // max(key[0], 1)))
-        for start in range(0, len(idx), size):
-            yield idx[start : start + size]
+    sizes = {key: max(1, min(BLOCK, BLOCK_SAMPLES // max(key[0], 1))) for key in groups}
+    return [idx[start : start + sizes[key]] for key, idx in groups.items()
+            for start in range(0, len(idx), sizes[key])]
+
+
+def _fit_blocks(data: Sequence, kind: FitKind):
+    """fit_batch(data, kind), and for each block its indices into data, the
+    fitted rows among them and those rows' squared relative residuals."""
+    out: list[FitResult | Exception] = [None] * len(data)  # type: ignore[list-item]
+    xys = []
+    for i, d in enumerate(data):
+        try:
+            xys.append((i, *_as_xy(d)))
+        except InvalidSample as exc:
+            out[i] = exc.with_traceback(None)
+    waves, samples = [], math.inf
+    for block in _blocks([(t.size,) for _, t, _ in xys]):
+        samples += len(block) * xys[block[0]][1].size
+        if samples > WAVE_SAMPLES:
+            waves.append([])
+            samples = len(block) * xys[block[0]][1].size
+        waves[-1].append([xys[b] for b in block])
+    residuals = []
+    for wave in waves:
+        rows = [_Rows(np.array([t for _, t, _ in block]), np.array([y for _, _, y in block]))
+                for block in wave]
+        if kind is FitKind.EXPONENTIAL:
+            _fit_exponential(rows)
+        for block, r in zip(wave, rows):
+            if kind is not FitKind.EXPONENTIAL:
+                _fit_poly(r, 1 if kind is FitKind.LINEAR else 2, kind)
+            idx = [i for i, _, _ in block]
+            for i, result in zip(idx, r.out):
+                out[i] = result
+            residuals.append((idx, r.ids, r.squares))
+    return out, residuals
 
 
 def fit_batch(data: Sequence, kind: FitKind) -> list[FitResult | Exception]:
@@ -548,23 +615,7 @@ def fit_batch(data: Sequence, kind: FitKind) -> list[FitResult | Exception]:
     samples would raise.  Raises LengthMismatch for a pair whose temps and
     powers differ in shape.
     """
-    out: list[FitResult | Exception] = [None] * len(data)  # type: ignore[list-item]
-    xys = []
-    for i, d in enumerate(data):
-        try:
-            xys.append((i, *_as_xy(d)))
-        except InvalidSample as exc:
-            out[i] = exc.with_traceback(None)
-    for block in _blocks([(t.size,) for _, t, _ in xys]):
-        idx, t, y = zip(*(xys[b] for b in block))
-        rows = _Rows(np.array(t), np.array(y))
-        if kind is FitKind.EXPONENTIAL:
-            _fit_exponential(rows)
-        else:
-            _fit_poly(rows, 1 if kind is FitKind.LINEAR else 2, kind)
-        for i, result in zip(idx, rows.out):
-            out[i] = result
-    return out
+    return _fit_blocks(data, kind)[0]
 
 
 def fit(data, kind: FitKind) -> FitResult:
@@ -590,14 +641,18 @@ def fit_exponential(data) -> FitResult:
 
     Variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 1973): the
     best (a0, C) of a0 + C*exp(k*d) is solved exactly at each rate k (see
-    _Separable), leaving a 1-D Brent minimization over k, finished by
-    Gauss-Newton steps while they lower the objective.  The search starts
-    at k = 0, the straight line, and walks downhill from there to bracket
-    the minimum.  It stops at |k| = -ln(smallest normal double), where the
-    exponential's range across the sweep leaves the double range; if the
-    minimum cannot be told apart from that limit, the result has
-    converged=False and termination "exp_range_limit", otherwise
-    termination is "converged".  iterations counts objective evaluations.
+    _Separable), leaving a 1-D minimization over k.  The search starts at
+    k = 0, the straight line, and walks downhill from there, doubling its
+    step, to bracket the minimum; Brent's method (Algorithms for
+    Minimization without Derivatives, 1973, ch. 5) finds it to
+    _SQRT_EPS*(1 + |k|), and Gauss-Newton steps follow while they lower
+    the objective.  It runs on arrays over a whole batch (see _search),
+    each trace taking the steps it would take alone.  The walk stops at
+    |k| = -ln(smallest normal double), where the exponential's range
+    across the sweep leaves the double range; if the minimum cannot be
+    told apart from that limit, the result has converged=False and
+    termination "exp_range_limit", otherwise termination is "converged".
+    iterations counts objective evaluations.
     Raises DegenerateInput when the best C is not positive (concave data,
     say), when the best curve is the straight line, which the family
     reaches only as C -> inf, or when the powers are all equal: the family
@@ -621,9 +676,9 @@ def _squares(fits: Sequence[tuple[Trace, FitResult]]) -> list[np.ndarray]:
     return out
 
 
-def _pool(squares: Sequence[np.ndarray]) -> float:
+def _pool(squares: np.ndarray) -> float:
     # a running sum in sample order, not numpy's pairwise one: the bits are frozen
-    return math.sqrt(np.add.accumulate(np.concatenate(squares))[-1])
+    return math.sqrt(np.add.accumulate(squares, out=squares)[-1])
 
 
 def aggregate_error(fits: Sequence[tuple[Trace, FitResult]]) -> float:
@@ -634,7 +689,7 @@ def aggregate_error(fits: Sequence[tuple[Trace, FitResult]]) -> float:
     """
     if len(fits) == 0:
         raise EmptyGroup("cannot aggregate an empty group")
-    return _pool(_squares(fits))
+    return _pool(np.concatenate(_squares(fits)))
 
 
 def sign_test(errors_a: Sequence[float], errors_b: Sequence[float]) -> float:
@@ -703,7 +758,34 @@ def compare_models(
     """
     if len(traces) == 0:
         raise EmptyGroup("need at least one trace to compare")
-    fits = {kind: fit_batch(traces, kind) for kind in FitKind}
+    # one family at a time, its squared residuals pooled for the whole set
+    # and for each group in trace order; the exponential first, as its
+    # search holds the most memory
+    fits: dict[FitKind, list] = dict.fromkeys(FitKind)  # type: ignore[arg-type]
+    aggregated: dict[FitKind, float | None] = dict.fromkeys(FitKind)
+    group_errors = {key: dict.fromkeys(FitKind) for key in groups or {}}
+    lengths = np.array([len(trace) for trace in traces])
+    for kind in reversed(FitKind):
+        fits[kind], blocks = _fit_blocks(traces, kind)
+        # the squared residuals the fits kept, block after block; fitted
+        # trace i's start at flat[at[i]]
+        flat = np.concatenate([squares.ravel() for _, _, squares in blocks])
+        order = [i for idx, ids, _ in blocks for i in np.array(idx)[ids].tolist()]
+        at = dict(zip(order, itertools.accumulate(lengths[order].tolist(), initial=0)))
+
+        def pooled(indices) -> float | None:
+            ok = [i for i in indices if i in at]
+            if not ok:
+                return None
+            n = lengths[ok]
+            take = np.repeat(np.array([at[i] for i in ok]) - (np.cumsum(n) - n), n)
+            take += np.arange(len(take))
+            return _pool(flat[take])
+
+        aggregated[kind] = pooled(range(len(traces)))
+        for key, indices in (groups or {}).items():
+            group_errors[key][kind] = pooled(indices)
+
     # record and exclude every failure, never abort the batch
     failures = [
         (i, kind, f"{type(r).__name__}: {r}")
@@ -716,22 +798,6 @@ def compare_models(
         for kind, column in fits.items()
     }
     results = [dict(zip(FitKind, row)) for row in zip(*done.values())]
-
-    # one family's squared residuals at a time, pooled for the whole set
-    # and for each group in trace order
-    aggregated: dict[FitKind, float | None] = {}
-    group_errors: dict[str, dict[FitKind, float | None]] = {key: {} for key in groups or {}}
-    for kind, column in done.items():
-        ok = [i for i, r in enumerate(column) if r is not None]
-        squares = dict(zip(ok, _squares([(traces[i], column[i]) for i in ok])))
-
-        def pooled(indices) -> float | None:
-            rows = [squares[i] for i in indices if i in squares]
-            return _pool(rows) if rows else None
-
-        aggregated[kind] = pooled(range(len(traces)))
-        for key, indices in (groups or {}).items():
-            group_errors[key][kind] = pooled(indices)
 
     p_values: dict[tuple[FitKind, FitKind], float | None] = {}
     for ka, kb in _PAIRS:

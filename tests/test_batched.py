@@ -521,3 +521,91 @@ def test_fleet_across_the_default_block_boundary():
     for i, tr in enumerate(fleet):
         groups.setdefault(f"{tr.meta.processor}/c{tr.meta.cores}", []).append(i)
     assert_same_comparison(fleet, groups)
+
+
+# --- the array rate search against the scalar one, path by path ---
+
+def exp_fleet():
+    """Traces of six lengths, three of them alone in their block: rising,
+    falling and steep exponentials, and steps steeper than any exponential,
+    which end at the exp_range_limit."""
+    rng = np.random.default_rng(11)
+    fleet = []
+    for n, count in ((20, 6), (7, 1), (33, 4), (12, 1), (5, 3), (64, 1)):
+        for _ in range(count):
+            # the step lies between the two hottest samples, 0.01 C apart
+            t = np.append(np.linspace(25.0, 84.99, n - 1), 85.0)
+            x = (t - 25.0) / 60.0
+            noise = 1.0 + 1e-3 * rng.standard_normal(n)
+            y = [0.3 + np.exp(x * rng.uniform(0.5, 4.0)) * noise,
+                 0.3 + np.exp(-x * rng.uniform(0.5, 4.0)) * noise,
+                 np.where(t == t.max(), 1.0, 0.3),
+                 0.01 + np.exp(x * rng.uniform(20.0, 60.0) - 10.0) * noise][len(fleet) % 4]
+            fleet.append(Trace(META, 0.2 * np.arange(n), t, y))
+    return fleet
+
+
+def fit_both(fleet):
+    """The array search's results and the scalar reference's, described."""
+    return [described(r) for r in fit_batch(fleet, FitKind.EXPONENTIAL)], [
+        outcome(ref_fit_exponential, tr) for tr in fleet]
+
+
+@pytest.mark.parametrize("wave", [40, fitting.WAVE_SAMPLES])
+@pytest.mark.parametrize("block", [1, 2, 512])
+def test_exponential_batch_of_mixed_lengths_matches_the_scalar_search(monkeypatch, block, wave):
+    monkeypatch.setattr(fitting, "WAVE_SAMPLES", wave)  # 40: a wave of a block or two
+    with block_size(block):
+        got, expected = fit_both(exp_fleet())
+    assert got == expected
+    assert sum("exp_range_limit" in r for r in got) == 4
+    assert sum("converged=True" in r for r in got) == 12
+
+
+def inject(monkeypatch, hit, fault):
+    """Make w.w zero, the residuals NaN, or the objective that of the best
+    constant (so that it ties), at every rate where hit(k), in the batched
+    model and in the reference alike."""
+    project, ref_project = fitting._Separable._project, RefSeparable._project
+
+    def batched(self, k, ids):
+        d, u, v, w, ww, b, r = project(self, k, ids)
+        at = hit(k)
+        if fault == "zero":
+            ww = np.where(at, 0.0, ww)
+        else:
+            r = np.where(at[:, None], math.nan if fault == "nan" else self.r0[ids], r)
+        return d, u, v, w, ww, b, r
+
+    def scalar(self, k):
+        d, v, w, ww, b, r = ref_project(self, k)
+        if hit(np.array([k]))[0]:
+            if fault == "zero":
+                raise ZeroDivisionError("float division by zero")
+            r = r * math.nan if fault == "nan" else self.r0
+        return d, v, w, ww, b, r
+
+    monkeypatch.setattr(fitting._Separable, "_project", batched)
+    monkeypatch.setattr(RefSeparable, "_project", scalar)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fault", ["zero", "nan", "tie"])
+@pytest.mark.parametrize("where", ["walk", "bracket", "near the minimum"])
+def test_array_search_keeps_the_scalar_steps_past_a_zero_ww_a_nan_or_a_tie(
+        monkeypatch, fault, where):
+    fleet = exp_fleet()
+    clean, _ = fit_both(fleet)
+    hit = {
+        "walk": lambda k: (k == 3.0) | (k == -7.0),  # the walk's third and fourth points
+        "bracket": lambda k: (k > 1.5) & (k < 2.5),  # Brent's steps between walk points
+        # the last Brent and the Gauss-Newton steps of the first trace
+        "near the minimum": lambda k: (k > 3.93) & (k < 3.94),
+    }[where]
+    inject(monkeypatch, hit, fault)
+    with block_size(3):
+        got, expected = fit_both(fleet)
+    assert got == expected
+    assert got != clean
+    if fault == "zero":
+        assert "ZeroDivisionError: float division by zero" in got

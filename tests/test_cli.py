@@ -4,11 +4,13 @@ Most cases drive ``cli.main`` in-process and inspect the JSON report;
 byte-determinism runs the real console entry in a subprocess.
 """
 
+import gc
 import hashlib
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +37,8 @@ COLLINEAR = (
     "0.2,40.0,1.2\n"
     "0.4,50.0,1.4\n"
 )
+
+GOLDEN_FLEET = Path(__file__).parent / "golden" / "inputs" / "fleet"
 
 FLAT = (
     "#processor=FLAT\n"
@@ -954,3 +958,63 @@ def test_fleet_fit_names_the_first_bad_file_wherever_its_chunk_starts(
     missing_after = [*names[: i + 1], "missing.csv", *names[i + 1:]]
     assert run_cli(["fit", *missing_after], capsys) == (
         2, "", f"error: {bad}: {FAULTS[fault]}\n")
+
+
+def test_fleet_fit_names_a_file_that_is_not_utf8(fleet_dir, monkeypatch, capsys, tmp_path):
+    names = [f"t{i:03d}.csv" for i in range(FLEET_SIZE)]
+    bad = names[FLEET_SIZE // 2]
+    data = (fleet_dir / bad).read_bytes().replace(b"#cores", b"#\xffcores", 1)
+    with pytest.raises(UnicodeDecodeError) as decoding:
+        data.decode("utf-8")
+    (tmp_path / bad).write_bytes(data)
+    for name in set(names) - {bad}:
+        (tmp_path / name).symlink_to(fleet_dir / name)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["fit", *names, "--json"], capsys) == (
+        2, "", f"error: {bad}: {decoding.value}\n")
+
+
+# --- the command leaves the interpreter as it found it ---
+
+def test_main_turns_the_cyclic_collector_back_on(tmp_path, capsys):
+    flat = tmp_path / "flat.csv"
+    flat.write_text(FLAT)
+    for argv, code in ((["fit", gen_trace(tmp_path, capsys)], 0),
+                       (["fit", flat, "--model", "exp"], 1),
+                       (["fit", tmp_path / "missing.csv"], 2)):
+        assert run_cli(argv, capsys)[0] == code
+        assert gc.isenabled()
+    gc.disable()
+    try:
+        assert run_cli(["fit", flat], capsys)[0] == 1
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_fit_with_failing_exponential_fits_does_not_import_numpy_ma():
+    # numpy.ma (which np.unique and np.isin pull in) costs a fleet fit
+    # ~19 ms and ~1.2 MB of peak RSS; concave0-2 fail the exponential
+    # fit, and the stand-in zero w.w fails the search of every trace whose
+    # walk reaches k = 3
+    fleet = sorted(str(p) for p in GOLDEN_FLEET.iterdir())
+    probe = (
+        "import contextlib, io, sys\n"
+        "from thermopower import cli, fitting\n"
+        "objective = fitting._Separable.objective\n"
+        "def zero_ww(self, k, ids):\n"
+        "    values, zero = objective(self, k, ids)\n"
+        "    return values, zero | (k >= 3.0)\n"
+        "codes = []\n"
+        "for patched in (False, True):\n"
+        "    fitting._Separable.objective = zero_ww if patched else objective\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "        codes.append(cli.main(['fit', *sys.argv[1:], '--json']))\n"
+        "    codes.append(out.getvalue().count('ZeroDivisionError'))\n"
+        "print(codes, 'numpy.ma' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe, *fleet], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    codes, imported = done.stdout.rsplit("]", 1)
+    assert codes.startswith("[1, 0, 1, ") and not codes.endswith(" 0")
+    assert imported.strip() == "False"
