@@ -191,22 +191,38 @@ class _Run:
         }
 
 
-def _emit(args, report: dict, human_lines: list[str]) -> None:
-    with contextlib.ExitStack() as stack:
-        sinks = [sys.stdout] if args.json else []
-        if args.out_report:
-            sinks.append(stack.enter_context(open(args.out_report, "w", encoding="utf-8")))
-        if sinks:
-            # serialize once, streaming each piece to every sink: written
-            # as one string, a 4000-trace report raised peak RSS by a quarter
-            for chunk in _chunks(report):
+def _emit(args, report: dict, human_lines: list[str], code: int) -> int:
+    """Write the report to stdout with --json and to --out-report, else
+    print the human lines; return code.  If a write fails, print the error
+    naming the file, or stdout, and return 2."""
+    sink = args.out_report  # the file being opened, then the sink last written
+    try:
+        with contextlib.ExitStack() as stack:
+            sinks = [sys.stdout] if args.json else []
+            if args.out_report:
+                sinks.append(stack.enter_context(open(args.out_report, "w", encoding="utf-8")))
+            if sinks:
+                # serialize once, streaming each piece to every sink: written
+                # as one string, a 4000-trace report raised peak RSS by a quarter
+                for chunk in _chunks(report):
+                    for sink in sinks:
+                        sink.write(chunk)
                 for sink in sinks:
-                    sink.write(chunk)
-            for sink in sinks:
-                sink.write("\n")
-    if not args.json and not args.quiet:
-        for line in human_lines:
-            print(line)
+                    sink.write("\n")
+        sink = sys.stdout
+        if not args.json and not args.quiet:
+            for line in human_lines:
+                print(line)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+    except OSError as exc:
+        print(f"error: {'stdout' if sink is sys.stdout else args.out_report}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        if sink is sys.stdout:  # the flush at exit would fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return 2
+    return code
 
 
 def _write_csv(path: str, names, columns) -> None:
@@ -229,22 +245,24 @@ def _parse_chunk(paths: list[str], texts: list[bytes], run: _Run) -> list:
     try:
         return parse_traces(texts)
     except (ThermoError, ValueError):
-        return [run.parse(p, parse_trace) for p in paths]
+        for run.source, text in zip(paths, texts):  # the first bad text fails again, named
+            parse_trace(text)
+        raise
 
 
 def _read_traces(paths: list[str], run: _Run) -> list:
     """run.parse(p, parse_trace) of each path, but read into chunks of up
     to _CHUNK_BYTES of input, at least one file each, that parse_traces
-    parses together.  A chunk that fails is redone one path at a time, so
-    the first bad path in order fails as it would alone."""
+    parses together.  Each file is read once: a chunk that fails is parsed
+    again from memory one file at a time, so the first bad path in order
+    fails as it would alone, before any file that cannot be read."""
     traces, texts, first, size = [], [], 0, 0
     for i, path in enumerate(paths):
         try:
             data = run.read_bytes(path)
         except OSError:
-            traces += [run.parse(p, parse_trace) for p in paths[first : i + 1]]
-            texts, first, size = [], i + 1, 0
-            continue
+            _parse_chunk(paths[first:i], texts, run)
+            raise
         if texts and size + len(data) > _CHUNK_BYTES:
             traces += _parse_chunk(paths[first:i], texts, run)
             texts, first, size = [], i, 0
@@ -666,11 +684,9 @@ def main(argv=None) -> int:
             print(f"error: {run.source or command}: {exc}", file=sys.stderr)
             return 2
         report = run.report({"error": f"{type(exc).__name__}: {exc}"})
-        _emit(args, report, [f"failed: {exc}"])
-        return 1
+        return _emit(args, report, [f"failed: {exc}"], 1)
     else:
-        _emit(args, run.report(results), lines)
-        return code
+        return _emit(args, run.report(results), lines, code)
     finally:
         if collecting:
             gc.enable()

@@ -170,6 +170,13 @@ def _distinct(t: np.ndarray) -> np.ndarray:
     return (s[:, 1:] != s[:, :-1]).sum(axis=1) + (t.shape[1] > 0)
 
 
+def _squares(kind: FitKind, coeffs, temp, power) -> np.ndarray:
+    """The squared relative residuals ((curve(temp) - power)/power)**2 of
+    family kind's curve, coeffs as _curve takes them."""
+    rel = (_curve(kind, coeffs, temp) - power) / power
+    return rel * rel
+
+
 class _Rows:
     """The traces of one block still being fitted.
 
@@ -201,8 +208,7 @@ class _Rows:
 
     def finish(self, kind: FitKind, coeffs, iterations=None, terminations=None):
         """Store a FitResult for every live row, its error that of its predict()."""
-        rel = (_curve(kind, coeffs.T[:, :, None], self.t) - self.y) / self.y
-        self.squares = rel * rel
+        self.squares = _squares(kind, coeffs.T[:, :, None], self.t, self.y)
         errors = np.sqrt(np.sum(self.squares, axis=1))
         n = len(self.ids)
         iterations = [0] * n if iterations is None else iterations.tolist()
@@ -573,9 +579,10 @@ def _blocks(keys: Sequence[tuple]):
 
 
 def _fit_blocks(data: Sequence, kind: FitKind):
-    """fit_batch(data, kind), and for each block its indices into data, the
-    fitted rows among them and those rows' squared relative residuals."""
+    """fit_batch(data, kind), and each trace's squared relative residuals,
+    or None where its fit failed."""
     out: list[FitResult | Exception] = [None] * len(data)  # type: ignore[list-item]
+    squares: list[np.ndarray | None] = [None] * len(data)
     xys = []
     for i, d in enumerate(data):
         try:
@@ -589,7 +596,6 @@ def _fit_blocks(data: Sequence, kind: FitKind):
             waves.append([])
             samples = len(block) * xys[block[0]][1].size
         waves[-1].append([xys[b] for b in block])
-    residuals = []
     for wave in waves:
         rows = [_Rows(np.array([t for _, t, _ in block]), np.array([y for _, _, y in block]))
                 for block in wave]
@@ -601,8 +607,9 @@ def _fit_blocks(data: Sequence, kind: FitKind):
             idx = [i for i, _, _ in block]
             for i, result in zip(idx, r.out):
                 out[i] = result
-            residuals.append((idx, r.ids, r.squares))
-    return out, residuals
+            for j, row in zip(r.ids.tolist(), r.squares):
+                squares[idx[j]] = row
+    return out, squares
 
 
 def fit_batch(data: Sequence, kind: FitKind) -> list[FitResult | Exception]:
@@ -662,20 +669,6 @@ def fit_exponential(data) -> FitResult:
     return fit(data, FitKind.EXPONENTIAL)
 
 
-def _squares(fits: Sequence[tuple[Trace, FitResult]]) -> list[np.ndarray]:
-    """Each fit's squared relative residuals over its trace, in order,
-    computed a block of same-length, same-family fits at a time."""
-    out: list[np.ndarray] = [None] * len(fits)  # type: ignore[list-item]
-    for idx in _blocks([(len(trace), result.kind) for trace, result in fits]):
-        t = np.array([fits[i][0].temp_c for i in idx])
-        y = np.array([fits[i][0].power_w for i in idx])
-        coeffs = np.array([fits[i][1].coeffs for i in idx]).T[:, :, None]
-        rel = (_curve(fits[idx[0]][1].kind, coeffs, t) - y) / y
-        for i, row in zip(idx, rel * rel):
-            out[i] = row
-    return out
-
-
 def _pool(squares: np.ndarray) -> float:
     # a running sum in sample order, not numpy's pairwise one: the bits are frozen
     return math.sqrt(np.add.accumulate(squares, out=squares)[-1])
@@ -689,7 +682,8 @@ def aggregate_error(fits: Sequence[tuple[Trace, FitResult]]) -> float:
     """
     if len(fits) == 0:
         raise EmptyGroup("cannot aggregate an empty group")
-    return _pool(np.concatenate(_squares(fits)))
+    return _pool(np.concatenate([_squares(result.kind, result.coeffs, trace.temp_c, trace.power_w)
+                                 for trace, result in fits]))
 
 
 def sign_test(errors_a: Sequence[float], errors_b: Sequence[float]) -> float:
@@ -754,35 +748,34 @@ def compare_models(
 
     groups maps a name to trace indices; each group's residuals are pooled
     per family into ModelComparison.groups, as the whole set's are into
-    aggregated.
+    aggregated.  Raises InvalidParams for a group index that is not an int
+    in range(len(traces)), or that the group holds twice.
     """
     if len(traces) == 0:
         raise EmptyGroup("need at least one trace to compare")
+    n = len(traces)
+    for key, indices in (groups or {}).items():
+        seen = set()
+        for i in indices:
+            if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < n:
+                raise InvalidParams(f"group {key!r}: {i!r} is not a trace index in range({n})")
+            if i in seen:
+                raise InvalidParams(f"group {key!r}: trace index {i!r} repeats")
+            seen.add(i)
     # one family at a time, its squared residuals pooled for the whole set
     # and for each group in trace order; the exponential first, as its
     # search holds the most memory
     fits: dict[FitKind, list] = dict.fromkeys(FitKind)  # type: ignore[arg-type]
     aggregated: dict[FitKind, float | None] = dict.fromkeys(FitKind)
     group_errors = {key: dict.fromkeys(FitKind) for key in groups or {}}
-    lengths = np.array([len(trace) for trace in traces])
     for kind in reversed(FitKind):
-        fits[kind], blocks = _fit_blocks(traces, kind)
-        # the squared residuals the fits kept, block after block; fitted
-        # trace i's start at flat[at[i]]
-        flat = np.concatenate([squares.ravel() for _, _, squares in blocks])
-        order = [i for idx, ids, _ in blocks for i in np.array(idx)[ids].tolist()]
-        at = dict(zip(order, itertools.accumulate(lengths[order].tolist(), initial=0)))
+        fits[kind], squares = _fit_blocks(traces, kind)
 
         def pooled(indices) -> float | None:
-            ok = [i for i in indices if i in at]
-            if not ok:
-                return None
-            n = lengths[ok]
-            take = np.repeat(np.array([at[i] for i in ok]) - (np.cumsum(n) - n), n)
-            take += np.arange(len(take))
-            return _pool(flat[take])
+            done = [squares[i] for i in indices if squares[i] is not None]
+            return _pool(np.concatenate(done)) if done else None
 
-        aggregated[kind] = pooled(range(len(traces)))
+        aggregated[kind] = pooled(range(n))
         for key, indices in (groups or {}).items():
             group_errors[key][kind] = pooled(indices)
 

@@ -13,7 +13,8 @@ A trace file is UTF-8 text with LF line endings::
 Numbers use ``.`` as the decimal separator and are written in the shortest
 decimal form that parses back to the identical float, so write/parse is a
 bit-exact round trip.  Every CSV the package writes goes through
-write_table and every one it reads through parse_table.
+write_table; it reads traces through parse_traces and other tables
+through parse_table.
 """
 
 from __future__ import annotations
@@ -66,6 +67,30 @@ def check_samples(time_s, temp_c, power_w, line_of=None) -> None:
     raise InvalidSample(message, line_of(i) if line_of else None)
 
 
+def _checked(table, ends, line_of=None) -> np.ndarray:
+    """table, the (3, rows) columns of the traces that the row offsets
+    ends cut it into, as a read-only C-contiguous array, once it passes
+    every Trace's checks: check_samples, then at least 3 samples each,
+    then strictly increasing times.  line_of(i) names row i's file line."""
+    table = np.ascontiguousarray(table)
+    time_s, temp_c, power_w = table
+    check_samples(time_s, temp_c, power_w, line_of)
+    shortest = int(np.diff(ends).min())
+    if shortest < 3:
+        raise EmptyTrace(f"a trace needs at least 3 samples, got {shortest}")
+    steps = np.diff(time_s) <= 0
+    steps[np.array(ends[1:-1], int) - 1] = False  # a trace's first time follows none
+    if steps.any():
+        i = int(np.argmax(steps)) + 1
+        raise NonMonotonicTime(
+            f"time must strictly increase ({float(time_s[i - 1])!r} then "
+            f"{float(time_s[i])!r})",
+            line_of(i) if line_of else None,
+        )
+    table.flags.writeable = False
+    return table
+
+
 @dataclass(frozen=True)
 class TraceMeta:
     processor: str
@@ -115,30 +140,11 @@ class Trace:
         lengths = {len(time_s), len(temp_c), len(power_w)}
         if len(lengths) != 1:
             raise LengthMismatch(f"column lengths differ: {sorted(lengths)}")
-        self._set(meta, (time_s, temp_c, power_w))
-
-    def _set(self, meta: TraceMeta, columns, line_of=None) -> None:
-        """Validate and store the columns; line_of(i) names row i's file line."""
-        cols = []
-        for values in columns:
-            col = np.array(values, float)
+        columns = [np.asarray(values, float) for values in (time_s, temp_c, power_w)]
+        for col in columns:
             if col.ndim != 1:
                 raise LengthMismatch(f"a column must be 1-D, got shape {col.shape}")
-            col.flags.writeable = False
-            cols.append(col)
-        time_s, temp_c, power_w = cols
-        check_samples(time_s, temp_c, power_w, line_of)
-        if len(time_s) < 3:
-            raise EmptyTrace(f"a trace needs at least 3 samples, got {len(time_s)}")
-        steps = np.diff(time_s) <= 0
-        if steps.any():
-            i = int(np.argmax(steps)) + 1
-            raise NonMonotonicTime(
-                f"time must strictly increase ({float(time_s[i - 1])!r} then "
-                f"{float(time_s[i])!r})",
-                line_of(i) if line_of else None,
-            )
-        self._store(meta, time_s, temp_c, power_w)
+        self._store(meta, *_checked(np.stack(columns), [0, len(time_s)]))
 
     def _store(self, meta: TraceMeta, time_s, temp_c, power_w) -> None:
         """Keep meta and three checked, read-only columns as they are."""
@@ -184,10 +190,12 @@ def _parse_number(token: str, line_no: int) -> float:
     return value
 
 
-def _rows_line_by_line(lines: list[str], start: int, width: int) -> list[list[float]]:
-    """The body rows, parsed one line at a time; raises at the first bad line."""
-    rows = []
-    for line_no, raw in enumerate(lines[start:], start=start + 1):
+def _read_rows(text: str, start: int, header_line: int, width: int):
+    """text[start:], the lines below the header, parsed one line at a time:
+    a (rows, width) float array and each row's line number.  Raises
+    MalformedRow at the first bad line."""
+    rows, line_nos = [], []
+    for line_no, raw in enumerate(text[start:].split("\n"), start=header_line + 1):
         line = raw.strip()
         if not line:
             continue
@@ -197,7 +205,8 @@ def _rows_line_by_line(lines: list[str], start: int, width: int) -> list[list[fl
         if len(tokens) != width:
             raise MalformedRow(line_no, f"expected {width} columns, got {len(tokens)}")
         rows.append([_parse_number(tok, line_no) for tok in tokens])
-    return rows
+        line_nos.append(line_no)
+    return np.array(rows, float).reshape(-1, width), line_nos
 
 
 _BLANK_LINES = re.compile(r"\n\s*\n")
@@ -230,36 +239,10 @@ def _values(body: str, n: int, width: int) -> np.ndarray | None:
     return values.reshape(n, width) if np.isfinite(values).all() else None
 
 
-def _rows(text: str, start: int, header_line: int, width: int) -> np.ndarray:
-    """text[start:], the lines below the header, as a (rows, width) float
-    array.  If _values fails, the rows are reparsed line by line, which
-    raises MalformedRow naming the first bad line."""
-    body = _body(text, start)
-    values = _values(body, body.count("\n") + 1, width)
-    if values is not None:
-        return values
-    rows = _rows_line_by_line(_lines(text), header_line, width)
-    return np.array(rows, float).reshape(-1, width)
-
-
 def _decode(text: str | bytes) -> str:
     """UTF-8 text without one leading byte order mark, which spreadsheets
     write; utf-8-sig does the same at four times the cost."""
     return text.removeprefix(codecs.BOM_UTF8).decode("utf-8") if isinstance(text, bytes) else text
-
-
-def _lines(text: str | bytes) -> list[str]:
-    return _decode(text).split("\n")
-
-
-def _data_line(text: str | bytes, header_line: int, row: int) -> int:
-    """The 1-based line number of data row ``row`` below the header."""
-    for line_no, raw in enumerate(_lines(text)[header_line:], start=header_line + 1):
-        if raw.strip():
-            if row == 0:
-                return line_no
-            row -= 1
-    raise IndexError(row)
 
 
 def _header(text: str) -> tuple[dict[str, str], list[str], int, int]:
@@ -291,7 +274,11 @@ def parse_table(text: str | bytes) -> tuple[dict[str, str], list[str], np.ndarra
     """
     text = _decode(text)
     meta, columns, start, header_line = _header(text)
-    return meta, columns, _rows(text, start, header_line, len(columns)), header_line
+    body = _body(text, start)
+    values = _values(body, body.count("\n") + 1, len(columns))
+    if values is None:  # the line-by-line reader names the first bad line
+        values = _read_rows(text, start, header_line, len(columns))[0]
+    return meta, columns, values, header_line
 
 
 def _trace_meta(meta_raw: dict[str, str], columns: list[str], header_line: int) -> TraceMeta:
@@ -314,58 +301,56 @@ def _trace_meta(meta_raw: dict[str, str], columns: list[str], header_line: int) 
 
 
 def parse_trace(text: str | bytes) -> Trace:
-    """Parse trace CSV text into a validated Trace.
+    """Parse trace CSV text into a validated Trace: parse_traces([text])[0].
 
     A missing ``#processor`` defaults to "unknown"; missing ``#freq_ghz``
     or ``#cores`` raises MissingMeta.  An invalid sample or a time that
     does not increase raises InvalidSample or NonMonotonicTime naming its
     line.
     """
-    meta_raw, columns, rows, header_line = parse_table(text)
-    meta = _trace_meta(meta_raw, columns, header_line)
-    trace = Trace.__new__(Trace)
-    trace._set(meta, rows.T, lambda row: _data_line(text, header_line, row))
-    return trace
+    return parse_traces([text])[0]
 
 
 def parse_traces(texts: Iterable[str | bytes]) -> list[Trace]:
-    """[parse_trace(text) for text in texts], with every body split,
+    """Parse trace CSV texts into validated Traces, every body split,
     converted and checked at once, and each Trace's columns read-only
-    slices of one C-contiguous (3, rows) array.  If any text fails, or
-    holds what only the line-by-line reader takes, such as non-ASCII
-    whitespace around a number, each is parsed alone, in order, so the
-    first bad one raises what parse_trace raises for it.
+    slices of one C-contiguous (3, rows) array.
+
+    If any text fails, or holds what only the line-by-line reader takes,
+    such as non-ASCII whitespace around a number, each text is read alone,
+    line by line and in order, so the first bad one raises its own error.
     """
-    texts = list(texts)  # read twice if one fails
+    texts = list(texts)  # read again if the joined pass fails
     try:
-        traces = _parse_joined(texts)
+        metas, bodies, ends = [], [], [0]
+        for text in map(_decode, texts):
+            meta_raw, columns, start, header_line = _header(text)
+            metas.append(_trace_meta(meta_raw, columns, header_line))
+            body = _body(text, start)
+            bodies.append(body)
+            ends.append(ends[-1] + body.count("\n") + 1)
+        values = _values("\n".join(bodies), ends[-1], len(_COLUMNS))
+        if values is not None:
+            return _split(metas, _checked(values.T, ends), ends)
     except (ThermoError, UnicodeDecodeError):
-        traces = None
-    return [parse_trace(text) for text in texts] if traces is None else traces
+        pass
+    return [_parse_alone(text) for text in texts]
 
 
-def _parse_joined(texts) -> list[Trace] | None:
-    """parse_traces' joined path: None, or the error of a failed check, if any text fails."""
-    metas, bodies, ends = [], [], [0]
-    for text in map(_decode, texts):
-        meta_raw, columns, start, header_line = _header(text)
-        metas.append(_trace_meta(meta_raw, columns, header_line))
-        body = _body(text, start)
-        bodies.append(body)
-        ends.append(ends[-1] + body.count("\n") + 1)
-    if not metas:
-        return []
-    values = _values("\n".join(bodies), ends[-1], len(_COLUMNS))
-    if values is None or any(b - a < 3 for a, b in zip(ends, ends[1:])):
-        return None
-    table = np.ascontiguousarray(values.T)
-    table.flags.writeable = False
+def _parse_alone(text: str | bytes) -> Trace:
+    """One trace text, read line by line: its rows are checked first, then
+    its metadata, then its samples, each error naming its line."""
+    text = _decode(text)
+    meta_raw, columns, start, header_line = _header(text)
+    rows, line_nos = _read_rows(text, start, header_line, len(columns))
+    meta = _trace_meta(meta_raw, columns, header_line)
+    ends = [0, len(rows)]
+    return _split([meta], _checked(rows.T, ends, line_nos.__getitem__), ends)[0]
+
+
+def _split(metas, table: np.ndarray, ends) -> list[Trace]:
+    """The Traces of metas over the rows of a _checked table that ends cut."""
     time_s, temp_c, power_w = table
-    check_samples(time_s, temp_c, power_w)
-    steps = np.diff(time_s) <= 0
-    steps[np.array(ends[1:-1], int) - 1] = False  # a text's first time follows none
-    if steps.any():
-        return None
     traces = []
     for meta, a, b in zip(metas, ends, ends[1:]):
         trace = Trace.__new__(Trace)

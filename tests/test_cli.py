@@ -8,6 +8,7 @@ import gc
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -901,6 +902,25 @@ def _chunked(monkeypatch, argv, capsys):
     return run_cli(argv, capsys), chunks
 
 
+def _read_once(monkeypatch):
+    """A check, after each command, that cli read every path at most once."""
+    reads = []
+    read_bytes = cli._Run.read_bytes
+
+    def spy(run, path):
+        reads.append(path)
+        return read_bytes(run, path)
+
+    monkeypatch.setattr(cli._Run, "read_bytes", spy)
+
+    def check(result):
+        assert len(reads) == len(set(reads)), "a file was read twice"
+        reads.clear()
+        return result
+
+    return check
+
+
 def _broken(text: str, how: str) -> str:
     """text with one fault, padded with trailing newlines to its length, so
     the chunks hold the same files."""
@@ -936,8 +956,9 @@ MISSING = "error: [Errno 2] No such file or directory: 'missing.csv'\n"
 def test_fleet_fit_names_the_first_bad_file_wherever_its_chunk_starts(
         fleet_dir, monkeypatch, capsys, tmp_path, fault, place):
     monkeypatch.chdir(fleet_dir)
+    read_once = _read_once(monkeypatch)
     names = [f"t{i:03d}.csv" for i in range(FLEET_SIZE)]
-    (code, _, _), chunks = _chunked(monkeypatch, ["fit", *names, "--json"], capsys)
+    (code, _, _), chunks = read_once(_chunked(monkeypatch, ["fit", *names, "--json"], capsys))
     assert code == 0 and len(chunks) >= 3
     bad = {"first": chunks[0][0], "last in a chunk": chunks[1][-1],
            "first in the next": chunks[2][0]}[place]
@@ -948,15 +969,15 @@ def test_fleet_fit_names_the_first_bad_file_wherever_its_chunk_starts(
     for name in set(names) - {bad, later}:
         (tmp_path / name).symlink_to(fleet_dir / name)
 
-    (code, out, err), seen = _chunked(monkeypatch, ["fit", *names, "--json"], capsys)
+    (code, out, err), seen = read_once(_chunked(monkeypatch, ["fit", *names, "--json"], capsys))
     assert [c for c in seen if bad in c][0] == next(c for c in chunks if bad in c)
     assert (code, out, err) == (2, "", f"error: {bad}: {FAULTS[fault]}\n")
 
     i = names.index(bad)
     missing_first = [*names[:i], "missing.csv", *names[i:]]
-    assert run_cli(["fit", *missing_first], capsys) == (2, "", MISSING)
+    assert read_once(run_cli(["fit", *missing_first], capsys)) == (2, "", MISSING)
     missing_after = [*names[: i + 1], "missing.csv", *names[i + 1:]]
-    assert run_cli(["fit", *missing_after], capsys) == (
+    assert read_once(run_cli(["fit", *missing_after], capsys)) == (
         2, "", f"error: {bad}: {FAULTS[fault]}\n")
 
 
@@ -972,6 +993,42 @@ def test_fleet_fit_names_a_file_that_is_not_utf8(fleet_dir, monkeypatch, capsys,
     monkeypatch.chdir(tmp_path)
     assert run_cli(["fit", *names, "--json"], capsys) == (
         2, "", f"error: {bad}: {decoding.value}\n")
+
+
+# --- a report that cannot be written ---
+
+EVAL = ["model", "eval", "--proc", "A15", "--temp", "50", "--freq", "1", "--cores", "2"]
+
+
+@pytest.mark.parametrize("where", ["in a missing directory", "a directory"])
+def test_report_that_cannot_be_written_exit_2(tmp_path, capsys, where):
+    target, strerror = {
+        "in a missing directory": (tmp_path / "missing" / "r.json", "No such file or directory"),
+        "a directory": (tmp_path, "Is a directory"),
+    }[where]
+    failing = ["model", "calibrate", write_observations(tmp_path, freqs=(0.5, 0.6))]
+    assert run_cli(failing, capsys)[0] == 1  # InsufficientSpan, reported
+    for argv in (EVAL, failing):
+        for extra in ([], ["--json"]):
+            assert run_cli([*argv, *extra, "--out-report", target], capsys) == (
+                2, "", f"error: {target}: {strerror}\n")
+
+
+@pytest.mark.parametrize("argv", [EVAL, EVAL + ["--json"],
+                                  ["fit", *sorted(GOLDEN_FLEET.iterdir()), "--json"]])
+def test_report_to_a_closed_pipe_exit_2(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    # stdout buffered, as it is by default: what is left in the buffer is
+    # flushed again at exit
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    try:
+        done = subprocess.run(
+            [sys.executable, "-X", "dev", "-m", "thermopower.cli", *map(str, argv)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (2, "error: stdout: Broken pipe\n")
 
 
 # --- the command leaves the interpreter as it found it ---

@@ -16,6 +16,7 @@ from thermopower.errors import (
     AllTies,
     DegenerateInput,
     EmptyGroup,
+    InvalidParams,
     InvalidSample,
     LengthMismatch,
     ZeroMeasurement,
@@ -500,3 +501,28 @@ def test_compare_marks_and_excludes_failures():
 def test_compare_empty():
     with pytest.raises(EmptyGroup):
         compare_models([])
+
+
+# a group that names a trace outside the set, or one twice, is a caller's error
+IMPOSSIBLE_GROUPS = {
+    "past the end": ([0, 1, 2, 3, 4, 99], "99 is not a trace index in range(5)"),
+    "negative": ([-1], "-1 is not a trace index in range(5)"),
+    "repeated": ([0, 0], "trace index 0 repeats"),
+    "float": ([0, 1.0], "1.0 is not a trace index in range(5)"),
+    "bool": ([True], "True is not a trace index in range(5)"),
+}
+
+
+@pytest.mark.parametrize("case", IMPOSSIBLE_GROUPS)
+def test_compare_rejects_impossible_groups(case):
+    traces = [synth(noise=0.002, seed=s) for s in range(5)]
+    group, message = IMPOSSIBLE_GROUPS[case]
+    with pytest.raises(InvalidParams) as exc:
+        compare_models(traces, {"ok": [0, 1], "g": group})
+    assert str(exc.value) == f"group 'g': {message}"
+
+
+def test_compare_takes_numpy_indices_as_ints():
+    traces = [synth(noise=0.002, seed=s) for s in range(5)]
+    by_list = compare_models(traces, {"g": [4, 0, 2]}).groups
+    assert compare_models(traces, {"g": np.array([4, 0, 2])}).groups == by_list

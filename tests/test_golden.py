@@ -23,16 +23,20 @@ observations of the built-in A15 model over 5 frequencies, rounded to 4
 significant digits, with a2 moved by up to 0.8%.
 """
 
+import os
 import shutil
+import subprocess
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
+import thermopower
 from thermopower.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(thermopower.__file__).parents[1]
 TRACES = ["a15_c4_s5.csv", "a15_c4_s9.csv", "a7_c2_s2.csv"]
 FLEET = sorted(f"fleet/{p.name}" for p in (GOLDEN / "inputs" / "fleet").iterdir())
 REF = ["--ref-temp", "55"]
@@ -74,12 +78,24 @@ CASES = {
 }
 
 
-def run_case(name: str, work: Path) -> tuple[int, dict[str, bytes]]:
-    """Run one case in ``work`` and return its exit code and output bytes."""
+def run_case(name: str, work: Path, child: bool = False) -> tuple[int, dict[str, bytes]]:
+    """Run one case in ``work`` and return its exit code and output bytes:
+    in this process, or as ``python -X dev -W error -m thermopower.cli``
+    without cached bytecode, which must print nothing to stderr."""
     argv, _, written = CASES[name]
     shutil.copytree(GOLDEN / "inputs", work, dirs_exist_ok=True)
-    with open(work / "stdout", "w", encoding="utf-8") as out, redirect_stdout(out):
-        code = main([*argv, "--out-report", "report.json"])
+    argv = [*argv, "--out-report", "report.json"]
+    if child:
+        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+        done = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "thermopower.cli", *argv],
+            cwd=work, env=env, capture_output=True)
+        assert done.stderr == b""
+        code = done.returncode
+        (work / "stdout").write_bytes(done.stdout)
+    else:
+        with open(work / "stdout", "w", encoding="utf-8") as out, redirect_stdout(out):
+            code = main(argv)
     files = ["stdout", "report.json", *written]
     return code, {f: (work / f).read_bytes() for f in files}
 
@@ -87,7 +103,17 @@ def run_case(name: str, work: Path) -> tuple[int, dict[str, bytes]]:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_outputs_are_byte_identical(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    code, outputs = run_case(name, tmp_path)
+    check(name, *run_case(name, tmp_path))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_outputs_through_the_console_entry_in_dev_mode(name, tmp_path):
+    # as the benchmark starts thermo; an unclosed file or a deprecated call
+    # fails here as a warning turned error
+    check(name, *run_case(name, tmp_path, child=True))
+
+
+def check(name: str, code: int, outputs: dict[str, bytes]) -> None:
     assert code == CASES[name][1]
     expected = GOLDEN / "expected" / name
     assert sorted(outputs) == sorted(p.name for p in expected.iterdir())

@@ -398,6 +398,17 @@ def test_joined_traces_are_their_per_file_twins_in_read_only_contiguous_columns(
     assert parse_traces([]) == []
 
 
+@pytest.mark.parametrize("space", ["", "\u00a0"], ids=["joined", "line by line"])
+def test_parse_trace_columns_are_read_only_rows_of_one_table(space):
+    # only the line-by-line reader takes a no-break space around a number
+    trace = parse_trace(GOOD.replace("26.0", f"{space}26.0{space}"))
+    table = trace.time_s.base
+    assert table.shape == (3, 3) and table.flags.c_contiguous and not table.flags.writeable
+    columns = (trace.time_s, trace.temp_c, trace.power_w)
+    assert [col.base is table and not col.flags.writeable for col in columns] == [True] * 3
+    assert table.tobytes() == b"".join(col.tobytes() for col in columns)
+
+
 # edits that break a trace text, or keep it valid in another form (blank
 # lines, "\r\n")
 EDITS = [
