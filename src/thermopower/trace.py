@@ -67,12 +67,14 @@ def check_samples(time_s, temp_c, power_w, line_of=None) -> None:
     raise InvalidSample(message, line_of(i) if line_of else None)
 
 
-def _checked(table, ends, line_of=None) -> np.ndarray:
-    """table, the (3, rows) columns of the traces that the row offsets
-    ends cut it into, as a read-only C-contiguous array, once it passes
-    every Trace's checks: check_samples, then at least 3 samples each,
-    then strictly increasing times.  line_of(i) names row i's file line."""
+def _traces(metas, table, ends, line_of=None) -> list[Trace]:
+    """The Traces of metas over the rows of a (3, rows) column table that
+    the row offsets ends cut, once it passes every Trace's checks:
+    check_samples, then at least 3 samples each, then strictly increasing
+    times.  Their columns are read-only slices of one C-contiguous (3,
+    rows) array.  line_of(i) names row i's file line."""
     table = np.ascontiguousarray(table)
+    table.flags.writeable = False  # before any view of it is taken
     time_s, temp_c, power_w = table
     check_samples(time_s, temp_c, power_w, line_of)
     shortest = int(np.diff(ends).min())
@@ -87,8 +89,12 @@ def _checked(table, ends, line_of=None) -> np.ndarray:
             f"{float(time_s[i])!r})",
             line_of(i) if line_of else None,
         )
-    table.flags.writeable = False
-    return table
+    traces = []
+    for meta, a, b in zip(metas, ends, ends[1:]):
+        trace = Trace.__new__(Trace)
+        trace._store(meta, time_s[a:b], temp_c[a:b], power_w[a:b])
+        traces.append(trace)
+    return traces
 
 
 @dataclass(frozen=True)
@@ -144,7 +150,8 @@ class Trace:
         for col in columns:
             if col.ndim != 1:
                 raise LengthMismatch(f"a column must be 1-D, got shape {col.shape}")
-        self._store(meta, *_checked(np.stack(columns), [0, len(time_s)]))
+        (trace,) = _traces([meta], np.stack(columns), [0, len(time_s)])
+        self._store(meta, trace.time_s, trace.temp_c, trace.power_w)
 
     def _store(self, meta: TraceMeta, time_s, temp_c, power_w) -> None:
         """Keep meta and three checked, read-only columns as they are."""
@@ -331,7 +338,7 @@ def parse_traces(texts: Iterable[str | bytes]) -> list[Trace]:
             ends.append(ends[-1] + body.count("\n") + 1)
         values = _values("\n".join(bodies), ends[-1], len(_COLUMNS))
         if values is not None:
-            return _split(metas, _checked(values.T, ends), ends)
+            return _traces(metas, values.T, ends)
     except (ThermoError, UnicodeDecodeError):
         pass
     return [_parse_alone(text) for text in texts]
@@ -344,19 +351,7 @@ def _parse_alone(text: str | bytes) -> Trace:
     meta_raw, columns, start, header_line = _header(text)
     rows, line_nos = _read_rows(text, start, header_line, len(columns))
     meta = _trace_meta(meta_raw, columns, header_line)
-    ends = [0, len(rows)]
-    return _split([meta], _checked(rows.T, ends, line_nos.__getitem__), ends)[0]
-
-
-def _split(metas, table: np.ndarray, ends) -> list[Trace]:
-    """The Traces of metas over the rows of a _checked table that ends cut."""
-    time_s, temp_c, power_w = table
-    traces = []
-    for meta, a, b in zip(metas, ends, ends[1:]):
-        trace = Trace.__new__(Trace)
-        trace._store(meta, time_s[a:b], temp_c[a:b], power_w[a:b])
-        traces.append(trace)
-    return traces
+    return _traces([meta], rows.T, [0, len(rows)], line_nos.__getitem__)[0]
 
 
 def _fmt(value: float) -> str:
