@@ -282,9 +282,7 @@ class _Separable:
     in (1, 2]: none underflows, and as the scaling is exact, the search takes
     the same steps at every scale.  params undoes it on a0 and C.
 
-    Each method takes the rates k of the rows ids.  objective and
-    gauss_newton also return a mask of the rows where a fit of that trace
-    alone divides a float by a zero w.w and raises ZeroDivisionError.
+    Each method takes the rates k of the rows ids.
     """
 
     def __init__(self, t: np.ndarray, y: np.ndarray):
@@ -311,8 +309,8 @@ class _Separable:
 
     def objective(self, k: np.ndarray, ids):
         """The least sum of squared relative residuals at each rate k."""
-        *_, ww, _, r = self._project(k, ids)
-        return _dots(r, r), ww == 0
+        r = self._project(k, ids)[-1]
+        return _dots(r, r)
 
     def gauss_newton(self, k: np.ndarray, ids):
         """Each k after one Gauss-Newton step on the reduced objective; a
@@ -327,12 +325,11 @@ class _Separable:
         g = g - ((_dots(g, u) / self.uu[ids])[:, None] * u + (_dots(g, w) / ww)[:, None] * w)
         gg = _dots(g, g)
         stepped = k + _dots(g, r) / np.where(gg > 0, gg, 1.0)
-        return np.where((k == 0) | ~(gg > 0), k, stepped), (ww == 0) & (k != 0)
+        return np.where((k == 0) | ~(gg > 0), k, stepped)
 
     def params(self, k: np.ndarray, ids):
         """(a0, a1, a2, C) of each row at rate k; C is nan where k is 0, and
-        a0, a1, a2 are only meaningful where C > 0.  k must be a rate the
-        objective took without a zero w.w.
+        a0, a1, a2 are only meaningful where C > 0.
 
         a0 is solved against exp(k*d) itself: from the expm1 column it
         would lose C*eps, which is large beside a0 on a steep curve.
@@ -368,34 +365,32 @@ def _search(models: Sequence[_Separable]):
     search on Python floats.  Steps no row takes may divide by zero.
 
     Returns each row's k, whether it ended at the exp_range_limit, and its
-    objective evaluations, the rows of models in order, and a mask of the
-    rows whose search divided by a zero w.w (see _Separable).
+    objective evaluations, the rows of models in order.
     """
     sizes = [len(model.span) for model in models]
     starts = list(itertools.accumulate(sizes, initial=0))
     n = starts[-1]
     k_out, evaluations = np.full(n, math.nan), np.zeros(n, int)
-    at_limit, failed = np.zeros(n, bool), np.zeros(n, bool)
+    at_limit = np.zeros(n, bool)
     # (x, f(x)), (w, f(w)), (v, f(v)): Brent's best three points, or the
     # walk's best; (k, f): the pending rate and, once answered, its value
     s = np.zeros((14, n))
     x, fx, w, fw, v, fv, k, f, a, b, behind, step, prev, limit = s
     for model, start, size in zip(models, starts, sizes):
         for value, rates in ((fx, np.zeros(size)), (f, np.ones(size))):
-            value[start : start + size], zero = model.objective(rates, slice(None))
-            failed[start : start + size] |= zero
+            value[start : start + size] = model.objective(rates, slice(None))
     down = f < fx  # walk on up from 1 if f is lower there, else down from 0
     behind[:], x[:] = np.where(down, 0.0, 1.0), np.where(down, 1.0, 0.0)
     step[:] = np.where(down, 2.0, -1.0)
     np.copyto(fx, f, where=down)
     k[:] = x + step  # |x + step| <= 3: inside [-_LOG_TINY, _LOG_TINY]
     ints = np.stack([np.arange(n), np.full(n, _WALK), np.zeros(n, int)])  # row, phase, GN steps
-    s, ints, rounds = s[:, ~failed], ints[:, ~failed], 0
+    rounds = 0
     while n := s.shape[1]:
         x, fx, w, fw, v, fv, k, f, a, b, behind, step, prev, limit = s
         xp, wp, vp, kp = s[0:2], s[2:4], s[4:6], s[6:8]
         row, phase, steps = ints
-        zero, no = np.empty(n, bool), np.zeros(n, bool)
+        no = np.zeros(n, bool)
         bounds = np.searchsorted(row, starts).tolist()
         blocks = [(model, lo, hi, slice(None) if hi - lo == size else row[lo:hi] - start)
                   for model, lo, hi, start, size in zip(models, bounds, bounds[1:], starts, sizes)
@@ -407,13 +402,13 @@ def _search(models: Sequence[_Separable]):
             for model, lo, hi, ids in blocks:
                 if not counts[_STEP] or counts[_STEP] == n:
                     ask = model.gauss_newton if counts[_STEP] else model.objective
-                    f[lo:hi], zero[lo:hi] = ask(k[lo:hi], ids)
+                    f[lo:hi] = ask(k[lo:hi], ids)
                     continue
                 local = np.arange(hi - lo) if isinstance(ids, slice) else ids
                 stepping = was[_STEP][lo:hi]
                 for ask, asked in ((model.objective, ~stepping), (model.gauss_newton, stepping)):
                     if np.count_nonzero(asked):
-                        f[lo:hi][asked], zero[lo:hi][asked] = ask(k[lo:hi][asked], local[asked])
+                        f[lo:hi][asked] = ask(k[lo:hi][asked], local[asked])
             finished = hit = ended = no  # done; done at the limit; walk ended
             if counts[_STEP]:  # f is the stepped rate: try it if inside (a, b)
                 m = was[_STEP]
@@ -503,15 +498,13 @@ def _search(models: Sequence[_Separable]):
                     # where the residual vanishes, so take its steps while they help
                     np.copyto(k, x, where=close)
                     phase[close] = _STEP
-            if (finished is not no and np.count_nonzero(finished)) or np.count_nonzero(zero):
+            if finished is not no and np.count_nonzero(finished):
                 break
-        finished = finished & ~zero
         k_out[row[finished]] = np.where(hit, limit, x)[finished]
         at_limit[row[finished]] = hit[finished]
         evaluations[row[finished]] = 2 + rounds - steps[finished]
-        failed[row[zero]] = True
-        s, ints = s[:, ~(finished | zero)], ints[:, ~(finished | zero)]
-    return k_out, at_limit, evaluations, failed
+        s, ints = s[:, ~finished], ints[:, ~finished]
+    return k_out, at_limit, evaluations
 
 
 def _fit_exponential(blocks: Sequence[_Rows]) -> None:
@@ -537,16 +530,14 @@ def _fit_exponential(blocks: Sequence[_Rows]) -> None:
             model = _Separable(rows.t, rows.y)
         models.append((rows, model))
     with np.errstate(divide="ignore", invalid="ignore"):
-        k_all, limits, evaluations_all, failed = _search([model for _, model in models])
+        k_all, limits, evaluations_all = _search([model for _, model in models])
     end = 0
     for rows, model in models:
         start, end = end, end + len(rows.ids)
-        ids, k, terminations, evaluations = rows.fail(  # as Python's float division raised
-            failed[start:end], lambda _: ZeroDivisionError("float division by zero"),
-            np.arange(end - start), k_all[start:end],
-            np.where(limits[start:end], "exp_range_limit", "converged"), evaluations_all[start:end])
+        k, evaluations = k_all[start:end], evaluations_all[start:end]
+        terminations = np.where(limits[start:end], "exp_range_limit", "converged")
         with np.errstate(divide="ignore", invalid="ignore"):
-            a0, a1, a2, c = model.params(k, ids)
+            a0, a1, a2, c = model.params(k, slice(None))
 
         def degenerate(j):
             if k[j] == 0:
