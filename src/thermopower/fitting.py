@@ -278,9 +278,12 @@ class _Separable:
     same plane with 1/y and tends to d as k -> 0, so the search passes
     through k = 0, the straight line, as an ordinary point.
 
-    The weights are u = scale/y, scale the power of two that puts the largest
+    The weights are u = 2**e/y, 2**e the power of two that puts the largest
     in (1, 2]: none underflows, and as the scaling is exact, the search takes
-    the same steps at every scale.  params undoes it on a0 and C.
+    the same steps at every scale.  params undoes it on a0 and C.  As u >= 1,
+    d runs from -1 to 0 or from 0 to 1 and |k| <= _LOG_TINY, the column's two
+    ends differ by at least (1 - exp(-_LOG_TINY))/_LOG_TINY, so w.w is at
+    least about 9.9e-7 at every rate the search asks for.
 
     Each method takes the rates k of the rows ids.
     """
@@ -290,8 +293,8 @@ class _Separable:
         self.span = self.t_hi - self.t_lo
         self.d_rising = (t - self.t_hi[:, None]) / self.span[:, None]
         self.d_falling = (t - self.t_lo[:, None]) / self.span[:, None]
-        self.scale = np.ldexp(1.0, np.frexp(y.max(axis=1))[1])
-        self.u = u = self.scale[:, None] / y
+        self.e = np.frexp(y.max(axis=1))[1]  # 2**e itself may overflow
+        self.u = u = np.ldexp(np.ldexp(1.0, self.e - 1)[:, None] / y, 1)
         self.uu = _dots(u, u)
         self.a_u = u.sum(axis=1) / self.uu
         self.r0 = 1.0 - self.a_u[:, None] * u  # residual of the best constant model
@@ -335,7 +338,7 @@ class _Separable:
         would lose C*eps, which is large beside a0 on a steep curve.
         """
         d, u, _, _, _, b, _ = self._project(k, ids)
-        scale = self.scale[ids]
+        e = self.e[ids]
         c = np.where(k != 0, b / np.where(k != 0, k, 1.0), math.nan)
         positive = c > 0
         c1 = np.where(positive, c, 1.0)  # logs and rates only where C > 0
@@ -344,7 +347,7 @@ class _Separable:
         a2 = self.span[ids] / k1
         t_ref = np.where(k > 0, self.t_hi[ids], self.t_lo[ids])
         with np.errstate(over="ignore"):  # _fit_exponential fails a row whose a0 or C overflows
-            return a0 * scale, t_ref - a2 * each(math.log, c1 * scale), a2, c * scale
+            return np.ldexp(a0, e), t_ref - a2 * each(math.log, np.ldexp(c1, e)), a2, np.ldexp(c, e)
 
 
 _WALK, _BRENT, _STEP, _TRY = range(4)  # what a row's pending rate waits for; see _search
@@ -521,6 +524,9 @@ def _fit_exponential(blocks: Sequence[_Rows]) -> None:
             rows.y.min(axis=1) == rows.y.max(axis=1),
             lambda _: DegenerateInput("flat power data; a2 is unidentifiable"),
         )
+        with np.errstate(over="ignore"):  # d = (T - T_ref)/span must run from -1 to 0 or 0 to 1
+            rows.fail(np.isinf(np.ptp(rows.t, axis=1)), lambda _: DegenerateInput(
+                "the temperatures span more than the double range: max T - min T overflows"))
         with np.errstate(over="ignore", invalid="ignore"):
             model = _Separable(rows.t, rows.y)
         wide = ~np.isfinite(model.uu)
@@ -654,8 +660,8 @@ def fit_exponential(data) -> FitResult:
     Raises DegenerateInput when the best C is not positive (concave data,
     say), when the best curve is the straight line, which the family
     reaches only as C -> inf, or when the powers are all equal: the family
-    cannot represent the data.  So it does when the powers span so wide a
-    range that the squared weights (max P / P)^2 overflow.
+    cannot represent the data.  So it does when max T - min T overflows, or
+    when the powers span so wide a range that the weights (max P / P)^2 do.
     """
     return fit(data, FitKind.EXPONENTIAL)
 

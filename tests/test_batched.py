@@ -475,7 +475,8 @@ def test_huge_and_tiny_powers_fit_like_their_unit_scale_twin():
     y = np.exp((t - 100.0) / 33.0) + 0.3 + np.random.default_rng(3).normal(0.0, 0.002, 20)
     twin = fit_exponential((t, y))
     assert twin.converged
-    for e in (-1000, -500, 500, 1000):
+    assert 0.5 <= y.max() < 1.0  # so e = 1024 puts max P in [2**1023, 2**1024)
+    for e in (-1000, -500, 500, 1000, 1024):
         # a power of two scales exactly, so the search takes the same steps
         r = fit_exponential((t, np.ldexp(y, e)))
         assert r.converged and r.iterations == twin.iterations
@@ -506,6 +507,19 @@ def test_powers_spanning_more_than_the_double_range_fail_alone():
         assert str(r).startswith("the powers span more than the double range")
     with pytest.raises(DegenerateInput, match="span more than the double range"):
         fit_exponential(wide[0])
+
+
+@pytest.mark.filterwarnings("error")
+def test_temperatures_spanning_more_than_the_double_range_fail_alone():
+    ok = ([30.0, 40.0, 50.0, 60.0], [1.0, 1.2, 1.5, 2.0])
+    wide = [([-1e308, 0.0, 1e308], [1.0, 2.0, 3.0]),
+            ([-1.7e308, 0.0, 1e300, 1e308], [1.0, 1.2, 1.5, 2.0])]
+    out = fit_batch([ok, *wide, ok], FitKind.EXPONENTIAL)
+    assert out[0] == out[-1] == fit_exponential(ok)
+    for r in out[1:-1]:
+        assert isinstance(r, DegenerateInput)
+        assert str(r) == ("the temperatures span more than the double range: "
+                          "max T - min T overflows")
 
 
 def test_fleet_across_the_default_block_boundary():
