@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidParams, LengthMismatch, ZeroSpread
-from .fitting import FitKind, each, exp_curve, fit_exponential, fit_linear, fit_quadratic
+from .fitting import FitKind, exp_curve, fit_exponential, fit_linear, fit_quadratic
 from .trace import Trace, _fmt, _trace_header, write_table
 
 _ETA_ARITY = {FitKind.LINEAR: 1, FitKind.QUADRATIC: 2, FitKind.EXPONENTIAL: 2}
@@ -68,15 +68,11 @@ class DebiasSpec:
             return eta1 * (self.ref_temp - temp)
         if self.kind is FitKind.QUADRATIC:
             eta2, eta1 = self.eta
-            # x**2 is the C library's pow(x, 2), which is not always x*x
-            squares = each(_square, temp)
-            return eta2 * (self.ref_temp**2 - squares) + eta1 * (self.ref_temp - temp)
+            # x*x, not x**2: the C library's pow(x, 2) is not always correctly rounded
+            return (eta2 * (self.ref_temp * self.ref_temp - temp * temp)
+                    + eta1 * (self.ref_temp - temp))
         a1, a2 = self.eta
         return exp_curve(self.ref_temp, a1, a2) - exp_curve(temp, a1, a2)
-
-
-def _square(x: float) -> float:
-    return x**2
 
 
 @dataclass(frozen=True)
@@ -153,7 +149,8 @@ def debias(trace: Trace, spec: DebiasSpec) -> DebiasedTrace:
 
     Warns (UserWarning) when ref_temp lies outside the measured temperature
     range; picking an interior reference keeps the transform interpolative.
-    FL is NaN for a constant-power input, where it is undefined.
+    FL is NaN for a constant-power input, where it is undefined.  Raises
+    InvalidParams when a transformed power is not finite.
     """
     lo, hi = float(trace.temp_c.min()), float(trace.temp_c.max())
     if not lo <= spec.ref_temp <= hi:
@@ -163,7 +160,14 @@ def debias(trace: Trace, spec: DebiasSpec) -> DebiasedTrace:
             stacklevel=2,
         )
     measured = trace.power_w
-    ref_power = measured + spec.shift(trace.temp_c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref_power = measured + spec.shift(trace.temp_c)
+    bad = np.flatnonzero(~np.isfinite(ref_power))
+    if bad.size:
+        i = int(bad[0])
+        t, p = float(trace.temp_c[i]), float(ref_power[i])
+        raise InvalidParams(f"the transformed power of sample {i} (T = {t!r}) is {p!r}: "
+                            "the transform leaves the double range")
     try:
         fl = metric_fl(measured, ref_power)
     except ZeroSpread:

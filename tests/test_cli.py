@@ -812,25 +812,70 @@ FLOAT_FLAGS = [
 ]
 
 
+def float_flag_argv(tmp_path, capsys, command, flag, value):
+    """command's valid argv, with flag set to value; its CSV output is out.csv."""
+    series, _ = write_lagged_series(tmp_path)
+    out = tmp_path / "out.csv"
+    base = {
+        "gen": ["gen", "--params=0.3,100.0,33.0", "--sweep=25,85,20", "--seed", "0",
+                "--out", out],
+        "model eval": ["model", "eval", "--proc", "A7", "--temp=50", "--freq=1", "--cores", "2"],
+        "debias": ["debias", gen_trace(tmp_path, capsys), "--ref-temp=50", "--kind", "quad",
+                   "--out", out],
+        "sensor-correct": ["sensor-correct", series, "--alpha", MODEL.alpha, "--a", MODEL.a,
+                           "--b", MODEL.b, "--t-init", MODEL.t_init, "--t-inf", MODEL.t_inf,
+                           "--out", out],
+    }[command]
+    return base + [flag.format(value)]
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize(("command", "flag"), FLOAT_FLAGS)
 def test_non_finite_float_flag_exit_2(tmp_path, capsys, command, flag, value):
-    series, _ = write_lagged_series(tmp_path)
-    base = {
-        "gen": ["gen", "--params=0.3,100.0,33.0", "--sweep=25,85,20", "--seed", "0",
-                "--out", tmp_path / "g.csv"],
-        "model eval": ["model", "eval", "--proc", "A7", "--temp=50", "--freq=1", "--cores", "2"],
-        "debias": ["debias", gen_trace(tmp_path, capsys), "--ref-temp=50", "--kind", "quad",
-                   "--out", tmp_path / "d.csv"],
-        "sensor-correct": ["sensor-correct", series, "--alpha", MODEL.alpha, "--a", MODEL.a,
-                           "--b", MODEL.b, "--t-init", MODEL.t_init, "--t-inf", MODEL.t_inf,
-                           "--out", tmp_path / "s.csv"],
-    }[command]
-    code, out, err = run_cli(base + [flag.format(value)], capsys)
+    code, out, err = run_cli(float_flag_argv(tmp_path, capsys, command, flag, value), capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Warning" not in err and "Traceback" not in err
+
+
+def assert_finite_csv(path):
+    """Every number below the column names of the CSV at path is finite."""
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    assert all(math.isfinite(float(v)) for line in lines[1:] for v in line.split(",")), path
+
+
+@pytest.mark.parametrize("value", ["1e300", "-1e300", "1.7e308"])
+@pytest.mark.parametrize(("command", "flag"), FLOAT_FLAGS)
+def test_huge_float_flag_exits_cleanly_and_writes_only_finite_numbers(
+        tmp_path, capsys, command, flag, value):
+    argv = float_flag_argv(tmp_path, capsys, command, flag, value)
+    code, _, err = run_cli(argv, capsys)
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
+    if (tmp_path / "out.csv").exists():
+        assert_finite_csv(tmp_path / "out.csv")
+
+
+def hot_trace(tmp_path):
+    """A trace whose last temperature is 1e200."""
+    path = tmp_path / "hot.csv"
+    path.write_text("#processor=SYN\n#freq_ghz=1.0\n#cores=2\ntime_s,temp_c,power_w\n"
+                    "0.0,30.0,1.0\n0.2,40.0,1.1\n0.4,1e200,1.2\n")
+    return path
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flags", [["--kind", "quad", "--eta", "0.001,0.01"],
+                                   ["--kind", "linear", "--eta", "1e200"]])
+def test_debias_to_a_non_finite_power_exit_2_without_a_csv(tmp_path, capsys, flags):
+    out = tmp_path / "d.csv"
+    argv = ["debias", hot_trace(tmp_path), *flags, "--ref-temp", "35", "--out", out]
+    assert run_cli(argv, capsys) == (
+        2, "", "error: debias: the transformed power of sample 2 (T = 1e+200) is -inf: "
+               "the transform leaves the double range\n")
+    assert not out.exists()
 
 
 # --- cold start ---

@@ -2,12 +2,14 @@
 
 Each case gives a command arbitrary bytes, or one of its valid inputs with
 a few bytes changed, in place of an input file.  Whatever the bytes, the
-command must exit 0, 1 or 2 and print no traceback: bad input is exit 2
-with a message, a fit or transform that fails on it is exit 1.
+command must exit 0, 1 or 2, print no traceback and write no non-finite
+number to a CSV: bad input is exit 2 with a message, a fit or transform
+that fails on it is exit 1.
 """
 
 import io
 import json
+import math
 import re
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -41,6 +43,13 @@ COMMANDS = {
     "debias-linear": (["debias", "IN", "--kind", "linear", "--ref-temp", "55",
                        "--out", "out.csv"], TRACE, {}),
     "debias-quad": (["debias", "IN", "--ref-temp", "55", "--out", "out.csv"], TRACE, {}),
+    # given coefficients: no fit stands between a hostile temperature and the transform
+    "debias-exp-eta": (["debias", "IN", "--kind", "exp", "--eta", "100,33", "--ref-temp", "55",
+                        "--out", "out.csv"], TRACE, {}),
+    "debias-linear-eta": (["debias", "IN", "--kind", "linear", "--eta", "0.01",
+                           "--ref-temp", "55", "--out", "out.csv"], TRACE, {}),
+    "debias-quad-eta": (["debias", "IN", "--eta", "0.0002,0.01", "--ref-temp", "55",
+                         "--out", "out.csv"], TRACE, {}),
     "sensor-series": (["sensor-correct", "IN", "--model-json", "model.json",
                        "--out", "out.csv"], SERIES, {"model.json": SENSOR_MODEL}),
     "sensor-model": (["sensor-correct", "series.csv", "--model-json", "IN",
@@ -107,3 +116,8 @@ def test_hostile_input_files_exit_0_1_or_2_without_a_traceback(case, tmp_path, m
     assert "Traceback" not in err.getvalue(), (name, data)
     if code != 2:
         json.loads(out.getvalue())  # the report is still emitted
+    for csv in ("out.csv", "plot.csv"):
+        if Path(csv).exists():
+            rows = [line for line in Path(csv).read_text().splitlines() if line[:1] != "#"]
+            assert all(math.isfinite(float(v)) for row in rows[1:] for v in row.split(",")), (
+                name, data, csv)

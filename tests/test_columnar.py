@@ -8,10 +8,11 @@ running sum where the loop had one.
 
 import math
 import statistics
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermopower.debias import DebiasSpec, _median, debias, write_debiased
@@ -178,7 +179,7 @@ def shift_ref(spec, temp):
         return eta1 * (spec.ref_temp - temp)
     if spec.kind is FitKind.QUADRATIC:
         eta2, eta1 = spec.eta
-        return eta2 * (spec.ref_temp**2 - temp**2) + eta1 * (spec.ref_temp - temp)
+        return eta2 * (spec.ref_temp * spec.ref_temp - temp * temp) + eta1 * (spec.ref_temp - temp)
     a1, a2 = spec.eta
     return math.exp((spec.ref_temp - a1) / a2) - math.exp((temp - a1) / a2)
 
@@ -197,6 +198,23 @@ def test_debias_matches_per_sample_reference(noisy, spec):
     # scalar and array shifts agree too
     temp = float(noisy.temp_c[7])
     assert spec.shift(temp) == shift_ref(spec, temp)
+
+
+def square(x):
+    """x squared, correctly rounded, as IEEE multiplication rounds x*x."""
+    return float(Fraction(x) ** 2)
+
+
+@settings(max_examples=200)
+@given(temps=st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=20),
+       ref=st.floats(-1e150, 1e150), eta=st.sampled_from([(1.0, 0.0), (1.7e-4, -0.0031)]))
+@example(temps=[0.3624182010806754], ref=0.0, eta=(1.0, 0.0))  # pow(x, 2) is an ulp low
+def test_quadratic_shift_squares_are_correctly_rounded(temps, ref, eta):
+    spec = DebiasSpec(FitKind.QUADRATIC, eta, ref)
+    eta2, eta1 = eta
+    want = [eta2 * (square(ref) - square(t)) + eta1 * (ref - t) for t in temps]
+    assert bits(spec.shift(np.array(temps))) == bits(want)
+    assert bits([spec.shift(t) for t in temps]) == bits(want)
 
 
 @settings(max_examples=200)
