@@ -20,6 +20,7 @@ import contextlib
 import functools
 import gc
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -194,21 +195,25 @@ class _Run:
 def _emit(args, report: dict, human_lines: list[str], code: int) -> int:
     """Write the report to stdout with --json and to --out-report, else
     print the human lines; return code.  If a write fails, print the error
-    naming the file, or stdout, and return 2."""
+    naming the file, or stdout, and return 2; when only stdout fails, the
+    file still gets the whole report."""
     sink = args.out_report  # the file being opened, then the sink last written
     try:
         with contextlib.ExitStack() as stack:
             sinks = [sys.stdout] if args.json else []
             if args.out_report:
-                sinks.append(stack.enter_context(open(args.out_report, "w", encoding="utf-8")))
-            if sinks:
-                # serialize once, streaming each piece to every sink: written
-                # as one string, a 4000-trace report raised peak RSS by a quarter
-                for chunk in _chunks(report):
+                sinks.insert(0, stack.enter_context(open(args.out_report, "w", encoding="utf-8")))
+            # serialize once, streaming each piece to every sink: written
+            # as one string, a 4000-trace report raised peak RSS by a quarter
+            pieces = itertools.chain(_chunks(report), "\n")
+            try:
+                for chunk in pieces if sinks else ():
                     for sink in sinks:
                         sink.write(chunk)
-                for sink in sinks:
-                    sink.write("\n")
+            except OSError:  # if stdout, written last, failed, the file takes the rest
+                if sink is sys.stdout and args.out_report:
+                    sinks[0].writelines(pieces)
+                raise
         sink = sys.stdout
         if not args.json and not args.quiet:
             for line in human_lines:

@@ -6,6 +6,7 @@ byte-determinism runs the real console entry in a subprocess.
 
 import gc
 import hashlib
+import io
 import json
 import math
 import os
@@ -1054,6 +1055,26 @@ def test_report_to_a_closed_pipe_exit_2(argv):
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (2, "error: stdout: Broken pipe\n")
+
+
+def test_report_file_is_whole_when_stdout_is_a_closed_pipe(tmp_path):
+    path = tmp_path / "r.json"
+    argv = [sys.executable, "-X", "dev", "-m", "thermopower.cli", "fit",
+            *map(str, sorted(GOLDEN_FLEET.iterdir())), "--json", "--out-report", str(path)]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    clean = subprocess.run(argv, env=env, capture_output=True)
+    assert clean.returncode == 1  # concave0-2 fail the exponential fit
+    report = path.read_bytes()
+    assert report == clean.stdout and len(report) > 3 * io.DEFAULT_BUFFER_SIZE
+    path.unlink()
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(argv, env=env, stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (2, "error: stdout: Broken pipe\n")
+    assert path.read_bytes() == report
 
 
 # --- the command leaves the interpreter as it found it ---
