@@ -101,14 +101,18 @@ class DebiasedTrace:
 def _median(values) -> float:
     """statistics.median of a non-empty float sequence or array, found by
     partition instead of a sort: the same middle value, or the same
-    (lower + upper)/2 of the two middle values.
+    (lower + upper)/2 of the two middle values.  Equal values differ in
+    their bits only as -0.0 and 0.0, so a middle zero is the one the
+    stable sort puts there: the zeros in input order, after the negatives.
     """
     x = np.asarray(values, float)
     mid = x.size // 2
-    if x.size % 2:
-        return float(np.partition(x, mid)[mid])
-    lower, upper = np.partition(x, (mid - 1, mid))[mid - 1 : mid + 1].tolist()
-    return (lower + upper) / 2
+    at = [mid] if x.size % 2 else [mid - 1, mid]
+    middle = np.partition(x, at)[at].tolist()
+    if 0.0 in middle:
+        zeros, below = x[x == 0].tolist(), np.count_nonzero(x < 0)
+        middle = [zeros[i - below] if m == 0 else m for i, m in zip(at, middle)]
+    return middle[0] if x.size % 2 else (middle[0] + middle[1]) / 2
 
 
 def _spread(values) -> float:

@@ -219,6 +219,8 @@ def test_quadratic_shift_squares_are_correctly_rounded(temps, ref, eta):
 
 @settings(max_examples=200)
 @given(st.lists(st.floats(min_value=-1e300, max_value=1e300), min_size=1, max_size=40))
+@example([0.0, 0.0, 1.0, 1.0, 0.0, 1.0, -0.0])  # partition put 0.0 in the middle
+@example([0.0, -0.0, -0.0, 1.0, -1.0, 2.0])  # and 0.0 beside -0.0 in an even list
 def test_median_matches_statistics(values):
     assert bits([_median(values)]) == bits([statistics.median(values)])
 
