@@ -542,8 +542,11 @@ def _fit_exponential(blocks: Sequence[_Rows]) -> None:
         start, end = end, end + len(rows.ids)
         k, evaluations = k_all[start:end], evaluations_all[start:end]
         terminations = np.where(limits[start:end], "exp_range_limit", "converged")
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             a0, a1, a2, c = model.params(k, slice(None))
+            # a1 holds t_ref - a2*log(C) to its own ulp, which a small a2 can
+            # make too large for exp((T - a1)/a2) at the samples
+            top = np.exp(np.max((rows.t - a1[:, None]) / a2[:, None], axis=1))
 
         def degenerate(j):
             if k[j] == 0:
@@ -556,11 +559,12 @@ def _fit_exponential(blocks: Sequence[_Rows]) -> None:
                                    "needs C > 0")
 
         a0, a1, a2, terminations, evaluations = rows.fail(
-            ~(c > 0) | ~(np.isfinite(a0) & np.isfinite(a1)), degenerate,
+            ~(c > 0) | ~(np.isfinite(a0) & np.isfinite(a1) & np.isfinite(top)), degenerate,
             a0, a1, a2, terminations, evaluations,
         )
-        rows.finish(FitKind.EXPONENTIAL, np.stack([a0, a1, a2], axis=1), evaluations,
-                    terminations)
+        with np.errstate(over="ignore"):  # T - a1 may round to -inf, whose exp is 0
+            rows.finish(FitKind.EXPONENTIAL, np.stack([a0, a1, a2], axis=1), evaluations,
+                        terminations)
 
 
 def _blocks(keys: Sequence[tuple]):

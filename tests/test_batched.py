@@ -8,9 +8,11 @@ bits for every pooled error and p-value, whatever the batch and wherever
 the block boundaries fall.
 """
 
+import itertools
 import math
 import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from thermopower.fitting import (
     fit_quadratic,
     sign_test,
 )
-from thermopower.trace import Trace, TraceMeta, generate_synthetic_trace
+from thermopower.trace import Trace, TraceMeta, generate_synthetic_trace, parse_trace
 
 # --- the per-trace reference ---
 
@@ -510,6 +512,23 @@ def test_powers_spanning_more_than_the_double_range_fail_alone():
 
 
 @pytest.mark.filterwarnings("error")
+def test_curves_that_leave_the_double_range_at_a_sample_fail_alone():
+    ok = ([30.0, 40.0, 50.0, 60.0], [1.0, 1.2, 1.5, 2.0])
+    ulps = [1e15, 1e15 + 0.125, 1e15 + 0.25]
+    wide = [
+        # a1 rounds to 1e15 - 0.125 beside an a2 of 5e-4: (T - a1)/a2 reaches 765
+        (ulps, [0.8e308, 0.75e308, 0.85e308]),
+        # span/k underflows: a2 is 0
+        ([5e-324, 1e-323, 1.5e-323], [2e-320, 1e-320, 3e-320]),
+    ]
+    out = fit_batch([ok, *wide, ok], FitKind.EXPONENTIAL)
+    assert out[0] == out[-1] == fit_exponential(ok)
+    for r in out[1:-1]:
+        assert isinstance(r, DegenerateInput)
+        assert str(r).startswith("the best curve leaves the double range")
+
+
+@pytest.mark.filterwarnings("error")
 def test_temperatures_spanning_more_than_the_double_range_fail_alone():
     ok = ([30.0, 40.0, 50.0, 60.0], [1.0, 1.2, 1.5, 2.0])
     wide = [([-1e308, 0.0, 1e308], [1.0, 2.0, 3.0]),
@@ -615,3 +634,91 @@ def test_array_search_keeps_the_scalar_steps_past_a_zero_ww_a_nan_or_a_tie(
         got, expected = fit_both(fleet)
     assert got == expected
     assert got != clean
+
+
+# --- the bound that keeps w.w away from zero ---
+
+GOLDEN_FLEET = Path(__file__).parent / "golden" / "inputs" / "fleet"
+WW_FLOOR = 5e-7
+
+
+def hostile_pairs():
+    """(temps, powers) at the ends of the double range: temperatures one
+    ulp apart at 1e15, spans up to 1.6e308 and beyond, subnormal
+    temperatures; powers from 1e-320 to 1.7e308, powers of exp(+-700) and
+    powers one ulp apart, in every order."""
+    def ulps(x):
+        return [x, np.nextafter(x, math.inf), np.nextafter(np.nextafter(x, math.inf), math.inf)]
+
+    temps = [ulps(1e15), [25.0, 55.0, 85.0], [-0.8e308, 0.0, 0.8e308], [0.0, 1e308, 1.6e308],
+             [-1e308, 0.0, 1e308], [-1.7e308, 0.0, 1.7e308], [5e-324, 1e-323, 1.5e-323],
+             [-5e-324, 0.0, 5e-324], [5e-324, 1.0, 1e308]]
+    e = math.exp
+    powers = [[1e-320, 1.0, 1.7e308], [1e-320, 2e-320, 3e-320], [1.5e308, 1.6e308, 1.7e308],
+              [e(-700), 1.0, e(700)], [e(-700), 2.0 * e(-700), e(-699)], [e(699), e(699.5), e(700)],
+              ulps(1.0), ulps(1e-320), ulps(1.7e308), [0.3, 0.5, 1.3]]
+    return [(t, list(p)) for t in temps for y in powers for p in itertools.permutations(y)]
+
+
+@contextmanager
+def watching_ww():
+    """Record w.w of every _project call and every model the rate search gets."""
+    seen = {"ww": [], "models": []}
+    project, search = fitting._Separable._project, fitting._search
+
+    def spy_project(self, k, ids):
+        out = project(self, k, ids)
+        seen["ww"].append(out[4])
+        return out
+
+    def spy_search(models):
+        seen["models"] += models
+        return search(models)
+
+    fitting._Separable._project, fitting._search = spy_project, spy_search
+    try:
+        yield seen
+    finally:
+        fitting._Separable._project, fitting._search = project, search
+
+
+def assert_ww_bound(data):
+    """Fit data, and check w.w >= WW_FLOOR at every rate the search asked
+    for, and on a grid of rates across [-_LOG_TINY, _LOG_TINY] for every
+    trace that passed the fit's input checks.
+
+    Every row that reaches the search has weights u = 2**e/P >= 1, a column
+    d that runs exactly from -1 to 0 or from 0 to 1, and a rate with
+    |k| <= _LOG_TINY.  w is u*(expm1(k*d)/k) less its projection on u, so
+    w.w >= min over c of sum((expm1(k*d_i)/k - c)**2), at least half the
+    squared difference of the two ends: ((1 - exp(-_LOG_TINY))/_LOG_TINY)**2/2,
+    about 9.9e-7.  WW_FLOOR halves that for rounding.
+    """
+    with watching_ww() as seen:
+        fit_batch(data, FitKind.EXPONENTIAL)
+    for ww in seen["ww"]:
+        assert np.all(ww >= WW_FLOOR), ww.min()
+    rates = [0.0, 5e-324, 1e-300, 1e-8, 1e-3, 0.5, 1.0, 3.0, 10.0, 100.0, 700.0,
+             np.nextafter(_LOG_TINY, 0.0), _LOG_TINY]
+    for model in seen["models"]:
+        for k in rates + [-k for k in rates]:
+            ww = model._project(np.full(len(model.span), k), slice(None))[4]
+            assert np.all(ww >= WW_FLOOR), (k, ww.min())
+    return len(seen["ww"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(trace_list=st.lists(traces(), min_size=1, max_size=8))
+def test_ww_bound_holds_on_generated_traces(trace_list):
+    assert_ww_bound(trace_list)
+
+
+def test_ww_bound_holds_on_the_search_fleet_the_golden_fleet_and_hostile_traces():
+    golden = [parse_trace(p.read_bytes()) for p in sorted(GOLDEN_FLEET.iterdir())]
+    hostile = hostile_pairs()
+    for data in (exp_fleet(), golden, hostile):
+        assert assert_ww_bound(data) > 0
+    # the span check keeps overflowing spans out; the rest reach the search
+    out = fit_batch(hostile, FitKind.EXPONENTIAL)
+    assert sum("temperatures span" in str(r) for r in out) == 2 * len(hostile) // 9
+    assert sum(isinstance(r, FitResult) for r in out) > 0
