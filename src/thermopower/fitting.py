@@ -346,8 +346,7 @@ class _Separable:
         a0 = self.a_u[ids] - c1 * _dots(u, np.exp(k1[:, None] * d) * u) / self.uu[ids]
         a2 = self.span[ids] / k1
         t_ref = np.where(k > 0, self.t_hi[ids], self.t_lo[ids])
-        with np.errstate(over="ignore"):  # _fit_exponential fails a row whose a0 or C overflows
-            return np.ldexp(a0, e), t_ref - a2 * each(math.log, np.ldexp(c1, e)), a2, np.ldexp(c, e)
+        return np.ldexp(a0, e), t_ref - a2 * each(math.log, np.ldexp(c1, e)), a2, np.ldexp(c, e)
 
 
 _WALK, _BRENT, _STEP, _TRY = range(4)  # what a row's pending rate waits for; see _search
@@ -542,6 +541,7 @@ def _fit_exponential(blocks: Sequence[_Rows]) -> None:
         start, end = end, end + len(rows.ids)
         k, evaluations = k_all[start:end], evaluations_all[start:end]
         terminations = np.where(limits[start:end], "exp_range_limit", "converged")
+        # rows whose a0, a1, C or curve overflow are failed below
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             a0, a1, a2, c = model.params(k, slice(None))
             # a1 holds t_ref - a2*log(C) to its own ulp, which a small a2 can
