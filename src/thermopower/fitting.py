@@ -281,9 +281,9 @@ class _Separable:
     The weights are u = 2**e/y, 2**e the power of two that puts the largest
     in (1, 2]: none underflows, and as the scaling is exact, the search takes
     the same steps at every scale.  params undoes it on a0 and C.  As u >= 1,
-    d runs from -1 to 0 or from 0 to 1 and |k| <= _LOG_TINY, the column's two
-    ends differ by at least (1 - exp(-_LOG_TINY))/_LOG_TINY, so w.w is at
-    least about 9.9e-7 at every rate the search asks for.
+    d runs exactly from -1 to 0 or from 0 to 1 and |k| <= _LOG_TINY, the
+    column's end entries differ by at least (1 - exp(-_LOG_TINY))/_LOG_TINY,
+    so w.w >= half that squared, about 9.9e-7, at every rate the search asks for.
 
     Each method takes the rates k of the rows ids.
     """
