@@ -512,33 +512,22 @@ def test_powers_spanning_more_than_the_double_range_fail_alone():
 
 
 @pytest.mark.filterwarnings("error")
-def test_curves_that_leave_the_double_range_at_a_sample_fail_alone():
+@pytest.mark.parametrize(("wide", "message"), [
+    ([([-1e308, 0.0, 1e308], [1.0, 2.0, 3.0]),
+      ([-1.7e308, 0.0, 1e300, 1e308], [1.0, 1.2, 1.5, 2.0])],
+     "the temperatures span more than the double range: max T - min T overflows"),
+    # a1 rounds to 1e15 - 0.125 beside an a2 of 5e-4, so (T - a1)/a2 reaches
+    # 765; and span/k underflows to an a2 of 0
+    ([([1e15, 1e15 + 0.125, 1e15 + 0.25], [0.8e308, 0.75e308, 0.85e308]),
+      ([5e-324, 1e-323, 1.5e-323], [2e-320, 1e-320, 3e-320])],
+     "the best curve leaves the double range: "),
+], ids=["temperature span", "curve at a sample"])
+def test_temperatures_or_curves_beyond_the_double_range_fail_alone(wide, message):
     ok = ([30.0, 40.0, 50.0, 60.0], [1.0, 1.2, 1.5, 2.0])
-    ulps = [1e15, 1e15 + 0.125, 1e15 + 0.25]
-    wide = [
-        # a1 rounds to 1e15 - 0.125 beside an a2 of 5e-4: (T - a1)/a2 reaches 765
-        (ulps, [0.8e308, 0.75e308, 0.85e308]),
-        # span/k underflows: a2 is 0
-        ([5e-324, 1e-323, 1.5e-323], [2e-320, 1e-320, 3e-320]),
-    ]
     out = fit_batch([ok, *wide, ok], FitKind.EXPONENTIAL)
     assert out[0] == out[-1] == fit_exponential(ok)
     for r in out[1:-1]:
-        assert isinstance(r, DegenerateInput)
-        assert str(r).startswith("the best curve leaves the double range")
-
-
-@pytest.mark.filterwarnings("error")
-def test_temperatures_spanning_more_than_the_double_range_fail_alone():
-    ok = ([30.0, 40.0, 50.0, 60.0], [1.0, 1.2, 1.5, 2.0])
-    wide = [([-1e308, 0.0, 1e308], [1.0, 2.0, 3.0]),
-            ([-1.7e308, 0.0, 1e300, 1e308], [1.0, 1.2, 1.5, 2.0])]
-    out = fit_batch([ok, *wide, ok], FitKind.EXPONENTIAL)
-    assert out[0] == out[-1] == fit_exponential(ok)
-    for r in out[1:-1]:
-        assert isinstance(r, DegenerateInput)
-        assert str(r) == ("the temperatures span more than the double range: "
-                          "max T - min T overflows")
+        assert isinstance(r, DegenerateInput) and str(r).startswith(message)
 
 
 def test_fleet_across_the_default_block_boundary():
