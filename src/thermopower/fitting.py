@@ -12,15 +12,15 @@ same kind of weighted solve, leaving a 1-D Brent search over the rate (see
 fit_exponential).  FitResult.termination says why a fit stopped:
 "converged", or the rate limit it reached.
 
-Fits run over batches (fit_batch).  Traces of one length are stacked as
-the rows of (m, n) arrays, up to BLOCK of them, and every numpy step
-covers the whole block; the exponential rate search runs the rows of
-many blocks in step, its state in flat arrays (see _search).  Each row
-goes through the same IEEE operations in the same order as a trace
-fitted on its own, with row sums and dot products taken by the same numpy
-and BLAS routines, so a fit does not depend on the batch it is in;
-fitting one trace is a batch of one.  A fit keeps its squared relative
-residuals, which compare_models pools.
+Fits run over batches (fit_batch), in waves of up to WAVE_SAMPLES
+samples.  The traces of one length in a wave are stacked as the rows of
+an (m, n) block, and every numpy step covers the whole block; the
+exponential rate search runs the rows of a wave's blocks in step, its
+state in flat arrays (see _search).  Each row goes through the same IEEE
+operations in the same order as a trace fitted on its own, with row sums
+and dot products taken by the same numpy and BLAS routines, so a fit does
+not depend on the batch it is in; fitting one trace is a batch of one.  A
+fit keeps its squared relative residuals, which compare_models pools.
 """
 
 from __future__ import annotations
@@ -51,15 +51,9 @@ _LOG_TINY = -math.log(sys.float_info.min)
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 
 # Traces fitted together: enough to spread numpy's per-call cost thin.  A
-# block's fit holds about ten (traces, samples) float arrays at once, so a
-# block is also cut to BLOCK_SAMPLES samples: 512 traces of 20 samples, but
-# one of 100k.
-BLOCK = 512
-BLOCK_SAMPLES = 1 << 15
-# The exponential search runs the blocks of a wave in step, so that short
-# traces of many lengths share its rounds.  A wave holds up to WAVE_SAMPLES
-# samples, one full block or many small ones, which bounds the arrays the
-# search keeps at once.
+# wave's fit holds about ten (traces, samples) float arrays at once, so a
+# wave holds up to WAVE_SAMPLES samples, and at least one trace: 819 traces
+# of 20 samples, but one of 100k.
 WAVE_SAMPLES = 1 << 14
 
 
@@ -180,19 +174,18 @@ def _squares(kind: FitKind, coeffs, temp, power) -> np.ndarray:
 class _Rows:
     """The traces of one block still being fitted.
 
-    t and y hold the live traces as rows; out holds, for every trace of the
-    block, its FitResult or the exception its fit raised.  fail() sets
-    traces aside at the step where a fit of that trace alone would have
-    raised, so every later step runs on exactly the traces that reach it.
-    After finish(), the live rows are the fitted traces, and squares holds
-    their squared relative residuals, row by row.
+    block holds each trace's (batch index, temps, powers); t and y hold the
+    live traces as rows, and ids their batch indices.  fail() sets traces
+    aside at the step where a fit of that trace alone would have raised,
+    so every later step runs on exactly the traces that reach it.  Each
+    trace's FitResult or exception goes into out, the batch's list, and a
+    fitted trace's squared relative residuals into squares.
     """
 
-    def __init__(self, t: np.ndarray, y: np.ndarray):
-        self.t, self.y = t, y
-        self.ids = np.arange(len(t))  # block index of each live row
-        self.out: list[FitResult | Exception | None] = [None] * len(t)
-        self.squares = np.empty((0, t.shape[1]))
+    def __init__(self, block, out: list, squares: list):
+        ids, t, y = zip(*block)
+        self.ids, self.t, self.y = np.array(ids), np.array(t), np.array(y)
+        self.out, self.squares = out, squares
 
     def fail(self, bad, error, *arrays):
         """Fail live row j with error(j) wherever bad[j]; return arrays
@@ -208,15 +201,16 @@ class _Rows:
 
     def finish(self, kind: FitKind, coeffs, iterations=None, terminations=None):
         """Store a FitResult for every live row, its error that of its predict()."""
-        self.squares = _squares(kind, coeffs.T[:, :, None], self.t, self.y)
-        errors = np.sqrt(np.sum(self.squares, axis=1))
+        squares = _squares(kind, coeffs.T[:, :, None], self.t, self.y)
+        errors = np.sqrt(np.sum(squares, axis=1))
         n = len(self.ids)
         iterations = [0] * n if iterations is None else iterations.tolist()
         terminations = ["converged"] * n if terminations is None else terminations.tolist()
-        for i, c, e, it, why in zip(
-            self.ids.tolist(), coeffs.tolist(), errors.tolist(), iterations, terminations
+        for i, c, e, it, why, row in zip(
+            self.ids.tolist(), coeffs.tolist(), errors.tolist(), iterations, terminations, squares
         ):
             self.out[i] = FitResult(kind, tuple(c), e, it, why == "converged", why)
+            self.squares[i] = row
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -567,19 +561,7 @@ def _fit_exponential(blocks: Sequence[_Rows]) -> None:
                         terminations)
 
 
-def _blocks(keys: Sequence[tuple]):
-    """The indices of equal keys, in order, in blocks of at most BLOCK
-    traces and BLOCK_SAMPLES samples, and at least one trace.  A key is a
-    tuple whose first item is the trace's sample count."""
-    groups: dict = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    sizes = {key: max(1, min(BLOCK, BLOCK_SAMPLES // max(key[0], 1))) for key in groups}
-    return [idx[start : start + sizes[key]] for key, idx in groups.items()
-            for start in range(0, len(idx), sizes[key])]
-
-
-def _fit_blocks(data: Sequence, kind: FitKind):
+def _fit_waves(data: Sequence, kind: FitKind):
     """fit_batch(data, kind), and each trace's squared relative residuals,
     or None where its fit failed."""
     out: list[FitResult | Exception] = [None] * len(data)  # type: ignore[list-item]
@@ -590,26 +572,22 @@ def _fit_blocks(data: Sequence, kind: FitKind):
             xys.append((i, *_as_xy(d)))
         except InvalidSample as exc:
             out[i] = exc.with_traceback(None)
+    xys.sort(key=lambda xy: xy[1].size)  # stable: in index order within a length
     waves, samples = [], math.inf
-    for block in _blocks([(t.size,) for _, t, _ in xys]):
-        samples += len(block) * xys[block[0]][1].size
-        if samples > WAVE_SAMPLES:
+    for xy in xys:
+        if samples + xy[1].size > WAVE_SAMPLES:
             waves.append([])
-            samples = len(block) * xys[block[0]][1].size
-        waves[-1].append([xys[b] for b in block])
+            samples = 0
+        samples += xy[1].size
+        waves[-1].append(xy)
     for wave in waves:
-        rows = [_Rows(np.array([t for _, t, _ in block]), np.array([y for _, _, y in block]))
-                for block in wave]
+        blocks = [_Rows(block, out, squares)
+                  for _, block in itertools.groupby(wave, key=lambda xy: xy[1].size)]
         if kind is FitKind.EXPONENTIAL:
-            _fit_exponential(rows)
-        for block, r in zip(wave, rows):
-            if kind is not FitKind.EXPONENTIAL:
-                _fit_poly(r, 1 if kind is FitKind.LINEAR else 2, kind)
-            idx = [i for i, _, _ in block]
-            for i, result in zip(idx, r.out):
-                out[i] = result
-            for j, row in zip(r.ids.tolist(), r.squares):
-                squares[idx[j]] = row
+            _fit_exponential(blocks)
+        else:
+            for rows in blocks:
+                _fit_poly(rows, 1 if kind is FitKind.LINEAR else 2, kind)
     return out, squares
 
 
@@ -623,7 +601,7 @@ def fit_batch(data: Sequence, kind: FitKind) -> list[FitResult | Exception]:
     samples would raise.  Raises LengthMismatch for a pair whose temps and
     powers differ in shape.
     """
-    return _fit_blocks(data, kind)[0]
+    return _fit_waves(data, kind)[0]
 
 
 def fit(data, kind: FitKind) -> FitResult:
@@ -770,7 +748,7 @@ def compare_models(
     aggregated: dict[FitKind, float | None] = dict.fromkeys(FitKind)
     group_errors = {key: dict.fromkeys(FitKind) for key in groups or {}}
     for kind in reversed(FitKind):
-        fits[kind], squares = _fit_blocks(traces, kind)
+        fits[kind], squares = _fit_waves(traces, kind)
 
         def pooled(indices) -> float | None:
             done = [squares[i] for i in indices if squares[i] is not None]

@@ -354,13 +354,14 @@ def outcome(fn, *args) -> str:
 
 
 @contextmanager
-def block_size(n):
-    """Fit in blocks of n traces, so small batches cross block boundaries."""
-    saved, fitting.BLOCK = fitting.BLOCK, n
+def wave_size(n):
+    """Fit in waves of up to n samples, so small batches cross wave and
+    block boundaries; a cap of 1 fits every trace alone."""
+    saved, fitting.WAVE_SAMPLES = fitting.WAVE_SAMPLES, n
     try:
         yield
     finally:
-        fitting.BLOCK = saved
+        fitting.WAVE_SAMPLES = saved
 
 
 def assert_same_comparison(trace_list, groups):
@@ -376,16 +377,16 @@ def assert_same_comparison(trace_list, groups):
 @settings(max_examples=80, deadline=None)
 @given(
     trace_list=st.lists(traces(), min_size=1, max_size=10),
-    block=st.sampled_from([1, 2, 3, 512]),
+    wave=st.sampled_from([1, 40, 120, fitting.WAVE_SAMPLES]),
     data=st.data(),
 )
-def test_compare_models_matches_per_trace_reference(trace_list, block, data):
+def test_compare_models_matches_per_trace_reference(trace_list, wave, data):
     keys = data.draw(st.lists(st.sampled_from("ab"), min_size=len(trace_list),
                               max_size=len(trace_list)))
     groups = {}
     for i, key in enumerate(keys):
         groups.setdefault(key, []).append(i)
-    with block_size(block):
+    with wave_size(wave):
         assert_same_comparison(trace_list, groups)
 
 
@@ -427,15 +428,23 @@ def test_power_pairs_with_zero_or_negative_powers_match_reference(data):
         assert [described(r) for r in fit_batch(data, kind)] == expected
 
 
-def test_blocks_are_cut_by_samples_as_well_as_traces():
-    def sizes(keys):
-        return [len(idx) for idx in fitting._blocks(keys)]
+def test_waves_are_cut_by_samples_and_blocks_by_length(monkeypatch):
+    def plan(lengths):
+        """The batch indices of each block fit_batch plans, wave by wave."""
+        waves = []
+        monkeypatch.setattr(fitting, "_fit_exponential",
+                            lambda blocks: waves.append([rows.ids.tolist() for rows in blocks]))
+        fit_batch([(np.arange(n, dtype=float), np.ones(n)) for n in lengths], FitKind.EXPONENTIAL)
+        return waves
 
-    assert sizes([(20,)] * 600) == [fitting.BLOCK, 600 - fitting.BLOCK]
-    assert sizes([(100_000,)] * 3) == [1, 1, 1]
-    assert sizes([(0,)] * 3) == [3]
-    per_block = fitting.BLOCK_SAMPLES // 1000
-    assert sizes([(1000, FitKind.LINEAR)] * (per_block + 1)) == [per_block, 1]
+    assert fitting.WAVE_SAMPLES // 20 == 819
+    assert plan([20] * 1000) == [[list(range(819))], [list(range(819, 1000))]]
+    assert plan([100_000] * 3) == [[[0]], [[1]], [[2]]]
+    assert plan([0] * 3) == [[[0, 1, 2]]]
+    assert plan([20, 30] * 3) == [[[0, 2, 4], [1, 3, 5]]]
+    # shortest first: a 400-sample trace takes the place of the sixteenth
+    # 1000-sample one in the first wave
+    assert plan([1000] * 17 + [400, 0]) == [[[18], [17], list(range(15))], [[15, 16]]]
 
 
 def test_long_equal_length_traces_are_fitted_one_at_a_time(monkeypatch):
@@ -458,11 +467,11 @@ def test_long_equal_length_traces_are_fitted_one_at_a_time(monkeypatch):
 
 @settings(max_examples=40, deadline=None)
 @given(trace_list=st.lists(traces(n=12), min_size=1, max_size=8),
-       block=st.sampled_from([1, 3, 512]))
-def test_aggregate_error_of_mixed_families_matches_reference(trace_list, block):
+       wave=st.sampled_from([1, 36, fitting.WAVE_SAMPLES]))
+def test_aggregate_error_of_mixed_families_matches_reference(trace_list, wave):
     fits = [(tr, r) for tr in trace_list for kind in FitKind
             for r in fit_batch([tr], kind) if isinstance(r, FitResult)]
-    with block_size(block):
+    with wave_size(wave):
         if not fits:
             with pytest.raises(EmptyGroup):
                 aggregate_error(fits)
@@ -531,10 +540,12 @@ def test_temperatures_or_curves_beyond_the_double_range_fail_alone(wide, message
 
 
 def test_fleet_across_the_default_block_boundary():
-    assert fitting.BLOCK < 520
+    """830 traces of 20 samples cross the default wave cap: they are fitted
+    as blocks of 819 and 11 traces, in two waves."""
+    assert 819 * 20 <= fitting.WAVE_SAMPLES < 820 * 20
     rng = np.random.default_rng(7)
     fleet = []
-    for seed in range(520):
+    for seed in range(830):
         params = (rng.uniform(0.1, 0.5), rng.uniform(90.0, 120.0), rng.uniform(25.0, 40.0))
         fleet.append(generate_synthetic_trace(
             TraceMeta("A7" if seed % 2 else "A15", 1.0, 1 + seed % 4), params,
@@ -573,11 +584,9 @@ def fit_both(fleet):
         outcome(ref_fit_exponential, tr) for tr in fleet]
 
 
-@pytest.mark.parametrize("wave", [40, fitting.WAVE_SAMPLES])
-@pytest.mark.parametrize("block", [1, 2, 512])
-def test_exponential_batch_of_mixed_lengths_matches_the_scalar_search(monkeypatch, block, wave):
-    monkeypatch.setattr(fitting, "WAVE_SAMPLES", wave)  # 40: a wave of a block or two
-    with block_size(block):
+@pytest.mark.parametrize("wave", [1, 20, 40, 60, 100, fitting.WAVE_SAMPLES])
+def test_exponential_batch_of_mixed_lengths_matches_the_scalar_search(wave):
+    with wave_size(wave):  # 1: every trace alone; 100: waves of up to five blocks
         got, expected = fit_both(exp_fleet())
     assert got == expected
     assert sum("exp_range_limit" in r for r in got) == 4
@@ -619,7 +628,7 @@ def test_array_search_keeps_the_scalar_steps_past_a_zero_ww_a_nan_or_a_tie(
         "near the minimum": lambda k: (k > 3.93) & (k < 3.94),
     }[where]
     inject(monkeypatch, hit, fault)
-    with block_size(3):
+    with wave_size(100):
         got, expected = fit_both(fleet)
     assert got == expected
     assert got != clean
