@@ -114,16 +114,19 @@ def exp_curve(temp, a1, a2):
     """exp((temp - a1)/a2), the temperature term of every exponential
     curve in the package, at a float or at each element of an array.
 
-    Raises InvalidParams when the result leaves the double range.
+    Raises InvalidParams when the result leaves the double range, as it
+    does where (temp - a1)/a2 itself overflows to +inf; at -inf it is 0.
     """
-    x = (temp - a1) / a2
-    try:
-        return each(math.exp, x)
-    except OverflowError:
-        raise InvalidParams(
-            f"exp((T - a1)/a2) leaves the double range: (T - a1)/a2 reaches "
-            f"{float(np.max(x))!r}"
-        ) from None
+    with np.errstate(over="ignore"):
+        x = (temp - a1) / a2
+    if not np.any(x == math.inf):  # math.exp(inf) is inf, not an OverflowError
+        try:
+            return each(math.exp, x)
+        except OverflowError:
+            pass
+    raise InvalidParams(
+        f"exp((T - a1)/a2) leaves the double range: (T - a1)/a2 reaches {float(np.max(x))!r}"
+    )
 
 
 def _as_xy(data) -> tuple[np.ndarray, np.ndarray]:

@@ -269,6 +269,19 @@ def test_model_eval_temperature_out_of_double_range_exit_2(capsys):
     assert err.startswith("error: model eval: exp((T - a1)/a2) leaves the double range")
 
 
+def test_model_eval_exponent_overflowing_to_inf_exit_2(tmp_path, capsys):
+    # T - a1 = 1e308 + 1e308 is inf, whose exp is inf rather than an OverflowError
+    path = tmp_path / "coeffs.json"
+    path.write_text('{"label": "x", "m": [0.028, -0.093, 0.371, 2.202, -38.242, -1e308, 8.43], '
+                    '"a2": 1.0}')
+    code, out, err = run_cli(
+        ["model", "eval", "--coeffs", path, "--temp", "1e308", "--freq", "1", "--cores", "2",
+         "--json"], capsys)
+    assert code == 2 and out == ""
+    assert err == ("error: model eval: exp((T - a1)/a2) leaves the double range: "
+                   "(T - a1)/a2 reaches inf\n")
+
+
 def test_model_eval_unknown_label_exit_2(capsys):
     code, _, err = run_cli(
         ["model", "eval", "--proc", "Z9", "--temp", "50",

@@ -26,6 +26,7 @@ from thermopower.fitting import (
     FitResult,
     aggregate_error,
     compare_models,
+    exp_curve,
     fit,
     fit_batch,
     fit_error,
@@ -526,3 +527,12 @@ def test_compare_takes_numpy_indices_as_ints():
     traces = [synth(noise=0.002, seed=s) for s in range(5)]
     by_list = compare_models(traces, {"g": [4, 0, 2]}).groups
     assert compare_models(traces, {"g": np.array([4, 0, 2])}).groups == by_list
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("temp", [1e308, np.array([1e308, 30.0])], ids=["scalar", "array"])
+def test_exp_curve_raises_where_its_exponent_overflows_to_inf(temp):
+    # T - a1 overflows to inf, whose math.exp is inf, not an OverflowError
+    with pytest.raises(InvalidParams, match=r"leaves the double range: \(T - a1\)/a2 reaches inf$"):
+        exp_curve(temp, -1e308, 1.0)
+    assert np.all(exp_curve(-temp, 1e308, 1.0) == 0.0)  # -inf: the curve's floor
