@@ -452,16 +452,19 @@ def cmd_debias(args, run: _Run) -> tuple[int, dict, list[str]]:
 
 # --- sensor-correct ---
 
-def _second_divided_differences(x, y) -> np.ndarray:
-    """Second divided differences of consecutive points sorted by x, then y,
-    leaving out triples whose x are not distinct."""
+def _slopes(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """The left and right slopes of each triple of consecutive points sorted
+    by x, then y, leaving out triples whose x are not distinct.  The second
+    divided difference has the sign of right - left, which comparing them
+    gives with no inf - inf; slopes of one infinity, or a NaN, give none."""
     order = np.lexsort((y, x))
     x, y = x[order], y[order]
     x0, x1, x2 = x[:-2], x[1:-1], x[2:]
     y0, y1, y2 = y[:-2], y[1:-1], y[2:]
     keep = (x0 < x1) & (x1 < x2)
     x0, x1, x2, y0, y1, y2 = (v[keep] for v in (x0, x1, x2, y0, y1, y2))
-    return ((y2 - y1) / (x2 - x1) - (y1 - y0) / (x1 - x0)) / (x2 - x0)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf/inf is NaN
+        return (y1 - y0) / (x1 - x0), (y2 - y1) / (x2 - x1)
 
 
 def _fraction(hits: np.ndarray):
@@ -516,11 +519,11 @@ def cmd_sensor_correct(args, run: _Run) -> tuple[int, dict, list[str]]:
     }
     if len(columns) == 3 and len(rows) >= 3:
         powers = rows[:, 2]
-        raw = _second_divided_differences(rows[:, 1], powers)
-        fixed = _second_divided_differences(temps, powers)
+        left, right = _slopes(rows[:, 1], powers)
+        fixed_left, fixed_right = _slopes(temps, powers)
         results["convexity"] = {
-            "raw_negative_fraction": _fraction(raw < 0),
-            "corrected_positive_fraction": _fraction(fixed > 0),
+            "raw_negative_fraction": _fraction(right < left),
+            "corrected_positive_fraction": _fraction(fixed_right > fixed_left),
         }
     lines = [
         f"B(first)={results['b_first']!r} B(last)={results['b_last']!r}",

@@ -811,6 +811,21 @@ def test_sensor_correct_subnormal_time_constant_exit_0(tmp_path, capsys):
     assert report["results"]["b_first"] == pytest.approx(MODEL.t_inf / den, rel=1e-15)
 
 
+@pytest.mark.filterwarnings("error")
+def test_sensor_correct_slopes_beyond_the_double_range_exit_0(tmp_path, capsys):
+    # t_init = 1e-320 and b = 1e161 correct every temperature to a subnormal:
+    # all 34 slope pairs overflow, 25 of them to the same infinity, which has no sign
+    model = tmp_path / "model.json"
+    model.write_text('{"alpha": 4.125e-07, "a": 0.00825, "b": 1e161, "t_init_c": 1e-320, '
+                     '"t_inf_c": 55.0}')
+    code, report, err = run_json(
+        ["sensor-correct", GOLDEN_FLEET.parent / "sensor3.csv", "--model-json", model,
+         "--out", tmp_path / "s.csv"], capsys)
+    assert code == 0 and err == ""
+    assert report["results"]["convexity"] == {
+        "raw_negative_fraction": 1.0, "corrected_positive_fraction": 5 / 34}
+
+
 # each float flag of each command, as --flag=VALUE with {} standing for
 # the value under test; the = form keeps argparse from taking -inf as a flag
 FLOAT_FLAGS = [

@@ -14,7 +14,7 @@ import re
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from thermopower.cli import main
@@ -99,6 +99,9 @@ def hostile(draw):
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=hostile())
+# a model whose corrected temperatures are subnormal, so the convexity slopes overflow
+@example(case=("sensor-model", b'{"alpha": 4.125e-07, "a": 0.00825, "b": 1e161, '
+                               b'"t_init_c": 1e-320, "t_inf_c": 55.0}'))
 def test_hostile_input_files_exit_0_1_or_2_without_a_traceback(case, tmp_path, monkeypatch):
     name, data = case
     argv, _, others = COMMANDS[name]
