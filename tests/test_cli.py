@@ -813,8 +813,8 @@ def test_sensor_correct_subnormal_time_constant_exit_0(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("error")
 def test_sensor_correct_slopes_beyond_the_double_range_exit_0(tmp_path, capsys):
-    # t_init = 1e-320 and b = 1e161 correct every temperature to a subnormal:
-    # all 34 slope pairs overflow, 25 of them to the same infinity, which has no sign
+    # t_init = 1e-320 and b = 1e161 correct every temperature to a subnormal: all
+    # 34 pairs of corrected slopes overflow, 25 to one infinity, which has no sign
     model = tmp_path / "model.json"
     model.write_text('{"alpha": 4.125e-07, "a": 0.00825, "b": 1e161, "t_init_c": 1e-320, '
                      '"t_inf_c": 55.0}')
