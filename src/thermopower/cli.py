@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .debias import DebiasSpec, debias, fit_eta, write_debiased
+from .debias import DebiasSpec, _debiased_table, debias, fit_eta
 from .errors import (
     EmptyTrace,
     InvalidParams,
@@ -53,14 +53,15 @@ from .powermodel import (
 )
 from .sensor import SensorModel, b_factor, correct_series, model_from_json
 from .trace import (
+    SLAB_BYTES,
     TraceMeta,
     _json_number,
+    _table_text,
+    _trace_table,
     generate_synthetic_trace,
     parse_table,
     parse_trace,
     parse_traces,
-    write_table,
-    write_trace,
 )
 
 _MODEL_FLAGS = {"linear": FitKind.LINEAR, "quad": FitKind.QUADRATIC, "exp": FitKind.EXPONENTIAL}
@@ -70,10 +71,6 @@ def _styled(text: str) -> str:
     if sys.stdout.isatty() and not os.environ.get("THERMO_NO_COLOR"):
         return f"\x1b[1m{text}\x1b[0m"
     return text
-
-
-def _digest(data: bytes) -> str:
-    return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
 def _float(x: float) -> str:
@@ -170,7 +167,7 @@ class _Run:
     def read_bytes(self, path: str) -> bytes:
         with open(path, "rb", buffering=0) as fh:  # one read: a buffer is a copy
             data = fh.read()
-        self.inputs[path] = _digest(data)
+        self.inputs[path] = "sha256:" + hashlib.sha256(data).hexdigest()
         return data
 
     def parse(self, path: str, parser):
@@ -230,21 +227,26 @@ def _emit(args, report: dict, human_lines: list[str], code: int) -> int:
     return code
 
 
-def _write_csv(path: str, names, columns) -> None:
-    Path(path).write_text(write_table({}, names, columns), encoding="utf-8")
+def _write_csv(path: str, table, digest=None) -> None:
+    """Write write_table(*table) to path, and to the hash digest if given, a piece at a time."""
+    try:
+        with open(path, "wb") as fh:
+            for data in map(str.encode, _table_text(*table)):
+                fh.write(data)
+                if digest is not None:
+                    digest.update(data)
+    except OSError as exc:
+        raise OSError(f"{path}: {exc.strerror or exc}") from None
 
 
 def _write_plot(path: str, temps, powers) -> None:
     """(temp, power) rows sorted by temperature, then by power."""
     temps, powers = np.asarray(temps, float), np.asarray(powers, float)
     order = np.lexsort((powers, temps))
-    _write_csv(path, ("temp_c", "power_w"), (temps[order], powers[order]))
+    _write_csv(path, ({}, ("temp_c", "power_w"), (temps[order], powers[order])))
 
 
 # --- fit ---
-
-_CHUNK_BYTES = 1 << 16  # input parsed at once: a whole fleet at once costs a third more RSS
-
 
 def _parse_chunk(paths: list[str], texts: list[bytes], run: _Run) -> list:
     try:
@@ -257,10 +259,11 @@ def _parse_chunk(paths: list[str], texts: list[bytes], run: _Run) -> list:
 
 def _read_traces(paths: list[str], run: _Run) -> list:
     """run.parse(p, parse_trace) of each path, but read into chunks of up
-    to _CHUNK_BYTES of input, at least one file each, that parse_traces
-    parses together.  Each file is read once: a chunk that fails is parsed
-    again from memory one file at a time, so the first bad path in order
-    fails as it would alone, before any file that cannot be read."""
+    to SLAB_BYTES of input (a whole fleet at once costs a third more RSS),
+    at least one file each, that parse_traces parses together.  Each file
+    is read once: a chunk that fails is parsed again from memory one file
+    at a time, so the first bad path in order fails as it would alone,
+    before any file that cannot be read."""
     traces, texts, first, size = [], [], 0, 0
     for i, path in enumerate(paths):
         try:
@@ -268,7 +271,7 @@ def _read_traces(paths: list[str], run: _Run) -> list:
         except OSError:
             _parse_chunk(paths[first:i], texts, run)
             raise
-        if texts and size + len(data) > _CHUNK_BYTES:
+        if texts and size + len(data) > SLAB_BYTES:
             traces += _parse_chunk(paths[first:i], texts, run)
             texts, first, size = [], i, 0
         texts.append(data)
@@ -434,7 +437,7 @@ def cmd_debias(args, run: _Run) -> tuple[int, dict, list[str]]:
         result = debias(trace, spec)
     run.warnings.extend(str(w.message) for w in caught)
 
-    Path(args.out).write_text(write_debiased(result), encoding="utf-8")
+    _write_csv(args.out, _debiased_table(result))
     if args.plot:
         _write_plot(args.plot, trace.temp_c, result.ref_power)
     m = result.metrics
@@ -509,7 +512,7 @@ def cmd_sensor_correct(args, run: _Run) -> tuple[int, dict, list[str]]:
 
     corrected = correct_series(model, rows[:, :2])
     times, temps = corrected[:, 0], corrected[:, 1]
-    _write_csv(args.out, ("time_s", "temp_c"), (times, temps))
+    _write_csv(args.out, ({}, ("time_s", "temp_c"), (times, temps)))
 
     results = {
         "n_samples": len(corrected),
@@ -552,9 +555,9 @@ def cmd_gen(args, run: _Run) -> tuple[int, dict, list[str]]:
         raise InvalidParams(
             f"--sweep COUNT {int(count)} is more samples than fit in memory"
         ) from None
-    text = write_trace(trace)
-    Path(args.out).write_text(text, encoding="utf-8")
-    digest = _digest(text.encode("utf-8"))
+    sha = hashlib.sha256()
+    _write_csv(args.out, _trace_table(trace), sha)
+    digest = "sha256:" + sha.hexdigest()
     results = {"output": args.out, "sha256": digest, "n_samples": len(trace)}
     return 0, results, [digest]
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InvalidParams, LengthMismatch, ZeroSpread
 from .fitting import FitKind, exp_curve, fit_exponential, fit_linear, fit_quadratic
-from .trace import Trace, _fmt, _trace_header, write_table
+from .trace import Trace, _trace_table, write_table
 
 _ETA_ARITY = {FitKind.LINEAR: 1, FitKind.QUADRATIC: 2, FitKind.EXPONENTIAL: 2}
 
@@ -198,14 +198,14 @@ def fit_eta(trace: Trace, kind: FitKind, ref_temp: float) -> DebiasSpec:
     return DebiasSpec(kind, eta, float(ref_temp))
 
 
+def _debiased_table(debiased: DebiasedTrace) -> tuple:
+    """write_table's (meta, names, columns) of a debiased trace file."""
+    meta, names, columns = _trace_table(debiased.source)
+    spec = debiased.spec
+    meta.update(ref_temp_c=repr(float(spec.ref_temp)), debias_kind=spec.kind.value)
+    return meta, (*names, "power_ref_w"), (*columns, debiased.ref_power)
+
+
 def write_debiased(debiased: DebiasedTrace) -> str:
     """Trace CSV with the transformed series as an extra power_ref_w column."""
-    source, spec = debiased.source, debiased.spec
-    meta = _trace_header(source.meta)
-    meta["ref_temp_c"] = _fmt(spec.ref_temp)
-    meta["debias_kind"] = spec.kind.value
-    return write_table(
-        meta,
-        ("time_s", "temp_c", "power_w", "power_ref_w"),
-        (source.time_s, source.temp_c, source.power_w, debiased.ref_power),
-    )
+    return write_table(*_debiased_table(debiased))

@@ -14,7 +14,7 @@ Numbers use ``.`` as the decimal separator and are written in the shortest
 decimal form that parses back to the identical float, so write/parse is a
 bit-exact round trip.  Every CSV the package writes goes through
 write_table; it reads traces through parse_traces and other tables
-through parse_table.
+through parse_table, both one slab of at most SLAB_BYTES at a time.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .errors import (
 
 HEADER = "time_s,temp_c,power_w"
 _COLUMNS = tuple(HEADER.split(","))
+SLAB_BYTES = 1 << 16  # CSV text converted at once, read or written
 
 
 def check_samples(time_s, temp_c, power_w, line_of=None) -> None:
@@ -68,12 +69,11 @@ def check_samples(time_s, temp_c, power_w, line_of=None) -> None:
 
 
 def _traces(metas, table, ends, line_of=None) -> list[Trace]:
-    """The Traces of metas over the rows of a (3, rows) column table that
-    the row offsets ends cut, once it passes every Trace's checks:
+    """The Traces of metas over the rows of a C-contiguous (3, rows) table
+    that the row offsets ends cut, once it passes every Trace's checks:
     check_samples, then at least 3 samples each, then strictly increasing
-    times.  Their columns are read-only slices of one C-contiguous (3,
-    rows) array.  line_of(i) names row i's file line."""
-    table = np.ascontiguousarray(table)
+    times.  Their columns are read-only slices of the table; line_of(i)
+    names row i's file line."""
     table.flags.writeable = False  # before any view of it is taken
     time_s, temp_c, power_w = table
     check_samples(time_s, temp_c, power_w, line_of)
@@ -219,31 +219,53 @@ def _read_rows(text: str, start: int, header_line: int, width: int):
 _BLANK_LINES = re.compile(r"\n\s*\n")
 
 
-def _body(text: str, start: int) -> str:
-    """text[start:], the lines below the header, stripped and without blank lines."""
-    return _BLANK_LINES.sub("\n", text[start:].strip())
+def _batches(parts, ends: list[int]):
+    """The lines below the header of each (text, start) in parts, cut into
+    slabs of at most SLAB_BYTES at line ends (or of one longer line), each
+    stripped and rid of blank lines, and the slabs of small texts joined
+    up to SLAB_BYTES.  Appends the row each text ends at to ends."""
+    batch, size, rows = [], 0, ends[-1]
+    for text, start in parts:
+        while start < len(text):
+            end = start + SLAB_BYTES  # the last line end before, else the first after
+            cut = text.rfind("\n", start, end) + 1 or text.find("\n", end) + 1 or len(text)
+            body, start = _BLANK_LINES.sub("\n", text[start:cut].strip()), cut
+            if batch and size + len(body) > SLAB_BYTES:
+                yield "\n".join(batch)
+                batch, size = [], 0
+            if body:
+                batch.append(body)
+                size += len(body) + 1
+                rows += body.count("\n") + 1
+        ends.append(rows)
+    if batch:
+        yield "\n".join(batch)
 
 
-def _values(body: str, n: int, width: int) -> np.ndarray | None:
-    """The n rows of a _body as an (n, width) float array, or None if any
-    row is not ``width`` finite ASCII decimals.
-
-    The whole body is split and converted with float() at once, a ";"
-    field going between rows.  float() rejects ";", so every row has
-    exactly ``width`` fields when each ";" lands on its own slot and
-    everything else converts.
-    """
-    if not body or not body.isascii() or "_" in body:
-        return None
-    tokens = body.replace("\n", ",;,").split(",")
-    if len(tokens) != n * (width + 1) - 1 or tokens[width :: width + 1] != [";"] * (n - 1):
-        return None
-    del tokens[width :: width + 1]
+def _read_table(parts, width: int):
+    """The rows below the header of each (text, start) in parts: a
+    C-contiguous (width, rows) float array and the row offsets where each
+    text's rows end, or None if any row is not ``width`` finite ASCII
+    decimals.  Each batch is converted with float() at once, a ";" field
+    between rows: float() rejects ";", so every row has ``width`` fields
+    when each ";" lands on its own slot and everything else converts."""
+    most = sum(text.count("\n", start) + (not text.endswith("\n")) for text, start in parts)
+    table, ends, row = np.empty((width, most)), [0], 0
     try:
-        values = np.fromiter(map(float, tokens), float, len(tokens))
+        for batch in _batches(parts, ends):
+            n = batch.count("\n") + 1
+            tokens = batch.replace("\n", ",;,").split(",")
+            if (not batch.isascii() or "_" in batch or len(tokens) != n * (width + 1) - 1
+                    or tokens[width :: width + 1] != [";"] * (n - 1)):
+                return None
+            del tokens[width :: width + 1]
+            values = np.fromiter(map(float, tokens), float, len(tokens))
+            table[:, row : row + n] = values.reshape(n, width).T
+            row += n
     except ValueError:
         return None
-    return values.reshape(n, width) if np.isfinite(values).all() else None
+    table = table if row == most else table[:, :row].copy()  # a row per line at most
+    return (table, ends) if np.isfinite(table).all() else None
 
 
 def _decode(text: str | bytes) -> str:
@@ -281,11 +303,9 @@ def parse_table(text: str | bytes) -> tuple[dict[str, str], list[str], np.ndarra
     """
     text = _decode(text)
     meta, columns, start, header_line = _header(text)
-    body = _body(text, start)
-    values = _values(body, body.count("\n") + 1, len(columns))
-    if values is None:  # the line-by-line reader names the first bad line
-        values = _read_rows(text, start, header_line, len(columns))[0]
-    return meta, columns, values, header_line
+    read = _read_table([(text, start)], len(columns))  # else read line by line
+    rows = read[0].T if read else _read_rows(text, start, header_line, len(columns))[0]
+    return meta, columns, rows, header_line
 
 
 def _trace_meta(meta_raw: dict[str, str], columns: list[str], header_line: int) -> TraceMeta:
@@ -319,9 +339,9 @@ def parse_trace(text: str | bytes) -> Trace:
 
 
 def parse_traces(texts: Iterable[str | bytes]) -> list[Trace]:
-    """Parse trace CSV texts into validated Traces, every body split,
-    converted and checked at once, and each Trace's columns read-only
-    slices of one C-contiguous (3, rows) array.
+    """Parse trace CSV texts into validated Traces, every body converted a
+    slab at a time into one C-contiguous (3, rows) array and checked at
+    once, each Trace's columns read-only slices of it.
 
     If any text fails, or holds what only the line-by-line reader takes,
     such as non-ASCII whitespace around a number, each text is read alone,
@@ -329,16 +349,14 @@ def parse_traces(texts: Iterable[str | bytes]) -> list[Trace]:
     """
     texts = list(texts)  # read again if the joined pass fails
     try:
-        metas, bodies, ends = [], [], [0]
+        metas, parts = [], []
         for text in map(_decode, texts):
             meta_raw, columns, start, header_line = _header(text)
             metas.append(_trace_meta(meta_raw, columns, header_line))
-            body = _body(text, start)
-            bodies.append(body)
-            ends.append(ends[-1] + body.count("\n") + 1)
-        values = _values("\n".join(bodies), ends[-1], len(_COLUMNS))
-        if values is not None:
-            return _traces(metas, values.T, ends)
+            parts.append((text, start))
+        read = _read_table(parts, len(_COLUMNS))
+        if read is not None and metas:  # no texts is no traces, below
+            return _traces(metas, *read)
     except (ThermoError, UnicodeDecodeError):
         pass
     return [_parse_alone(text) for text in texts]
@@ -351,12 +369,20 @@ def _parse_alone(text: str | bytes) -> Trace:
     meta_raw, columns, start, header_line = _header(text)
     rows, line_nos = _read_rows(text, start, header_line, len(columns))
     meta = _trace_meta(meta_raw, columns, header_line)
-    return _traces([meta], rows.T, [0, len(rows)], line_nos.__getitem__)[0]
+    return _traces([meta], rows.T.copy(), [0, len(rows)], line_nos.__getitem__)[0]
 
 
-def _fmt(value: float) -> str:
-    # repr() is the shortest decimal that round-trips to the same float
-    return repr(float(value))
+def _table_text(meta: Mapping[str, str], names: Sequence[str], columns):
+    """write_table's text in pieces: the header, then runs of rows of at
+    most SLAB_BYTES."""
+    yield "".join(f"#{key}={value}\n" for key, value in meta.items()) + ",".join(names) + "\n"
+    columns = [np.asarray(col, float) for col in columns]
+    # %r of a float is its repr, at most 24 characters; one format writes a run
+    row_format = ",".join(["%r"] * len(names)) + "\n"
+    run = max(1, SLAB_BYTES // (25 * len(names)))
+    for i in range(0, max(map(len, columns)), run):  # a shorter column fails column_stack
+        table = np.column_stack([col[i : i + run] for col in columns])
+        yield (row_format * len(table)) % tuple(table.ravel().tolist())
 
 
 def write_table(meta: Mapping[str, str], names: Sequence[str], columns) -> str:
@@ -365,24 +391,19 @@ def write_table(meta: Mapping[str, str], names: Sequence[str], columns) -> str:
     ``columns`` holds one float sequence or array per name; every number is
     written as its repr, the shortest decimal that parses back to it.
     """
-    head = "".join(f"#{key}={value}\n" for key, value in meta.items())
-    table = np.column_stack([np.asarray(col, float) for col in columns])
-    # %r of a float is its repr; one format call writes every row
-    row_format = ",".join(["%r"] * len(names)) + "\n"
-    body = (row_format * len(table)) % tuple(table.ravel().tolist())
-    return head + ",".join(names) + "\n" + body
+    return "".join(_table_text(meta, names, columns))
 
 
-def _trace_header(meta: TraceMeta) -> dict[str, str]:
-    """The ``#key=value`` lines of a trace file, in file order."""
-    return {"processor": meta.processor, "freq_ghz": _fmt(meta.freq_ghz), "cores": str(meta.cores)}
+def _trace_table(trace: Trace) -> tuple:
+    """write_table's (meta, names, columns) of a trace file, meta in file order."""
+    m = trace.meta
+    return ({"processor": m.processor, "freq_ghz": repr(float(m.freq_ghz)), "cores": str(m.cores)},
+            _COLUMNS, (trace.time_s, trace.temp_c, trace.power_w))
 
 
 def write_trace(trace: Trace) -> str:
     """Serialize a Trace to CSV text; parse_trace(write_trace(t)) == t."""
-    return write_table(
-        _trace_header(trace.meta), _COLUMNS, (trace.time_s, trace.temp_c, trace.power_w)
-    )
+    return write_table(*_trace_table(trace))
 
 
 def generate_synthetic_trace(

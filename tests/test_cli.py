@@ -4,6 +4,7 @@ Most cases drive ``cli.main`` in-process and inspect the JSON report;
 byte-determinism runs the real console entry in a subprocess.
 """
 
+import errno
 import gc
 import hashlib
 import io
@@ -12,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -905,6 +907,36 @@ def test_debias_to_a_non_finite_power_exit_2_without_a_csv(tmp_path, capsys, fla
         2, "", "error: debias: the transformed power of sample 2 (T = 1e+200) is -inf: "
                "the transform leaves the double range\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["/dev/full", "missing/out.csv"])
+@pytest.mark.parametrize("command", ["gen", "debias", "sensor-correct", "fit --plot"])
+def test_a_csv_that_cannot_be_written_names_its_path(tmp_path, capsys, command, target):
+    if target == "/dev/full" and not os.path.exists(target):
+        pytest.skip("no /dev/full")
+    path = target if target.startswith("/") else str(tmp_path / target)
+    if command == "fit --plot":
+        argv = ["fit", gen_trace(tmp_path, capsys), "--plot", path]
+    else:  # each command's argv with its CSV at path
+        argv = [path if a == tmp_path / "out.csv" else a
+                for a in float_flag_argv(tmp_path, capsys, command, "--quiet", None)]
+    reason = os.strerror(errno.ENOSPC if target == "/dev/full" else errno.ENOENT)
+    assert run_cli(argv, capsys) == (2, "", f"error: {path}: {reason}\n")
+
+
+def test_gen_of_a_long_trace_holds_less_than_twice_its_output(tmp_path, capsys):
+    # the trace's 3 columns (0.5x) and one slab of text, not the whole text
+    # as a str, then as bytes
+    out = tmp_path / "g.csv"
+    argv = ["gen", "--params", "0.3,100,33", "--sweep", "25,85,100000", "--seed", "0",
+            "--out", str(out), "--quiet"]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * out.stat().st_size
 
 
 # --- cold start ---

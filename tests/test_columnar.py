@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermopower.debias import DebiasSpec, _median, debias, write_debiased
+from thermopower.errors import MalformedRow
 from thermopower.fitting import (
     FitKind,
     aggregate_error,
@@ -41,6 +42,7 @@ from thermopower.sensor import (
     erf,
 )
 from thermopower.trace import (
+    SLAB_BYTES,
     Trace,
     TraceMeta,
     generate_synthetic_trace,
@@ -239,21 +241,29 @@ def write_ref(trace):
     return "\n".join(lines) + "\n"
 
 
-def test_write_trace_matches_row_by_row_reference(noisy):
+@pytest.fixture(params=[1, 16, 100, SLAB_BYTES], ids=lambda b: f"slab{b}")
+def slab(request, monkeypatch):
+    """Text is read and written in slabs of at most this many bytes."""
+    monkeypatch.setattr("thermopower.trace.SLAB_BYTES", request.param)
+    return request.param
+
+
+def test_write_trace_matches_row_by_row_reference(noisy, slab):
     assert write_trace(noisy) == write_ref(noisy)
     spec = DebiasSpec(FitKind.LINEAR, (0.01,), 50.0)
     text = write_debiased(debias(noisy, spec))
     _, columns, rows, _ = parse_table(text)
     assert columns == ["time_s", "temp_c", "power_w", "power_ref_w"]
     assert bits(rows[:, 0]) == bits(noisy.time_s)
+    assert bits(rows[:, 3]) == bits(debias(noisy, spec).ref_power)
 
 
-def test_write_table_empty_and_single_column():
+def test_write_table_empty_and_single_column(slab):
     assert write_table({}, ("x",), ([],)) == "x\n"
     assert write_table({"k": "v"}, ("x",), ([0.1, -0.0],)) == "#k=v\nx\n0.1\n-0.0\n"
 
 
-def test_parse_table_matches_float_on_loose_text():
+def test_parse_table_matches_float_on_loose_text(slab):
     text = (
         "#k = v \n\n"
         " a , b \n"
@@ -269,9 +279,32 @@ def test_parse_table_matches_float_on_loose_text():
     assert rows.tolist() == [[1.5, -2.0], [300.0, 40.0], [0.5, 5.0]]
 
 
-def test_parse_table_with_no_rows():
+def test_parse_table_with_no_rows(slab):
     _, columns, rows, _ = parse_table("a,b\n\n")
     assert columns == ["a", "b"] and rows.shape == (0, 2)
+
+
+@pytest.mark.parametrize("fault", [None, "2.1x", "nan"])
+def test_a_series_reads_the_same_at_every_slab_budget(noisy, slab, fault):
+    """A series of many slabs, blank and CRLF lines among its rows, and
+    perhaps a bad token in its last slab."""
+    lines = write_table({}, ("time_s", "temp_c", "power_w"),
+                        (noisy.time_s, noisy.temp_c, noisy.power_w)).split("\n")
+    lines[1::997] = [line + "\r\n \t" for line in lines[1::997]]
+    if fault is not None:
+        lines[-2] = lines[-2].rsplit(",", 1)[0] + "," + fault
+    text = "\n".join(lines)
+    assert len(text) > 3 * SLAB_BYTES
+    if fault is not None:
+        with pytest.raises(MalformedRow) as exc:
+            parse_table(text)
+        assert exc.value.line_no == len(noisy) + len(lines[1::997]) + 1
+        assert str(exc.value).endswith(repr(fault))
+        return
+    meta, columns, rows, header = parse_table(text)
+    assert (meta, columns, header, rows.shape) == ({}, ["time_s", "temp_c", "power_w"], 1,
+                                                   (len(noisy), 3))
+    assert bits(rows) == bits(np.column_stack([noisy.time_s, noisy.temp_c, noisy.power_w]))
 
 
 @settings(max_examples=200)

@@ -1,6 +1,8 @@
 """Trace types, CSV round-trip, and the synthetic generator."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from thermopower.errors import (
     MissingMeta,
     NonMonotonicTime,
 )
+from thermopower import trace
 from thermopower.fitting import FitKind, FitResult, fit_batch
 from thermopower.trace import (
     Trace,
@@ -442,8 +445,8 @@ def broken(draw, texts):
 def outcome(parse):
     try:
         return parse()
-    except Exception as exc:  # the type and message, whatever they are
-        return type(exc), str(exc)
+    except Exception as exc:  # the type, message and line, whatever they are
+        return type(exc), str(exc), getattr(exc, "line_no", None)
 
 
 @settings(max_examples=300, deadline=None)
@@ -454,3 +457,109 @@ def test_parse_traces_is_each_text_parsed_alone(fleet_texts, data):
     alone = outcome(lambda: [parse_trace(t) for t in texts])
     assert outcome(lambda: parse_traces(texts)) == alone
     assert outcome(lambda: parse_traces(iter(texts))) == alone  # an iterator reads once
+
+
+# --- text is read a slab at a time; where the slabs end changes nothing ---
+
+SLAB_BUDGETS = [1, 16, 100, trace.SLAB_BYTES]
+
+
+def at_each_budget(parse):
+    """outcome(parse) with trace.SLAB_BYTES at each of SLAB_BUDGETS."""
+    seen = []
+    for budget in SLAB_BUDGETS:
+        with mock.patch.object(trace, "SLAB_BYTES", budget):
+            seen.append(outcome(parse))
+    return seen
+
+
+def table_of(parsed):
+    meta, columns, rows, header_line = parsed
+    return meta, columns, rows.shape, rows.tobytes(), header_line
+
+
+FILLERS = ["", " ", "\t", "\r", " \r\t"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_blank_lines_and_line_ends_at_slab_edges_change_nothing(data):
+    n = data.draw(st.integers(3, 12))
+    rows = [f"{0.2 * i!r},{25.0 + i / 3!r},{1.0 + i / 7!r}" for i in range(n)]
+    if data.draw(st.booleans()):
+        bad = data.draw(st.integers(0, n - 1))
+        rows[bad] += data.draw(st.sampled_from(["x", ",1.0", "_0"]))
+    lines = []
+    for row in rows:  # fillers before each row; leading spaces move the slab edges
+        lines += data.draw(st.lists(st.sampled_from(FILLERS), max_size=2))
+        lines.append(" " * data.draw(st.integers(0, 17)) + row)
+    lines += data.draw(st.lists(st.sampled_from(FILLERS), max_size=2))
+    ends = data.draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
+                              max_size=len(lines)))
+    body = "".join(map(str.__add__, lines, ends))
+    if data.draw(st.booleans()):
+        body = body.rstrip("\n")  # a last line with no line end
+    text = GOOD[: GOOD.index("0.0,")] + body
+    traces = at_each_budget(lambda: parse_trace(text))
+    assert traces == [outcome(lambda: trace._parse_alone(text))] * len(SLAB_BUDGETS)
+    tables = at_each_budget(lambda: table_of(parse_table(text)))
+    assert tables == [tables[-1]] * len(SLAB_BUDGETS)
+
+
+def long_text(count: int, seed: int = 1) -> str:
+    return write_trace(generate_synthetic_trace(META, (0.25, 185.0, 33.0), (30.0, 80.0, count),
+                                                noise=0.002, seed=seed))
+
+
+@pytest.mark.parametrize(("fault", "error", "reason"), [
+    ("2.1x", MalformedRow, "not a number: '2.1x'"),
+    ("inf", MalformedRow, "not a finite decimal: 'inf'"),
+    ("-1.0", InvalidSample, "power_w must be positive, got -1.0"),
+])
+def test_a_bad_value_in_the_last_slab_names_its_line(fault, error, reason):
+    lines = long_text(3000).split("\n")
+    lines[-2] = lines[-2].rsplit(",", 1)[0] + "," + fault
+    text = "\n".join(lines)
+    assert len(text) > 2 * trace.SLAB_BYTES
+    line = len(lines) - 1  # the last row's; the text ends with a line end
+    assert at_each_budget(lambda: parse_trace(text)) == [
+        (error, f"line {line}: {reason}", line)] * len(SLAB_BUDGETS)
+
+
+def test_a_batch_of_small_texts_and_one_larger_than_a_slab(fleet_texts):
+    big = long_text(3000)
+    assert max(map(len, fleet_texts)) < trace.SLAB_BYTES < len(big)
+    texts = [*fleet_texts[:20], big, *fleet_texts[20:40]]
+    bad_big = big[: big.rindex(",")] + ",2.1x\n"
+    bad_after = fleet_texts[20].replace("\n0.", "\n0.x", 1)
+    for batch in (texts, [*texts[:20], bad_big, *texts[21:]], [*texts[:21], bad_after]):
+        alone = outcome(lambda: [parse_trace(t) for t in batch])
+        for got in at_each_budget(lambda: parse_traces(batch)):
+            assert got == alone
+            if isinstance(got, list):  # one table under every trace
+                table = got[0].time_s.base
+                assert table.shape == (3, sum(map(len, got))) and table.flags.c_contiguous
+                assert all(t.power_w.base is table for t in got)
+
+
+# --- transient memory: the text and its columns, plus one slab ---
+
+@pytest.fixture(scope="module")
+def text_100k():
+    return long_text(100_000).encode()
+
+
+def traced_peak(fn) -> int:
+    """The most memory fn() allocated at once, by tracemalloc's count."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("parse", [parse_trace, parse_table])
+def test_parsing_a_long_text_holds_less_than_three_times_its_size(text_100k, parse):
+    # the text decoded (1x) and its 3 columns (0.5x), with no token per number
+    assert traced_peak(lambda: parse(text_100k)) <= 3 * len(text_100k)
