@@ -114,9 +114,11 @@ def exp_curve(temp, a1, a2):
     """exp((temp - a1)/a2), the temperature term of every exponential
     curve in the package, at a float or at each element of an array.
 
-    Raises InvalidParams when the result leaves the double range, as it
-    does where (temp - a1)/a2 itself overflows to +inf; at -inf it is 0.
+    Raises InvalidParams when a2 is 0 or the result leaves the double
+    range, as where (temp - a1)/a2 overflows to +inf; at -inf it is 0.
     """
+    if np.any(a2 == 0):
+        raise InvalidParams("a2 must be nonzero")
     with np.errstate(over="ignore"):
         x = (temp - a1) / a2
     if not np.any(x == math.inf):  # math.exp(inf) is inf, not an OverflowError

@@ -536,3 +536,12 @@ def test_exp_curve_raises_where_its_exponent_overflows_to_inf(temp):
     with pytest.raises(InvalidParams, match=r"leaves the double range: \(T - a1\)/a2 reaches inf$"):
         exp_curve(temp, -1e308, 1.0)
     assert np.all(exp_curve(-temp, 1e308, 1.0) == 0.0)  # -inf: the curve's floor
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("temp", [50.0, np.array([50.0])], ids=["scalar", "array"])
+def test_predict_raises_invalid_params_on_a_zero_a2(temp):
+    # the generator's check and wording; no ZeroDivisionError or numpy warning
+    fit = FitResult(FitKind.EXPONENTIAL, (0.3, 100.0, 0.0), 0.0, 0, True)
+    with pytest.raises(InvalidParams, match="^a2 must be nonzero$"):
+        fit.predict(temp)
