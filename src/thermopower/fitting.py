@@ -561,9 +561,8 @@ def _fit_exponential(blocks: Sequence[_Rows]) -> None:
             ~(c > 0) | ~(np.isfinite(a0) & np.isfinite(a1) & np.isfinite(top)), degenerate,
             a0, a1, a2, terminations, evaluations,
         )
-        with np.errstate(over="ignore"):  # T - a1 may round to -inf, whose exp is 0
-            rows.finish(FitKind.EXPONENTIAL, np.stack([a0, a1, a2], axis=1), evaluations,
-                        terminations)
+        rows.finish(FitKind.EXPONENTIAL, np.stack([a0, a1, a2], axis=1), evaluations,
+                    terminations)
 
 
 def _fit_waves(data: Sequence, kind: FitKind):
