@@ -16,7 +16,7 @@ Fits run over batches (fit_batch), in waves of up to WAVE_SAMPLES
 samples.  The traces of one length in a wave are stacked as the rows of
 an (m, n) block, and every numpy step covers the whole block; the
 exponential rate search runs the rows of a wave's blocks in step, its
-state in flat arrays (see _search).  Each row goes through the same IEEE
+state in flat arrays, projecting each block once a round (see _search).  Each row goes through the same IEEE
 operations in the same order as a trace fitted on its own, with row sums
 and dot products taken by the same numpy and BLAS routines, so a fit does
 not depend on the batch it is in; fitting one trace is a batch of one.  A
@@ -309,25 +309,24 @@ class _Separable:
         b = _dots(w, r0) / ww  # the coefficient of v; C = b/k
         return d, u, v, w, ww, b, r0 - b[:, None] * w
 
-    def objective(self, k: np.ndarray, ids):
-        """The least sum of squared relative residuals at each rate k."""
-        r = self._project(k, ids)[-1]
-        return _dots(r, r)
-
-    def gauss_newton(self, k: np.ndarray, ids):
-        """Each k after one Gauss-Newton step on the reduced objective; a
-        k of 0 stays.
+    def answer(self, k: np.ndarray, ids, stepping: np.ndarray):
+        """The least sum of squared relative residuals at each rate k, or,
+        where stepping, k after one Gauss-Newton step on that reduced
+        objective; a k of 0 stays.  The rows are projected once.
 
         The Jacobian is Kaufman's: the model's derivative in k with the
         linear columns projected out (BIT 15, 1975).
         """
         d, u, v, w, ww, b, r = self._project(k, ids)
+        f = _dots(r, r)
+        if not stepping.any():
+            return f
         kc = k[:, None]
         g = b[:, None] * d * (v + u / np.where(kc == 0, 1.0, kc))  # C*d*exp(k*d)/y
         g = g - ((_dots(g, u) / self.uu[ids])[:, None] * u + (_dots(g, w) / ww)[:, None] * w)
         gg = _dots(g, g)
         stepped = k + _dots(g, r) / np.where(gg > 0, gg, 1.0)
-        return np.where((k == 0) | ~(gg > 0), k, stepped)
+        return np.where(~stepping, f, np.where((k == 0) | ~(gg > 0), k, stepped))
 
     def params(self, k: np.ndarray, ids):
         """(a0, a1, a2, C) of each row at rate k; C is nan where k is 0, and
@@ -358,12 +357,12 @@ def _search(models: Sequence[_Separable]):
     bracket the minimum (_WALK); runs Brent's method in the bracket
     (_BRENT); then takes Gauss-Newton steps while they lower f (_STEP, and
     _TRY for f at the step); see fit_exponential.  The state of every live
-    row sits in flat arrays.  A round answers each row's pending rate k,
-    with objective and gauss_newton called once per model on the rows that
-    asked, and moves every row on by masked updates.  These use + - * /,
-    comparisons, abs and copysign, with Python's min(p, q) written
-    where(q < p, q, p): each row takes, to the bit, the steps of the same
-    search on Python floats.  Steps no row takes may divide by zero.
+    row sits in flat arrays.  A round answers each row's pending rate k
+    with one answer call per model, which projects its live rows once, and
+    moves every row on by masked updates.  These use + - * /, comparisons,
+    abs and copysign, with Python's min(p, q) written where(q < p, q, p):
+    each row takes, to the bit, the steps of the same search on Python
+    floats.  Steps no row takes may divide by zero.
 
     Returns each row's k, whether it ended at the exp_range_limit, and its
     objective evaluations, the rows of models in order.
@@ -379,7 +378,7 @@ def _search(models: Sequence[_Separable]):
     x, fx, w, fw, v, fv, k, f, a, b, behind, step, prev, limit = s
     for model, start, size in zip(models, starts, sizes):
         for value, rates in ((fx, np.zeros(size)), (f, np.ones(size))):
-            value[start : start + size] = model.objective(rates, slice(None))
+            value[start : start + size] = model.answer(rates, slice(None), np.zeros(size, bool))
     down = f < fx  # walk on up from 1 if f is lower there, else down from 0
     behind[:], x[:] = np.where(down, 0.0, 1.0), np.where(down, 1.0, 0.0)
     step[:] = np.where(down, 2.0, -1.0)
@@ -400,16 +399,9 @@ def _search(models: Sequence[_Separable]):
             rounds += 1
             counts = np.bincount(phase, minlength=4).tolist()
             was = [phase == p if c else None for p, c in enumerate(counts)]
+            stepping = was[_STEP] if counts[_STEP] else no
             for model, lo, hi, ids in blocks:
-                if not counts[_STEP] or counts[_STEP] == n:
-                    ask = model.gauss_newton if counts[_STEP] else model.objective
-                    f[lo:hi] = ask(k[lo:hi], ids)
-                    continue
-                local = np.arange(hi - lo) if isinstance(ids, slice) else ids
-                stepping = was[_STEP][lo:hi]
-                for ask, asked in ((model.objective, ~stepping), (model.gauss_newton, stepping)):
-                    if np.count_nonzero(asked):
-                        f[lo:hi][asked] = ask(k[lo:hi][asked], local[asked])
+                f[lo:hi] = model.answer(k[lo:hi], ids, stepping[lo:hi])
             finished = hit = ended = no  # done; done at the limit; walk ended
             if counts[_STEP]:  # f is the stepped rate: try it if inside (a, b)
                 m = was[_STEP]

@@ -634,6 +634,34 @@ def test_array_search_keeps_the_scalar_steps_past_a_zero_ww_a_nan_or_a_tie(
     assert got != clean
 
 
+def test_the_rate_search_projects_each_block_once_a_round(monkeypatch):
+    """A round projects all of a block's live rows in one call, whichever
+    of them take a Gauss-Newton step, and rows only ever retire, so the
+    row counts of one model's _project calls never rise during the search."""
+    counts, project, search = {}, fitting._Separable._project, fitting._search
+
+    def spy_project(self, k, ids):
+        if searching:
+            counts.setdefault(self, []).append(len(k))
+        return project(self, k, ids)
+
+    def spy_search(models):
+        nonlocal searching
+        searching = True
+        try:
+            return search(models)
+        finally:
+            searching = False
+
+    searching = False
+    monkeypatch.setattr(fitting._Separable, "_project", spy_project)
+    monkeypatch.setattr(fitting, "_search", spy_search)
+    fit_batch(exp_fleet(), FitKind.EXPONENTIAL)
+    assert len(counts) == 6
+    for sizes in counts.values():
+        assert all(b <= a for a, b in itertools.pairwise(sizes)), sizes
+
+
 # --- the bound that keeps w.w away from zero ---
 
 GOLDEN_FLEET = Path(__file__).parent / "golden" / "inputs" / "fleet"
