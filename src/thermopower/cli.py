@@ -24,6 +24,7 @@ import itertools
 import json
 import math
 import os
+import reprlib
 import sys
 import warnings
 from json.encoder import encode_basestring_ascii
@@ -227,11 +228,12 @@ def _emit(args, report: dict, human_lines: list[str], code: int) -> int:
     return code
 
 
-def _write_csv(path: str, table, digest=None) -> None:
-    """Write write_table(*table) to path, and to the hash digest if given, a piece at a time."""
+def _write_file(path: str, pieces, digest=None) -> None:
+    """Write the text pieces to path, and to the hash digest if given, a
+    piece at a time.  An OSError's message names path."""
     try:
         with open(path, "wb") as fh:
-            for data in map(str.encode, _table_text(*table)):
+            for data in map(str.encode, pieces):
                 fh.write(data)
                 if digest is not None:
                     digest.update(data)
@@ -243,7 +245,7 @@ def _write_plot(path: str, temps, powers) -> None:
     """(temp, power) rows sorted by temperature, then by power."""
     temps, powers = np.asarray(temps, float), np.asarray(powers, float)
     order = np.lexsort((powers, temps))
-    _write_csv(path, ({}, ("temp_c", "power_w"), (temps[order], powers[order])))
+    _write_file(path, _table_text({}, ("temp_c", "power_w"), (temps[order], powers[order])))
 
 
 # --- fit ---
@@ -328,12 +330,13 @@ def cmd_fit(args, run: _Run) -> tuple[int, dict, list[str]]:
             "sign tests: "
             + " ".join(f"{k} p={v!r}" for k, v in results["sign_tests"].items())
         )
-        plot_source = cmp.results[0][FitKind.EXPONENTIAL]
+        kind, plot_source = FitKind.EXPONENTIAL, cmp.results[0][FitKind.EXPONENTIAL]
     else:
         kind = _MODEL_FLAGS[args.model]
         per_trace = []
-        plot_source = None
-        for i, (path, r) in enumerate(zip(args.traces, fit_batch(traces, kind))):
+        fits = fit_batch(traces, kind)
+        plot_source = fits[0]
+        for path, r in zip(args.traces, fits):
             if isinstance(r, Exception):
                 per_trace.append(
                     {"path": path, "fits": {kind.value: None},
@@ -343,14 +346,15 @@ def cmd_fit(args, run: _Run) -> tuple[int, dict, list[str]]:
                 if human:
                     lines.append(f"{path}: {kind.value} failed: {r}")
                 continue
-            if i == 0:
-                plot_source = r
             per_trace.append({"path": path, "fits": {kind.value: r}})
             if human:
                 lines.append(f"{path}: error={r.error!r} coeffs={list(r.coeffs)!r}")
         results = {"traces": per_trace}
 
-    if args.plot and plot_source is not None:
+    if args.plot and not isinstance(plot_source, FitResult):  # an older file there stays
+        run.warnings.append(f"no plot written: the {kind.value} fit of {args.traces[0]} failed")
+        lines.append(run.warnings[-1])
+    elif args.plot:
         temps = traces[0].temp_c
         _write_plot(args.plot, temps, plot_source.predict(temps))
     return (1 if failed else 0), results, lines
@@ -381,7 +385,7 @@ def cmd_model_eval(args, run: _Run) -> tuple[int, dict, list[str]]:
 
 def _observation(entry):
     if not isinstance(entry, dict):
-        raise InvalidParams(f"an observation must be an object, got {entry!r}")
+        raise InvalidParams(f"an observation must be an object, got {reprlib.repr(entry)}")
     needs = "an observation needs a number of GHz and a whole number of cores"
     freq, cores, a0, a1, a2 = (_json_number(entry, key, f"{needs}, and its fields")
                                for key in ("freq_ghz", "cores", "a0", "a1", "a2"))
@@ -410,7 +414,7 @@ def cmd_model_calibrate(args, run: _Run) -> tuple[int, dict, list[str]]:
     coeffs, diag = calibrate(obs, label=args.label)
     results = {"coeffs": coeffs.to_dict(), "diagnostics": diag.to_dict()}
     if args.out:
-        Path(args.out).write_text(_text(coeffs.to_dict()) + "\n", encoding="utf-8")
+        _write_file(args.out, (_text(coeffs.to_dict()), "\n"))
         results["output"] = args.out
     lines = [
         f"label: {coeffs.label}",
@@ -437,7 +441,7 @@ def cmd_debias(args, run: _Run) -> tuple[int, dict, list[str]]:
         result = debias(trace, spec)
     run.warnings.extend(str(w.message) for w in caught)
 
-    _write_csv(args.out, _debiased_table(result))
+    _write_file(args.out, _table_text(*_debiased_table(result)))
     if args.plot:
         _write_plot(args.plot, trace.temp_c, result.ref_power)
     m = result.metrics
@@ -512,7 +516,7 @@ def cmd_sensor_correct(args, run: _Run) -> tuple[int, dict, list[str]]:
 
     corrected = correct_series(model, rows[:, :2])
     times, temps = corrected[:, 0], corrected[:, 1]
-    _write_csv(args.out, ({}, ("time_s", "temp_c"), (times, temps)))
+    _write_file(args.out, _table_text({}, ("time_s", "temp_c"), (times, temps)))
 
     results = {
         "n_samples": len(corrected),
@@ -556,7 +560,7 @@ def cmd_gen(args, run: _Run) -> tuple[int, dict, list[str]]:
             f"--sweep COUNT {int(count)} is more samples than fit in memory"
         ) from None
     sha = hashlib.sha256()
-    _write_csv(args.out, _trace_table(trace), sha)
+    _write_file(args.out, _table_text(*_trace_table(trace)), sha)
     digest = "sha256:" + sha.hexdigest()
     results = {"output": args.out, "sha256": digest, "n_samples": len(trace)}
     return 0, results, [digest]
@@ -597,7 +601,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("traces", nargs="+", metavar="TRACE")
     p.add_argument("--model", choices=["linear", "quad", "exp", "all"], default="all")
     p.add_argument("--group-by", choices=["none", "proc-cores"], default="none")
-    p.add_argument("--plot", metavar="PATH", help="write temp/fitted-power CSV")
+    p.add_argument("--plot", metavar="PATH",
+                   help="write temp/fitted-power CSV of the first trace's --model fit "
+                   "(its exponential fit with --model all)")
     common(p)
     p.set_defaults(handler=cmd_fit)
 

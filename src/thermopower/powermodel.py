@@ -17,6 +17,7 @@ observed (f, c, a0, a1, a2) triples.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -88,11 +89,11 @@ class CoefficientSet:
             )
         m, label = data.get("m"), data.get("label")
         if not isinstance(m, list):
-            raise InvalidParams(f"m must be a list of 7 coefficients, got {m!r}")
+            raise InvalidParams(f"m must be a list of 7 coefficients, got {reprlib.repr(m)}")
         if len(m) != 7:
             raise InvalidParams(f"expected 7 m-coefficients, got {len(m)}")
         if not isinstance(label, str):
-            raise InvalidParams(f"label must be a string, got {label!r}")
+            raise InvalidParams(f"label must be a string, got {reprlib.repr(label)}")
         numbers = dict(data, **{f"m{i}": v for i, v in enumerate(m, 1)})
         return cls(label, *(_json_number(numbers, f.name, "coefficients") for f in fields(cls)[1:]))
 

@@ -191,9 +191,9 @@ def _parse_number(token: str, line_no: int) -> float:
     try:
         value = _ascii(token, float)
     except ValueError:
-        raise MalformedRow(line_no, f"not a number: {token!r}") from None
+        raise MalformedRow(line_no, f"not a number: {reprlib.repr(token)}") from None
     if not math.isfinite(value):
-        raise MalformedRow(line_no, f"not a finite decimal: {token!r}")
+        raise MalformedRow(line_no, f"not a finite decimal: {reprlib.repr(token)}")
     return value
 
 
@@ -287,7 +287,7 @@ def _header(text: str) -> tuple[dict[str, str], list[str], int, int]:
         if line.startswith("#"):
             key, sep, value = line[1:].partition("=")
             if not sep or not key:
-                raise MalformedRow(line_no, f"bad metadata comment: {line!r}")
+                raise MalformedRow(line_no, f"bad metadata comment: {reprlib.repr(line)}")
             meta[key.strip()] = value.strip()
         elif line:
             return meta, [c.strip() for c in line.split(",")], start, line_no
@@ -319,11 +319,11 @@ def _trace_meta(meta_raw: dict[str, str], columns: list[str], header_line: int) 
     try:
         freq = _ascii(meta_raw["freq_ghz"], float)
     except ValueError:
-        raise MissingMeta(f"bad #freq_ghz value: {meta_raw['freq_ghz']!r}") from None
+        raise MissingMeta(f"bad #freq_ghz value: {reprlib.repr(meta_raw['freq_ghz'])}") from None
     try:
         cores = _ascii(meta_raw["cores"], int)
     except ValueError:
-        raise MissingMeta(f"bad #cores value: {meta_raw['cores']!r}") from None
+        raise MissingMeta(f"bad #cores value: {reprlib.repr(meta_raw['cores'])}") from None
     return TraceMeta(meta_raw.get("processor", "unknown"), freq, cores)
 
 
@@ -432,8 +432,6 @@ def generate_synthetic_trace(
     temp_lo, temp_hi, count = sweep
     if not all(map(math.isfinite, (a0, a1, a2, temp_lo, temp_hi))):
         raise InvalidParams(f"params and sweep ends must be finite, got {params!r} and {sweep!r}")
-    if a2 == 0:
-        raise InvalidParams("a2 must be nonzero")
     if count < 3:
         raise InvalidParams(f"sample count must be >= 3, got {count}")
     if not 0 <= noise < math.inf:  # false for nan too

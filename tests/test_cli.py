@@ -239,6 +239,21 @@ def test_fit_plot_is_sorted_and_reparseable(tmp_path, capsys):
     assert len(rows) == 20
 
 
+@pytest.mark.parametrize("model", ["exp", "all"])
+def test_fit_plot_of_a_failed_fit_is_a_warning_and_leaves_the_file(tmp_path, capsys, model):
+    flat = tmp_path / "flat.csv"
+    flat.write_text(FLAT)
+    plot = tmp_path / "plot.csv"
+    plot.write_text("an earlier plot\n")
+    argv = ["fit", flat, gen_trace(tmp_path, capsys), "--model", model, "--plot", plot]
+    warning = f"no plot written: the exponential fit of {flat} failed"
+    code, report, _ = run_json(argv, capsys)
+    assert (code, report["warnings"]) == (1, [warning])
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 1 and out.endswith(f"\n{warning}\n")
+    assert plot.read_text() == "an earlier plot\n"
+
+
 # --- model eval ---
 
 def test_model_eval_prints_nine_significant_digits(capsys):
@@ -910,18 +925,49 @@ def test_debias_to_a_non_finite_power_exit_2_without_a_csv(tmp_path, capsys, fla
 
 
 @pytest.mark.parametrize("target", ["/dev/full", "missing/out.csv"])
-@pytest.mark.parametrize("command", ["gen", "debias", "sensor-correct", "fit --plot"])
+@pytest.mark.parametrize(
+    "command", ["gen", "debias", "sensor-correct", "fit --plot", "model calibrate --out"])
 def test_a_csv_that_cannot_be_written_names_its_path(tmp_path, capsys, command, target):
     if target == "/dev/full" and not os.path.exists(target):
         pytest.skip("no /dev/full")
     path = target if target.startswith("/") else str(tmp_path / target)
     if command == "fit --plot":
         argv = ["fit", gen_trace(tmp_path, capsys), "--plot", path]
+    elif command == "model calibrate --out":
+        argv = ["model", "calibrate", write_observations(tmp_path), "--out", path]
     else:  # each command's argv with its CSV at path
         argv = [path if a == tmp_path / "out.csv" else a
                 for a in float_flag_argv(tmp_path, capsys, command, "--quiet", None)]
     reason = os.strerror(errno.ENOSPC if target == "/dev/full" else errno.ENOENT)
     assert run_cli(argv, capsys) == (2, "", f"error: {path}: {reason}\n")
+
+
+HUGE = "9" * 100_000
+HEAD, ROWS = "#freq_ghz=1.0\n#cores=2\n", "time_s,temp_c,power_w\n0.0,30.0,1.0\n0.2,40.0,1.1\n"
+EVAL = ["model", "eval", "--temp", "50", "--freq", "1", "--cores", "2", "--coeffs"]
+
+
+@pytest.mark.parametrize(("argv", "text", "message"), [
+    (["fit"], HEAD + ROWS + f"0.4,x{HUGE},1.2\n", "line 6: not a number: 'x99999"),
+    (["fit"], HEAD + ROWS + f"0.4,{HUGE},1.2\n", "line 6: not a finite decimal: '99999"),
+    (["fit"], f"#x{HUGE}\n" + HEAD + ROWS, "line 1: bad metadata comment: '#x9999"),
+    (["fit"], f"#freq_ghz=x{HUGE}\n#cores=2\n" + ROWS, "bad #freq_ghz value: 'x9999"),
+    (["fit"], f"#freq_ghz=1.0\n#cores=x{HUGE}\n" + ROWS, "bad #cores value: 'x9999"),
+    (EVAL, json.dumps({"label": "L", "m": "x" + HUGE, "a2": 1}),
+     "m must be a list of 7 coefficients, got 'x9999"),
+    (EVAL, json.dumps({"label": ["x" + HUGE], "m": [1] * 7, "a2": 1}),
+     "label must be a string, got ['x9999"),
+    (["model", "calibrate"], json.dumps(["x" + HUGE]), "an observation must be an object, got ['x99"),
+], ids=["token", "decimal", "comment", "freq", "cores", "m", "label", "observation"])
+def test_an_error_quotes_a_huge_value_in_short(tmp_path, capsys, argv, text, message):
+    path = tmp_path / "in" / "input.json"
+    path.parent.mkdir()
+    path.write_text(text)
+    # calibrate reads each file of a directory as one observation
+    argv = argv + [path.parent if argv[-1] == "calibrate" else path]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "") and err.startswith(f"error: {path}: {message}")
+    assert len(err) < 200, err[:300]
 
 
 def test_gen_of_a_long_trace_holds_less_than_twice_its_output(tmp_path, capsys):
