@@ -490,9 +490,8 @@ def cmd_sensor_correct(args, run: _Run) -> tuple[int, dict, list[str]]:
     if columns[:2] != ["time_s", "temp_c"] or len(columns) > 3 or (
         len(columns) == 3 and columns[2] != "power_w"
     ):
-        raise ValueError(
-            f"{args.series}: expected columns time_s,temp_c[,power_w], got {columns}"
-        )
+        raise ValueError(f"{args.series}: expected columns time_s,temp_c[,power_w], "
+                         f"got {reprlib.repr(columns)}")
     if args.model_json:
         model = run.parse(args.model_json, model_from_json)
     else:

@@ -945,6 +945,8 @@ def test_a_csv_that_cannot_be_written_names_its_path(tmp_path, capsys, command, 
 HUGE = "9" * 100_000
 HEAD, ROWS = "#freq_ghz=1.0\n#cores=2\n", "time_s,temp_c,power_w\n0.0,30.0,1.0\n0.2,40.0,1.1\n"
 EVAL = ["model", "eval", "--temp", "50", "--freq", "1", "--cores", "2", "--coeffs"]
+SENSOR = ["sensor-correct", "--model-json", GOLDEN_FLEET.parent / "sensor_model.json",
+          "--out", "unwritten.csv"]
 
 
 @pytest.mark.parametrize(("argv", "text", "message"), [
@@ -957,8 +959,11 @@ EVAL = ["model", "eval", "--temp", "50", "--freq", "1", "--cores", "2", "--coeff
      "m must be a list of 7 coefficients, got 'x9999"),
     (EVAL, json.dumps({"label": ["x" + HUGE], "m": [1] * 7, "a2": 1}),
      "label must be a string, got ['x9999"),
-    (["model", "calibrate"], json.dumps(["x" + HUGE]), "an observation must be an object, got ['x99"),
-], ids=["token", "decimal", "comment", "freq", "cores", "m", "label", "observation"])
+    (["model", "calibrate"], json.dumps(["x" + HUGE]),
+     "an observation must be an object, got ['x9999"),
+    (SENSOR, f"time_s,temp_c,x{HUGE}\n1.0,30.0,1.0\n",
+     "expected columns time_s,temp_c[,power_w], got ['time_s', 'temp_c', 'x9999"),
+], ids=["token", "decimal", "comment", "freq", "cores", "m", "label", "observation", "columns"])
 def test_an_error_quotes_a_huge_value_in_short(tmp_path, capsys, argv, text, message):
     path = tmp_path / "in" / "input.json"
     path.parent.mkdir()
