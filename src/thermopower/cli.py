@@ -90,15 +90,87 @@ def _fit_template(nl: str, n_coeffs: int) -> str:
     return "{" + inner + ("," + inner).join(fields) + nl + "}"
 
 
+_KIND_TEXT = {kind: encode_basestring_ascii(kind.value) for kind in FitKind}
+_string_text = functools.lru_cache(maxsize=64)(encode_basestring_ascii)  # terminations
+
+
+def _fit_values(fit: FitResult) -> list[str]:
+    """What fills the slots of fit's _fit_template."""
+    coeffs, error = fit.coeffs, fit.error
+    # float.__repr__ writes a finite float as _float does, with no call in Python
+    write = float.__repr__ if all(map(math.isfinite, (*coeffs, error))) else _float
+    return [*map(write, coeffs), "true" if fit.converged else "false", write(error),
+            int.__repr__(fit.iterations), _KIND_TEXT[fit.kind], _string_text(fit.termination)]
+
+
 def _fit_text(fit: FitResult, nl: str) -> str:
-    return _fit_template(nl, len(fit.coeffs)) % (
-        *map(_float, fit.coeffs),
-        "true" if fit.converged else "false",
-        _float(fit.error),
-        int.__repr__(fit.iterations),
-        encode_basestring_ascii(fit.kind.value),
-        encode_basestring_ascii(fit.termination),
-    )
+    return _fit_template(nl, len(fit.coeffs)) % tuple(_fit_values(fit))
+
+
+def _entry_shape(entry) -> tuple | None:
+    """A trace entry's family names, each followed by its fit's coefficient
+    count or None where the fit failed; None for anything but a dict
+    {"fits": {family: FitResult or None}, "path": str}."""
+    if type(entry) is not dict or len(entry) != 2 or type(entry.get("path")) is not str:
+        return None
+    fits = entry.get("fits")
+    if type(fits) is not dict:
+        return None
+    shape = []
+    for name, fit in fits.items():
+        if fit is not None and not isinstance(fit, FitResult):
+            return None
+        shape += (name, None if fit is None else len(fit.coeffs))
+    return tuple(shape)
+
+
+@functools.lru_cache(maxsize=256)
+def _entry_template(nl: str, shape: tuple) -> tuple[str, tuple, int]:
+    """The %-format of a trace entry of this _entry_shape as _text writes
+    it at nl; the family names in the order their fits fill it; and the
+    characters it and the "," and nl before it write besides the slots."""
+    inner, deeper = nl + "  ", nl + "    "
+    counts = dict(zip(shape[::2], shape[1::2]))
+    names = tuple(sorted(counts))  # a name that is not a str raises TypeError, as in _text
+    fits = [encode_basestring_ascii(name).replace("%", "%%") + ": "
+            + ("null" if counts[name] is None else _fit_template(deeper, counts[name]))
+            for name in names]
+    fits_text = "{" + deeper + ("," + deeper).join(fits) + inner + "}" if fits else "{}"
+    template = "{" + inner + '"fits": ' + fits_text + "," + inner + '"path": %s' + nl + "}"
+    slots = 1 + sum(counts[name] + 5 for name in names if counts[name] is not None)
+    return template, names, 1 + len(nl) + len(template % (("",) * slots))
+
+
+def _members(items, nl: str):
+    """_chunks' pieces of a list whose members it writes whole: "[" or ","
+    and nl with each member, but consecutive trace entries of one
+    _entry_shape in runs, each filled by one %, that end once they hold
+    SLAB_BYTES of text (one entry more at most)."""
+    inner = nl + "  "
+    opening = "["
+    for shape, group in itertools.groupby(items, _entry_shape):
+        if shape is None:
+            for item in group:
+                yield opening + inner + _text(item, inner)
+                opening = ","
+            continue
+        template, names, fixed = _entry_template(inner, shape)
+        line = "," + inner + template
+        values, size, count = [], 0, 0
+        for item in group:
+            mark, fits = len(values), item["fits"]
+            for name in names:
+                if fits[name] is not None:
+                    values += _fit_values(fits[name])
+            values.append(encode_basestring_ascii(item["path"]))
+            size += fixed + sum(map(len, values[mark:]))
+            count += 1
+            if size >= SLAB_BYTES:
+                yield (opening + line[1:] + line * (count - 1)) % tuple(values)
+                opening, values, size, count = ",", [], 0, 0
+        if count:
+            yield (opening + line[1:] + line * (count - 1)) % tuple(values)
+            opening = ","
 
 
 def _text(obj, nl: str = "\n") -> str:
@@ -138,6 +210,10 @@ def _chunks(obj, nl: str = "\n", depth: int = 3):
     written one member at a time, so a report is never held as one string."""
     if depth == 0 or not isinstance(obj, (list, tuple, dict)) or not obj:
         yield _text(obj, nl)
+        return
+    if depth == 1 and not isinstance(obj, dict):
+        yield from _members(obj, nl)
+        yield nl + "]"
         return
     inner = nl + "  "
     if isinstance(obj, dict):
@@ -294,10 +370,9 @@ def cmd_fit(args, run: _Run) -> tuple[int, dict, list[str]]:
             for i, tr in enumerate(traces):
                 groups.setdefault(f"{tr.meta.processor}/c{tr.meta.cores}", []).append(i)
         cmp = compare_models(traces, groups)
-        per_trace = [
-            {"path": path, "fits": {kind.value: r for kind, r in row.items()}}
-            for path, row in zip(args.traces, cmp.results)
-        ]
+        names = [kind.value for kind in FitKind]  # the order of every results row's keys
+        per_trace = [{"path": path, "fits": dict(zip(names, row.values()))}
+                     for path, row in zip(args.traces, cmp.results)]
         results = {
             "traces": per_trace,
             "aggregated": {k.value: v for k, v in cmp.aggregated.items()},

@@ -738,34 +738,31 @@ def compare_models(
                 raise InvalidParams(f"group {key!r}: trace index {i!r} repeats")
             seen.add(i)
     # one family at a time, its squared residuals pooled for the whole set
-    # and for each group in trace order; the exponential first, as its
+    # and for each group in trace order, and every failure recorded and
+    # excluded, never aborting the batch; the exponential first, as its
     # search holds the most memory
-    fits: dict[FitKind, list] = dict.fromkeys(FitKind)  # type: ignore[arg-type]
-    aggregated: dict[FitKind, float | None] = dict.fromkeys(FitKind)
-    group_errors = {key: dict.fromkeys(FitKind) for key in groups or {}}
-    for kind in reversed(FitKind):
-        fits[kind], squares = _fit_waves(traces, kind)
+    kinds = tuple(FitKind)  # iterating FitKind itself runs Python code each time
+    done: dict[FitKind, list] = {}
+    failures: list[tuple[int, FitKind, str]] = []
+    aggregated: dict[FitKind, float | None] = dict.fromkeys(kinds)
+    group_errors = {key: dict.fromkeys(kinds) for key in groups or {}}
+    for kind in reversed(kinds):
+        column, squares = _fit_waves(traces, kind)
 
         def pooled(indices) -> float | None:
-            done = [squares[i] for i in indices if squares[i] is not None]
-            return _pool(np.concatenate(done)) if done else None
+            kept = [squares[i] for i in indices if squares[i] is not None]
+            return _pool(np.concatenate(kept)) if kept else None
 
         aggregated[kind] = pooled(range(n))
         for key, indices in (groups or {}).items():
             group_errors[key][kind] = pooled(indices)
-
-    # record and exclude every failure, never abort the batch
-    failures = [
-        (i, kind, f"{type(r).__name__}: {r}")
-        for i, row in enumerate(zip(*fits.values()))
-        for kind, r in zip(FitKind, row)
-        if isinstance(r, Exception)
-    ]
-    done = {
-        kind: [None if isinstance(r, Exception) else r for r in column]
-        for kind, column in fits.items()
-    }
-    results = [dict(zip(FitKind, row)) for row in zip(*done.values())]
+        for i, r in enumerate(column):
+            if isinstance(r, Exception):
+                failures.append((i, kind, f"{type(r).__name__}: {r}"))
+                column[i] = None
+        done[kind] = column
+    failures.sort(key=lambda f: (f[0], kinds.index(f[1])))
+    results = [dict(zip(kinds, row)) for row in zip(*map(done.get, kinds))]
 
     p_values: dict[tuple[FitKind, FitKind], float | None] = {}
     for ka, kb in _PAIRS:

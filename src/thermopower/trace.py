@@ -20,6 +20,7 @@ through parse_table, both one slab of at most SLAB_BYTES at a time.
 from __future__ import annotations
 
 import codecs
+import functools
 import itertools
 import math
 import re
@@ -327,6 +328,20 @@ def _trace_meta(meta_raw: dict[str, str], columns: list[str], header_line: int) 
     return TraceMeta(meta_raw.get("processor", "unknown"), freq, cores)
 
 
+def _meta_of(text: str) -> tuple[TraceMeta, int]:
+    """The TraceMeta of a trace text's header and the offset below it."""
+    meta_raw, columns, start, header_line = _header(text)
+    return _trace_meta(meta_raw, columns, header_line), start
+
+
+# the "#key=value" lines and the column header that open a trace text,
+# within its first _HEAD_CHARS characters; a fleet's files repeat a few
+_HEAD = re.compile(r"(?:#[^\n]*\n)*[^#\s][^\n]*\n")
+_HEAD_CHARS = 1024
+# _meta_of of such a header text, parsed once and its TraceMeta shared
+_head_meta = functools.lru_cache(maxsize=1024)(_meta_of)
+
+
 def parse_trace(text: str | bytes) -> Trace:
     """Parse trace CSV text into a validated Trace: parse_traces([text])[0].
 
@@ -341,7 +356,9 @@ def parse_trace(text: str | bytes) -> Trace:
 def parse_traces(texts: Iterable[str | bytes]) -> list[Trace]:
     """Parse trace CSV texts into validated Traces, every body converted a
     slab at a time into one C-contiguous (3, rows) array and checked at
-    once, each Trace's columns read-only slices of it.
+    once, each Trace's columns read-only slices of it.  Each distinct
+    header text is parsed once (_head_meta), and its traces share one
+    TraceMeta.
 
     If any text fails, or holds what only the line-by-line reader takes,
     such as non-ASCII whitespace around a number, each text is read alone,
@@ -351,8 +368,9 @@ def parse_traces(texts: Iterable[str | bytes]) -> list[Trace]:
     try:
         metas, parts = [], []
         for text in map(_decode, texts):
-            meta_raw, columns, start, header_line = _header(text)
-            metas.append(_trace_meta(meta_raw, columns, header_line))
+            head = _HEAD.match(text, 0, _HEAD_CHARS)
+            meta, start = _head_meta(head[0]) if head else _meta_of(text)
+            metas.append(meta)
             parts.append((text, start))
         read = _read_table(parts, len(_COLUMNS))
         if read is not None and metas:  # no texts is no traces, below

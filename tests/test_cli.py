@@ -729,6 +729,18 @@ def test_fit_error_names_the_bad_file_not_the_first(tmp_path, capsys):
     assert err == f"error: {bad}: line 5: not a number: 'not-a-number'\n"
 
 
+@pytest.mark.parametrize("cores, message", [
+    ("7", "cores must be an integer in 1..4, got 7"), ("x", "bad #cores value: 'x'")])
+def test_fit_a_known_header_with_a_bad_core_count_names_its_file(tmp_path, capsys, cores,
+                                                                 message):
+    paths = [gen_trace(tmp_path, capsys, name=f"t{i}.csv", seed=i) for i in range(3)]
+    bad = tmp_path / "bad.csv"  # the header the others share, but for its #cores
+    bad.write_text(paths[2].read_text().replace("#cores=4\n", f"#cores={cores}\n"))
+    code, out, err = run_cli(["fit", *paths, bad, paths[0]], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {bad}: {message}\n"
+
+
 def test_sensor_model_error_names_the_model_file(tmp_path, capsys):
     series, _ = write_lagged_series(tmp_path)
     model_path = tmp_path / "list.json"

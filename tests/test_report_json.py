@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from thermopower.cli import _chunks, _text
 from thermopower.fitting import FitKind, FitResult
+from thermopower.trace import SLAB_BYTES
 
 # any code point: non-ASCII, control characters and lone surrogates
 CHARS = st.characters() | st.characters(categories=["Cs"])
@@ -144,3 +145,56 @@ def test_a_numpy_float_in_a_fit_result_is_written_as_its_value():
                     np.float64("inf"), 0, True)
     assert _text(fit) == _text(fit_dict(fit))
     assert "np.float64" not in _text(fit) and '"error": null' in _text(fit)
+
+
+# --- a fleet's trace entries, written a run of one shape at a time ---
+
+def fleet_entries():
+    """240 trace entries as `thermo fit` writes them, and entries it never
+    writes: runs of one shape longer than a run holds, failed families in
+    mid-run, non-finite and numpy values, a FitResult under another
+    family's key, names holding "%", and members of other shapes."""
+    rng = np.random.default_rng(18)
+    names = ("linear", "quadratic", "exponential")
+    kinds = dict(zip(names, (FitKind.LINEAR, FitKind.QUADRATIC, FitKind.EXPONENTIAL)))
+
+    def fit(name):
+        n = 2 if name == "linear" else 3
+        return FitResult(kinds[name], tuple(rng.normal(0, 10.0 ** rng.integers(-3, 4), n).tolist()),
+                         float(rng.uniform(0, 0.1)), int(rng.integers(0, 40)), True)
+
+    entries = [{"path": f"t{i:04d}.csv", "fits": {name: fit(name) for name in names}}
+               for i in range(240)]
+    for i in (7, 8, 90, 91, 92, 230):  # failed families in mid-run
+        entries[i]["fits"][names[i % 3]] = None
+    entries[30]["fits"]["exponential"] = FitResult(
+        FitKind.EXPONENTIAL, (math.nan, math.inf, -math.inf), math.nan, 7, False, "exp_range_limit")
+    entries[31]["fits"]["linear"] = FitResult(FitKind.LINEAR, (1e308, np.float64(-0.0)),
+                                              np.float64(math.inf), 0, True)
+    entries[40]["fits"]["quadratic"] = entries[40]["fits"]["exponential"]  # under another key
+    entries[41]["fits"]["linear"] = FitResult(FitKind.QUADRATIC, (1.0, 2.0, 3.0), 0.5, 1, True)
+    entries[50]["path"] = "100% été \\ \"quoted\".csv"
+    entries[51]["fits"] = {"exponential": fit("exponential"), "%s": None, "li%near": fit("linear")}
+    entries[60]["fits"] = dict(reversed(entries[60]["fits"].items()))  # another key order
+    entries[70] = {"path": "t0070.csv", "fits": {"exponential": None}, "message": "Degenerate"}
+    entries[71] = {"path": "t0071.csv", "fits": {}}
+    entries[80] = {"path": "t0080.csv", "fits": {"linear": {"coeffs": [1.0, 2.0]}}}
+    entries[85:85] = ["a member of another type", None, 3.5]
+    return entries
+
+
+def test_a_fleet_of_trace_entries_is_written_as_json_dumps_writes_it():
+    entries = fleet_entries()
+    report = {"results": {"traces": entries}, "warnings": []}
+    expected = json.dumps(finite_only(as_dicts(report)), sort_keys=True, indent=2)
+    assert written(report) == [expected] * 6
+
+
+def test_trace_entries_are_written_in_runs_of_about_a_slab():
+    entries = fleet_entries()
+    pieces = list(_chunks(entries, depth=1))
+    assert "".join(pieces) == _text(entries)
+    longest = max(len(",\n  " + _text(e, "\n  ")) for e in entries)
+    # entries 93-229 are one shape: more than one run holds
+    assert SLAB_BYTES <= max(map(len, pieces)) <= SLAB_BYTES + longest
+    assert len(pieces) < len(entries) / 5

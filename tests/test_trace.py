@@ -459,6 +459,49 @@ def test_parse_traces_is_each_text_parsed_alone(fleet_texts, data):
     assert outcome(lambda: parse_traces(iter(texts))) == alone  # an iterator reads once
 
 
+# --- each distinct header text is parsed once ---
+
+def test_each_distinct_header_text_is_parsed_once(monkeypatch):
+    heads = [f"#processor=SPY\n#freq_ghz=1.2\n#cores={c}\ntime_s,temp_c,power_w\n"
+             for c in (1, 2, 3)]
+    texts = [heads[i % 3] + f"0.0,30.0,1.0\n0.2,40.0,{1.1 + i / 1000!r}\n0.4,50.0,1.5\n"
+             for i in range(200)]
+    calls = []
+    real = trace._header
+    monkeypatch.setattr(trace, "_header", lambda text: calls.append(text) or real(text))
+    trace._head_meta.cache_clear()  # earlier tests may have read these headers
+    parsed = parse_traces(texts[:100]) + parse_traces(texts[100:])
+    assert sorted(calls) == heads
+    assert [t.meta for t in parsed] == [TraceMeta("SPY", 1.2, i % 3 + 1) for i in range(200)]
+    assert parsed[0].meta is parsed[198].meta  # one TraceMeta per header text
+    assert [t.power_w[1] for t in parsed] == [1.1 + i / 1000 for i in range(200)]
+
+
+# edits to the top of a text that the header pattern must not mistake
+HEAD_EDITS = EDITS + [
+    ("#", " #"), ("#", "\u00a0#"), ("#", "\n#"), ("\n#", "\n \n#"), ("\ntime", "\n\t\ntime"),
+    ("time_s", " time_s"), ("time_s", "\u3000time_s"), ("time_s", "\x1ftime_s"),
+    ("time_s", "#time_s"), ("\n", " "), ("\n", "\x85"), ("=", ""), ("#cores", "#"),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_header_text_reads_as_the_whole_text_does(fleet_texts, data):
+    text = fleet_texts[data.draw(st.integers(0, 7))]
+    for _ in range(data.draw(st.integers(0, 3))):
+        old, new = data.draw(st.sampled_from(HEAD_EDITS))
+        i = text.find(old, data.draw(st.integers(0, 60)))
+        if i >= 0:
+            text = text[:i] + new + text[i + len(old):]
+    head = trace._HEAD.match(text, 0, trace._HEAD_CHARS)
+    if head:
+        assert outcome(lambda: trace._meta_of(head[0])) == outcome(lambda: trace._meta_of(text))
+    whole = outcome(lambda: parse_trace(text))
+    trace._head_meta.cache_clear()
+    assert outcome(lambda: parse_trace(text)) == whole  # as when its header was new
+
+
 # --- text is read a slab at a time; where the slabs end changes nothing ---
 
 SLAB_BUDGETS = [1, 16, 100, trace.SLAB_BYTES]
