@@ -370,7 +370,7 @@ def cmd_fit(args, run: _Run) -> tuple[int, dict, list[str]]:
             for i, tr in enumerate(traces):
                 groups.setdefault(f"{tr.meta.processor}/c{tr.meta.cores}", []).append(i)
         cmp = compare_models(traces, groups)
-        names = [kind.value for kind in FitKind]  # the order of every results row's keys
+        names = [kind.value for kind in FitKind]  # each row's keys, in order
         per_trace = [{"path": path, "fits": dict(zip(names, row.values()))}
                      for path, row in zip(args.traces, cmp.results)]
         results = {

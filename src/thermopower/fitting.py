@@ -700,13 +700,13 @@ _PAIRS = (
 class ModelComparison:
     """Per-trace fits for all three families plus group-level statistics.
 
-    results[i][kind] is the FitResult or None when that fit failed;
-    failures records (trace index, kind, message) for every None;
-    aggregated[kind] pools residuals over the traces where kind succeeded
-    (None if it succeeded nowhere); groups[key][kind] does the same over
-    the traces of each group passed to compare_models; p_values[(a, b)] is
-    the sign test over traces where both families succeeded (None if that
-    set is empty or fully tied).
+    results[i][kind] is the FitResult or None when that fit failed, each
+    row keyed in FitKind order; failures records (trace index, kind,
+    message) for every None; aggregated[kind] pools residuals over the
+    traces where kind succeeded (None if it succeeded nowhere);
+    groups[key][kind] does the same over the traces of each group passed
+    to compare_models; p_values[(a, b)] is the sign test over traces where
+    both families succeeded (None if that set is empty or fully tied).
     """
 
     results: list[dict[FitKind, FitResult | None]]

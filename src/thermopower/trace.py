@@ -335,7 +335,9 @@ def _meta_of(text: str) -> tuple[TraceMeta, int]:
 
 
 # the "#key=value" lines and the column header that open a trace text,
-# within its first _HEAD_CHARS characters; a fleet's files repeat a few
+# within its first _HEAD_CHARS characters, whose header line starts with
+# neither "#" nor whitespace, so _header ends on it in the match as in the
+# whole text; a fleet's files repeat a few such texts
 _HEAD = re.compile(r"(?:#[^\n]*\n)*[^#\s][^\n]*\n")
 _HEAD_CHARS = 1024
 # _meta_of of such a header text, parsed once and its TraceMeta shared

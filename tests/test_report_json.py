@@ -150,18 +150,19 @@ def test_a_numpy_float_in_a_fit_result_is_written_as_its_value():
 # --- a fleet's trace entries, written a run of one shape at a time ---
 
 def fleet_entries():
-    """240 trace entries as `thermo fit` writes them, and entries it never
-    writes: runs of one shape longer than a run holds, failed families in
-    mid-run, non-finite and numpy values, a FitResult under another
-    family's key, names holding "%", and members of other shapes."""
+    """243 members: trace entries as `thermo fit` writes them, and members
+    it never writes.  They hold runs of one shape longer than a run holds,
+    failed families in mid-run, non-finite and numpy values, a FitResult
+    under another family's key, names holding "%", and members of other
+    shapes."""
     rng = np.random.default_rng(18)
     names = ("linear", "quadratic", "exponential")
     kinds = dict(zip(names, (FitKind.LINEAR, FitKind.QUADRATIC, FitKind.EXPONENTIAL)))
 
     def fit(name):
-        n = 2 if name == "linear" else 3
-        return FitResult(kinds[name], tuple(rng.normal(0, 10.0 ** rng.integers(-3, 4), n).tolist()),
-                         float(rng.uniform(0, 0.1)), int(rng.integers(0, 40)), True)
+        coeffs = rng.normal(0, 10.0 ** rng.integers(-3, 4), 2 if name == "linear" else 3)
+        return FitResult(kinds[name], tuple(coeffs.tolist()), float(rng.uniform(0, 0.1)),
+                         int(rng.integers(0, 40)), True)
 
     entries = [{"path": f"t{i:04d}.csv", "fits": {name: fit(name) for name in names}}
                for i in range(240)]
@@ -195,6 +196,6 @@ def test_trace_entries_are_written_in_runs_of_about_a_slab():
     pieces = list(_chunks(entries, depth=1))
     assert "".join(pieces) == _text(entries)
     longest = max(len(",\n  " + _text(e, "\n  ")) for e in entries)
-    # entries 93-229 are one shape: more than one run holds
+    # t0093 to t0229 are entries of one shape, more than one run holds
     assert SLAB_BYTES <= max(map(len, pieces)) <= SLAB_BYTES + longest
     assert len(pieces) < len(entries) / 5
