@@ -78,158 +78,145 @@ def _float(x: float) -> str:
     return float.__repr__(x) if math.isfinite(x) else "null"
 
 
-@functools.cache
-def _fit_template(nl: str, n_coeffs: int) -> str:
-    """The %-format of a FitResult's entry with n_coeffs coefficients, as
-    _text writes its dict: keys sorted, one slot per value."""
-    inner, deeper = nl + "  ", nl + "    "
-    coeffs = "[" + deeper + ("," + deeper).join(["%s"] * n_coeffs) + inner + "]" if n_coeffs else "[]"
-    fields = [f'"coeffs": {coeffs}'] + [
-        f'"{key}": %s' for key in ("converged", "error", "iterations", "kind", "termination")
-    ]
-    return "{" + inner + ("," + inner).join(fields) + nl + "}"
-
-
-_KIND_TEXT = {kind: encode_basestring_ascii(kind.value) for kind in FitKind}
+# keyed by value: a kind's _value_ is a plain attribute, while its hash and
+# .value are Python calls
+_KIND_TEXT = {kind.value: encode_basestring_ascii(kind.value) for kind in FitKind}
 _string_text = functools.lru_cache(maxsize=64)(encode_basestring_ascii)  # terminations
 
 
 def _fit_values(fit: FitResult) -> list[str]:
-    """What fills the slots of fit's _fit_template."""
+    """What fills the slots of fit's _template: the values of the dict of
+    its fields, keys sorted."""
     coeffs, error = fit.coeffs, fit.error
     # float.__repr__ writes a finite float as _float does, with no call in Python
-    write = float.__repr__ if all(map(math.isfinite, (*coeffs, error))) else _float
+    write = float.__repr__ if math.isfinite(error) and all(map(math.isfinite, coeffs)) else _float
     return [*map(write, coeffs), "true" if fit.converged else "false", write(error),
-            int.__repr__(fit.iterations), _KIND_TEXT[fit.kind], _string_text(fit.termination)]
+            int.__repr__(fit.iterations), _KIND_TEXT[fit.kind._value_],
+            _string_text(fit.termination)]
 
 
-def _fit_text(fit: FitResult, nl: str) -> str:
-    return _fit_template(nl, len(fit.coeffs)) % tuple(_fit_values(fit))
-
-
-def _entry_shape(entry) -> tuple | None:
-    """A trace entry's family names, each followed by its fit's coefficient
-    count or None where the fit failed; None for anything but a dict
-    {"fits": {family: FitResult or None}, "path": str}."""
-    if type(entry) is not dict or len(entry) != 2 or type(entry.get("path")) is not str:
+def _layout(obj, slots: list):
+    """Append the text of each scalar in obj to slots, in the order _text
+    writes them, and return obj's layout: None for a scalar, a FitResult's
+    coefficient count, or a tuple of "[" and a list's member layouts, or of
+    "{" and a dict's keys, each followed by its member's layout."""
+    if isinstance(obj, str):
+        slots.append(encode_basestring_ascii(obj))
         return None
-    fits = entry.get("fits")
-    if type(fits) is not dict:
-        return None
-    shape = []
-    for name, fit in fits.items():
-        if fit is not None and not isinstance(fit, FitResult):
-            return None
-        shape += (name, None if fit is None else len(fit.coeffs))
-    return tuple(shape)
+    if isinstance(obj, dict):
+        layout = ["{"]
+        for key in sorted(obj):
+            value = obj[key]
+            # the members a fleet report holds most of, written with no call
+            if type(value) is FitResult:
+                slots += _fit_values(value)
+                layout += key, len(value.coeffs)
+            elif type(value) is str:
+                slots.append(encode_basestring_ascii(value))
+                layout += key, None
+            else:
+                layout += key, _layout(value, slots)
+        return tuple(layout)
+    if isinstance(obj, FitResult):
+        slots += _fit_values(obj)
+        return len(obj.coeffs)
+    if isinstance(obj, (list, tuple)):
+        return ("[", *[_layout(value, slots) for value in obj])
+    if isinstance(obj, float):
+        slots.append(_float(obj))
+    elif obj is None:
+        slots.append("null")
+    elif obj is True or obj is False:
+        slots.append("true" if obj else "false")
+    elif isinstance(obj, int):
+        slots.append(int.__repr__(obj))
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return None
 
 
-@functools.lru_cache(maxsize=256)
-def _entry_template(nl: str, shape: tuple) -> tuple[str, tuple, int]:
-    """The %-format of a trace entry of this _entry_shape as _text writes
-    it at nl; the family names in the order their fits fill it; and the
-    characters it and the "," and nl before it write besides the slots."""
-    inner, deeper = nl + "  ", nl + "    "
-    counts = dict(zip(shape[::2], shape[1::2]))
-    names = tuple(sorted(counts))  # a name that is not a str raises TypeError, as in _text
-    fits = [encode_basestring_ascii(name).replace("%", "%%") + ": "
-            + ("null" if counts[name] is None else _fit_template(deeper, counts[name]))
-            for name in names]
-    fits_text = "{" + deeper + ("," + deeper).join(fits) + inner + "}" if fits else "{}"
-    template = "{" + inner + '"fits": ' + fits_text + "," + inner + '"path": %s' + nl + "}"
-    slots = 1 + sum(counts[name] + 5 for name in names if counts[name] is not None)
-    return template, names, 1 + len(nl) + len(template % (("",) * slots))
-
-
-def _members(items, nl: str):
-    """_chunks' pieces of a list whose members it writes whole: "[" or ","
-    and nl with each member, but consecutive trace entries of one
-    _entry_shape in runs, each filled by one %, that end once they hold
-    SLAB_BYTES of text (one entry more at most)."""
-    inner = nl + "  "
-    opening = "["
-    for shape, group in itertools.groupby(items, _entry_shape):
-        if shape is None:
-            for item in group:
-                yield opening + inner + _text(item, inner)
-                opening = ","
-            continue
-        template, names, fixed = _entry_template(inner, shape)
-        line = "," + inner + template
-        values, size, count = [], 0, 0
-        for item in group:
-            mark, fits = len(values), item["fits"]
-            for name in names:
-                if fits[name] is not None:
-                    values += _fit_values(fits[name])
-            values.append(encode_basestring_ascii(item["path"]))
-            size += fixed + sum(map(len, values[mark:]))
-            count += 1
-            if size >= SLAB_BYTES:
-                yield (opening + line[1:] + line * (count - 1)) % tuple(values)
-                opening, values, size, count = ",", [], 0, 0
-        if count:
-            yield (opening + line[1:] + line * (count - 1)) % tuple(values)
-            opening = ","
+@functools.lru_cache(maxsize=1024)
+def _template(layout, nl: str) -> tuple[str, int]:
+    """The %-format that writes a value of this _layout at nl from the
+    slots _layout filled, and the length of the text it writes besides
+    them."""
+    if layout is None:
+        template = "%s"
+    elif type(layout) is int:  # a FitResult of that many coefficients
+        return _template(("{", "coeffs", ("[", *[None] * layout), "converged", None, "error",
+                          None, "iterations", None, "kind", None, "termination", None), nl)
+    else:
+        inner = nl + "  "
+        if layout[0] == "[":
+            members = [_template(member, inner)[0] for member in layout[1:]]
+        else:  # encode_basestring_ascii raises TypeError on a key that is not a str
+            members = [encode_basestring_ascii(key).replace("%", "%%") + ": "
+                       + _template(member, inner)[0]
+                       for key, member in zip(layout[1::2], layout[2::2])]
+        closing = "]" if layout[0] == "[" else "}"
+        template = (layout[0] + inner + ("," + inner).join(members) + nl + closing
+                    if members else layout[0] + closing)
+    # each slot is "%s", and each "%" of the text "%%"
+    return template, len(template.replace("%%", "-").replace("%s", ""))
 
 
 def _text(obj, nl: str = "\n") -> str:
     """obj as json.dumps(obj, sort_keys=True, indent=2) writes it, but with
     non-finite floats as null, so reports stay strict JSON, and a FitResult
     as the dict of its fields.  nl is a newline and the indent of the line
-    obj starts on."""
-    # the shapes a fleet report holds most of come first: per trace, a dict
-    # of three FitResults in a dict
-    if isinstance(obj, FitResult):
-        return _fit_text(obj, nl)
-    if isinstance(obj, dict):
-        inner = nl + "  "
-        # encode_basestring_ascii raises TypeError on a key that is not a str
-        body = [encode_basestring_ascii(k) + ": " + _text(v, inner)
-                for k, v in sorted(obj.items())]
-        return "{" + inner + ("," + inner).join(body) + nl + "}" if body else "{}"
-    if isinstance(obj, float):
-        return _float(obj)
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True or obj is False:
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, (list, tuple)):
-        inner = nl + "  "
-        body = [_text(v, inner) for v in obj]
-        return "[" + inner + ("," + inner).join(body) + nl + "]" if body else "[]"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    obj starts on.  One % fills obj's _template with its _layout's slots."""
+    slots: list[str] = []
+    return _template(_layout(obj, slots), nl)[0] % tuple(slots)
 
 
 def _chunks(obj, nl: str = "\n", depth: int = 3):
-    """_text(obj, nl) in pieces: lists and dicts down to depth levels are
-    written one member at a time, so a report is never held as one string."""
+    """_text(obj, nl) in pieces, so a report is never held as one string:
+    lists and dicts down to depth levels are walked a member at a time,
+    and their text goes out in runs, each filled by one % and ending once
+    it holds SLAB_BYTES of text (one member more at most)."""
     if depth == 0 or not isinstance(obj, (list, tuple, dict)) or not obj:
         yield _text(obj, nl)
         return
-    if depth == 1 and not isinstance(obj, dict):
-        yield from _members(obj, nl)
-        yield nl + "]"
-        return
-    inner = nl + "  "
+    run, slots = [], []
+    yield from _runs(obj, nl, depth, run, slots, 0)
+    yield "".join(run) % tuple(slots)
+
+
+def _runs(obj, nl: str, depth: int, run: list, slots: list, size: int):
+    """Add the text of obj, a nonempty list or dict, at nl to the run that
+    holds size characters: its formats to run and its slots to slots.
+    Yield each run that reaches SLAB_BYTES and start the next; return the
+    size of the run left."""
+    inner, sep = nl + "  ", "," + nl + "  "
     if isinstance(obj, dict):
-        opening, closing = "{", "}"
+        # encode_basestring_ascii raises TypeError on a key that is not a str
         members = [(encode_basestring_ascii(k) + ": ", v) for k, v in sorted(obj.items())]
+        lead, closing = "{" + inner, nl + "}"
     else:
-        opening, closing = "[", "]"
         members = [("", v) for v in obj]
-    for prefix, value in members:
-        if depth == 1 or not isinstance(value, (list, tuple, dict)):
-            yield opening + inner + prefix + _text(value, inner)
+        lead, closing = "[" + inner, nl + "]"
+    last = template = fixed = ()  # the last member's layout and _template; () is no layout
+    for key, value in members:
+        mark = len(slots)
+        slots.append(lead + key)  # what comes before the member fills a slot
+        if depth > 1 and isinstance(value, (list, tuple, dict)) and value:
+            run.append("%s")
+            size = yield from _runs(value, inner, depth - 1, run, slots, size + len(slots[-1]))
         else:
-            yield opening + inner + prefix
-            yield from _chunks(value, inner, depth - 1)
-        opening = ","
-    yield nl + closing
+            layout = _layout(value, slots)
+            if layout != last:  # a fleet's members mostly repeat the one before
+                last, (template, fixed) = layout, _template(layout, inner)
+            run += "%s", template
+            size += fixed + sum(map(len, slots[mark:]))
+        if size >= SLAB_BYTES:
+            yield "".join(run) % tuple(slots)
+            run.clear()
+            slots.clear()
+            size = 0
+        lead = sep
+    run.append("%s")
+    slots.append(closing)
+    return size + len(closing)
 
 
 class _Run:
@@ -268,9 +255,10 @@ class _Run:
 
 def _emit(args, report: dict, human_lines: list[str], code: int) -> int:
     """Write the report to stdout with --json and to --out-report, else
-    print the human lines; return code.  If a write fails, print the error
-    naming the file, or stdout, and return 2; when only stdout fails, the
-    file still gets the whole report."""
+    print the human lines; return code.  If a write, or the file's close,
+    fails, print the error naming the file, or stdout, and return 2; when
+    only stdout fails, the file still gets the whole report, and when only
+    the file fails, stdout does."""
     sink = args.out_report  # the file being opened, then the sink last written
     try:
         with contextlib.ExitStack() as stack:
@@ -288,6 +276,7 @@ def _emit(args, report: dict, human_lines: list[str], code: int) -> int:
                 if sink is sys.stdout and args.out_report:
                     sinks[0].writelines(pieces)
                 raise
+            sink = args.out_report  # the file writes the end of its buffer as it closes
         sink = sys.stdout
         if not args.json and not args.quiet:
             for line in human_lines:
@@ -296,7 +285,9 @@ def _emit(args, report: dict, human_lines: list[str], code: int) -> int:
     except OSError as exc:
         print(f"error: {'stdout' if sink is sys.stdout else args.out_report}: "
               f"{exc.strerror or exc}", file=sys.stderr)
-        if sink is sys.stdout:  # the flush at exit would fail again
+        try:
+            sys.stdout.flush()  # what stdout holds, when the file failed
+        except OSError:  # the flush at exit would fail again
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)

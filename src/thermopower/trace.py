@@ -441,8 +441,8 @@ def generate_synthetic_trace(
     taken at 5 Hz starting at t=0.  Gaussian noise (std-dev ``noise`` watts)
     is added, then each power is rounded to the nearest multiple of
     ``quantum`` when quantum > 0 to mimic sensor granularity.  Output is
-    deterministic for a fixed seed.  Every setting must be finite; an
-    exponential that leaves the double range raises exp_curve's
+    deterministic for a fixed seed, an int >= 0.  Every setting must be
+    finite; an exponential that leaves the double range raises exp_curve's
     InvalidParams, and a power that does so after the noise or the
     rounding raises the InvalidSample a Trace of it would.
     """
@@ -458,6 +458,9 @@ def generate_synthetic_trace(
         raise InvalidParams(f"noise must be finite and >= 0, got {noise!r}")
     if not 0 <= quantum < math.inf:
         raise InvalidParams(f"quantum must be finite and >= 0, got {quantum!r}")
+    # checked even when no noise draws on the seed
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidParams(f"seed must be an int >= 0, got {reprlib.repr(seed)}")
     with np.errstate(over="ignore", invalid="ignore"):  # the Trace rejects what overflows
         temps = np.linspace(temp_lo, temp_hi, count)
         powers = exp_curve(temps, a1, a2) + a0

@@ -123,6 +123,15 @@ def test_gen_bad_sweep_count_exit_2(tmp_path, capsys, count, message):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("noise", ["0.1", "0"])  # the seed is checked with no noise as well
+def test_gen_negative_seed_exit_2_naming_the_seed(tmp_path, capsys, noise):
+    out = tmp_path / "g.csv"
+    assert run_cli(["gen", "--params", "0.3,100,33", "--sweep", "25,85,20", "--noise", noise,
+                    "--seed", "-1", "--out", out], capsys) == (
+        2, "", "error: gen: seed must be an int >= 0, got -1\n")
+    assert not out.exists()
+
+
 # --- fit ---
 
 def test_fit_linear_recovers_exact_line(tmp_path, capsys):
@@ -1178,6 +1187,37 @@ def test_report_to_a_closed_pipe_exit_2(argv):
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (2, "error: stdout: Broken pipe\n")
+
+
+@pytest.mark.parametrize("stdout", ["a pipe", "a closed pipe"])
+@pytest.mark.parametrize("traces", ["one", "fleet"])
+def test_a_report_file_that_fails_is_named_exit_2(tmp_path, capsys, traces, stdout):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    # one trace's report fits the file's buffer, so the file fails as it
+    # closes, after stdout took the report; the fleet's fails at a write
+    paths = ([gen_trace(tmp_path, capsys)] if traces == "one"
+             else sorted(GOLDEN_FLEET.iterdir()))
+    argv = [sys.executable, "-m", "thermopower.cli", "fit", *map(str, paths), "--json"]
+    clean = subprocess.run(argv, capture_output=True)
+    assert (len(clean.stdout) < io.DEFAULT_BUFFER_SIZE) == (traces == "one")
+    argv += ["--out-report", "/dev/full"]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if stdout == "a pipe":
+        done = subprocess.run(argv, env=env, capture_output=True, text=True)
+    else:  # what stdout holds when the file fails must not fail again at exit
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(argv, env=env, stdout=write_end, stderr=subprocess.PIPE,
+                                  text=True)
+        finally:
+            os.close(write_end)
+    assert (done.returncode, done.stderr) == (2, "error: /dev/full: No space left on device\n")
+    if traces == "one" and stdout == "a pipe":  # the whole report, as a clean run wrote it
+        report = json.loads(clean.stdout)
+        report["command"] += ["--out-report", "/dev/full"]
+        assert json.loads(done.stdout) == report
 
 
 def test_report_file_is_whole_when_stdout_is_a_closed_pipe(tmp_path):

@@ -6,6 +6,7 @@ written as the dict of its fields; ``cli._chunks`` must write the same text
 in pieces, at every streaming depth.
 """
 
+import hashlib
 import json
 import math
 
@@ -199,3 +200,18 @@ def test_trace_entries_are_written_in_runs_of_about_a_slab():
     # t0093 to t0229 are entries of one shape, more than one run holds
     assert SLAB_BYTES <= max(map(len, pieces)) <= SLAB_BYTES + longest
     assert len(pieces) < len(entries) / 5
+
+
+def test_a_long_command_and_inputs_are_written_in_runs_of_about_a_slab():
+    paths = [f"fleet/t{i:04d}.csv" for i in range(5000)]
+    report = {"command": ["fit", *paths, "--json"],
+              "inputs": {path: "sha256:" + hashlib.sha256(path.encode()).hexdigest()
+                         for path in paths},
+              "results": {"traces": []}, "schema": 1}
+    pieces = list(_chunks(report))
+    assert "".join(pieces) == _text(report) == json.dumps(report, sort_keys=True, indent=2)
+    members = [*map(_text, report["command"]),
+               *(_text(k) + ": " + _text(v) for k, v in report["inputs"].items())]
+    longest = max(len(",\n    " + m) for m in members)
+    assert len(pieces) < len(members) / 5
+    assert max(map(len, pieces)) <= SLAB_BYTES + longest

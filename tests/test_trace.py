@@ -304,6 +304,13 @@ def test_generator_param_validation():
         generate_synthetic_trace(META, (0.25, 185.0, 33.0), (50.0, 80.0, 5), quantum=-1.0)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.0, True, "3", None])
+@pytest.mark.parametrize("noise", [0.0, 0.1])
+def test_generator_takes_only_an_int_seed_of_at_least_zero(seed, noise):
+    with pytest.raises(InvalidParams, match=f"^seed must be an int >= 0, got {seed!r}$"):
+        generate_synthetic_trace(META, (0.25, 185.0, 33.0), (50.0, 80.0, 5), noise, seed=seed)
+
+
 # --- row errors in a long file name their line ---
 
 LONG_ROWS = 100_000
