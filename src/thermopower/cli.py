@@ -78,9 +78,7 @@ def _float(x: float) -> str:
     return float.__repr__(x) if math.isfinite(x) else "null"
 
 
-# keyed by value: a kind's _value_ is a plain attribute, while its hash and
-# .value are Python calls
-_KIND_TEXT = {kind.value: encode_basestring_ascii(kind.value) for kind in FitKind}
+_KIND_TEXT = {kind: encode_basestring_ascii(kind.value) for kind in FitKind}
 _string_text = functools.lru_cache(maxsize=64)(encode_basestring_ascii)  # terminations
 
 
@@ -89,10 +87,9 @@ def _fit_values(fit: FitResult) -> list[str]:
     its fields, keys sorted."""
     coeffs, error = fit.coeffs, fit.error
     # float.__repr__ writes a finite float as _float does, with no call in Python
-    write = float.__repr__ if math.isfinite(error) and all(map(math.isfinite, coeffs)) else _float
+    write = float.__repr__ if all(map(math.isfinite, (*coeffs, error))) else _float
     return [*map(write, coeffs), "true" if fit.converged else "false", write(error),
-            int.__repr__(fit.iterations), _KIND_TEXT[fit.kind._value_],
-            _string_text(fit.termination)]
+            int.__repr__(fit.iterations), _KIND_TEXT[fit.kind], _string_text(fit.termination)]
 
 
 def _layout(obj, slots: list):
@@ -106,16 +103,7 @@ def _layout(obj, slots: list):
     if isinstance(obj, dict):
         layout = ["{"]
         for key in sorted(obj):
-            value = obj[key]
-            # the members a fleet report holds most of, written with no call
-            if type(value) is FitResult:
-                slots += _fit_values(value)
-                layout += key, len(value.coeffs)
-            elif type(value) is str:
-                slots.append(encode_basestring_ascii(value))
-                layout += key, None
-            else:
-                layout += key, _layout(value, slots)
+            layout += key, _layout(obj[key], slots)
         return tuple(layout)
     if isinstance(obj, FitResult):
         slots += _fit_values(obj)
@@ -195,7 +183,6 @@ def _runs(obj, nl: str, depth: int, run: list, slots: list, size: int):
     else:
         members = [("", v) for v in obj]
         lead, closing = "[" + inner, nl + "]"
-    last = template = fixed = ()  # the last member's layout and _template; () is no layout
     for key, value in members:
         mark = len(slots)
         slots.append(lead + key)  # what comes before the member fills a slot
@@ -203,9 +190,7 @@ def _runs(obj, nl: str, depth: int, run: list, slots: list, size: int):
             run.append("%s")
             size = yield from _runs(value, inner, depth - 1, run, slots, size + len(slots[-1]))
         else:
-            layout = _layout(value, slots)
-            if layout != last:  # a fleet's members mostly repeat the one before
-                last, (template, fixed) = layout, _template(layout, inner)
+            template, fixed = _template(_layout(value, slots), inner)
             run += "%s", template
             size += fixed + sum(map(len, slots[mark:]))
         if size >= SLAB_BYTES:
