@@ -15,55 +15,56 @@ emitted); 2 usage, I/O, or input-format error (message on stderr).
 
 from __future__ import annotations
 
-import argparse
-import contextlib
-import functools
 import gc
-import hashlib
-import itertools
-import json
-import math
-import os
-import reprlib
-import sys
-import warnings
-from json.encoder import encode_basestring_ascii
-from pathlib import Path
 
-import numpy as np
+# the imports below build objects that live as long as the process: the
+# cyclic collector's passes over them free nothing.  Only the modules that
+# every command uses are imported here; each handler imports the rest.
+_collecting = gc.isenabled()
+gc.disable()
+try:
+    import argparse
+    import contextlib
+    import functools
+    import hashlib
+    import itertools
+    import json
+    import math
+    import os
+    import reprlib
+    import sys
+    import warnings
+    from json.encoder import encode_basestring_ascii
+    from pathlib import Path
 
-from . import __version__
-from .debias import DebiasSpec, _debiased_table, debias, fit_eta
-from .errors import (
-    EmptyTrace,
-    InvalidParams,
-    InvalidSample,
-    MalformedRow,
-    MissingMeta,
-    NonMonotonicTime,
-    NonPositiveTime,
-    ThermoError,
-)
-from .fitting import FitKind, FitResult, compare_models, fit_batch
-from .powermodel import (
-    CoefficientSet,
-    ModelParams,
-    builtin_set,
-    calibrate,
-    derive_params,
-)
-from .sensor import SensorModel, b_factor, correct_series, model_from_json
-from .trace import (
-    SLAB_BYTES,
-    TraceMeta,
-    _json_number,
-    _table_text,
-    _trace_table,
-    generate_synthetic_trace,
-    parse_table,
-    parse_trace,
-    parse_traces,
-)
+    import numpy as np
+
+    from . import __version__
+    from .errors import (
+        EmptyTrace,
+        InvalidParams,
+        InvalidSample,
+        MalformedRow,
+        MissingMeta,
+        NonMonotonicTime,
+        NonPositiveTime,
+        ThermoError,
+    )
+    from .fitting import FitKind, FitResult, compare_models, fit_batch
+    from .trace import (
+        SLAB_BYTES,
+        TraceMeta,
+        _json_number,
+        _table_text,
+        _trace_table,
+        generate_synthetic_trace,
+        parse_table,
+        parse_trace,
+        parse_traces,
+    )
+finally:
+    if _collecting:
+        gc.enable()
 
 _MODEL_FLAGS = {"linear": FitKind.LINEAR, "quad": FitKind.QUADRATIC, "exp": FitKind.EXPONENTIAL}
 
@@ -214,8 +215,13 @@ class _Run:
         self.source: str | None = None  # the file being parsed, if any
 
     def read_bytes(self, path: str) -> bytes:
-        with open(path, "rb", buffering=0) as fh:  # one read: a buffer is a copy
-            data = fh.read()
+        """The bytes of path, hashed into inputs.  An OSError's message
+        names path, as _write_file's does."""
+        try:
+            with open(path, "rb", buffering=0) as fh:  # one read: a buffer is a copy
+                data = fh.read()
+        except OSError as exc:
+            raise OSError(f"{path}: {exc.strerror or exc}") from None
         self.inputs[path] = "sha256:" + hashlib.sha256(data).hexdigest()
         return data
 
@@ -414,12 +420,16 @@ def cmd_fit(args, run: _Run) -> tuple[int, dict, list[str]]:
 # --- model eval / calibrate ---
 
 def _load_coeffs(args, run: _Run) -> CoefficientSet:
+    from .powermodel import CoefficientSet, builtin_set
+
     if args.coeffs:
         return run.parse(args.coeffs, lambda data: CoefficientSet.from_dict(json.loads(data)))
     return builtin_set(args.proc)
 
 
 def cmd_model_eval(args, run: _Run) -> tuple[int, dict, list[str]]:
+    from .powermodel import derive_params
+
     coeffs = _load_coeffs(args, run)
     params = derive_params(coeffs, args.freq, args.cores)
     power = params.power(args.temp)
@@ -435,6 +445,8 @@ def cmd_model_eval(args, run: _Run) -> tuple[int, dict, list[str]]:
 
 
 def _observation(entry):
+    from .powermodel import ModelParams
+
     if not isinstance(entry, dict):
         raise InvalidParams(f"an observation must be an object, got {reprlib.repr(entry)}")
     needs = "an observation needs a number of GHz and a whole number of cores"
@@ -461,6 +473,8 @@ def _load_observations(path: str, run: _Run):
 
 
 def cmd_model_calibrate(args, run: _Run) -> tuple[int, dict, list[str]]:
+    from .powermodel import calibrate
+
     obs = _load_observations(args.observations, run)
     coeffs, diag = calibrate(obs, label=args.label)
     results = {"coeffs": coeffs.to_dict(), "diagnostics": diag.to_dict()}
@@ -481,6 +495,8 @@ def cmd_model_calibrate(args, run: _Run) -> tuple[int, dict, list[str]]:
 # --- debias ---
 
 def cmd_debias(args, run: _Run) -> tuple[int, dict, list[str]]:
+    from .debias import DebiasSpec, _debiased_table, debias, fit_eta
+
     trace = run.parse(args.trace, parse_trace)
     kind = _MODEL_FLAGS[args.kind]
     with warnings.catch_warnings(record=True) as caught:
@@ -537,6 +553,8 @@ def _series_table(data: bytes):
 
 
 def cmd_sensor_correct(args, run: _Run) -> tuple[int, dict, list[str]]:
+    from .sensor import SensorModel, b_factor, correct_series, model_from_json
+
     _, columns, rows, _ = run.parse(args.series, _series_table)
     if columns[:2] != ["time_s", "temp_c"] or len(columns) > 3 or (
         len(columns) == 3 and columns[2] != "power_w"
@@ -759,5 +777,16 @@ def main(argv=None) -> int:
             gc.enable()
 
 
+def run() -> None:
+    """The ``thermo`` console script: exit with main()'s code.  The heap is
+    frozen first, on every way out, argparse's exits included, so the
+    interpreter's teardown does not walk it; main() leaves it alone, so
+    that an in-process caller's objects can still be freed."""
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from statistics import fmean
 from typing import Sequence
 
 import numpy as np
@@ -145,7 +144,8 @@ def metric_rat(transformed: Sequence[float]) -> float:
     if len(transformed) == 0:
         raise LengthMismatch("need at least one sample")
     med = _median(transformed)
-    return (fmean(np.asarray(transformed, float).tolist()) - med) / med
+    x = np.asarray(transformed, float).tolist()
+    return (math.fsum(x) / len(x) - med) / med  # statistics.fmean(x), bit for bit
 
 
 def debias(trace: Trace, spec: DebiasSpec) -> DebiasedTrace:

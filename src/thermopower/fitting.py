@@ -30,7 +30,6 @@ import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -667,9 +666,10 @@ def sign_test(errors_a: Sequence[float], errors_b: Sequence[float]) -> float:
     Counts k = #{i : a_i < b_i} over the n non-tied pairs and returns twice
     the smaller binomial tail under Binomial(n, 1/2), clamped to <= 1.  The
     tail is an integer sum of C(n, j) for j <= min(k, n - k), each term
-    from the last by C(n, j+1) = C(n, j)*(n-j)/(j+1), divided by 2**n once
-    in exact rational arithmetic, so sign_test(a, b) equals sign_test(b, a)
-    bit for bit.
+    from the last by C(n, j+1) = C(n, j)*(n-j)/(j+1).  Twice the tail is
+    divided by 2**n once, by int true division, which rounds the exact
+    quotient correctly (as float(Fraction(2*tail, 2**n)) does), so
+    sign_test(a, b) equals sign_test(b, a) bit for bit.
     """
     if len(errors_a) != len(errors_b):
         raise LengthMismatch(
@@ -686,7 +686,7 @@ def sign_test(errors_a: Sequence[float], errors_b: Sequence[float]) -> float:
     for j in range(min(wins, losses)):
         term = term * (n - j) // (j + 1)
         tail += term
-    return float(min(Fraction(2 * tail, 2**n), Fraction(1)))
+    return 1.0 if 2 * tail >= 2**n else (2 * tail) / 2**n
 
 
 _PAIRS = (

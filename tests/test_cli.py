@@ -1106,7 +1106,7 @@ FAULTS = {
     "meta": "missing #cores header",
     "header": "line 4: expected header 'time_s,temp_c,power_w'",
 }
-MISSING = "error: [Errno 2] No such file or directory: 'missing.csv'\n"
+MISSING = "error: missing.csv: No such file or directory\n"
 
 
 @pytest.mark.parametrize("fault", FAULTS)

@@ -441,6 +441,22 @@ def test_sign_test_matches_reference_formula(wins, losses, ties):
     assert sign_test(b, a) == sign_test(a, b)
 
 
+def test_sign_test_rounds_the_exact_tail_once():
+    # every (n, k) to n = 200, the clamp at 1 among them, and tails that
+    # round to a subnormal or to 0
+    small = [(n, wins) for n in range(1, 201) for wins in range(n + 1)]
+    tiny = [(n, wins) for n in (1060, 1070, 1074, 1075, 1076, 1100) for wins in range(4)]
+    p = {}
+    for n, wins in small + tiny:
+        a = [0.0] * n
+        b = [1.0] * wins + [-1.0] * (n - wins)
+        p[n, wins] = sign_test(a, b)
+        assert p[n, wins] == _sign_test_reference(a, b), (n, wins)
+    assert p[1, 0] == p[200, 100] == 1.0
+    assert 0.0 < p[1060, 3] < sys.float_info.min
+    assert p[1100, 0] == 0.0
+
+
 def test_sign_test_n_100000():
     n, wins = 100_000, 49_400
     a = [0.0] * n
