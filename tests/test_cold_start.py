@@ -18,19 +18,11 @@ import thermopower
 from thermopower.cli import main
 
 SRC = Path(thermopower.__file__).parents[1]
-GOLDEN_TRACE = Path(__file__).parent / "golden" / "inputs" / "a7_c2_s2.csv"
+INPUTS = Path(__file__).parent / "golden" / "inputs"
+GOLDEN_TRACE = INPUTS / "a7_c2_s2.csv"
+CONCAVE = INPUTS / "fleet" / "concave0.csv"  # its exponential fit fails
 # argparse wraps its usage text at the terminal's width
 ENV = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
-
-FLAT = (
-    "#processor=FLAT\n"
-    "#freq_ghz=1.0\n"
-    "#cores=2\n"
-    "time_s,temp_c,power_w\n"
-    "0.0,30.0,2.0\n"
-    "0.2,40.0,2.0\n"
-    "0.4,50.0,2.0\n"
-)
 
 
 def python(*args: str) -> subprocess.CompletedProcess:
@@ -44,7 +36,6 @@ def probe(source: str) -> str:
     return done.stdout.decode()
 
 
-INPUTS = Path(__file__).parent / "golden" / "inputs"
 # each command's argv, and the submodules it uses besides errors, trace and fitting
 COMMANDS = {
     "fit": (["fit", str(GOLDEN_TRACE), "--json"], set()),
@@ -154,10 +145,8 @@ cli.run()
 
 @pytest.mark.parametrize("case", ["version", "usage", "failing fit", "fit"])
 def test_run_exits_as_main_returns_with_the_heap_frozen(case, tmp_path, capsys, monkeypatch):
-    flat = tmp_path / "flat.csv"
-    flat.write_text(FLAT)
     argv = {"version": ["--version"], "usage": ["fit"],
-            "failing fit": ["fit", str(flat), "--model", "exp"],
+            "failing fit": ["fit", str(CONCAVE), "--model", "exp"],
             "fit": ["fit", str(GOLDEN_TRACE), "--json"]}[case]
     monkeypatch.setenv("COLUMNS", "80")
     try:
