@@ -24,6 +24,7 @@ _collecting = gc.isenabled()
 gc.disable()
 try:
     import argparse
+    import bisect
     import contextlib
     import functools
     import hashlib
@@ -50,17 +51,18 @@ try:
         NonPositiveTime,
         ThermoError,
     )
-    from .fitting import FitKind, FitResult, compare_models, fit_batch
+    from .fitting import FitKind
+    from . import fitting  # noqa: I001 (bound once imported: -X importtime shows it)
     from .trace import (
         SLAB_BYTES,
         TraceMeta,
+        _chunk_table,
         _json_number,
         _table_text,
         _trace_table,
         generate_synthetic_trace,
         parse_table,
         parse_trace,
-        parse_traces,
     )
 finally:
     if _collecting:
@@ -79,25 +81,11 @@ def _float(x: float) -> str:
     return float.__repr__(x) if math.isfinite(x) else "null"
 
 
-_KIND_TEXT = {kind: encode_basestring_ascii(kind.value) for kind in FitKind}
-_string_text = functools.lru_cache(maxsize=64)(encode_basestring_ascii)  # terminations
-
-
-def _fit_values(fit: FitResult) -> list[str]:
-    """What fills the slots of fit's _template: the values of the dict of
-    its fields, keys sorted."""
-    coeffs, error = fit.coeffs, fit.error
-    # float.__repr__ writes a finite float as _float does, with no call in Python
-    write = float.__repr__ if all(map(math.isfinite, (*coeffs, error))) else _float
-    return [*map(write, coeffs), "true" if fit.converged else "false", write(error),
-            int.__repr__(fit.iterations), _KIND_TEXT[fit.kind], _string_text(fit.termination)]
-
-
 def _layout(obj, slots: list):
     """Append the text of each scalar in obj to slots, in the order _text
-    writes them, and return obj's layout: None for a scalar, a FitResult's
-    coefficient count, or a tuple of "[" and a list's member layouts, or of
-    "{" and a dict's keys, each followed by its member's layout."""
+    writes them, and return obj's layout: None for a scalar, or a tuple of
+    "[" and a list's member layouts, or of "{" and a dict's keys, each
+    followed by its member's layout."""
     if isinstance(obj, str):
         slots.append(encode_basestring_ascii(obj))
         return None
@@ -106,9 +94,6 @@ def _layout(obj, slots: list):
         for key in sorted(obj):
             layout += key, _layout(obj[key], slots)
         return tuple(layout)
-    if isinstance(obj, FitResult):
-        slots += _fit_values(obj)
-        return len(obj.coeffs)
     if isinstance(obj, (list, tuple)):
         return ("[", *[_layout(value, slots) for value in obj])
     if isinstance(obj, float):
@@ -131,9 +116,6 @@ def _template(layout, nl: str) -> tuple[str, int]:
     them."""
     if layout is None:
         template = "%s"
-    elif type(layout) is int:  # a FitResult of that many coefficients
-        return _template(("{", "coeffs", ("[", *[None] * layout), "converged", None, "error",
-                          None, "iterations", None, "kind", None, "termination", None), nl)
     else:
         inner = nl + "  "
         if layout[0] == "[":
@@ -151,8 +133,7 @@ def _template(layout, nl: str) -> tuple[str, int]:
 
 def _text(obj, nl: str = "\n") -> str:
     """obj as json.dumps(obj, sort_keys=True, indent=2) writes it, but with
-    non-finite floats as null, so reports stay strict JSON, and a FitResult
-    as the dict of its fields.  nl is a newline and the indent of the line
+    non-finite floats as null, so reports stay strict JSON.  nl is a newline and the indent of the line
     obj starts on.  One % fills obj's _template with its _layout's slots."""
     slots: list[str] = []
     return _template(_layout(obj, slots), nl)[0] % tuple(slots)
@@ -179,10 +160,10 @@ def _runs(obj, nl: str, depth: int, run: list, slots: list, size: int):
     inner, sep = nl + "  ", "," + nl + "  "
     if isinstance(obj, dict):
         # encode_basestring_ascii raises TypeError on a key that is not a str
-        members = [(encode_basestring_ascii(k) + ": ", v) for k, v in sorted(obj.items())]
+        members = ((encode_basestring_ascii(k) + ": ", obj[k]) for k in sorted(obj))
         lead, closing = "{" + inner, nl + "}"
     else:
-        members = [("", v) for v in obj]
+        members = (("", v) for v in obj)
         lead, closing = "[" + inner, nl + "]"
     for key, value in members:
         mark = len(slots)
@@ -190,6 +171,9 @@ def _runs(obj, nl: str, depth: int, run: list, slots: list, size: int):
         if depth > 1 and isinstance(value, (list, tuple, dict)) and value:
             run.append("%s")
             size = yield from _runs(value, inner, depth - 1, run, slots, size + len(slots[-1]))
+        elif isinstance(value, _Entries):
+            run.append("%s")
+            size = yield from value.runs(inner, run, slots, size + len(slots[-1]))
         else:
             template, fixed = _template(_layout(value, slots), inner)
             run += "%s", template
@@ -300,31 +284,31 @@ def _write_file(path: str, pieces, digest=None) -> None:
 
 
 def _write_plot(path: str, temps, powers) -> None:
-    """(temp, power) rows sorted by temperature, then by power."""
-    temps, powers = np.asarray(temps, float), np.asarray(powers, float)
+    """(temp, power) rows of two float arrays, sorted by temperature, then
+    by power."""
     order = np.lexsort((powers, temps))
     _write_file(path, _table_text({}, ("temp_c", "power_w"), (temps[order], powers[order])))
 
 
 # --- fit ---
 
-def _parse_chunk(paths: list[str], texts: list[bytes], run: _Run) -> list:
+def _parse_chunk(paths: list[str], texts: list[bytes], run: _Run) -> tuple:
     try:
-        return parse_traces(texts)
+        return _chunk_table(texts)
     except (ThermoError, ValueError):
         for run.source, text in zip(paths, texts):  # the first bad text fails again, named
             parse_trace(text)
         raise
 
 
-def _read_traces(paths: list[str], run: _Run) -> list:
-    """run.parse(p, parse_trace) of each path, but read into chunks of up
-    to SLAB_BYTES of input (a whole fleet at once costs a third more RSS),
-    at least one file each, that parse_traces parses together.  Each file
-    is read once: a chunk that fails is parsed again from memory one file
-    at a time, so the first bad path in order fails as it would alone,
-    before any file that cannot be read."""
-    traces, texts, first, size = [], [], 0, 0
+def _read_traces(paths: list[str], run: _Run):
+    """_chunk_table's (metas, table, ends) of each chunk of up to
+    SLAB_BYTES of input (a whole fleet at once costs a third more RSS), at
+    least one file each, the traces that run.parse(p, parse_trace) would
+    read.  Each file is read once: a chunk that fails is parsed again from
+    memory one file at a time, so the first bad path in order fails as it
+    would alone, before any file that cannot be read."""
+    texts, first, size = [], 0, 0
     for i, path in enumerate(paths):
         try:
             data = run.read_bytes(path)
@@ -332,53 +316,167 @@ def _read_traces(paths: list[str], run: _Run) -> list:
             _parse_chunk(paths[first:i], texts, run)
             raise
         if texts and size + len(data) > SLAB_BYTES:
-            traces += _parse_chunk(paths[first:i], texts, run)
+            yield _parse_chunk(paths[first:i], texts, run)
             texts, first, size = [], i, 0
         texts.append(data)
         size += len(data)
-    return traces + _parse_chunk(paths[first:], texts, run)
+    yield _parse_chunk(paths[first:], texts, run)
+
+
+# the waves of samples read before they are fitted: the traces of one
+# length in a window share a block (see fitting._fit_table), so a fleet of
+# mixed lengths makes fewer blocks the more waves a window holds
+_WINDOW_WAVES = 2
+
+
+def _windows(chunks):
+    """The traces of chunks (metas, table, ends), in order, cut into
+    windows (metas, (2, rows) table of temps and powers, ends) of up to
+    _WINDOW_WAVES waves of samples, at least one trace each."""
+    metas, tables, ends = [], [], [0]
+    for chunk in itertools.chain(chunks, [None]):
+        if chunk is not None:
+            metas += chunk[0]
+            tables.append(chunk[1][1:])
+            ends += [ends[-1] + end for end in chunk[2][1:]]
+        limit = _WINDOW_WAVES * fitting.WAVE_SAMPLES
+        while metas and (chunk is None or ends[-1] >= limit):
+            table = np.concatenate(tables, axis=1) if len(tables) > 1 else tables[0]
+            cut = max(1, bisect.bisect_right(ends, limit) - 1)
+            yield metas[:cut], table[:, : ends[cut]], ends[: cut + 1]
+            metas, tables = metas[cut:], [table[:, ends[cut] :]]
+            ends = [end - ends[cut] for end in ends[cut:]]
+
+
+_KIND_TEXT = {kind: encode_basestring_ascii(kind.value) for kind in FitKind}
+_TERMINATION_TEXT = [encode_basestring_ascii(why) for why in fitting._TERMINATIONS]
+
+
+class _Entries:
+    """results.traces of `thermo fit`, from a fitting._Comparison's
+    columns: for each trace, {"fits": {family: the dict of its FitResult's
+    fields, or None}, "path": path}, and with one family, a failed fit's
+    "message"."""
+
+    def __init__(self, paths: list[str], comparison):
+        self.paths = paths
+        self.fits = [comparison.fits[kind] for kind in sorted(comparison.kinds,
+                                                              key=lambda kind: kind.value)]
+
+    def entry(self, i: int) -> dict:
+        fits = {}
+        for f in self.fits:
+            code = int(f.code[i])
+            fits[f.kind.value] = {
+                "coeffs": f.coeffs[i].tolist(), "converged": not code, "error": float(f.error[i]),
+                "iterations": int(f.iterations[i]), "kind": f.kind.value,
+                "termination": fitting._TERMINATIONS[code]} if f.ok[i] else None
+        entry = {"fits": fits, "path": self.paths[i]}
+        if i in self.fits[0].failed and len(self.fits) == 1:
+            exc = self.fits[0].failed[i]
+            entry["message"] = f"{type(exc).__name__}: {exc}"
+        return entry
+
+    def slots(self, lo: int, hi: int, inner: str) -> list:
+        """The slots of entries lo to hi, every fit of which succeeded, as
+        _layout fills them, each after what comes before its entry in a
+        list at inner: values written from the columns, every float once."""
+        columns = [[("," if lo else "[") + inner] + ["," + inner] * (hi - lo - 1)]
+        for fits in self.fits:
+            values = np.column_stack([fits.coeffs[lo:hi], fits.error[lo:hi]])
+            # float.__repr__ writes a finite float as _float does, with no call in Python
+            write = float.__repr__ if np.isfinite(values).all() else _float
+            texts, width = list(map(write, values.ravel().tolist())), values.shape[1]
+            codes = fits.code[lo:hi].tolist()
+            columns += [texts[j::width] for j in range(width - 1)]
+            columns += [["false" if code else "true" for code in codes], texts[width - 1 :: width],
+                        list(map(int.__repr__, fits.iterations[lo:hi].tolist())),
+                        [_KIND_TEXT[fits.kind]] * len(codes),
+                        [_TERMINATION_TEXT[code] for code in codes]]
+        columns.append(map(encode_basestring_ascii, self.paths[lo:hi]))
+        return list(itertools.chain.from_iterable(zip(*columns)))
+
+    def runs(self, nl: str, run: list, slots: list, size: int):
+        """Add the text of the list of every entry at nl to the run, as
+        _runs adds a list's: a batch of entries whose fits all succeeded
+        at a time, as one row template repeated, and an entry with a
+        failed fit alone, as _runs adds it."""
+        inner = nl + "  "
+        fitted = {"coeffs": [], "converged": 0, "error": 0, "iterations": 0, "kind": 0,
+                  "termination": 0}  # an entry of this layout and these keys
+        template, fixed = _template(_layout({"path": 0, "fits": {
+            f.kind.value: {**fitted, "coeffs": [0] * f.coeffs.shape[1]} for f in self.fits}},
+            []), inner)
+        template = "%s" + template
+        batch = max(1, SLAB_BYTES // (fixed + 20 * template.count("%s")))
+        failed = ~np.logical_and.reduce([f.ok for f in self.fits])
+        spans, start = [], 0
+        for stop in [*np.flatnonzero(failed).tolist(), len(self.paths)]:
+            spans += [(lo, min(stop, lo + batch)) for lo in range(start, stop, batch)]
+            spans.append((stop, stop + 1))
+            start = stop + 1
+        for lo, hi in spans[:-1]:
+            mark = len(slots)
+            if failed[lo]:
+                slots.append(("," if lo else "[") + inner)
+                text, text_fixed = _template(_layout(self.entry(lo), slots), inner)
+                run += "%s", text
+            else:
+                run.append(template * (hi - lo))
+                slots += self.slots(lo, hi, inner)
+                text_fixed = fixed * (hi - lo)
+            size += text_fixed + sum(map(len, slots[mark:]))
+            if size >= SLAB_BYTES:
+                yield "".join(run) % tuple(slots)
+                run.clear()
+                slots.clear()
+                size = 0
+        run.append("%s")
+        slots.append(nl + "]")
+        return size + len(slots[-1])
 
 
 def cmd_fit(args, run: _Run) -> tuple[int, dict, list[str]]:
-    traces = _read_traces(args.traces, run)
-    human = not args.json and not args.quiet  # else the lines go unprinted
+    kinds = tuple(FitKind) if args.model == "all" else (_MODEL_FLAGS[args.model],)
+    comparison = fitting._Comparison(len(args.traces), kinds)
+    temps = None  # the first trace's, for --plot
+    for metas, table, ends in _windows(_read_traces(args.traces, run)):
+        groups: dict[str, list[int]] = {}
+        if args.group_by == "proc-cores":
+            for j, meta in enumerate(metas):
+                groups.setdefault(f"{meta.processor}/c{meta.cores}", []).append(j)
+        comparison.add(table[0], table[1], ends, groups)
+        if temps is None:
+            temps = table[0, : ends[1]].copy()
+    results = {"traces": _Entries(args.traces, comparison)}
     lines = []
-    failed = False
+    if not args.json and not args.quiet:  # else the lines go unprinted
+        fits = [(kind.value, comparison.fits[kind].failed, comparison.fits[kind].error.tolist(),
+                 comparison.fits[kind].coeffs.tolist()) for kind in kinds]
+        for i, path in enumerate(args.traces):
+            if args.model == "all":
+                lines.append(_styled(path))
+            for name, failed, errors, coeffs in fits:
+                head = f"  {name}: " if args.model == "all" else f"{path}: "
+                if i in failed:
+                    lines.append(head + ("failed" if args.model == "all" else
+                                         f"{name} failed: {failed[i]}"))
+                else:
+                    lines.append(f"{head}error={errors[i]!r} coeffs={coeffs[i]!r}")
 
     if args.model == "all":
-        groups: dict[str, list[int]] | None = None
+        failures = comparison.failures()
+        results["aggregated"] = {k.value: fitting._root(comparison.total[k]) for k in kinds}
+        results["sign_tests"] = {f"{a.value}_vs_{b.value}": p
+                                 for (a, b), p in comparison.p_values().items()}
+        results["failures"] = [{"trace": args.traces[i], "kind": kind.value, "message": msg}
+                               for i, kind, msg in failures]
+        failed = bool(failures)
         if args.group_by == "proc-cores":
-            groups = {}
-            for i, tr in enumerate(traces):
-                groups.setdefault(f"{tr.meta.processor}/c{tr.meta.cores}", []).append(i)
-        cmp = compare_models(traces, groups)
-        names = [kind.value for kind in FitKind]  # each row's keys, in order
-        per_trace = [{"path": path, "fits": dict(zip(names, row.values()))}
-                     for path, row in zip(args.traces, cmp.results)]
-        results = {
-            "traces": per_trace,
-            "aggregated": {k.value: v for k, v in cmp.aggregated.items()},
-            "sign_tests": {
-                f"{a.value}_vs_{b.value}": p for (a, b), p in cmp.p_values.items()
-            },
-            "failures": [
-                {"trace": args.traces[i], "kind": kind.value, "message": msg}
-                for i, kind, msg in cmp.failures
-            ],
-        }
-        failed = bool(cmp.failures)
-        if groups is not None:
             results["groups"] = {
-                key: {kind.value: error for kind, error in errors.items()}
-                for key, errors in sorted(cmp.groups.items())
+                key: {kind.value: fitting._root(comparison.sums[kind][key]) for kind in kinds}
+                for key in sorted(comparison.sums[kinds[0]])
             }
-        for entry in per_trace if human else ():
-            lines.append(_styled(entry["path"]))
-            for kind_name, r in entry["fits"].items():
-                if r is None:
-                    lines.append(f"  {kind_name}: failed")
-                else:
-                    lines.append(f"  {kind_name}: error={r.error!r} coeffs={list(r.coeffs)!r}")
         lines.append(
             "aggregated: "
             + " ".join(f"{k}={v!r}" for k, v in results["aggregated"].items())
@@ -387,33 +485,17 @@ def cmd_fit(args, run: _Run) -> tuple[int, dict, list[str]]:
             "sign tests: "
             + " ".join(f"{k} p={v!r}" for k, v in results["sign_tests"].items())
         )
-        kind, plot_source = FitKind.EXPONENTIAL, cmp.results[0][FitKind.EXPONENTIAL]
+        kind = FitKind.EXPONENTIAL
     else:
-        kind = _MODEL_FLAGS[args.model]
-        per_trace = []
-        fits = fit_batch(traces, kind)
-        plot_source = fits[0]
-        for path, r in zip(args.traces, fits):
-            if isinstance(r, Exception):
-                per_trace.append(
-                    {"path": path, "fits": {kind.value: None},
-                     "message": f"{type(r).__name__}: {r}"}
-                )
-                failed = True
-                if human:
-                    lines.append(f"{path}: {kind.value} failed: {r}")
-                continue
-            per_trace.append({"path": path, "fits": {kind.value: r}})
-            if human:
-                lines.append(f"{path}: error={r.error!r} coeffs={list(r.coeffs)!r}")
-        results = {"traces": per_trace}
+        kind = kinds[0]
+        failed = bool(comparison.fits[kind].failed)
 
-    if args.plot and not isinstance(plot_source, FitResult):  # an older file there stays
+    plotted = comparison.fits[kind]
+    if args.plot and not plotted.ok[0]:  # an older file there stays
         run.warnings.append(f"no plot written: the {kind.value} fit of {args.traces[0]} failed")
         lines.append(run.warnings[-1])
     elif args.plot:
-        temps = traces[0].temp_c
-        _write_plot(args.plot, temps, plot_source.predict(temps))
+        _write_plot(args.plot, temps, fitting._curve(kind, plotted.coeffs[0].tolist(), temps))
     return (1 if failed else 0), results, lines
 
 
@@ -665,7 +747,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--out-report", metavar="PATH", help="also write the JSON report to PATH"
         )
 
-    p = sub.add_parser("fit", help="fit temperature/power curves to traces")
+    p = sub.add_parser("fit", help="fit temperature/power curves to traces",
+                       fromfile_prefix_chars="@")
     p.add_argument("traces", nargs="+", metavar="TRACE")
     p.add_argument("--model", choices=["linear", "quad", "exp", "all"], default="all")
     p.add_argument("--group-by", choices=["none", "proc-cores"], default="none")

@@ -81,20 +81,33 @@ class DebiasMetrics:
     rat: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DebiasedTrace:
+    """A trace's powers moved to spec.ref_temp: ref_power is a read-only
+    float64 copy of them, one per sample of source.  Two are equal when
+    their source, spec and metrics are and their powers match bit for bit."""
+
     source: Trace
     spec: DebiasSpec
-    ref_power: tuple[float, ...]
+    ref_power: np.ndarray
     metrics: DebiasMetrics
 
     def __post_init__(self):
-        object.__setattr__(self, "ref_power", tuple(self.ref_power))
-        if len(self.ref_power) != len(self.source):
+        ref_power = np.array(self.ref_power, float)
+        if ref_power.shape != (len(self.source),):
             raise LengthMismatch(
-                f"{len(self.ref_power)} transformed powers for "
-                f"{len(self.source)} samples"
-            )
+                f"{ref_power.size} transformed powers for {len(self.source)} samples")
+        ref_power.flags.writeable = False
+        object.__setattr__(self, "ref_power", ref_power)
+
+    def _key(self):
+        return (self.source, self.spec, self.ref_power.tobytes(), self.metrics)
+
+    def __eq__(self, other):
+        return isinstance(other, DebiasedTrace) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def _median(values) -> float:
@@ -177,7 +190,7 @@ def debias(trace: Trace, spec: DebiasSpec) -> DebiasedTrace:
     except ZeroSpread:
         fl = math.nan
     metrics = DebiasMetrics(afl=metric_afl(trace), fl=fl, rat=metric_rat(ref_power))
-    return DebiasedTrace(trace, spec, tuple(ref_power.tolist()), metrics)
+    return DebiasedTrace(trace, spec, ref_power, metrics)
 
 
 def fit_eta(trace: Trace, kind: FitKind, ref_temp: float) -> DebiasSpec:

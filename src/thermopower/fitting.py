@@ -12,15 +12,18 @@ same kind of weighted solve, leaving a 1-D Brent search over the rate (see
 fit_exponential).  FitResult.termination says why a fit stopped:
 "converged", or the rate limit it reached.
 
-Fits run over batches (fit_batch), in waves of up to WAVE_SAMPLES
-samples.  The traces of one length in a wave are stacked as the rows of
-an (m, n) block, and every numpy step covers the whole block; the
-exponential rate search runs the rows of a wave's blocks in step, its
-state in flat arrays, projecting each block once a round (see _search).  Each row goes through the same IEEE
+Fits run over batches of traces whose samples lie in one array (see
+_fit_table), in waves of up to WAVE_SAMPLES samples.  The traces of one
+length in a wave are the rows of an (m, n) block, and every numpy step
+covers the whole block; the exponential rate search runs the rows of a
+wave's blocks in step, its state in flat arrays, projecting each block
+once a round (see _search).  Each row goes through the same IEEE
 operations in the same order as a trace fitted on its own, with row sums
 and dot products taken by the same numpy and BLAS routines, so a fit does
 not depend on the batch it is in; fitting one trace is a batch of one.  A
-fit keeps its squared relative residuals, which compare_models pools.
+family's fits are columns (_Fits), from which fit_batch builds its
+FitResults.  compare_models (_Comparison) pools squared relative residuals
+as running sums, which carry from one batch to the next.
 """
 
 from __future__ import annotations
@@ -175,21 +178,47 @@ def _squares(kind: FitKind, coeffs, temp, power) -> np.ndarray:
     return rel * rel
 
 
+_TERMINATIONS = ("converged", "exp_range_limit")  # FitResult.termination by code
+
+
+class _Fits:
+    """One family's fits of n traces as columns, row i for trace i: coeffs
+    (n, p), ordered as in FitResult, error, iterations, and code, the index
+    of the termination in _TERMINATIONS.  ok marks the fitted traces;
+    failed maps the index of each trace whose fit failed to the exception
+    it raised (without its traceback)."""
+
+    def __init__(self, kind: FitKind, n: int):
+        self.kind, self.failed = kind, {}
+        self.coeffs = np.zeros((n, 2 if kind is FitKind.LINEAR else 3))
+        self.error = np.zeros(n)
+        self.iterations, self.code = np.zeros((2, n), int)
+        self.ok = np.zeros(n, bool)
+
+    def results(self) -> list[FitResult | Exception]:
+        """Each trace's FitResult, or the exception its fit raised."""
+        kind, failed = self.kind, self.failed
+        return [failed[i] if i in failed else FitResult(kind, tuple(c), e, it, not code,
+                                                         _TERMINATIONS[code])
+                for i, (c, e, it, code) in enumerate(zip(
+                    self.coeffs.tolist(), self.error.tolist(), self.iterations.tolist(),
+                    self.code.tolist()))]
+
+
 class _Rows:
     """The traces of one block still being fitted.
 
-    block holds each trace's (batch index, temps, powers); t and y hold the
-    live traces as rows, and ids their batch indices.  fail() sets traces
-    aside at the step where a fit of that trace alone would have raised,
-    so every later step runs on exactly the traces that reach it.  Each
-    trace's FitResult or exception goes into out, the batch's list, and a
-    fitted trace's squared relative residuals into squares.
+    ids holds the live traces' rows of fits, at the offset of their first
+    samples in the batch, and t and y their samples as rows.  fail() sets
+    traces aside at the step where a fit of that trace alone would have
+    raised, so every later step runs on exactly the traces that reach it.
+    finish() writes each fitted trace's row of fits, and its squared
+    relative residuals at its samples' offsets in squares.
     """
 
-    def __init__(self, block, out: list, squares: list):
-        ids, t, y = zip(*block)
-        self.ids, self.t, self.y = np.array(ids), np.array(t), np.array(y)
-        self.out, self.squares = out, squares
+    def __init__(self, ids, at, t, y, fits: _Fits, squares: np.ndarray):
+        self.ids, self.at, self.t, self.y = ids, at, t, y
+        self.fits, self.squares = fits, squares
 
     def fail(self, bad, error, *arrays):
         """Fail live row j with error(j) wherever bad[j]; return arrays
@@ -198,23 +227,21 @@ class _Rows:
         if not bad.any():
             return arrays
         for j, i in zip(np.flatnonzero(bad).tolist(), self.ids[bad].tolist()):
-            self.out[i] = error(j)
+            self.fits.failed[i] = error(j)
         keep = ~bad
-        self.t, self.y, self.ids = self.t[keep], self.y[keep], self.ids[keep]
+        self.t, self.y, self.ids, self.at = self.t[keep], self.y[keep], self.ids[keep], self.at[keep]
         return tuple(a[keep] for a in arrays)
 
-    def finish(self, kind: FitKind, coeffs, iterations=None, terminations=None):
-        """Store a FitResult for every live row, its error that of its predict()."""
-        squares = _squares(kind, coeffs.T[:, :, None], self.t, self.y)
-        errors = np.sqrt(np.sum(squares, axis=1))
-        n = len(self.ids)
-        iterations = [0] * n if iterations is None else iterations.tolist()
-        terminations = ["converged"] * n if terminations is None else terminations.tolist()
-        for i, c, e, it, why, row in zip(
-            self.ids.tolist(), coeffs.tolist(), errors.tolist(), iterations, terminations, squares
-        ):
-            self.out[i] = FitResult(kind, tuple(c), e, it, why == "converged", why)
-            self.squares[i] = row
+    def finish(self, coeffs, iterations=0, codes=0) -> None:
+        """Write every live row's fit, its error that of its predict()."""
+        fits, ids = self.fits, self.ids
+        squares = _squares(fits.kind, coeffs.T[:, :, None], self.t, self.y)
+        fits.coeffs[ids] = coeffs
+        fits.error[ids] = np.sqrt(np.sum(squares, axis=1))
+        fits.iterations[ids] = iterations
+        fits.code[ids] = codes
+        fits.ok[ids] = True
+        self.squares[self.at[:, None] + np.arange(squares.shape[1])] = squares
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -258,7 +285,7 @@ def _fit_poly(rows: _Rows, degree: int, kind: FitKind) -> None:
     coeffs, singular = _lstsq(design, np.ones_like(rows.y))
     (coeffs,) = rows.fail(singular, lambda _: DegenerateInput(
         f"{kind.value} fit design matrix is rank-deficient"), coeffs)
-    rows.finish(kind, coeffs)
+    rows.finish(coeffs)
 
 
 class _Separable:
@@ -320,12 +347,16 @@ class _Separable:
         f = _dots(r, r)
         if not stepping.any():
             return f
+        uu = self.uu[ids]
+        if not stepping.all():  # only the stepping rows: a row's arithmetic is its own
+            d, u, v, w, ww, b, r, k, uu = (a[stepping] for a in (d, u, v, w, ww, b, r, k, uu))
         kc = k[:, None]
         g = b[:, None] * d * (v + u / np.where(kc == 0, 1.0, kc))  # C*d*exp(k*d)/y
-        g = g - ((_dots(g, u) / self.uu[ids])[:, None] * u + (_dots(g, w) / ww)[:, None] * w)
+        g = g - ((_dots(g, u) / uu)[:, None] * u + (_dots(g, w) / ww)[:, None] * w)
         gg = _dots(g, g)
         stepped = k + _dots(g, r) / np.where(gg > 0, gg, 1.0)
-        return np.where(~stepping, f, np.where((k == 0) | ~(gg > 0), k, stepped))
+        f[stepping] = np.where((k == 0) | ~(gg > 0), k, stepped)
+        return f
 
     def params(self, k: np.ndarray, ids):
         """(a0, a1, a2, C) of each row at rate k; C is nan where k is 0, and
@@ -530,7 +561,7 @@ def _fit_exponential(blocks: Sequence[_Rows]) -> None:
     for rows, model in models:
         start, end = end, end + len(rows.ids)
         k, evaluations = k_all[start:end], evaluations_all[start:end]
-        terminations = np.where(limits[start:end], "exp_range_limit", "converged")
+        codes = limits[start:end].astype(int)  # indices into _TERMINATIONS
         # rows whose a0, a1, C or curve overflow are failed below
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             a0, a1, a2, c = model.params(k, slice(None))
@@ -548,42 +579,76 @@ def _fit_exponential(blocks: Sequence[_Rows]) -> None:
             return DegenerateInput(f"best exponential scale C is {c[j]:.3g}; the family "
                                    "needs C > 0")
 
-        a0, a1, a2, terminations, evaluations = rows.fail(
+        a0, a1, a2, codes, evaluations = rows.fail(
             ~(c > 0) | ~(np.isfinite(a0) & np.isfinite(a1) & np.isfinite(top)), degenerate,
-            a0, a1, a2, terminations, evaluations,
+            a0, a1, a2, codes, evaluations,
         )
-        rows.finish(FitKind.EXPONENTIAL, np.stack([a0, a1, a2], axis=1), evaluations,
-                    terminations)
+        rows.finish(np.stack([a0, a1, a2], axis=1), evaluations, codes)
 
 
-def _fit_waves(data: Sequence, kind: FitKind):
-    """fit_batch(data, kind), and each trace's squared relative residuals,
-    or None where its fit failed."""
-    out: list[FitResult | Exception] = [None] * len(data)  # type: ignore[list-item]
-    squares: list[np.ndarray | None] = [None] * len(data)
-    xys = []
-    for i, d in enumerate(data):
-        try:
-            xys.append((i, *_as_xy(d)))
-        except InvalidSample as exc:
-            out[i] = exc.with_traceback(None)
-    xys.sort(key=lambda xy: xy[1].size)  # stable: in index order within a length
+def _fit_table(fits: _Fits, first: int, t: np.ndarray, y: np.ndarray, ends) -> np.ndarray:
+    """Fit family fits.kind to traces first, first + 1, ... of fits, whose
+    temps and powers are t[a:b] and y[a:b] for consecutive row offsets a, b
+    of ends, but for those fits.failed already holds.  Returns each fitted
+    trace's squared relative residuals at its rows of t; the rows of the
+    others mean nothing.
+
+    The traces are taken shortest first (stably: in index order within a
+    length) into waves of up to WAVE_SAMPLES samples, at least one trace
+    each.  The traces of one length in a wave are a block: a view of t and
+    y where their rows follow each other, else a copy gathered at once.
+    """
+    starts, sizes = np.array(ends[:-1], int), np.diff(ends)
+    lengths = sizes.tolist()
     waves, samples = [], math.inf
-    for xy in xys:
-        if samples + xy[1].size > WAVE_SAMPLES:
+    for j in np.argsort(sizes, kind="stable").tolist():
+        if first + j in fits.failed:
+            continue
+        if samples + lengths[j] > WAVE_SAMPLES:
             waves.append([])
             samples = 0
-        samples += xy[1].size
-        waves[-1].append(xy)
+        samples += lengths[j]
+        waves[-1].append(j)
+    squares = np.empty(len(t))
     for wave in waves:
-        blocks = [_Rows(block, out, squares)
-                  for _, block in itertools.groupby(wave, key=lambda xy: xy[1].size)]
-        if kind is FitKind.EXPONENTIAL:
+        blocks = []
+        for n, block in itertools.groupby(wave, key=lengths.__getitem__):
+            js = np.array(list(block))
+            at = starts[js]
+            if at[-1] - at[0] == (len(js) - 1) * n:
+                rows = slice(at[0], at[0] + len(js) * n)
+                tb, yb = t[rows].reshape(len(js), n), y[rows].reshape(len(js), n)
+            else:
+                rows = at[:, None] + np.arange(n)
+                tb, yb = t[rows], y[rows]
+            blocks.append(_Rows(first + js, at, tb, yb, fits, squares))
+        if fits.kind is FitKind.EXPONENTIAL:
             _fit_exponential(blocks)
         else:
             for rows in blocks:
-                _fit_poly(rows, 1 if kind is FitKind.LINEAR else 2, kind)
-    return out, squares
+                _fit_poly(rows, 1 if fits.kind is FitKind.LINEAR else 2, fits.kind)
+    return squares
+
+
+_EMPTY = np.empty(0)
+
+
+def _join(data: Sequence) -> tuple[np.ndarray, np.ndarray, list[int], dict]:
+    """The temps and powers of every Trace or (temps, powers) pair of data,
+    joined, the row offsets between them, and, by index, the InvalidSample
+    (without its traceback) of each pair no Trace could hold, which joins
+    no samples."""
+    ts, ys, failed = [_EMPTY], [_EMPTY], {}
+    for i, d in enumerate(data):
+        try:
+            t, y = _as_xy(d)
+        except InvalidSample as exc:
+            failed[i] = exc.with_traceback(None)
+            t = y = _EMPTY
+        ts.append(t)
+        ys.append(y)
+    ends = list(itertools.accumulate(map(len, ts[1:]), initial=0))
+    return np.concatenate(ts), np.concatenate(ys), ends, failed
 
 
 def fit_batch(data: Sequence, kind: FitKind) -> list[FitResult | Exception]:
@@ -596,7 +661,11 @@ def fit_batch(data: Sequence, kind: FitKind) -> list[FitResult | Exception]:
     samples would raise.  Raises LengthMismatch for a pair whose temps and
     powers differ in shape.
     """
-    return _fit_waves(data, kind)[0]
+    t, y, ends, failed = _join(data)
+    fits = _Fits(kind, len(data))
+    fits.failed.update(failed)
+    _fit_table(fits, 0, t, y, ends)
+    return fits.results()
 
 
 def fit(data, kind: FitKind) -> FitResult:
@@ -648,6 +717,24 @@ def _pool(squares: np.ndarray) -> float:
     return math.sqrt(np.add.accumulate(squares, out=squares)[-1])
 
 
+def _carry(total: float | None, squares: np.ndarray) -> float | None:
+    """The running sum of total, that of the squares before these (None
+    for none), and then of squares in order: np.add.accumulate adds in
+    sequence, so a sum carried from piece to piece ends on the bits of
+    _pool's sum over the whole."""
+    if total is not None:
+        squares = np.concatenate(([total], squares))
+    return float(np.add.accumulate(squares)[-1]) if squares.size else None
+
+
+def _rows(starts: np.ndarray, sizes: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """The row offsets of traces indices, in order, from the first and the
+    number of rows of each trace."""
+    sizes = sizes[indices]
+    offsets = np.repeat(starts[indices] - (np.cumsum(sizes) - sizes), sizes)
+    return offsets + np.arange(offsets.size)
+
+
 def aggregate_error(fits: Sequence[tuple[Trace, FitResult]]) -> float:
     """Pool every per-sample relative residual in the group, then take the norm.
 
@@ -677,11 +764,19 @@ def sign_test(errors_a: Sequence[float], errors_b: Sequence[float]) -> float:
         )
     if len(errors_a) == 0:
         raise LengthMismatch("need at least one pair")
-    wins = sum(1 for a, b in zip(errors_a, errors_b) if a < b)
-    losses = sum(1 for a, b in zip(errors_a, errors_b) if a > b)
+    p = _sign_p(sum(1 for a, b in zip(errors_a, errors_b) if a < b),
+                sum(1 for a, b in zip(errors_a, errors_b) if a > b))
+    if p is None:
+        raise AllTies("all pairs are tied; the sign test is uninformative")
+    return p
+
+
+def _sign_p(wins: int, losses: int) -> float | None:
+    """sign_test's p-value from the counts of wins and losses, or None
+    when there are neither."""
     n = wins + losses
     if n == 0:
-        raise AllTies("all pairs are tied; the sign test is uninformative")
+        return None
     term = tail = 1
     for j in range(min(wins, losses)):
         term = term * (n - j) // (j + 1)
@@ -716,6 +811,64 @@ class ModelComparison:
     groups: dict[str, dict[FitKind, float | None]] = field(default_factory=dict)
 
 
+class _Comparison:
+    """compare_models over traces fitted a batch at a time, in order: each
+    family's _Fits of every trace, and the running sums (see _carry) of the
+    fitted traces' squared relative residuals, over the whole set (total)
+    and over each group (sums)."""
+
+    def __init__(self, n: int, kinds: tuple[FitKind, ...] = tuple(FitKind)):
+        self.kinds, self.added = kinds, 0
+        self.fits = {kind: _Fits(kind, n) for kind in kinds}
+        self.total: dict[FitKind, float | None] = dict.fromkeys(kinds)
+        self.sums: dict[FitKind, dict[str, float | None]] = {kind: {} for kind in kinds}
+
+    def add(self, t, y, ends, groups: Mapping[str, Sequence[int]], failed=None) -> None:
+        """Fit every family to the next traces, whose temps and powers t and
+        y hold between the row offsets ends, and carry on the sums: groups
+        maps a group's key to its members among these traces, in the order
+        their residuals pool.  failed maps the index of a trace to the
+        exception it fails with unfitted."""
+        first = self.added
+        self.added += len(ends) - 1
+        starts, sizes = np.array(ends[:-1], int), np.diff(ends)
+        # the exponential first, as its search holds the most memory
+        for kind in reversed(self.kinds):
+            fits = self.fits[kind]
+            fits.failed.update(failed or {})
+            squares = _fit_table(fits, first, t, y, ends)
+            fitted = fits.ok[first : self.added]
+            self.total[kind] = _carry(
+                self.total[kind], squares[_rows(starts, sizes, np.flatnonzero(fitted))])
+            for key, members in groups.items():
+                members = np.array(members, int)
+                self.sums[kind][key] = _carry(self.sums[kind].get(key), squares[
+                    _rows(starts, sizes, members[fitted[members]])])
+
+    def failures(self) -> list[tuple[int, FitKind, str]]:
+        """ModelComparison.failures: (trace index, kind, message) of every
+        failed fit, by trace and then by kind."""
+        kinds = self.kinds
+        return sorted(((i, kind, f"{type(exc).__name__}: {exc}")
+                       for kind in kinds for i, exc in self.fits[kind].failed.items()),
+                      key=lambda f: (f[0], kinds.index(f[1])))
+
+    def p_values(self) -> dict[tuple[FitKind, FitKind], float | None]:
+        """ModelComparison.p_values, the sign tests counted on the error
+        columns of the traces both families fitted."""
+        p_values = {}
+        for ka, kb in _PAIRS:
+            both = self.fits[ka].ok & self.fits[kb].ok
+            a, b = self.fits[ka].error[both], self.fits[kb].error[both]
+            p_values[(ka, kb)] = _sign_p(int(np.count_nonzero(a < b)),
+                                         int(np.count_nonzero(a > b)))
+        return p_values
+
+
+def _root(total: float | None) -> float | None:
+    return None if total is None else math.sqrt(total)
+
+
 def compare_models(
     traces: Sequence[Trace], groups: Mapping[str, Sequence[int]] | None = None
 ) -> ModelComparison:
@@ -729,7 +882,8 @@ def compare_models(
     if len(traces) == 0:
         raise EmptyGroup("need at least one trace to compare")
     n = len(traces)
-    for key, indices in (groups or {}).items():
+    groups = groups or {}
+    for key, indices in groups.items():
         seen = set()
         for i in indices:
             if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < n:
@@ -737,45 +891,16 @@ def compare_models(
             if i in seen:
                 raise InvalidParams(f"group {key!r}: trace index {i!r} repeats")
             seen.add(i)
-    # one family at a time, its squared residuals pooled for the whole set
-    # and for each group in trace order, and every failure recorded and
-    # excluded, never aborting the batch; the exponential first, as its
-    # search holds the most memory
-    kinds = tuple(FitKind)  # iterating FitKind itself runs Python code each time
-    done: dict[FitKind, list] = {}
-    failures: list[tuple[int, FitKind, str]] = []
-    aggregated: dict[FitKind, float | None] = dict.fromkeys(kinds)
-    group_errors = {key: dict.fromkeys(kinds) for key in groups or {}}
-    for kind in reversed(kinds):
-        column, squares = _fit_waves(traces, kind)
-
-        def pooled(indices) -> float | None:
-            kept = [squares[i] for i in indices if squares[i] is not None]
-            return _pool(np.concatenate(kept)) if kept else None
-
-        aggregated[kind] = pooled(range(n))
-        for key, indices in (groups or {}).items():
-            group_errors[key][kind] = pooled(indices)
-        for i, r in enumerate(column):
-            if isinstance(r, Exception):
-                failures.append((i, kind, f"{type(r).__name__}: {r}"))
-                column[i] = None
-        done[kind] = column
-    failures.sort(key=lambda f: (f[0], kinds.index(f[1])))
-    results = [dict(zip(kinds, row)) for row in zip(*map(done.get, kinds))]
-
-    p_values: dict[tuple[FitKind, FitKind], float | None] = {}
-    for ka, kb in _PAIRS:
-        pairs = [
-            (a.error, b.error)
-            for a, b in zip(done[ka], done[kb])
-            if a is not None and b is not None
-        ]
-        if not pairs:
-            p_values[(ka, kb)] = None
-            continue
-        try:
-            p_values[(ka, kb)] = sign_test([a for a, _ in pairs], [b for _, b in pairs])
-        except AllTies:
-            p_values[(ka, kb)] = None
-    return ModelComparison(results, failures, aggregated, p_values, group_errors)
+    t, y, ends, invalid = _join(traces)
+    comparison = _Comparison(n)
+    comparison.add(t, y, ends, groups, invalid)
+    kinds = comparison.kinds
+    columns = [[None if isinstance(r, Exception) else r for r in comparison.fits[kind].results()]
+               for kind in kinds]
+    return ModelComparison(
+        [dict(zip(kinds, row)) for row in zip(*columns)],
+        comparison.failures(),
+        {kind: _root(comparison.total[kind]) for kind in kinds},
+        comparison.p_values(),
+        {key: {kind: _root(comparison.sums[kind].get(key)) for kind in kinds} for key in groups},
+    )

@@ -13,8 +13,9 @@ A trace file is UTF-8 text with LF line endings::
 Numbers use ``.`` as the decimal separator and are written in the shortest
 decimal form that parses back to the identical float, so write/parse is a
 bit-exact round trip.  Every CSV the package writes goes through
-write_table; it reads traces through parse_traces and other tables
-through parse_table, both one slab of at most SLAB_BYTES at a time.
+write_table; it reads traces through _chunk_table (parse_traces) and
+other tables through parse_table, both one slab of at most SLAB_BYTES at
+a time.
 """
 
 from __future__ import annotations
@@ -69,12 +70,11 @@ def check_samples(time_s, temp_c, power_w, line_of=None) -> None:
     raise InvalidSample(message, line_of(i) if line_of else None)
 
 
-def _traces(metas, table, ends, line_of=None) -> list[Trace]:
-    """The Traces of metas over the rows of a C-contiguous (3, rows) table
-    that the row offsets ends cut, once it passes every Trace's checks:
+def _check_table(table, ends, line_of=None) -> None:
+    """Make a C-contiguous (3, rows) table read-only once the traces that
+    the row offsets ends cut from it pass every Trace's checks:
     check_samples, then at least 3 samples each, then strictly increasing
-    times.  Their columns are read-only slices of the table; line_of(i)
-    names row i's file line."""
+    times; line_of(i) names row i's file line."""
     table.flags.writeable = False  # before any view of it is taken
     time_s, temp_c, power_w = table
     check_samples(time_s, temp_c, power_w, line_of)
@@ -90,6 +90,12 @@ def _traces(metas, table, ends, line_of=None) -> list[Trace]:
             f"{float(time_s[i])!r})",
             line_of(i) if line_of else None,
         )
+
+
+def _traces(metas, table, ends) -> list[Trace]:
+    """The Traces of metas over a _check_table'd table, their columns
+    read-only slices of it."""
+    time_s, temp_c, power_w = table
     traces = []
     for meta, a, b in zip(metas, ends, ends[1:]):
         trace = Trace.__new__(Trace)
@@ -151,8 +157,9 @@ class Trace:
         for col in columns:
             if col.ndim != 1:
                 raise LengthMismatch(f"a column must be 1-D, got shape {col.shape}")
-        (trace,) = _traces([meta], np.stack(columns), [0, len(time_s)])
-        self._store(meta, trace.time_s, trace.temp_c, trace.power_w)
+        table = np.stack(columns)
+        _check_table(table, [0, len(time_s)])
+        self._store(meta, *table)
 
     def _store(self, meta: TraceMeta, time_s, temp_c, power_w) -> None:
         """Keep meta and three checked, read-only columns as they are."""
@@ -356,15 +363,26 @@ def parse_trace(text: str | bytes) -> Trace:
 
 
 def parse_traces(texts: Iterable[str | bytes]) -> list[Trace]:
-    """Parse trace CSV texts into validated Traces, every body converted a
-    slab at a time into one C-contiguous (3, rows) array and checked at
-    once, each Trace's columns read-only slices of it.  Each distinct
-    header text is parsed once (_head_meta), and its traces share one
-    TraceMeta.
+    """Parse trace CSV texts into validated Traces, each one's columns
+    read-only slices of one C-contiguous (3, rows) array (see
+    _chunk_table).  The traces of one header text share one TraceMeta.
 
-    If any text fails, or holds what only the line-by-line reader takes,
-    such as non-ASCII whitespace around a number, each text is read alone,
-    line by line and in order, so the first bad one raises its own error.
+    If any text fails, each text is read alone, line by line and in order,
+    so the first bad one raises its own error.
+    """
+    return _traces(*_chunk_table(texts))
+
+
+def _chunk_table(texts: Iterable[str | bytes]) -> tuple[list[TraceMeta], np.ndarray, list[int]]:
+    """The TraceMetas of trace CSV texts, their samples as one read-only,
+    C-contiguous (3, rows) table of times, temperatures and powers, and
+    the row offsets where each text's rows start and the last ends.
+
+    Every body is converted a slab at a time and checked at once.  Each
+    distinct header text is parsed once (_head_meta).  If any text fails,
+    or holds what only the line-by-line reader takes, such as non-ASCII
+    whitespace around a number, each text is read alone, line by line and
+    in order, so the first bad one raises its own error.
     """
     texts = list(texts)  # read again if the joined pass fails
     try:
@@ -376,10 +394,17 @@ def parse_traces(texts: Iterable[str | bytes]) -> list[Trace]:
             parts.append((text, start))
         read = _read_table(parts, len(_COLUMNS))
         if read is not None and metas:  # no texts is no traces, below
-            return _traces(metas, *read)
+            _check_table(*read)
+            return metas, *read
     except (ThermoError, UnicodeDecodeError):
         pass
-    return [_parse_alone(text) for text in texts]
+    alone = [_parse_alone(text) for text in texts]
+    ends = list(itertools.accumulate(map(len, alone), initial=0))
+    table = np.empty((3, ends[-1]))
+    for tr, a, b in zip(alone, ends, ends[1:]):
+        table[:, a:b] = tr.time_s, tr.temp_c, tr.power_w
+    table.flags.writeable = False
+    return [tr.meta for tr in alone], table, ends
 
 
 def _parse_alone(text: str | bytes) -> Trace:
@@ -389,14 +414,15 @@ def _parse_alone(text: str | bytes) -> Trace:
     meta_raw, columns, start, header_line = _header(text)
     rows, line_nos = _read_rows(text, start, header_line, len(columns))
     meta = _trace_meta(meta_raw, columns, header_line)
-    return _traces([meta], rows.T.copy(), [0, len(rows)], line_nos.__getitem__)[0]
+    table = rows.T.copy()
+    _check_table(table, [0, len(rows)], line_nos.__getitem__)
+    return _traces([meta], table, [0, len(rows)])[0]
 
 
 def _table_text(meta: Mapping[str, str], names: Sequence[str], columns):
-    """write_table's text in pieces: the header, then runs of rows of at
-    most SLAB_BYTES."""
+    """write_table's text in pieces, columns float arrays: the header,
+    then runs of rows of at most SLAB_BYTES."""
     yield "".join(f"#{key}={value}\n" for key, value in meta.items()) + ",".join(names) + "\n"
-    columns = [np.asarray(col, float) for col in columns]
     # %r of a float is its repr, at most 24 characters; one format writes a run
     row_format = ",".join(["%r"] * len(names)) + "\n"
     run = max(1, SLAB_BYTES // (25 * len(names)))
@@ -411,7 +437,7 @@ def write_table(meta: Mapping[str, str], names: Sequence[str], columns) -> str:
     ``columns`` holds one float sequence or array per name; every number is
     written as its repr, the shortest decimal that parses back to it.
     """
-    return "".join(_table_text(meta, names, columns))
+    return "".join(_table_text(meta, names, [np.asarray(col, float) for col in columns]))
 
 
 def _trace_table(trace: Trace) -> tuple:

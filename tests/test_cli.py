@@ -16,6 +16,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from thermopower import cli
@@ -1011,6 +1012,43 @@ def test_gen_of_a_long_trace_holds_less_than_twice_its_output(tmp_path, capsys):
     assert peak <= 2 * out.stat().st_size
 
 
+def write_fleet(root, count: int) -> list[str]:
+    """count 20-sample exponential traces of two processors and four core
+    counts, written as the generator writes them."""
+    rng = np.random.default_rng(count)
+    t = np.linspace(25.0, 85.0, 20)
+    rows = [f"{0.2 * j!r},{temp!r}," for j, temp in enumerate(t.tolist())]
+    paths = []
+    for i in range(count):
+        powers = (0.3 + np.exp((t - 100.0) / 33.0) + rng.normal(0.0, 0.002, 20)).tolist()
+        path = root / f"t{i:05d}.csv"
+        path.write_text(f"#processor={('A7', 'A15')[i % 2]}\n#freq_ghz=1.2\n#cores={1 + i % 4}\n"
+                        "time_s,temp_c,power_w\n"
+                        + "".join(f"{row}{p!r}\n" for row, p in zip(rows, powers)))
+        paths.append(str(path))
+    return paths
+
+
+def test_a_fleet_fit_holds_under_a_kilobyte_a_trace(tmp_path):
+    """Between a 1k and a 5k fleet, the peak of traced memory of an
+    in-process fit grows by at most 1 KB a trace: the fit keeps columns,
+    not a Trace, three FitResults and a report entry per trace."""
+    paths = write_fleet(tmp_path, 5000)
+    report = str(tmp_path / "report.json")
+
+    def peak(fleet):
+        argv = ["fit", *fleet, "--group-by", "proc-cores", "--quiet", "--out-report", report]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(paths[:1000]), peak(paths)
+    assert (large - small) / 4000 <= 1024, (small, large)
+
+
 # --- cold start ---
 
 def test_import_loads_only_stdlib_and_numpy():
@@ -1137,6 +1175,24 @@ def test_fleet_fit_names_the_first_bad_file_wherever_its_chunk_starts(
     missing_after = [*names[: i + 1], "missing.csv", *names[i + 1:]]
     assert read_once(run_cli(["fit", *missing_after], capsys)) == (
         2, "", f"error: {bad}: {FAULTS[fault]}\n")
+
+
+def test_fit_reads_trace_paths_from_an_argument_file(fleet_dir, monkeypatch, capsys, tmp_path):
+    monkeypatch.chdir(fleet_dir)
+    names = [f"t{i:03d}.csv" for i in range(FLEET_SIZE)]
+    listing = tmp_path / "fleet.txt"
+    listing.write_text("".join(f"{name}\n" for name in names[1:]))
+    argv = ["fit", names[0], f"@{listing}", "--group-by", "proc-cores", "--json"]
+    code, out, err = run_cli(argv, capsys)
+    direct = run_cli(["fit", *names, "--group-by", "proc-cores", "--json"], capsys)
+    report, expected = json.loads(out), json.loads(direct[1])
+    assert report["command"] == argv  # @FILE as typed
+    assert list(report["inputs"]) == names
+    report["command"] = expected["command"]
+    assert (code, report, err) == (direct[0], expected, direct[2])
+    # only fit reads argument files
+    assert run_cli(["debias", f"@{listing}", "--ref-temp", "50", "--out", tmp_path / "o.csv"],
+                   capsys) == (2, "", f"error: @{listing}: No such file or directory\n")
 
 
 def test_fleet_fit_names_a_file_that_is_not_utf8(fleet_dir, monkeypatch, capsys, tmp_path):

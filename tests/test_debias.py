@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from thermopower.debias import (
@@ -92,7 +93,7 @@ def test_exact_quadratic_cancellation():
 def test_identity_spec_keeps_power():
     tr = make_trace([(50.0, 1.0), (50.0 + 1e-9, 2.0), (50.0 + 2e-9, 1.5)])
     out = debias(tr, DebiasSpec(FitKind.LINEAR, (0.0,), 50.0))
-    assert out.ref_power == (1.0, 2.0, 1.5)
+    assert out.ref_power.tolist() == [1.0, 2.0, 1.5]
     assert math.isclose(out.metrics.fl, 1.0, rel_tol=1e-12)
 
 
@@ -139,6 +140,20 @@ def test_debiased_trace_length_check():
 
     with pytest.raises(LengthMismatch):
         DebiasedTrace(tr, spec, (1.0, 2.0), DebiasMetrics(0.0, 0.0, 0.0))
+
+
+def test_debiased_powers_are_a_read_only_array_compared_by_bits():
+    tr = linear_trace()
+    out = debias(tr, DebiasSpec(FitKind.LINEAR, (0.02,), 45.0))
+    assert out.ref_power.dtype == np.float64 and not out.ref_power.flags.writeable
+    with pytest.raises(ValueError):
+        out.ref_power[0] = 0.0
+    same = DebiasedTrace(tr, out.spec, out.ref_power.tolist(), out.metrics)
+    assert same == out and hash(same) == hash(out) and len({same, out}) == 1
+    moved = out.ref_power.copy()
+    moved[0] = np.nextafter(moved[0], math.inf)
+    assert DebiasedTrace(tr, out.spec, moved, out.metrics) != out
+    assert out != out.ref_power.tolist()
 
 
 # --- metrics ---

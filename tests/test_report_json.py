@@ -1,23 +1,27 @@
 """The report writer against the standard library's encoder.
 
 ``cli._text`` must write what ``json.dumps(v, sort_keys=True, indent=2)``
-writes, except that non-finite floats become ``null`` and a FitResult is
-written as the dict of its fields; ``cli._chunks`` must write the same text
-in pieces, at every streaming depth.
+writes, except that non-finite floats become ``null``; ``cli._chunks``
+must write the same text in pieces, at every streaming depth.  A fit
+report's trace entries, written from columns by ``cli._Entries``, must
+read as the dicts of their FitResults' fields.
 """
 
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermopower.cli import _chunks, _text
-from thermopower.fitting import FitKind, FitResult
-from thermopower.trace import SLAB_BYTES
+from thermopower import fitting
+from thermopower.cli import _chunks, _Entries, _text, main
+from thermopower.errors import DegenerateInput
+from thermopower.fitting import FitKind, FitResult, compare_models, fit_batch
+from thermopower.trace import SLAB_BYTES, parse_traces
 
 # any code point: non-ASCII, control characters and lone surrogates
 CHARS = st.characters() | st.characters(categories=["Cs"])
@@ -89,73 +93,146 @@ def test_values_that_are_not_report_json_raise_type_error(bad):
             "".join(_chunks(bad, depth=depth))
 
 
-# --- FitResult entries, written from templates ---
+# --- trace entries, written from a comparison's columns ---
 
 def fit_dict(fit):
-    """A FitResult as a report wrote it through a dict of its fields."""
+    """A FitResult as a report writes it: the dict of its fields."""
     return {"kind": fit.kind.value, "coeffs": list(fit.coeffs), "error": fit.error,
             "iterations": fit.iterations, "converged": fit.converged,
             "termination": fit.termination}
 
 
-def as_dicts(v):
-    """v with every FitResult replaced by fit_dict of it."""
-    if isinstance(v, FitResult):
-        return fit_dict(v)
-    if isinstance(v, dict):
-        return {k: as_dicts(x) for k, x in v.items()}
-    if isinstance(v, list):
-        return [as_dicts(x) for x in v]
-    return v
+def entry_dicts(paths, results, kinds):
+    """The trace entries of a report, from each family's FitResults or
+    exceptions, results[kind][i], as json.dumps would take them."""
+    entries = []
+    for i, path in enumerate(paths):
+        fits = {kind.value: None if isinstance(results[kind][i], Exception)
+                else fit_dict(results[kind][i]) for kind in kinds}
+        entry = {"path": path, "fits": fits}
+        failed = results[kinds[0]][i]
+        if len(kinds) == 1 and isinstance(failed, Exception):
+            entry["message"] = f"{type(failed).__name__}: {failed}"
+        entries.append(entry)
+    return entries
 
 
 FLOATS = FINITE | NON_FINITE
-FITS = st.builds(
-    FitResult,
-    st.sampled_from(list(FitKind)),
-    st.lists(FLOATS, min_size=2, max_size=3).map(tuple),
-    FLOATS,
-    st.integers(0, 10**6),
-    st.booleans(),
-    TEXT,
-)
-# a trace entry of `fit` (every family, some failed) or of `fit --model exp`
-# (one family, a failure carrying its message)
-ENTRIES = st.one_of(
-    st.fixed_dictionaries(
-        {"path": TEXT, "fits": st.dictionaries(st.sampled_from(["exponential", "linear",
-                                                                 "quadratic"]),
-                                               st.none() | FITS, min_size=3)}),
-    st.fixed_dictionaries({"path": TEXT, "fits": st.fixed_dictionaries({"exponential": FITS})}),
-    st.fixed_dictionaries({"path": TEXT, "fits": st.just({"exponential": None}),
-                           "message": TEXT}),
-)
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(ENTRIES, max_size=4))
-def test_fit_results_are_written_as_the_dict_of_their_fields(entries):
-    report = {"results": {"traces": entries}}
-    expected = _text(as_dicts(report))
-    assert expected == json.dumps(finite_only(as_dicts(report)), sort_keys=True, indent=2)
-    assert written(report) == [expected] * 6
+@given(st.data())
+def test_trace_entries_are_written_as_the_dicts_of_their_fit_results(data):
+    kinds = data.draw(st.sampled_from([tuple(FitKind), (FitKind.EXPONENTIAL,),
+                                       (FitKind.LINEAR,)]))
+    n = data.draw(st.integers(1, 6))
+    comparison = fitting._Comparison(n, kinds)
+    for fits in comparison.fits.values():
+        for i in range(n):
+            if data.draw(st.integers(0, 3)) == 0:
+                fits.failed[i] = DegenerateInput(data.draw(TEXT))
+                continue
+            fits.ok[i] = True
+            fits.coeffs[i] = data.draw(st.lists(FLOATS, min_size=fits.coeffs.shape[1],
+                                                max_size=fits.coeffs.shape[1]))
+            fits.error[i] = data.draw(FLOATS)
+            fits.iterations[i] = data.draw(st.integers(0, 10**6))
+            fits.code[i] = data.draw(st.integers(0, len(fitting._TERMINATIONS) - 1))
+    paths = data.draw(st.lists(TEXT, min_size=n, max_size=n))
+    results = {kind: comparison.fits[kind].results() for kind in kinds}
+    expected = json.dumps(finite_only({"traces": entry_dicts(paths, results, kinds)}),
+                          sort_keys=True, indent=2)
+    report = {"traces": _Entries(paths, comparison)}
+    assert ["".join(_chunks(report, depth=d)) for d in (1, 2, 3)] == [expected] * 3
 
 
-def test_a_numpy_float_in_a_fit_result_is_written_as_its_value():
-    fit = FitResult(FitKind.QUADRATIC, (np.float64(0.1), np.float64(-2.5), 3.0),
-                    np.float64("inf"), 0, True)
-    assert _text(fit) == _text(fit_dict(fit))
-    assert "np.float64" not in _text(fit) and '"error": null' in _text(fit)
+def fleet_files(root):
+    """More than fitting.WAVE_SAMPLES samples in 900 trace files of 5 to 39
+    samples, runs of four sharing a length, under names holding "%",
+    quotes, a backslash and non-ASCII letters.  Concave, flat, two- and
+    one-temperature traces fail some families in mid-run, and steps
+    steeper than any exponential end at the exp_range_limit."""
+    rng = np.random.default_rng(21)
+    lengths = rng.integers(5, 40, 225).repeat(4)
+    assert lengths.sum() > fitting.WAVE_SAMPLES
+    paths = []
+    for i, n in enumerate(lengths.tolist()):
+        t = np.append(np.linspace(25.0, 84.99, n - 1), 85.0)
+        x = (t - 25.0) / 60.0
+        y = {0: 2.0 - (x - 0.5) ** 2, 1: np.full(n, 1.5), 2: np.where(t == t.max(), 1.0, 0.3),
+             3: 1.0 + x + 0.1 * (np.arange(n) % 2)}.get(i % 11, 0.3 + np.exp(x * 2.0))
+        if i % 11 in (3, 4):  # two temperatures, or one
+            t = np.where(np.arange(n) % 2, 30.0, 60.0 if i % 11 == 3 else 30.0)
+        y = y * (1.0 + 1e-3 * rng.standard_normal(n))
+        rows = "".join(f"{0.2 * j!r},{a!r},{b!r}\n" for j, (a, b) in
+                       enumerate(zip(t.tolist(), y.tolist())))
+        name = f"t{i:03d}.csv" if i % 50 else f'{i}% "été" \\ q.csv'
+        path = root / name
+        path.write_text(f"#processor=P{i % 3}\n#freq_ghz=1.0\n#cores={1 + i % 4}\n"
+                        f"time_s,temp_c,power_w\n{rows}", encoding="utf-8")
+        paths.append(str(path))
+    return paths
+
+
+# traces whose first coefficient becomes non-finite, and with it the error
+NON_FINITE_FITS = {7: math.nan, 8: math.inf, 9: -math.inf, 500: math.nan}
+
+
+@pytest.mark.parametrize("wave", [fitting.WAVE_SAMPLES, 997])
+@pytest.mark.parametrize("model", ["all", "exp"])
+def test_a_fleet_report_writes_each_fit_as_the_dict_of_its_fit_result(
+        tmp_path, capsys, monkeypatch, model, wave):
+    paths = fleet_files(tmp_path)
+    # 997: the fleet is read in several windows of waves, its sums carried
+    monkeypatch.setattr(fitting, "WAVE_SAMPLES", wave)
+    finish = fitting._Rows.finish
+
+    def finish_non_finite(rows, coeffs, *args):
+        coeffs = coeffs.copy()
+        for j, i in enumerate(rows.ids.tolist()):
+            coeffs[j, 0] = NON_FINITE_FITS.get(i, coeffs[j, 0])
+        finish(rows, coeffs, *args)
+
+    monkeypatch.setattr(fitting._Rows, "finish", finish_non_finite)
+    code = main(["fit", *paths, "--model", model, "--group-by", "proc-cores", "--json"])
+    out = capsys.readouterr().out
+    traces = parse_traces([Path(p).read_bytes() for p in paths])
+    if model == "all":
+        kinds = tuple(FitKind)
+        groups = {}
+        for i, trace in enumerate(traces):
+            groups.setdefault(f"{trace.meta.processor}/c{trace.meta.cores}", []).append(i)
+        comparison = compare_models(traces, groups)
+        rows = comparison.results
+        results = {kind: [row[kind] or DegenerateInput() for row in rows] for kind in kinds}
+    else:
+        kinds = (FitKind.EXPONENTIAL,)
+        results = {kinds[0]: fit_batch(traces, kinds[0])}
+    termination = [r.termination for r in results[FitKind.EXPONENTIAL]
+                   if isinstance(r, FitResult)]
+    assert "exp_range_limit" in termination and "converged" in termination
+    failed = {kind: sum(isinstance(r, Exception) for r in results[kind]) for kind in kinds}
+    assert code == 1 and all(failed.values())
+    report = json.loads(out)
+    report["results"]["traces"] = finite_only(entry_dicts(paths, results, kinds))
+    if model == "all":  # pooled whole, as compare_models pools them
+        names = {kind: kind.value for kind in kinds}
+        report["results"]["aggregated"] = finite_only(
+            {names[k]: v for k, v in comparison.aggregated.items()})
+        report["results"]["groups"] = finite_only({key: {names[k]: v for k, v in errors.items()}
+                                                   for key, errors in comparison.groups.items()})
+    assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert out.count("null") >= 2 * len(NON_FINITE_FITS)
 
 
 # --- a fleet's trace entries, written a run of one shape at a time ---
 
 def fleet_entries():
-    """243 members: trace entries as `thermo fit` writes them, and members
-    it never writes.  They hold runs of one shape longer than a run holds,
-    failed families in mid-run, non-finite and numpy values, a FitResult
-    under another family's key, names holding "%", and members of other
-    shapes."""
+    """243 members: trace entries of the shape `thermo fit` writes, each fit
+    the dict of its FitResult's fields, and members it never writes.  They
+    hold runs of one shape longer than a run holds, failed families in
+    mid-run, non-finite and numpy values, a fit under another family's
+    key, names holding "%", and members of other shapes."""
     rng = np.random.default_rng(18)
     names = ("linear", "quadratic", "exponential")
     kinds = dict(zip(names, (FitKind.LINEAR, FitKind.QUADRATIC, FitKind.EXPONENTIAL)))
@@ -182,13 +259,24 @@ def fleet_entries():
     entries[71] = {"path": "t0071.csv", "fits": {}}
     entries[80] = {"path": "t0080.csv", "fits": {"linear": {"coeffs": [1.0, 2.0]}}}
     entries[85:85] = ["a member of another type", None, 3.5]
-    return entries
+    return as_dicts(entries)
+
+
+def as_dicts(v):
+    """v with every FitResult replaced by fit_dict of it."""
+    if isinstance(v, FitResult):
+        return fit_dict(v)
+    if isinstance(v, dict):
+        return {k: as_dicts(x) for k, x in v.items()}
+    if isinstance(v, list):
+        return [as_dicts(x) for x in v]
+    return v
 
 
 def test_a_fleet_of_trace_entries_is_written_as_json_dumps_writes_it():
     entries = fleet_entries()
     report = {"results": {"traces": entries}, "warnings": []}
-    expected = json.dumps(finite_only(as_dicts(report)), sort_keys=True, indent=2)
+    expected = json.dumps(finite_only(report), sort_keys=True, indent=2)
     assert written(report) == [expected] * 6
 
 
