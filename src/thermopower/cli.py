@@ -52,7 +52,9 @@ try:
         ThermoError,
     )
     from .fitting import FitKind
-    from . import fitting  # noqa: I001 (bound once imported: -X importtime shows it)
+    # after the import above: alone, this would import fitting through the
+    # package's __getattr__, which -X importtime does not record
+    from . import fitting
     from .trace import (
         SLAB_BYTES,
         TraceMeta,
@@ -133,8 +135,9 @@ def _template(layout, nl: str) -> tuple[str, int]:
 
 def _text(obj, nl: str = "\n") -> str:
     """obj as json.dumps(obj, sort_keys=True, indent=2) writes it, but with
-    non-finite floats as null, so reports stay strict JSON.  nl is a newline and the indent of the line
-    obj starts on.  One % fills obj's _template with its _layout's slots."""
+    non-finite floats as null, so reports stay strict JSON.  nl is a newline
+    and the indent of the line obj starts on.  One % fills obj's _template
+    with its _layout's slots."""
     slots: list[str] = []
     return _template(_layout(obj, slots), nl)[0] % tuple(slots)
 
@@ -364,6 +367,7 @@ class _Entries:
                                                               key=lambda kind: kind.value)]
 
     def entry(self, i: int) -> dict:
+        """Trace i's entry, as json.dumps would take it."""
         fits = {}
         for f in self.fits:
             code = int(f.code[i])
@@ -377,7 +381,7 @@ class _Entries:
             entry["message"] = f"{type(exc).__name__}: {exc}"
         return entry
 
-    def slots(self, lo: int, hi: int, inner: str) -> list:
+    def row_slots(self, lo: int, hi: int, inner: str) -> list:
         """The slots of entries lo to hi, every fit of which succeeded, as
         _layout fills them, each after what comes before its entry in a
         list at inner: values written from the columns, every float once."""
@@ -402,14 +406,12 @@ class _Entries:
         at a time, as one row template repeated, and an entry with a
         failed fit alone, as _runs adds it."""
         inner = nl + "  "
-        fitted = {"coeffs": [], "converged": 0, "error": 0, "iterations": 0, "kind": 0,
-                  "termination": 0}  # an entry of this layout and these keys
-        template, fixed = _template(_layout({"path": 0, "fits": {
-            f.kind.value: {**fitted, "coeffs": [0] * f.coeffs.shape[1]} for f in self.fits}},
-            []), inner)
-        template = "%s" + template
-        batch = max(1, SLAB_BYTES // (fixed + 20 * template.count("%s")))
         failed = ~np.logical_and.reduce([f.ok for f in self.fits])
+        # the layout of every entry whose fits all succeeded: the first one's
+        template, fixed = _template(_layout(self.entry(int(np.argmin(failed))), []), inner)
+        template = "%s" + template
+        # a batch of about SLAB_BYTES of text, at some 20 characters a slot
+        batch = max(1, SLAB_BYTES // (fixed + 20 * template.count("%s")))
         spans, start = [], 0
         for stop in [*np.flatnonzero(failed).tolist(), len(self.paths)]:
             spans += [(lo, min(stop, lo + batch)) for lo in range(start, stop, batch)]
@@ -423,7 +425,7 @@ class _Entries:
                 run += "%s", text
             else:
                 run.append(template * (hi - lo))
-                slots += self.slots(lo, hi, inner)
+                slots += self.row_slots(lo, hi, inner)
                 text_fixed = fixed * (hi - lo)
             size += text_fixed + sum(map(len, slots[mark:]))
             if size >= SLAB_BYTES:
@@ -451,16 +453,16 @@ def cmd_fit(args, run: _Run) -> tuple[int, dict, list[str]]:
     results = {"traces": _Entries(args.traces, comparison)}
     lines = []
     if not args.json and not args.quiet:  # else the lines go unprinted
-        fits = [(kind.value, comparison.fits[kind].failed, comparison.fits[kind].error.tolist(),
-                 comparison.fits[kind].coeffs.tolist()) for kind in kinds]
+        columns = [(kind.value, comparison.fits[kind].failed, comparison.fits[kind].error.tolist(),
+                    comparison.fits[kind].coeffs.tolist()) for kind in kinds]
         for i, path in enumerate(args.traces):
             if args.model == "all":
                 lines.append(_styled(path))
-            for name, failed, errors, coeffs in fits:
+            for name, exceptions, errors, coeffs in columns:
                 head = f"  {name}: " if args.model == "all" else f"{path}: "
-                if i in failed:
+                if i in exceptions:
                     lines.append(head + ("failed" if args.model == "all" else
-                                         f"{name} failed: {failed[i]}"))
+                                         f"{name} failed: {exceptions[i]}"))
                 else:
                     lines.append(f"{head}error={errors[i]!r} coeffs={coeffs[i]!r}")
 

@@ -823,19 +823,17 @@ class _Comparison:
         self.total: dict[FitKind, float | None] = dict.fromkeys(kinds)
         self.sums: dict[FitKind, dict[str, float | None]] = {kind: {} for kind in kinds}
 
-    def add(self, t, y, ends, groups: Mapping[str, Sequence[int]], failed=None) -> None:
+    def add(self, t, y, ends, groups: Mapping[str, Sequence[int]]) -> None:
         """Fit every family to the next traces, whose temps and powers t and
-        y hold between the row offsets ends, and carry on the sums: groups
-        maps a group's key to its members among these traces, in the order
-        their residuals pool.  failed maps the index of a trace to the
-        exception it fails with unfitted."""
+        y hold between the row offsets ends, but for those its fits already
+        hold as failed, and carry on the sums: groups maps a group's key to
+        its members among these traces, in the order their residuals pool."""
         first = self.added
         self.added += len(ends) - 1
         starts, sizes = np.array(ends[:-1], int), np.diff(ends)
         # the exponential first, as its search holds the most memory
         for kind in reversed(self.kinds):
             fits = self.fits[kind]
-            fits.failed.update(failed or {})
             squares = _fit_table(fits, first, t, y, ends)
             fitted = fits.ok[first : self.added]
             self.total[kind] = _carry(
@@ -893,7 +891,9 @@ def compare_models(
             seen.add(i)
     t, y, ends, invalid = _join(traces)
     comparison = _Comparison(n)
-    comparison.add(t, y, ends, groups, invalid)
+    for fits in comparison.fits.values():
+        fits.failed.update(invalid)
+    comparison.add(t, y, ends, groups)
     kinds = comparison.kinds
     columns = [[None if isinstance(r, Exception) else r for r in comparison.fits[kind].results()]
                for kind in kinds]
