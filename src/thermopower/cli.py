@@ -319,11 +319,14 @@ def _read_traces(paths: list[str], run: _Run):
             _parse_chunk(paths[first:i], texts, run)
             raise
         if texts and size + len(data) > SLAB_BYTES:
-            yield _parse_chunk(paths[first:i], texts, run)
-            texts, first, size = [], i, 0
+            chunk = _parse_chunk(paths[first:i], texts, run)
+            texts, first, size = [], i, 0  # free before the chunk is fitted
+            yield chunk
         texts.append(data)
         size += len(data)
-    yield _parse_chunk(paths[first:], texts, run)
+    chunk = _parse_chunk(paths[first:], texts, run)
+    texts = data = None
+    yield chunk
 
 
 # the waves of samples read before they are fitted: the traces of one

@@ -212,11 +212,11 @@ class _Rows:
     samples in the batch, and t and y their samples as rows.  fail() sets
     traces aside at the step where a fit of that trace alone would have
     raised, so every later step runs on exactly the traces that reach it.
-    finish() writes each fitted trace's row of fits, and its squared
-    relative residuals at its samples' offsets in squares.
+    finish() writes each fitted trace's row of fits, and, if squares is an
+    array, its squared relative residuals at its samples' offsets there.
     """
 
-    def __init__(self, ids, at, t, y, fits: _Fits, squares: np.ndarray):
+    def __init__(self, ids, at, t, y, fits: _Fits, squares: np.ndarray | None):
         self.ids, self.at, self.t, self.y = ids, at, t, y
         self.fits, self.squares = fits, squares
 
@@ -241,7 +241,8 @@ class _Rows:
         fits.iterations[ids] = iterations
         fits.code[ids] = codes
         fits.ok[ids] = True
-        self.squares[self.at[:, None] + np.arange(squares.shape[1])] = squares
+        if self.squares is not None:
+            self.squares[self.at[:, None] + np.arange(squares.shape[1])] = squares
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -586,12 +587,12 @@ def _fit_exponential(blocks: Sequence[_Rows]) -> None:
         rows.finish(np.stack([a0, a1, a2], axis=1), evaluations, codes)
 
 
-def _fit_table(fits: _Fits, first: int, t: np.ndarray, y: np.ndarray, ends) -> np.ndarray:
+def _fit_table(fits: _Fits, first: int, t: np.ndarray, y: np.ndarray, ends,
+               squares: np.ndarray | None = None) -> None:
     """Fit family fits.kind to traces first, first + 1, ... of fits, whose
     temps and powers are t[a:b] and y[a:b] for consecutive row offsets a, b
-    of ends, but for those fits.failed already holds.  Returns each fitted
-    trace's squared relative residuals at its rows of t; the rows of the
-    others mean nothing.
+    of ends, but for those fits.failed already holds.  Each fitted trace's
+    squared relative residuals go to its rows of squares, if given.
 
     The traces are taken shortest first (stably: in index order within a
     length) into waves of up to WAVE_SAMPLES samples, at least one trace
@@ -609,7 +610,6 @@ def _fit_table(fits: _Fits, first: int, t: np.ndarray, y: np.ndarray, ends) -> n
             samples = 0
         samples += lengths[j]
         waves[-1].append(j)
-    squares = np.empty(len(t))
     for wave in waves:
         blocks = []
         for n, block in itertools.groupby(wave, key=lengths.__getitem__):
@@ -627,7 +627,6 @@ def _fit_table(fits: _Fits, first: int, t: np.ndarray, y: np.ndarray, ends) -> n
         else:
             for rows in blocks:
                 _fit_poly(rows, 1 if fits.kind is FitKind.LINEAR else 2, fits.kind)
-    return squares
 
 
 _EMPTY = np.empty(0)
@@ -648,6 +647,8 @@ def _join(data: Sequence) -> tuple[np.ndarray, np.ndarray, list[int], dict]:
         ts.append(t)
         ys.append(y)
     ends = list(itertools.accumulate(map(len, ts[1:]), initial=0))
+    if len(data) == 1:  # a trace's own columns: no copy of a long one
+        return np.ascontiguousarray(ts[1]), np.ascontiguousarray(ys[1]), ends, failed
     return np.concatenate(ts), np.concatenate(ys), ends, failed
 
 
@@ -833,8 +834,8 @@ class _Comparison:
         starts, sizes = np.array(ends[:-1], int), np.diff(ends)
         # the exponential first, as its search holds the most memory
         for kind in reversed(self.kinds):
-            fits = self.fits[kind]
-            squares = _fit_table(fits, first, t, y, ends)
+            fits, squares = self.fits[kind], np.empty(len(t))
+            _fit_table(fits, first, t, y, ends, squares)
             fitted = fits.ok[first : self.added]
             self.total[kind] = _carry(
                 self.total[kind], squares[_rows(starts, sizes, np.flatnonzero(fitted))])
