@@ -24,7 +24,6 @@ _collecting = gc.isenabled()
 gc.disable()
 try:
     import argparse
-    import bisect
     import contextlib
     import functools
     import hashlib
@@ -329,45 +328,19 @@ def _read_traces(paths: list[str], run: _Run):
     yield chunk
 
 
-# the waves of samples read before they are fitted: the traces of one
-# length in a window share a block (see fitting._fit_table), so a fleet of
-# mixed lengths makes fewer blocks the more waves a window holds
-_WINDOW_WAVES = 2
-
-
-def _windows(chunks):
-    """The traces of chunks (metas, table, ends), in order, cut into
-    windows (metas, (2, rows) table of temps and powers, ends) of up to
-    _WINDOW_WAVES waves of samples, at least one trace each."""
-    metas, tables, ends = [], [], [0]
-    for chunk in itertools.chain(chunks, [None]):
-        if chunk is not None:
-            metas += chunk[0]
-            tables.append(chunk[1][1:])
-            ends += [ends[-1] + end for end in chunk[2][1:]]
-        limit = _WINDOW_WAVES * fitting.WAVE_SAMPLES
-        while metas and (chunk is None or ends[-1] >= limit):
-            table = np.concatenate(tables, axis=1) if len(tables) > 1 else tables[0]
-            cut = max(1, bisect.bisect_right(ends, limit) - 1)
-            yield metas[:cut], table[:, : ends[cut]], ends[: cut + 1]
-            metas, tables = metas[cut:], [table[:, ends[cut] :]]
-            ends = [end - ends[cut] for end in ends[cut:]]
-
-
 _KIND_TEXT = {kind: encode_basestring_ascii(kind.value) for kind in FitKind}
 _TERMINATION_TEXT = [encode_basestring_ascii(why) for why in fitting._TERMINATIONS]
 
 
 class _Entries:
-    """results.traces of `thermo fit`, from a fitting._Comparison's
-    columns: for each trace, {"fits": {family: the dict of its FitResult's
-    fields, or None}, "path": path}, and with one family, a failed fit's
+    """results.traces of `thermo fit`, from each family's fitting._Fits:
+    for each trace, {"fits": {family: the dict of its FitResult's fields,
+    or None}, "path": path}, and with one family, a failed fit's
     "message"."""
 
-    def __init__(self, paths: list[str], comparison):
+    def __init__(self, paths: list[str], fits: dict):
         self.paths = paths
-        self.fits = [comparison.fits[kind] for kind in sorted(comparison.kinds,
-                                                              key=lambda kind: kind.value)]
+        self.fits = [fits[kind] for kind in sorted(fits, key=lambda kind: kind.value)]
 
     def entry(self, i: int) -> dict:
         """Trace i's entry, as json.dumps would take it."""
@@ -441,23 +414,40 @@ class _Entries:
         return size + len(slots[-1])
 
 
+def _read_fleet(args, run: _Run) -> tuple:
+    """The temperatures and the powers of the traces of args.traces, each
+    joined into one array, the row offsets where each trace starts and the
+    last ends, and, when --model all pools them, the indices of the traces
+    of each --group-by group."""
+    groups: dict[str, list[int]] = {}
+    temps, powers, ends = [], [], [0]  # the times are not fitted
+    for metas, table, chunk_ends in _read_traces(args.traces, run):
+        if args.group_by == "proc-cores" and args.model == "all":
+            for i, meta in enumerate(metas, len(ends) - 1):
+                groups.setdefault(f"{meta.processor}/c{meta.cores}", []).append(i)
+        temps.append(table[1].copy())
+        powers.append(table[2].copy())
+        ends += [ends[-1] + end for end in chunk_ends[1:]]
+    # one array joined at a time, its pieces freed before the next is
+    temps = temps[0] if len(temps) == 1 else np.concatenate(temps)
+    powers = powers[0] if len(powers) == 1 else np.concatenate(powers)
+    return temps, powers, ends, groups
+
+
 def cmd_fit(args, run: _Run) -> tuple[int, dict, list[str]]:
-    kinds = tuple(FitKind) if args.model == "all" else (_MODEL_FLAGS[args.model],)
-    comparison = fitting._Comparison(len(args.traces), kinds)
-    temps = None  # the first trace's, for --plot
-    for metas, table, ends in _windows(_read_traces(args.traces, run)):
-        groups: dict[str, list[int]] = {}
-        if args.group_by == "proc-cores":
-            for j, meta in enumerate(metas):
-                groups.setdefault(f"{meta.processor}/c{meta.cores}", []).append(j)
-        comparison.add(table[0], table[1], ends, groups)
-        if temps is None:
-            temps = table[0, : ends[1]].copy()
-    results = {"traces": _Entries(args.traces, comparison)}
+    temps, powers, ends, groups = _read_fleet(args, run)
+    if args.model == "all":
+        comparison = fitting._Comparison(temps, powers, ends, {}, groups)
+        kinds, fits = comparison.kinds, comparison.fits
+    else:
+        kinds = (_MODEL_FLAGS[args.model],)
+        fits = {kinds[0]: fitting._Fits(kinds[0], len(args.traces))}
+        fitting._fit_table(fits[kinds[0]], temps, powers, ends)
+    results = {"traces": _Entries(args.traces, fits)}
     lines = []
     if not args.json and not args.quiet:  # else the lines go unprinted
-        columns = [(kind.value, comparison.fits[kind].failed, comparison.fits[kind].error.tolist(),
-                    comparison.fits[kind].coeffs.tolist()) for kind in kinds]
+        columns = [(kind.value, fits[kind].failed, fits[kind].error.tolist(),
+                    fits[kind].coeffs.tolist()) for kind in kinds]
         for i, path in enumerate(args.traces):
             if args.model == "all":
                 lines.append(_styled(path))
@@ -471,7 +461,7 @@ def cmd_fit(args, run: _Run) -> tuple[int, dict, list[str]]:
 
     if args.model == "all":
         failures = comparison.failures()
-        results["aggregated"] = {k.value: fitting._root(comparison.total[k]) for k in kinds}
+        results["aggregated"] = {k.value: v for k, v in comparison.aggregated.items()}
         results["sign_tests"] = {f"{a.value}_vs_{b.value}": p
                                  for (a, b), p in comparison.p_values().items()}
         results["failures"] = [{"trace": args.traces[i], "kind": kind.value, "message": msg}
@@ -479,8 +469,8 @@ def cmd_fit(args, run: _Run) -> tuple[int, dict, list[str]]:
         failed = bool(failures)
         if args.group_by == "proc-cores":
             results["groups"] = {
-                key: {kind.value: fitting._root(comparison.sums[kind][key]) for kind in kinds}
-                for key in sorted(comparison.sums[kinds[0]])
+                key: {kind.value: error for kind, error in errors.items()}
+                for key, errors in sorted(comparison.groups.items())
             }
         lines.append(
             "aggregated: "
@@ -493,13 +483,14 @@ def cmd_fit(args, run: _Run) -> tuple[int, dict, list[str]]:
         kind = FitKind.EXPONENTIAL
     else:
         kind = kinds[0]
-        failed = bool(comparison.fits[kind].failed)
+        failed = bool(fits[kind].failed)
 
-    plotted = comparison.fits[kind]
+    plotted = fits[kind]
     if args.plot and not plotted.ok[0]:  # an older file there stays
         run.warnings.append(f"no plot written: the {kind.value} fit of {args.traces[0]} failed")
         lines.append(run.warnings[-1])
     elif args.plot:
+        temps = temps[: ends[1]]
         _write_plot(args.plot, temps, fitting._curve(kind, plotted.coeffs[0].tolist(), temps))
     return (1 if failed else 0), results, lines
 

@@ -22,8 +22,9 @@ operations in the same order as a trace fitted on its own, with row sums
 and dot products taken by the same numpy and BLAS routines, so a fit does
 not depend on the batch it is in; fitting one trace is a batch of one.  A
 family's fits are columns (_Fits), from which fit_batch builds its
-FitResults.  compare_models (_Comparison) pools squared relative residuals
-as running sums, which carry from one batch to the next.
+FitResults.  compare_models (_Comparison) writes each family's squared
+relative residuals into one array over the batch, and pools them from
+there by trace.
 """
 
 from __future__ import annotations
@@ -587,12 +588,12 @@ def _fit_exponential(blocks: Sequence[_Rows]) -> None:
         rows.finish(np.stack([a0, a1, a2], axis=1), evaluations, codes)
 
 
-def _fit_table(fits: _Fits, first: int, t: np.ndarray, y: np.ndarray, ends,
+def _fit_table(fits: _Fits, t: np.ndarray, y: np.ndarray, ends,
                squares: np.ndarray | None = None) -> None:
-    """Fit family fits.kind to traces first, first + 1, ... of fits, whose
-    temps and powers are t[a:b] and y[a:b] for consecutive row offsets a, b
-    of ends, but for those fits.failed already holds.  Each fitted trace's
-    squared relative residuals go to its rows of squares, if given.
+    """Fit family fits.kind to the traces of fits, whose temps and powers
+    are t[a:b] and y[a:b] for consecutive row offsets a, b of ends, but for
+    those fits.failed already holds.  Each fitted trace's squared relative
+    residuals go to its rows of squares, if given.
 
     The traces are taken shortest first (stably: in index order within a
     length) into waves of up to WAVE_SAMPLES samples, at least one trace
@@ -603,7 +604,7 @@ def _fit_table(fits: _Fits, first: int, t: np.ndarray, y: np.ndarray, ends,
     lengths = sizes.tolist()
     waves, samples = [], math.inf
     for j in np.argsort(sizes, kind="stable").tolist():
-        if first + j in fits.failed:
+        if j in fits.failed:
             continue
         if samples + lengths[j] > WAVE_SAMPLES:
             waves.append([])
@@ -621,7 +622,7 @@ def _fit_table(fits: _Fits, first: int, t: np.ndarray, y: np.ndarray, ends,
             else:
                 rows = at[:, None] + np.arange(n)
                 tb, yb = t[rows], y[rows]
-            blocks.append(_Rows(first + js, at, tb, yb, fits, squares))
+            blocks.append(_Rows(js, at, tb, yb, fits, squares))
         if fits.kind is FitKind.EXPONENTIAL:
             _fit_exponential(blocks)
         else:
@@ -665,7 +666,7 @@ def fit_batch(data: Sequence, kind: FitKind) -> list[FitResult | Exception]:
     t, y, ends, failed = _join(data)
     fits = _Fits(kind, len(data))
     fits.failed.update(failed)
-    _fit_table(fits, 0, t, y, ends)
+    _fit_table(fits, t, y, ends)
     return fits.results()
 
 
@@ -718,22 +719,15 @@ def _pool(squares: np.ndarray) -> float:
     return math.sqrt(np.add.accumulate(squares, out=squares)[-1])
 
 
-def _carry(total: float | None, squares: np.ndarray) -> float | None:
-    """The running sum of total, that of the squares before these (None
-    for none), and then of squares in order: np.add.accumulate adds in
-    sequence, so a sum carried from piece to piece ends on the bits of
-    _pool's sum over the whole."""
-    if total is not None:
-        squares = np.concatenate(([total], squares))
-    return float(np.add.accumulate(squares)[-1]) if squares.size else None
-
-
-def _rows(starts: np.ndarray, sizes: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """The row offsets of traces indices, in order, from the first and the
-    number of rows of each trace."""
+def _pooled(squares: np.ndarray, starts: np.ndarray, sizes: np.ndarray,
+            indices: np.ndarray) -> float | None:
+    """_pool of the squares of traces indices, in order, whose rows of
+    squares start at starts and number sizes; None for no traces."""
+    if not indices.size:
+        return None
     sizes = sizes[indices]
     offsets = np.repeat(starts[indices] - (np.cumsum(sizes) - sizes), sizes)
-    return offsets + np.arange(offsets.size)
+    return _pool(squares[offsets + np.arange(offsets.size)])
 
 
 def aggregate_error(fits: Sequence[tuple[Trace, FitResult]]) -> float:
@@ -813,36 +807,34 @@ class ModelComparison:
 
 
 class _Comparison:
-    """compare_models over traces fitted a batch at a time, in order: each
-    family's _Fits of every trace, and the running sums (see _carry) of the
-    fitted traces' squared relative residuals, over the whole set (total)
-    and over each group (sums)."""
+    """compare_models of the traces whose temps and powers t and y hold
+    between the row offsets ends, but for those failed maps to the
+    exception no family can get past: each family's _Fits, and the pooled
+    error of its fitted traces over the whole set (aggregated) and over
+    each group (groups), whose members groups lists in the order their
+    residuals pool."""
 
-    def __init__(self, n: int, kinds: tuple[FitKind, ...] = tuple(FitKind)):
-        self.kinds, self.added = kinds, 0
-        self.fits = {kind: _Fits(kind, n) for kind in kinds}
-        self.total: dict[FitKind, float | None] = dict.fromkeys(kinds)
-        self.sums: dict[FitKind, dict[str, float | None]] = {kind: {} for kind in kinds}
-
-    def add(self, t, y, ends, groups: Mapping[str, Sequence[int]]) -> None:
-        """Fit every family to the next traces, whose temps and powers t and
-        y hold between the row offsets ends, but for those its fits already
-        hold as failed, and carry on the sums: groups maps a group's key to
-        its members among these traces, in the order their residuals pool."""
-        first = self.added
-        self.added += len(ends) - 1
+    def __init__(self, t, y, ends, failed: Mapping[int, Exception],
+                 groups: Mapping[str, Sequence[int]]):
+        kinds = self.kinds = tuple(FitKind)  # iterating FitKind runs Python code each time
         starts, sizes = np.array(ends[:-1], int), np.diff(ends)
+        self.fits: dict[FitKind, _Fits] = {}
+        self.aggregated: dict[FitKind, float | None] = dict.fromkeys(kinds)
+        self.groups = {key: dict.fromkeys(kinds) for key in groups}
+        squares = np.empty(len(t))
         # the exponential first, as its search holds the most memory
-        for kind in reversed(self.kinds):
-            fits, squares = self.fits[kind], np.empty(len(t))
-            _fit_table(fits, first, t, y, ends, squares)
-            fitted = fits.ok[first : self.added]
-            self.total[kind] = _carry(
-                self.total[kind], squares[_rows(starts, sizes, np.flatnonzero(fitted))])
+        for kind in reversed(kinds):
+            # a failed trace's rows keep +0.0, which leaves a running sum of
+            # squares (never -0.0) as it was, so the whole set pools in place
+            squares.fill(0.0)
+            fits = _Fits(kind, len(sizes))
+            fits.failed.update(failed)
+            _fit_table(fits, t, y, ends, squares)
+            self.fits[kind] = fits
             for key, members in groups.items():
                 members = np.array(members, int)
-                self.sums[kind][key] = _carry(self.sums[kind].get(key), squares[
-                    _rows(starts, sizes, members[fitted[members]])])
+                self.groups[key][kind] = _pooled(squares, starts, sizes, members[fits.ok[members]])
+            self.aggregated[kind] = _pool(squares) if fits.ok.any() else None
 
     def failures(self) -> list[tuple[int, FitKind, str]]:
         """ModelComparison.failures: (trace index, kind, message) of every
@@ -862,10 +854,6 @@ class _Comparison:
             p_values[(ka, kb)] = _sign_p(int(np.count_nonzero(a < b)),
                                          int(np.count_nonzero(a > b)))
         return p_values
-
-
-def _root(total: float | None) -> float | None:
-    return None if total is None else math.sqrt(total)
 
 
 def compare_models(
@@ -890,18 +878,10 @@ def compare_models(
             if i in seen:
                 raise InvalidParams(f"group {key!r}: trace index {i!r} repeats")
             seen.add(i)
-    t, y, ends, invalid = _join(traces)
-    comparison = _Comparison(n)
-    for fits in comparison.fits.values():
-        fits.failed.update(invalid)
-    comparison.add(t, y, ends, groups)
+    comparison = _Comparison(*_join(traces), groups)
     kinds = comparison.kinds
     columns = [[None if isinstance(r, Exception) else r for r in comparison.fits[kind].results()]
                for kind in kinds]
-    return ModelComparison(
-        [dict(zip(kinds, row)) for row in zip(*columns)],
-        comparison.failures(),
-        {kind: _root(comparison.total[kind]) for kind in kinds},
-        comparison.p_values(),
-        {key: {kind: _root(comparison.sums[kind].get(key)) for kind in kinds} for key in groups},
-    )
+    return ModelComparison([dict(zip(kinds, row)) for row in zip(*columns)],
+                           comparison.failures(), comparison.aggregated, comparison.p_values(),
+                           comparison.groups)

@@ -1195,6 +1195,19 @@ def test_fit_reads_trace_paths_from_an_argument_file(fleet_dir, monkeypatch, cap
                    capsys) == (2, "", f"error: @{listing}: No such file or directory\n")
 
 
+def test_fit_names_an_argument_file_it_cannot_read(tmp_path, capsys):
+    """argparse reads argument files: one it cannot open ends the command
+    with its usage and the OSError, naming the file."""
+    missing = tmp_path / "missing.txt"
+    with pytest.raises(SystemExit) as exit_:
+        main(["fit", f"@{missing}"])
+    out, err = capsys.readouterr()
+    enoent = OSError(errno.ENOENT, os.strerror(errno.ENOENT), str(missing))
+    assert (exit_.value.code, out) == (2, "")
+    assert err.startswith("usage: thermo fit ")
+    assert err.endswith(f"thermo fit: error: {enoent}\n")
+
+
 def test_fleet_fit_names_a_file_that_is_not_utf8(fleet_dir, monkeypatch, capsys, tmp_path):
     names = [f"t{i:03d}.csv" for i in range(FLEET_SIZE)]
     bad = names[FLEET_SIZE // 2]

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermopower import fitting
 from thermopower.errors import (
     AllTies,
     DegenerateInput,
@@ -440,23 +439,6 @@ def test_sign_test_matches_reference_formula(wins, losses, ties):
     b = [1.0] * wins + [-1.0] * losses + [0.0] * ties
     assert sign_test(a, b) == _sign_test_reference(a, b)
     assert sign_test(b, a) == sign_test(a, b)
-
-
-SQUARES = st.floats(0.0, 1e300) | st.sampled_from([0.0, -0.0, 5e-324, 1e-300, math.inf, math.nan])
-
-
-@settings(max_examples=300, deadline=None)
-@given(squares=st.lists(SQUARES, max_size=40), cuts=st.lists(st.integers(0, 40), max_size=6))
-def test_a_running_sum_carried_across_pieces_pools_as_the_whole(squares, cuts):
-    whole = np.array(squares, float)
-    bounds = [0, *sorted(min(cut, whole.size) for cut in cuts), whole.size]
-    total = None
-    for a, b in zip(bounds, bounds[1:]):  # equal cuts make empty pieces
-        total = fitting._carry(total, whole[a:b])
-    if whole.size:
-        assert repr(math.sqrt(total)) == repr(fitting._pool(whole.copy()))
-    else:
-        assert total is None
 
 
 def test_sign_test_rounds_the_exact_tail_once():

@@ -93,7 +93,7 @@ def test_values_that_are_not_report_json_raise_type_error(bad):
             "".join(_chunks(bad, depth=depth))
 
 
-# --- trace entries, written from a comparison's columns ---
+# --- trace entries, written from the columns of each family's fits ---
 
 def fit_dict(fit):
     """A FitResult as a report writes it: the dict of its fields."""
@@ -126,8 +126,8 @@ def test_trace_entries_are_written_as_the_dicts_of_their_fit_results(data):
     kinds = data.draw(st.sampled_from([tuple(FitKind), (FitKind.EXPONENTIAL,),
                                        (FitKind.LINEAR,)]))
     n = data.draw(st.integers(1, 6))
-    comparison = fitting._Comparison(n, kinds)
-    for fits in comparison.fits.values():
+    columns = {kind: fitting._Fits(kind, n) for kind in kinds}
+    for fits in columns.values():
         for i in range(n):
             if data.draw(st.integers(0, 3)) == 0:
                 fits.failed[i] = DegenerateInput(data.draw(TEXT))
@@ -139,10 +139,10 @@ def test_trace_entries_are_written_as_the_dicts_of_their_fit_results(data):
             fits.iterations[i] = data.draw(st.integers(0, 10**6))
             fits.code[i] = data.draw(st.integers(0, len(fitting._TERMINATIONS) - 1))
     paths = data.draw(st.lists(TEXT, min_size=n, max_size=n))
-    results = {kind: comparison.fits[kind].results() for kind in kinds}
+    results = {kind: columns[kind].results() for kind in kinds}
     expected = json.dumps(finite_only({"traces": entry_dicts(paths, results, kinds)}),
                           sort_keys=True, indent=2)
-    report = {"traces": _Entries(paths, comparison)}
+    report = {"traces": _Entries(paths, columns)}
     assert ["".join(_chunks(report, depth=d)) for d in (1, 2, 3)] == [expected] * 3
 
 
@@ -183,7 +183,7 @@ NON_FINITE_FITS = {7: math.nan, 8: math.inf, 9: -math.inf, 500: math.nan}
 def test_a_fleet_report_writes_each_fit_as_the_dict_of_its_fit_result(
         tmp_path, capsys, monkeypatch, model, wave):
     paths = fleet_files(tmp_path)
-    # 997: the fleet is read in several windows of waves, its sums carried
+    # 997: the fleet is fitted in more, smaller waves
     monkeypatch.setattr(fitting, "WAVE_SAMPLES", wave)
     finish = fitting._Rows.finish
 
