@@ -24,6 +24,7 @@ from thermopower.errors import (
 from thermopower.fitting import (
     FitKind,
     FitResult,
+    _pool,
     aggregate_error,
     compare_models,
     exp_curve,
@@ -349,6 +350,22 @@ def test_aggregate_pools_squared_sums():
     r1, r2 = fit_linear(t1), fit_linear(t2)
     got = aggregate_error([(t1, r1), (t2, r2)])
     assert math.isclose(got, math.hypot(r1.error, r2.error), rel_tol=1e-12)
+
+
+SQUARES = st.floats(0.0, 1e300) | st.sampled_from([0.0, 5e-324, 1e-300, math.inf, math.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(squares=st.lists(SQUARES, min_size=1, max_size=40),
+       gaps=st.lists(st.tuples(st.integers(0, 40), st.integers(1, 5)), max_size=6))
+def test_zeros_among_squares_pool_as_the_squares_alone(squares, gaps):
+    """compare_models leaves a failed trace's rows of squared residuals at
+    +0.0 and pools the fitted ones' in place, around them."""
+    with_zeros = list(squares)
+    for at, count in sorted(gaps, reverse=True):
+        with_zeros[at:at] = [0.0] * count
+    alone, around = _pool(np.array(squares)), _pool(np.array(with_zeros))
+    assert repr(around) == repr(alone)
 
 
 def test_aggregate_noiseless_group_is_zero():
