@@ -10,12 +10,15 @@ A trace file is UTF-8 text with LF line endings::
     ...
 
 ``#key=value`` comment lines are only allowed before the column header.
-Numbers use ``.`` as the decimal separator and are written in the shortest
-decimal form that parses back to the identical float, so write/parse is a
-bit-exact round trip.  Every CSV the package writes goes through
-write_table; it reads traces through _chunk_table (parse_traces) and
-other tables through parse_table, both one slab of at most SLAB_BYTES at
-a time.
+Numbers use ``.`` as the decimal separator and are written as their repr,
+the shortest decimal form that parses back to the identical float, so
+write/parse is a bit-exact round trip.  Every CSV the package writes goes
+through write_table (_table_text): a table of fewer than BLOCK_ROWS rows
+is formatted with %r, SLAB_BYTES of text at a time; a longer one a block
+of BLOCK_ROWS rows at a time, by _shortest.rows_text when every value of
+the block prints in fixed notation, else with %r.  It reads traces
+through _chunk_table (parse_traces) and other tables through
+parse_table, both one slab of at most SLAB_BYTES at a time.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .errors import (
 HEADER = "time_s,temp_c,power_w"
 _COLUMNS = tuple(HEADER.split(","))
 SLAB_BYTES = 1 << 16  # CSV text converted at once, read or written
+BLOCK_ROWS = 4096  # rows a long table writes at once, as arrays
 
 
 def check_samples(time_s, temp_c, power_w, line_of=None) -> None:
@@ -421,14 +425,33 @@ def _parse_alone(text: str | bytes) -> Trace:
 
 def _table_text(meta: Mapping[str, str], names: Sequence[str], columns):
     """write_table's text in pieces, columns float arrays: the header,
-    then runs of rows of at most SLAB_BYTES."""
+    then the rows, each number its repr.  A table of fewer than BLOCK_ROWS
+    rows is formatted with %r in pieces of at most SLAB_BYTES.  A longer
+    one goes out in pieces of one block of BLOCK_ROWS rows, at most
+    BLOCK_ROWS * 25 bytes a column: _shortest.rows_text writes a block
+    whose values all print in fixed notation, %r any other.  Raises
+    LengthMismatch when a column is not 1-D, or when names and columns
+    differ in number or columns in length."""
+    for col in columns:
+        if col.ndim != 1:
+            raise LengthMismatch(f"a column must be 1-D, got shape {col.shape}")
+    lengths = set(map(len, columns))
+    if len(names) != len(columns):
+        raise LengthMismatch(f"{len(names)} column names for {len(columns)} columns")
+    if len(lengths) > 1:
+        raise LengthMismatch(f"column lengths differ: {sorted(lengths)}")
     yield "".join(f"#{key}={value}\n" for key, value in meta.items()) + ",".join(names) + "\n"
+    rows = lengths.pop() if lengths else 0
+    long = rows >= BLOCK_ROWS
+    if long:
+        from . import _shortest
     # %r of a float is its repr, at most 24 characters; one format writes a run
     row_format = ",".join(["%r"] * len(names)) + "\n"
-    run = max(1, SLAB_BYTES // (25 * len(names)))
-    for i in range(0, max(map(len, columns)), run):  # a shorter column fails column_stack
+    run = BLOCK_ROWS if long else max(1, SLAB_BYTES // (25 * max(1, len(names))))
+    for i in range(0, rows, run):
         table = np.column_stack([col[i : i + run] for col in columns])
-        yield (row_format * len(table)) % tuple(table.ravel().tolist())
+        text = _shortest.rows_text(table) if long else None
+        yield (row_format * len(table)) % tuple(table.ravel().tolist()) if text is None else text
 
 
 def write_table(meta: Mapping[str, str], names: Sequence[str], columns) -> str:

@@ -1,5 +1,6 @@
 """What one ``thermo`` process pays for, each case in a fresh interpreter:
-a command imports only the modules it uses, ``import thermopower`` loads
+a command imports only the modules it uses, the array CSV writer only for
+a table of a block or more, ``import thermopower`` loads
 no submodule until one of its names is looked up, importing ``cli`` leaves
 the cyclic collector as it found it, and ``cli.run`` exits as ``cli.main``
 returns, with the heap frozen for the interpreter's teardown.
@@ -16,6 +17,7 @@ import pytest
 
 import thermopower
 from thermopower.cli import main
+from thermopower.trace import BLOCK_ROWS
 
 SRC = Path(thermopower.__file__).parents[1]
 INPUTS = Path(__file__).parent / "golden" / "inputs"
@@ -64,6 +66,20 @@ def test_a_command_imports_only_the_modules_it_uses(command, tmp_path):
     assert package == {f"thermopower.{name}" for name in ("errors", "trace", "fitting", *uses)}
     assert "numpy" in imported
     assert not imported & {"fractions", "decimal"}
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (["gen", "--params", "0.3,100.0,33.0", "--sweep", f"25,85,{BLOCK_ROWS}", "--seed", "0",
+      "--out", "gen.csv"], True),
+    (["--version"], False),
+], ids=["gen of a block", "version"])
+def test_the_array_writer_loads_for_a_table_of_a_block_or_more(argv, loads, tmp_path):
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "thermopower.cli", *argv],
+                          env=ENV, cwd=tmp_path, capture_output=True)
+    assert done.returncode == 0, done.stderr.decode()
+    imported = {line.split("|")[-1].strip()
+                for line in done.stderr.decode().splitlines() if line.startswith("import time:")}
+    assert ("thermopower._shortest" in imported) == loads
 
 
 def test_import_thermopower_loads_no_submodule():

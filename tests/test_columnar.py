@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermopower.debias import DebiasSpec, _median, debias, write_debiased
-from thermopower.errors import MalformedRow
+from thermopower.errors import LengthMismatch, MalformedRow
 from thermopower.fitting import (
     FitKind,
     aggregate_error,
@@ -42,6 +42,7 @@ from thermopower.sensor import (
     erf,
 )
 from thermopower.trace import (
+    BLOCK_ROWS,
     SLAB_BYTES,
     Trace,
     TraceMeta,
@@ -261,6 +262,125 @@ def test_write_trace_matches_row_by_row_reference(noisy, slab):
 def test_write_table_empty_and_single_column(slab):
     assert write_table({}, ("x",), ([],)) == "x\n"
     assert write_table({"k": "v"}, ("x",), ([0.1, -0.0],)) == "#k=v\nx\n0.1\n-0.0\n"
+
+
+@pytest.mark.parametrize("names, columns", [
+    ((), ([1.0],)), (("x",), ()), (("x", "y"), ([1.0], [1.0, 2.0])),
+    (("x", "y"), (np.zeros(BLOCK_ROWS), np.zeros(BLOCK_ROWS + 1))),
+    (("x",), ([[1.0, 2.0]],)), (("x",), (np.ones((BLOCK_ROWS, 2)),)), (("x",), (1.5,)),
+])
+def test_write_table_rejects_columns_that_do_not_match(names, columns):
+    with pytest.raises(LengthMismatch):
+        write_table({}, names, columns)
+
+
+def test_write_table_of_no_columns_is_its_header():
+    assert write_table({"k": "v"}, (), ()) == "#k=v\n\n"
+
+
+def test_shortest_powers_of_ten_and_products_are_exact():
+    from thermopower import _shortest
+
+    for q in range(_shortest._Q_LO, _shortest._Q_HI + 1):
+        for closer in (False, True):
+            k = (q * _shortest._LOG10_2 - closer * _shortest._LOG10_4_3) >> _shortest._SHIFT
+            x = Fraction(2) ** q * (Fraction(3, 4) if closer else 1)
+            assert Fraction(10) ** k <= x < Fraction(10) ** (k + 1), (q, closer)
+            assert _shortest._K_LO <= k <= _shortest._K_HI
+    gh, gl = (limb.astype(object) for limb in _shortest._G)
+    shifts = _shortest._R - 64
+    assert [(h << 32 | l) * Fraction(2) ** int(r) for h, l, r in zip(gh, gl, shifts)] == [
+        Fraction(10) ** -k for k in range(_shortest._K_LO, _shortest._K_HI + 1)]
+    rng = np.random.default_rng(5)
+    cp = rng.integers(0, 1 << 64, 3000, dtype=np.uint64, endpoint=False)
+    cp[:3] = 0, 1, (1 << 64) - 1
+    g = _shortest._G[:, rng.integers(0, _shortest._G.shape[1], len(cp))]
+    got = _shortest._round_to_odd(g, cp).tolist()
+    for h, l, c, odd in zip(*g.tolist(), cp.tolist(), got):
+        product = (h << 32 | l) * c
+        assert odd == product >> 64 | (product % (1 << 64) != 0)
+
+
+def reprs(values) -> list[str]:
+    """Each row of a 2-D float array as ",".join(map(repr, row))."""
+    return [",".join(map(repr, row)) for row in values.tolist()]
+
+
+def shortest_digits(text: str) -> int:
+    """The significant digits of a repr in fixed notation."""
+    return len(text.lstrip("-").replace(".", "").strip("0"))
+
+
+@pytest.fixture(scope="module")
+def doubles():
+    """Over 10**6 seeded doubles as three columns, and their rows' reprs.
+
+    Most blocks of BLOCK_ROWS rows hold only values that repr writes in
+    fixed notation (±0 or 1e-4 <= |x| < 1e16), the ones the array writer
+    takes; the ulps around 1e-4 and 1e16 and the unrestricted bit patterns
+    put values in scientific notation into some blocks, which %r writes.
+    """
+    rng = np.random.default_rng(2022)
+    sign = lambda n: np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    # random bit patterns with exponents of the fixed range, and without
+    fixed = rng.integers(0, 1 << 52, 500_000, dtype=np.uint64) | (
+        rng.integers(1023 - 14, 1023 + 54, 500_000).astype(np.uint64) << np.uint64(52))
+    anywhere = rng.integers(0, 1 << 64, 50_000, dtype=np.uint64, endpoint=False)
+    around = []  # 60 ulps each side of 1e-4 and 1e16
+    for edge in (1e-4, 1e16):
+        up, down = [edge], [edge]
+        for _ in range(60):
+            up.append(np.nextafter(up[-1], np.inf))
+            down.append(np.nextafter(down[-1], 0.0))
+        around += down[::-1] + up[1:]
+    decimals = {}  # of 1, 15, 16 and 17 significant digits, in the fixed range
+    for n in (1, 15, 16, 17):
+        digits = rng.integers(10 ** (n - 1), 10**n, 60_000)
+        exponents = rng.integers(-3 - n, 17 - n, 60_000)
+        decimals[n] = np.array([float(f"{d}e{e}") for d, e in zip(digits.tolist(), exponents.tolist())])
+    parts = [
+        fixed.view(float) * sign(len(fixed)),
+        np.round(rng.uniform(-100.0, 100.0, 100_000), 3),  # short decimals
+        0.2 * np.arange(60_000),
+        np.arange(2**53 - 30_000, 2**53 + 30_000, dtype=np.int64).astype(float),
+        np.repeat([0.0, -0.0], 3000),
+        *(decimals[n] * sign(len(decimals[n])) for n in (1, 15, 16, 17)),
+        np.array(around) * sign(len(around)),
+        anywhere.view(float),
+    ]
+    values = np.concatenate(parts)
+    values = values[np.isfinite(values)]
+    values = values[: len(values) // 3 * 3].reshape(-1, 3)
+    assert values.size >= 10**6
+    want = reprs(values)
+    counts = {shortest_digits(field) for row in want for field in row.split(",")
+              if "e" not in field}
+    assert {1, 15, 16, 17} <= counts
+    return values, want
+
+
+def test_the_writer_is_repr_row_by_row(doubles, slab, monkeypatch):
+    values, want = doubles
+    from thermopower import _shortest
+    rows_text, taken = _shortest.rows_text, []  # whether the array writer took each block
+
+    def spy(table):
+        text = rows_text(table)
+        taken.append(text is not None)
+        return text
+
+    monkeypatch.setattr(_shortest, "rows_text", spy)
+    got = write_table({}, ("a", "b", "c"), values.T).split("\n")
+    assert got[0] == "a,b,c" and got[-1] == ""
+    got = got[1:-1]
+    assert len(got) == len(want)
+    bad = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), None)
+    assert bad is None, (bad, values[bad].tolist(), got[bad], want[bad])
+    assert len(taken) == -(-len(values) // BLOCK_ROWS) and any(taken) and not all(taken)
+    # a table shorter than a block is all %r, in runs of the slab budget
+    assert write_table({}, ("a", "b", "c"), values[-2000:].T) == "a,b,c\n" + "".join(
+        row + "\n" for row in want[-2000:])
+    assert len(taken) == -(-len(values) // BLOCK_ROWS)
 
 
 def test_parse_table_matches_float_on_loose_text(slab):
