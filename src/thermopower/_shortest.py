@@ -89,6 +89,7 @@ def _shortest(a):
     k = (q * _LOG10_2 - closer * _LOG10_4_3) >> _SHIFT
     g = _G[:, k - _K_LO]
     h = (q + _R[k - _K_LO]).astype(_U64)
+    # 4 * v * 10**-k and the ends of v's rounding interval, rounded to odd
     cb = c << _U64(2)
     vb = _round_to_odd(g, cb << h)
     vbl = _round_to_odd(g, (cb - _U64(2) + closer) << h)
@@ -99,6 +100,7 @@ def _shortest(a):
     # one digit fewer: s // 10 or the next, if exactly one is in the interval
     sp = s // _U64(10)
     up, wp = lower <= sp * _U64(40), sp * _U64(40) + _U64(40) <= upper
+    # else s or s + 1, whichever alone is in it, or the nearer, ties to even
     u, w = lower <= s << _U64(2), (s << _U64(2)) + _U64(4) <= upper
     mid = (s << _U64(2)) + _U64(2)
     nearest = s + ((vb > mid) | ((vb == mid) & (s & _U64(1) == 1)))
