@@ -285,22 +285,11 @@ def _write_file(path: str, pieces, digest=None) -> None:
         raise OSError(f"{path}: {exc.strerror or exc}") from None
 
 
-def _by_x_then_y(x, y):
-    """Two float arrays sorted by x, then by y, as np.lexsort((y, x))
-    sorts them.  A stable argsort of x, the faster, sorts them alike when
-    sorted x has no equal neighbours (nor NaN) for y to order."""
-    order = np.argsort(x, kind="stable")
-    x_sorted = x[order]
-    if not (x_sorted[1:] > x_sorted[:-1]).all():
-        order = np.lexsort((y, x))
-        x_sorted = x[order]
-    return x_sorted, y[order]
-
-
 def _write_plot(path: str, temps, powers) -> None:
     """(temp, power) rows of two float arrays, sorted by temperature, then
     by power."""
-    _write_file(path, _table_text({}, ("temp_c", "power_w"), _by_x_then_y(temps, powers)))
+    order = np.lexsort((powers, temps))
+    _write_file(path, _table_text({}, ("temp_c", "power_w"), (temps[order], powers[order])))
 
 
 # --- fit ---
@@ -620,7 +609,8 @@ def _slopes(x, y) -> tuple[np.ndarray, np.ndarray]:
     by x, then y, leaving out triples whose x are not distinct.  The second
     divided difference has the sign of right - left, which comparing them
     gives with no inf - inf; slopes of one infinity, or a NaN, give none."""
-    x, y = _by_x_then_y(x, y)
+    order = np.lexsort((y, x))
+    x, y = x[order], y[order]
     x0, x1, x2 = x[:-2], x[1:-1], x[2:]
     y0, y1, y2 = y[:-2], y[1:-1], y[2:]
     keep = (x0 < x1) & (x1 < x2)

@@ -865,22 +865,6 @@ def test_sensor_correct_slopes_beyond_the_double_range_exit_0(tmp_path, capsys):
         "raw_negative_fraction": 1.0, "corrected_positive_fraction": 5 / 34}
 
 
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("case", ["distinct", "ties", "signed zeros", "infinities", "nan"])
-def test_points_sort_by_x_then_y_as_lexsort_does(case):
-    rng = np.random.default_rng(7)
-    x = rng.permutation(np.linspace(20.0, 80.0, 400))
-    x = {"distinct": x, "ties": np.concatenate([x, x[::5], x[::50]]),
-         "signed zeros": np.concatenate([x, [0.0, -0.0, -0.0, 0.0, 0.0]]),
-         "infinities": np.concatenate([x, np.repeat([np.inf, -np.inf, 1e308], 4)]),
-         "nan": np.concatenate([x, [np.nan, 50.0, np.nan, np.nan]])}[case]
-    x = rng.permutation(x)
-    y = rng.integers(0, 5, len(x)) * 0.25
-    y[::7] = np.inf
-    order = np.lexsort((y, x))
-    assert [v.tobytes() for v in cli._by_x_then_y(x, y)] == [x[order].tobytes(), y[order].tobytes()]
-
-
 # each float flag of each command, as --flag=VALUE with {} standing for
 # the value under test; the = form keeps argparse from taking -inf as a flag
 FLOAT_FLAGS = [

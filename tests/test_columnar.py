@@ -359,10 +359,12 @@ def doubles():
     return values, want
 
 
-def test_the_writer_is_repr_row_by_row(doubles, slab, monkeypatch):
-    values, want = doubles
+@pytest.fixture
+def taken(monkeypatch):
+    """Whether the array writer took each block written while the test runs."""
     from thermopower import _shortest
-    rows_text, taken = _shortest.rows_text, []  # whether the array writer took each block
+
+    rows_text, taken = _shortest.rows_text, []
 
     def spy(table):
         text = rows_text(table)
@@ -370,6 +372,11 @@ def test_the_writer_is_repr_row_by_row(doubles, slab, monkeypatch):
         return text
 
     monkeypatch.setattr(_shortest, "rows_text", spy)
+    return taken
+
+
+def test_the_writer_is_repr_row_by_row(doubles, taken):
+    values, want = doubles
     got = write_table({}, ("a", "b", "c"), values.T).split("\n")
     assert got[0] == "a,b,c" and got[-1] == ""
     got = got[1:-1]
@@ -377,10 +384,18 @@ def test_the_writer_is_repr_row_by_row(doubles, slab, monkeypatch):
     bad = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), None)
     assert bad is None, (bad, values[bad].tolist(), got[bad], want[bad])
     assert len(taken) == -(-len(values) // BLOCK_ROWS) and any(taken) and not all(taken)
-    # a table shorter than a block is all %r, in runs of the slab budget
-    assert write_table({}, ("a", "b", "c"), values[-2000:].T) == "a,b,c\n" + "".join(
-        row + "\n" for row in want[-2000:])
-    assert len(taken) == -(-len(values) // BLOCK_ROWS)
+
+
+@pytest.mark.parametrize("rows", [2000, BLOCK_ROWS - 1, BLOCK_ROWS])
+def test_a_table_shorter_than_a_block_is_written_with_r(doubles, taken, slab, rows):
+    """Rows that print in fixed notation go through %r, in runs of the slab
+    budget, when there are fewer than BLOCK_ROWS of them."""
+    values, want = doubles
+    size = np.abs(values)
+    fixed = np.flatnonzero(((size >= 1e-4) & (size < 1e16) | (size == 0)).all(axis=1))[:rows]
+    assert write_table({}, ("a", "b", "c"), values[fixed].T) == "a,b,c\n" + "".join(
+        want[i] + "\n" for i in fixed)
+    assert taken == ([True] if rows == BLOCK_ROWS else [])
 
 
 def test_parse_table_matches_float_on_loose_text(slab):
