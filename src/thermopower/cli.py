@@ -36,6 +36,7 @@ try:
     import warnings
     from json.encoder import encode_basestring_ascii
     from pathlib import Path
+    from types import GeneratorType
 
     import numpy as np
 
@@ -62,6 +63,7 @@ try:
         _table_text,
         _trace_table,
         generate_synthetic_trace,
+        _parse_alone,
         parse_table,
         parse_trace,
     )
@@ -86,7 +88,8 @@ def _layout(obj, slots: list):
     """Append the text of each scalar in obj to slots, in the order _text
     writes them, and return obj's layout: None for a scalar, or a tuple of
     "[" and a list's member layouts, or of "{" and a dict's keys, each
-    followed by its member's layout."""
+    followed by its member's layout.  A _Column is a scalar: it fills one
+    slot."""
     if isinstance(obj, str):
         slots.append(encode_basestring_ascii(obj))
         return None
@@ -96,6 +99,9 @@ def _layout(obj, slots: list):
             layout += key, _layout(obj[key], slots)
         return tuple(layout)
     if isinstance(obj, (list, tuple)):
+        if type(obj) is _Column:  # a scalar of a _Batch, which _runs writes
+            slots.append(obj)
+            return None
         return ("[", *[_layout(value, slots) for value in obj])
     if isinstance(obj, float):
         slots.append(_float(obj))
@@ -141,24 +147,37 @@ def _text(obj, nl: str = "\n") -> str:
     return _template(_layout(obj, slots), nl)[0] % tuple(slots)
 
 
-def _chunks(obj, nl: str = "\n", depth: int = 3):
+def _chunks(obj, nl: str = "\n"):
     """_text(obj, nl) in pieces, so a report is never held as one string:
-    lists and dicts down to depth levels are walked a member at a time,
-    and their text goes out in runs, each filled by one % and ending once
-    it holds SLAB_BYTES of text (one member more at most)."""
-    if depth == 0 or not isinstance(obj, (list, tuple, dict)) or not obj:
+    every nonempty list or dict, and a generator as a list, is walked a
+    member at a time, and the text goes out in runs, each filled by one %
+    and ending once it holds SLAB_BYTES of text (one member more at most)."""
+    if not isinstance(obj, (list, tuple, dict, GeneratorType)) or not obj:
         yield _text(obj, nl)
         return
     run, slots = [], []
-    yield from _runs(obj, nl, depth, run, slots, 0)
+    yield from _runs(obj, nl, run, slots, 0)
     yield "".join(run) % tuple(slots)
 
 
-def _runs(obj, nl: str, depth: int, run: list, slots: list, size: int):
-    """Add the text of obj, a nonempty list or dict, at nl to the run that
-    holds size characters: its formats to run and its slots to slots.
-    Yield each run that reaches SLAB_BYTES and start the next; return the
-    size of the run left."""
+class _Column(list):
+    """The texts of one scalar, one for each member of a _Batch."""
+
+
+class _Batch:
+    """count consecutive members of a list that share value's _layout:
+    each _Column leaf of value holds every member's text of that scalar."""
+
+    def __init__(self, value, count: int):
+        self.value, self.count = value, count
+
+
+def _runs(obj, nl: str, run: list, slots: list, size: int):
+    """Add the text of obj, a nonempty list or dict or a generator, at nl
+    to the run that holds size characters: its formats to run and its
+    slots to slots.  A _Batch member is written as its value's _template
+    repeated, each member's slots after its lead.  Yield each run that
+    reaches SLAB_BYTES and start the next; return the size of the run left."""
     inner, sep = nl + "  ", "," + nl + "  "
     if isinstance(obj, dict):
         # encode_basestring_ascii raises TypeError on a key that is not a str
@@ -170,12 +189,17 @@ def _runs(obj, nl: str, depth: int, run: list, slots: list, size: int):
     for key, value in members:
         mark = len(slots)
         slots.append(lead + key)  # what comes before the member fills a slot
-        if depth > 1 and isinstance(value, (list, tuple, dict)) and value:
+        if isinstance(value, (list, tuple, dict, GeneratorType)) and value:
             run.append("%s")
-            size = yield from _runs(value, inner, depth - 1, run, slots, size + len(slots[-1]))
-        elif isinstance(value, _Entries):
-            run.append("%s")
-            size = yield from value.runs(inner, run, slots, size + len(slots[-1]))
+            size = yield from _runs(value, inner, run, slots, size + len(slots[-1]))
+        elif isinstance(value, _Batch):
+            template, fixed = _template(_layout(value.value, slots), inner)
+            count = value.count
+            columns = [[slots[mark], *[sep] * (count - 1)]]
+            columns += [s if type(s) is _Column else itertools.repeat(s) for s in slots[mark + 1 :]]
+            slots[mark:] = texts = list(itertools.chain.from_iterable(zip(*columns)))
+            run.append(("%s" + template) * count)
+            size += fixed * count + sum(map(len, texts))
         else:
             template, fixed = _template(_layout(value, slots), inner)
             run += "%s", template
@@ -187,8 +211,8 @@ def _runs(obj, nl: str, depth: int, run: list, slots: list, size: int):
             size = 0
         lead = sep
     run.append("%s")
-    slots.append(closing)
-    return size + len(closing)
+    slots.append(closing if lead is sep else "[]")  # a generator may yield nothing
+    return size + len(slots[-1])
 
 
 class _Run:
@@ -299,7 +323,7 @@ def _parse_chunk(paths: list[str], texts: list[bytes], run: _Run) -> tuple:
         return _chunk_table(texts)
     except (ThermoError, ValueError):
         for run.source, text in zip(paths, texts):  # the first bad text fails again, named
-            parse_trace(text)
+            _parse_alone(text)
         raise
 
 
@@ -328,90 +352,51 @@ def _read_traces(paths: list[str], run: _Run):
     yield chunk
 
 
-_KIND_TEXT = {kind: encode_basestring_ascii(kind.value) for kind in FitKind}
 _TERMINATION_TEXT = [encode_basestring_ascii(why) for why in fitting._TERMINATIONS]
 
 
-class _Entries:
+def _entries(paths: list[str], fits: dict):
     """results.traces of `thermo fit`, from each family's fitting._Fits:
     for each trace, {"fits": {family: the dict of its FitResult's fields,
-    or None}, "path": path}, and with one family, a failed fit's
-    "message"."""
+    or None}, "path": path}, and with one family, a failed fit's "message".
+    Yields _Batches of consecutive entries whose families failed alike,
+    each of about SLAB_BYTES of text."""
+    fits = [fits[kind] for kind in sorted(fits, key=lambda kind: kind.value)]
 
-    def __init__(self, paths: list[str], fits: dict):
-        self.paths = paths
-        self.fits = [fits[kind] for kind in sorted(fits, key=lambda kind: kind.value)]
-
-    def entry(self, i: int) -> dict:
-        """Trace i's entry, as json.dumps would take it."""
-        fits = {}
-        for f in self.fits:
-            code = int(f.code[i])
-            fits[f.kind.value] = {
-                "coeffs": f.coeffs[i].tolist(), "converged": not code, "error": float(f.error[i]),
-                "iterations": int(f.iterations[i]), "kind": f.kind.value,
-                "termination": fitting._TERMINATIONS[code]} if f.ok[i] else None
-        entry = {"fits": fits, "path": self.paths[i]}
-        if i in self.fits[0].failed and len(self.fits) == 1:
-            exc = self.fits[0].failed[i]
-            entry["message"] = f"{type(exc).__name__}: {exc}"
-        return entry
-
-    def row_slots(self, lo: int, hi: int, inner: str) -> list:
-        """The slots of entries lo to hi, every fit of which succeeded, as
-        _layout fills them, each after what comes before its entry in a
-        list at inner: values written from the columns, every float once."""
-        columns = [[("," if lo else "[") + inner] + ["," + inner] * (hi - lo - 1)]
-        for fits in self.fits:
-            values = np.column_stack([fits.coeffs[lo:hi], fits.error[lo:hi]])
+    def batch(lo: int, hi: int) -> _Batch:
+        entry = {"fits": {}, "path": _Column(map(encode_basestring_ascii, paths[lo:hi]))}
+        for f in fits:
+            if not f.ok[lo]:
+                entry["fits"][f.kind.value] = None
+                continue
+            values, width = np.column_stack([f.coeffs[lo:hi], f.error[lo:hi]]), f.coeffs.shape[1]
             # float.__repr__ writes a finite float as _float does, with no call in Python
-            write = float.__repr__ if np.isfinite(values).all() else _float
-            texts, width = list(map(write, values.ravel().tolist())), values.shape[1]
-            codes = fits.code[lo:hi].tolist()
-            columns += [texts[j::width] for j in range(width - 1)]
-            columns += [["false" if code else "true" for code in codes], texts[width - 1 :: width],
-                        list(map(int.__repr__, fits.iterations[lo:hi].tolist())),
-                        [_KIND_TEXT[fits.kind]] * len(codes),
-                        [_TERMINATION_TEXT[code] for code in codes]]
-        columns.append(map(encode_basestring_ascii, self.paths[lo:hi]))
-        return list(itertools.chain.from_iterable(zip(*columns)))
+            texts = list(map(float.__repr__ if np.isfinite(values).all() else _float,
+                             values.ravel().tolist()))
+            codes = f.code[lo:hi].tolist()
+            entry["fits"][f.kind.value] = {
+                "coeffs": [_Column(texts[j :: width + 1]) for j in range(width)],
+                "converged": _Column(map(("true", "false").__getitem__, codes)),  # 0: converged
+                "error": _Column(texts[width :: width + 1]),
+                "iterations": _Column(map(int.__repr__, f.iterations[lo:hi].tolist())),
+                "kind": f.kind.value,
+                "termination": _Column(map(_TERMINATION_TEXT.__getitem__, codes))}
+        if len(fits) == 1 and not fits[0].ok[lo]:
+            entry["message"] = _Column(encode_basestring_ascii(f"{type(exc).__name__}: {exc}")
+                                       for exc in map(fits[0].failed.get, range(lo, hi)))
+        return _Batch(entry, hi - lo)
 
-    def runs(self, nl: str, run: list, slots: list, size: int):
-        """Add the text of the list of every entry at nl to the run, as
-        _runs adds a list's: a batch of entries whose fits all succeeded
-        at a time, as one row template repeated, and an entry with a
-        failed fit alone, as _runs adds it."""
-        inner = nl + "  "
-        failed = ~np.logical_and.reduce([f.ok for f in self.fits])
-        # the layout of every entry whose fits all succeeded: the first one's
-        template, fixed = _template(_layout(self.entry(int(np.argmin(failed))), []), inner)
-        template = "%s" + template
-        # a batch of about SLAB_BYTES of text, at some 20 characters a slot
-        batch = max(1, SLAB_BYTES // (fixed + 20 * template.count("%s")))
-        spans, start = [], 0
-        for stop in [*np.flatnonzero(failed).tolist(), len(self.paths)]:
-            spans += [(lo, min(stop, lo + batch)) for lo in range(start, stop, batch)]
-            spans.append((stop, stop + 1))
-            start = stop + 1
-        for lo, hi in spans[:-1]:
-            mark = len(slots)
-            if failed[lo]:
-                slots.append(("," if lo else "[") + inner)
-                text, text_fixed = _template(_layout(self.entry(lo), slots), inner)
-                run += "%s", text
-            else:
-                run.append(template * (hi - lo))
-                slots += self.row_slots(lo, hi, inner)
-                text_fixed = fixed * (hi - lo)
-            size += text_fixed + sum(map(len, slots[mark:]))
-            if size >= SLAB_BYTES:
-                yield "".join(run) % tuple(slots)
-                run.clear()
-                slots.clear()
-                size = 0
-        run.append("%s")
-        slots.append(nl + "]")
-        return size + len(slots[-1])
+    ok = np.array([f.ok for f in fits])
+    # about SLAB_BYTES of text, at some 20 characters a slot, in the layout of
+    # the first entry whose fits all succeeded, else of the first entry
+    slots = []
+    first = int(np.argmax(ok.all(axis=0)))
+    fixed = _template(_layout(batch(first, first + 1).value, slots), "\n")[1]
+    step = max(1, SLAB_BYTES // (fixed + 20 * len(slots)))
+    cuts = (np.flatnonzero((ok[:, 1:] != ok[:, :-1]).any(axis=0)) + 1).tolist()
+    for lo, hi in zip([0, *cuts], [*cuts, len(paths)]):
+        for start in range(lo, hi, step):
+            yield batch(start, min(hi, start + step))
 
 
 def _read_fleet(args, run: _Run) -> tuple:
@@ -443,7 +428,7 @@ def cmd_fit(args, run: _Run) -> tuple[int, dict, list[str]]:
         kinds = (_MODEL_FLAGS[args.model],)
         fits = {kinds[0]: fitting._Fits(kinds[0], len(args.traces))}
         fitting._fit_table(fits[kinds[0]], temps, powers, ends)
-    results = {"traces": _Entries(args.traces, fits)}
+    results = {"traces": _entries(args.traces, fits)}
     lines = []
     if not args.json and not args.quiet:  # else the lines go unprinted
         columns = [(kind.value, fits[kind].failed, fits[kind].error.tolist(),

@@ -19,10 +19,11 @@ class InvalidSample(_RowError):
     """A sample field is non-finite or power is not positive."""
 
 
-class MalformedRow(ThermoError):
+class MalformedRow(_RowError):
+    """A line that is not a row, a header or a metadata comment as expected."""
+
     def __init__(self, line_no: int, reason: str):
-        super().__init__(f"line {line_no}: {reason}")
-        self.line_no = line_no
+        super().__init__(reason, line_no)
 
 
 class NonMonotonicTime(_RowError):

@@ -734,12 +734,23 @@ def aggregate_error(fits: Sequence[tuple[Trace, FitResult]]) -> float:
     """Pool every per-sample relative residual in the group, then take the norm.
 
     Pooling means the squared sums add: two traces with residual-square
-    sums s1 and s2 aggregate to sqrt(s1 + s2).
+    sums s1 and s2 aggregate to sqrt(s1 + s2).  One _squares call takes
+    every fit of a family, its coefficients repeated at each of its
+    samples, and the squares pool in the group's order.
     """
     if len(fits) == 0:
         raise EmptyGroup("cannot aggregate an empty group")
-    return _pool(np.concatenate([_squares(result.kind, result.coeffs, trace.temp_c, trace.power_w)
-                                 for trace, result in fits]))
+    kinds = [result.kind for _, result in fits]
+    sizes = np.array([len(trace.power_w) for trace, _ in fits])
+    t = np.concatenate([trace.temp_c for trace, _ in fits])
+    y = np.concatenate([trace.power_w for trace, _ in fits])
+    squares = np.empty(len(y))
+    for kind in dict.fromkeys(kinds):
+        mine = np.array([k is kind for k in kinds])
+        coeffs = np.array([result.coeffs for (_, result), m in zip(fits, mine.tolist()) if m])
+        at = np.repeat(mine, sizes)
+        squares[at] = _squares(kind, np.repeat(coeffs, sizes[mine], axis=0).T, t[at], y[at])
+    return _pool(squares)
 
 
 def sign_test(errors_a: Sequence[float], errors_b: Sequence[float]) -> float:

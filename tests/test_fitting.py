@@ -25,6 +25,7 @@ from thermopower.fitting import (
     FitKind,
     FitResult,
     _pool,
+    _squares,
     aggregate_error,
     compare_models,
     exp_curve,
@@ -379,6 +380,30 @@ def test_aggregate_noiseless_group_is_zero():
 def test_aggregate_empty():
     with pytest.raises(EmptyGroup):
         aggregate_error([])
+
+
+def per_fit_aggregate(fits):
+    """aggregate_error as a loop over the fits, each fit's squared relative
+    residuals from its own curve, joined in the group's order."""
+    if len(fits) == 0:
+        raise EmptyGroup("cannot aggregate an empty group")
+    return _pool(np.concatenate([_squares(result.kind, result.coeffs, trace.temp_c, trace.power_w)
+                                 for trace, result in fits]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(picks=st.lists(st.tuples(st.integers(0, 5), st.sampled_from(list(FitKind))), max_size=12))
+def test_aggregate_of_mixed_families_matches_the_per_fit_loop(picks):
+    """Traces of three lengths, fitted by families in any order, a trace
+    perhaps more than once; an empty group raises as the loop does."""
+    traces = [synth(noise=0.004, seed=s, sweep=(25.0, 85.0, 8 + 6 * (s % 3))) for s in range(6)]
+    fits = [(traces[s], fit(traces[s], kind)) for s, kind in picks]
+    if not fits:
+        for aggregate in (aggregate_error, per_fit_aggregate):
+            with pytest.raises(EmptyGroup):
+                aggregate(fits)
+    else:
+        assert aggregate_error(fits).hex() == per_fit_aggregate(fits).hex()
 
 
 # --- sign test ---

@@ -2,23 +2,24 @@
 
 ``cli._text`` must write what ``json.dumps(v, sort_keys=True, indent=2)``
 writes, except that non-finite floats become ``null``; ``cli._chunks``
-must write the same text in pieces, at every streaming depth.  A fit
-report's trace entries, written from columns by ``cli._Entries``, must
-read as the dicts of their FitResults' fields.
+must write the same text in pieces.  A fit report's trace entries,
+written from columns in batches by ``cli._entries``, must read as the
+dicts of their FitResults' fields.
 """
 
 import hashlib
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermopower import fitting
-from thermopower.cli import _chunks, _Entries, _text, main
+from thermopower import cli, fitting
+from thermopower.cli import _chunks, _entries, _text, main
 from thermopower.errors import DegenerateInput
 from thermopower.fitting import FitKind, FitResult, compare_models, fit_batch
 from thermopower.trace import SLAB_BYTES, parse_traces
@@ -64,22 +65,22 @@ def finite_only(v):
 
 
 def written(v) -> list[str]:
-    """v as _text writes it and as _chunks writes it at each depth."""
-    return [_text(v), *("".join(_chunks(v, depth=d)) for d in range(5))]
+    """v as _text writes it and as _chunks writes it."""
+    return [_text(v), "".join(_chunks(v))]
 
 
 @settings(max_examples=150, deadline=None)
 @given(nested(SCALARS))
 def test_finite_values_are_written_as_json_dumps_writes_them(v):
     expected = json.dumps(v, sort_keys=True, indent=2)
-    assert written(v) == [expected] * 6
+    assert written(v) == [expected] * 2
 
 
 @settings(max_examples=150, deadline=None)
 @given(nested(SCALARS | NON_FINITE))
 def test_non_finite_floats_are_written_as_null(v):
     expected = json.dumps(finite_only(v), sort_keys=True, indent=2)
-    assert written(v) == [expected] * 6
+    assert written(v) == [expected] * 2
 
 
 # json.dumps writes an int key as a string; a report has none, so the
@@ -88,9 +89,8 @@ def test_non_finite_floats_are_written_as_null(v):
 def test_values_that_are_not_report_json_raise_type_error(bad):
     with pytest.raises(TypeError):
         _text(bad)
-    for depth in range(4):
-        with pytest.raises(TypeError):
-            "".join(_chunks(bad, depth=depth))
+    with pytest.raises(TypeError):
+        "".join(_chunks(bad))
 
 
 # --- trace entries, written from the columns of each family's fits ---
@@ -120,12 +120,15 @@ def entry_dicts(paths, results, kinds):
 FLOATS = FINITE | NON_FINITE
 
 
+# a budget of 1 cuts every batch to one entry and every run to one member;
+# 800 and 2500 cut runs of like entries into batches of two or three
+@pytest.mark.parametrize("slab", [1, 800, 2500, SLAB_BYTES])
 @settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_trace_entries_are_written_as_the_dicts_of_their_fit_results(data):
+@given(data=st.data())
+def test_trace_entries_are_written_as_the_dicts_of_their_fit_results(slab, data):
     kinds = data.draw(st.sampled_from([tuple(FitKind), (FitKind.EXPONENTIAL,),
                                        (FitKind.LINEAR,)]))
-    n = data.draw(st.integers(1, 6))
+    n = data.draw(st.integers(1, 8))
     columns = {kind: fitting._Fits(kind, n) for kind in kinds}
     for fits in columns.values():
         for i in range(n):
@@ -142,8 +145,8 @@ def test_trace_entries_are_written_as_the_dicts_of_their_fit_results(data):
     results = {kind: columns[kind].results() for kind in kinds}
     expected = json.dumps(finite_only({"traces": entry_dicts(paths, results, kinds)}),
                           sort_keys=True, indent=2)
-    report = {"traces": _Entries(paths, columns)}
-    assert ["".join(_chunks(report, depth=d)) for d in (1, 2, 3)] == [expected] * 3
+    with mock.patch.object(cli, "SLAB_BYTES", slab):
+        assert "".join(_chunks({"traces": _entries(paths, columns)})) == expected
 
 
 def fleet_files(root):
@@ -277,12 +280,12 @@ def test_a_fleet_of_trace_entries_is_written_as_json_dumps_writes_it():
     entries = fleet_entries()
     report = {"results": {"traces": entries}, "warnings": []}
     expected = json.dumps(finite_only(report), sort_keys=True, indent=2)
-    assert written(report) == [expected] * 6
+    assert written(report) == [expected] * 2
 
 
 def test_trace_entries_are_written_in_runs_of_about_a_slab():
     entries = fleet_entries()
-    pieces = list(_chunks(entries, depth=1))
+    pieces = list(_chunks(entries))
     assert "".join(pieces) == _text(entries)
     longest = max(len(",\n  " + _text(e, "\n  ")) for e in entries)
     # t0093 to t0229 are entries of one shape, more than one run holds
@@ -303,3 +306,10 @@ def test_a_long_command_and_inputs_are_written_in_runs_of_about_a_slab():
     longest = max(len(",\n    " + m) for m in members)
     assert len(pieces) < len(members) / 5
     assert max(map(len, pieces)) <= SLAB_BYTES + longest
+
+
+@pytest.mark.parametrize("members", [[], [1.5], [[], {"a": None}, "x"]])
+def test_a_generator_is_written_as_a_list(members):
+    report = {"results": {"traces": (m for m in members)}, "schema": 1}
+    expected = json.dumps({"results": {"traces": members}, "schema": 1}, sort_keys=True, indent=2)
+    assert "".join(_chunks(report)) == expected
