@@ -24,8 +24,6 @@ _collecting = gc.isenabled()
 gc.disable()
 try:
     import argparse
-    import contextlib
-    import functools
     import hashlib
     import itertools
     import json
@@ -84,67 +82,56 @@ def _float(x: float) -> str:
     return float.__repr__(x) if math.isfinite(x) else "null"
 
 
-def _layout(obj, slots: list):
-    """Append the text of each scalar in obj to slots, in the order _text
-    writes them, and return obj's layout: None for a scalar, or a tuple of
-    "[" and a list's member layouts, or of "{" and a dict's keys, each
-    followed by its member's layout.  A _Column is a scalar: it fills one
-    slot."""
-    if isinstance(obj, str):
-        slots.append(encode_basestring_ascii(obj))
-        return None
+def _members(obj):
+    """The (text before the value, value) of each member of obj, a dict in
+    key order or a list or a generator, and obj's brackets."""
     if isinstance(obj, dict):
-        layout = ["{"]
-        for key in sorted(obj):
-            layout += key, _layout(obj[key], slots)
-        return tuple(layout)
-    if isinstance(obj, (list, tuple)):
-        if type(obj) is _Column:  # a scalar of a _Batch, which _runs writes
-            slots.append(obj)
-            return None
-        return ("[", *[_layout(value, slots) for value in obj])
-    if isinstance(obj, float):
-        slots.append(_float(obj))
+        # encode_basestring_ascii raises TypeError on a key that is not a str
+        return ((encode_basestring_ascii(k) + ": ", obj[k]) for k in sorted(obj)), "{}"
+    return (("", v) for v in obj), "[]"
+
+
+def _format(obj, slots: list, nl: str) -> tuple[str, int]:
+    """Append the text of each scalar in obj to slots, in the order _text
+    writes them, and return the %-format that writes obj at nl from them
+    and the length of the text it writes besides them.  A _Column is a
+    scalar: it fills one slot."""
+    if isinstance(obj, str):
+        text = encode_basestring_ascii(obj)
+    elif type(obj) is _Column:  # a scalar of a _Batch, which _runs writes
+        text = obj
+    elif isinstance(obj, (dict, list, tuple)):
+        members, brackets = _members(obj)
+        # the brackets and nl, less the "," that the first member lacks
+        inner, formats, fixed = nl + "  ", [], len(nl) + 1
+        for key, value in members:
+            template, size = _format(value, slots, inner)
+            formats.append(key.replace("%", "%%") + template)
+            fixed += len(inner) + 1 + len(key) + size
+        if not formats:
+            return brackets, 2
+        return brackets[0] + inner + ("," + inner).join(formats) + nl + brackets[1], fixed
+    elif isinstance(obj, float):
+        text = _float(obj)
     elif obj is None:
-        slots.append("null")
+        text = "null"
     elif obj is True or obj is False:
-        slots.append("true" if obj else "false")
+        text = "true" if obj else "false"
     elif isinstance(obj, int):
-        slots.append(int.__repr__(obj))
+        text = int.__repr__(obj)
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-    return None
-
-
-@functools.lru_cache(maxsize=1024)
-def _template(layout, nl: str) -> tuple[str, int]:
-    """The %-format that writes a value of this _layout at nl from the
-    slots _layout filled, and the length of the text it writes besides
-    them."""
-    if layout is None:
-        template = "%s"
-    else:
-        inner = nl + "  "
-        if layout[0] == "[":
-            members = [_template(member, inner)[0] for member in layout[1:]]
-        else:  # encode_basestring_ascii raises TypeError on a key that is not a str
-            members = [encode_basestring_ascii(key).replace("%", "%%") + ": "
-                       + _template(member, inner)[0]
-                       for key, member in zip(layout[1::2], layout[2::2])]
-        closing = "]" if layout[0] == "[" else "}"
-        template = (layout[0] + inner + ("," + inner).join(members) + nl + closing
-                    if members else layout[0] + closing)
-    # each slot is "%s", and each "%" of the text "%%"
-    return template, len(template.replace("%%", "-").replace("%s", ""))
+    slots.append(text)
+    return "%s", 0
 
 
 def _text(obj, nl: str = "\n") -> str:
     """obj as json.dumps(obj, sort_keys=True, indent=2) writes it, but with
     non-finite floats as null, so reports stay strict JSON.  nl is a newline
-    and the indent of the line obj starts on.  One % fills obj's _template
-    with its _layout's slots."""
+    and the indent of the line obj starts on.  One % fills the format that
+    _format gives with the slots it fills."""
     slots: list[str] = []
-    return _template(_layout(obj, slots), nl)[0] % tuple(slots)
+    return _format(obj, slots, nl)[0] % tuple(slots)
 
 
 def _chunks(obj, nl: str = "\n"):
@@ -165,8 +152,8 @@ class _Column(list):
 
 
 class _Batch:
-    """count consecutive members of a list that share value's _layout:
-    each _Column leaf of value holds every member's text of that scalar."""
+    """count consecutive members of a list that one %-format writes: each
+    _Column leaf of value holds every member's text of that scalar."""
 
     def __init__(self, value, count: int):
         self.value, self.count = value, count
@@ -175,17 +162,12 @@ class _Batch:
 def _runs(obj, nl: str, run: list, slots: list, size: int):
     """Add the text of obj, a nonempty list or dict or a generator, at nl
     to the run that holds size characters: its formats to run and its
-    slots to slots.  A _Batch member is written as its value's _template
+    slots to slots.  A _Batch member is written as its value's %-format
     repeated, each member's slots after its lead.  Yield each run that
     reaches SLAB_BYTES and start the next; return the size of the run left."""
     inner, sep = nl + "  ", "," + nl + "  "
-    if isinstance(obj, dict):
-        # encode_basestring_ascii raises TypeError on a key that is not a str
-        members = ((encode_basestring_ascii(k) + ": ", obj[k]) for k in sorted(obj))
-        lead, closing = "{" + inner, nl + "}"
-    else:
-        members = (("", v) for v in obj)
-        lead, closing = "[" + inner, nl + "]"
+    members, brackets = _members(obj)
+    lead, closing = brackets[0] + inner, nl + brackets[1]
     for key, value in members:
         mark = len(slots)
         slots.append(lead + key)  # what comes before the member fills a slot
@@ -193,7 +175,7 @@ def _runs(obj, nl: str, run: list, slots: list, size: int):
             run.append("%s")
             size = yield from _runs(value, inner, run, slots, size + len(slots[-1]))
         elif isinstance(value, _Batch):
-            template, fixed = _template(_layout(value.value, slots), inner)
+            template, fixed = _format(value.value, slots, inner)
             count = value.count
             columns = [[slots[mark], *[sep] * (count - 1)]]
             columns += [s if type(s) is _Column else itertools.repeat(s) for s in slots[mark + 1 :]]
@@ -201,7 +183,7 @@ def _runs(obj, nl: str, run: list, slots: list, size: int):
             run.append(("%s" + template) * count)
             size += fixed * count + sum(map(len, texts))
         else:
-            template, fixed = _template(_layout(value, slots), inner)
+            template, fixed = _format(value, slots, inner)
             run += "%s", template
             size += fixed + sum(map(len, slots[mark:]))
         if size >= SLAB_BYTES:
@@ -256,44 +238,52 @@ class _Run:
 
 def _emit(args, report: dict, human_lines: list[str], code: int) -> int:
     """Write the report to stdout with --json and to --out-report, else
-    print the human lines; return code.  If a write, or the file's close,
-    fails, print the error naming the file, or stdout, and return 2; when
-    only stdout fails, the file still gets the whole report, and when only
-    the file fails, stdout does."""
-    sink = args.out_report  # the file being opened, then the sink last written
+    print the human lines; return code.  A report file that cannot be
+    opened is named before anything is written.  Once it is open, a sink
+    whose write, or the file's close, fails takes no more of the report,
+    and the other still takes all of it: print the error naming the sink
+    that failed first, the file or stdout, and return 2."""
     try:
-        with contextlib.ExitStack() as stack:
-            sinks = [sys.stdout] if args.json else []
-            if args.out_report:
-                sinks.insert(0, stack.enter_context(open(args.out_report, "w", encoding="utf-8")))
-            # serialize once, streaming each piece to every sink: written
-            # as one string, a 4000-trace report raised peak RSS by a quarter
-            pieces = itertools.chain(_chunks(report), "\n")
-            try:
-                for chunk in pieces if sinks else ():
-                    for sink in sinks:
-                        sink.write(chunk)
-            except OSError:  # if stdout, written last, failed, the file takes the rest
-                if sink is sys.stdout and args.out_report:
-                    sinks[0].writelines(pieces)
-                raise
-            sink = args.out_report  # the file writes the end of its buffer as it closes
-        sink = sys.stdout
-        if not args.json and not args.quiet:
-            for line in human_lines:
-                print(line)
-        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        file = open(args.out_report, "w", encoding="utf-8") if args.out_report else None
     except OSError as exc:
-        print(f"error: {'stdout' if sink is sys.stdout else args.out_report}: "
-              f"{exc.strerror or exc}", file=sys.stderr)
-        try:
-            sys.stdout.flush()  # what stdout holds, when the file failed
-        except OSError:  # the flush at exit would fail again
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+        print(f"error: {args.out_report}: {exc.strerror or exc}", file=sys.stderr)
         return 2
-    return code
+    sinks = [sink for sink in (file, sys.stdout if args.json else None) if sink is not None]
+    failed = {}  # the OSError of each sink that failed, the first first
+    try:
+        # serialize once, streaming each piece to every sink: written as one
+        # string, a 4000-trace report raised peak RSS by a quarter
+        for chunk in itertools.chain(_chunks(report), "\n") if sinks else ():
+            for sink in sinks:
+                if sink not in failed:
+                    try:
+                        sink.write(chunk)
+                    except OSError as exc:
+                        failed[sink] = exc
+    finally:
+        if file is not None:
+            try:
+                file.close()  # the file writes the end of its buffer as it closes
+            except OSError as exc:
+                failed.setdefault(file, exc)
+    if sys.stdout not in failed:
+        try:
+            if not args.json and not args.quiet:
+                for line in human_lines:
+                    print(line)
+            sys.stdout.flush()  # a closed pipe fails here, not at exit
+        except OSError as exc:
+            failed[sys.stdout] = exc
+    if not failed:
+        return code
+    sink, exc = next(iter(failed.items()))
+    print(f"error: {'stdout' if sink is sys.stdout else args.out_report}: "
+          f"{exc.strerror or exc}", file=sys.stderr)
+    if sys.stdout in failed:  # the flush at exit would fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return 2
 
 
 def _write_file(path: str, pieces, digest=None) -> None:
@@ -387,11 +377,11 @@ def _entries(paths: list[str], fits: dict):
         return _Batch(entry, hi - lo)
 
     ok = np.array([f.ok for f in fits])
-    # about SLAB_BYTES of text, at some 20 characters a slot, in the layout of
+    # about SLAB_BYTES of text, at some 20 characters a slot, in the format of
     # the first entry whose fits all succeeded, else of the first entry
     slots = []
     first = int(np.argmax(ok.all(axis=0)))
-    fixed = _template(_layout(batch(first, first + 1).value, slots), "\n")[1]
+    fixed = _format(batch(first, first + 1).value, slots, "\n")[1]
     step = max(1, SLAB_BYTES // (fixed + 20 * len(slots)))
     cuts = (np.flatnonzero((ok[:, 1:] != ok[:, :-1]).any(axis=0)) + 1).tolist()
     for lo, hi in zip([0, *cuts], [*cuts, len(paths)]):

@@ -109,6 +109,16 @@ def test_gen_rejects_bad_params(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_gen_params_need_three_values_exit_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["gen", "--params", "1,2", "--sweep", "25,85,20", "--seed", "0",
+              "--out", str(tmp_path / "g.csv")])
+    out, err = capsys.readouterr()
+    assert (exit_.value.code, out) == (2, "")
+    assert err.endswith("thermo gen: error: argument --params: expected 3 comma-separated values\n")
+    assert not (tmp_path / "g.csv").exists()
+
+
 # 1e15 samples fail numpy's allocation at once
 @pytest.mark.parametrize("count, message", [
     ("1e999", "must be a whole number, got inf"),
@@ -1264,7 +1274,7 @@ def test_a_report_file_that_fails_is_named_exit_2(tmp_path, capsys, traces, stdo
     if not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full")
     # one trace's report fits the file's buffer, so the file fails as it
-    # closes, after stdout took the report; the fleet's fails at a write
+    # closes; the fleet's fails at a write, and stdout still takes the rest
     paths = ([gen_trace(tmp_path, capsys)] if traces == "one"
              else sorted(GOLDEN_FLEET.iterdir()))
     argv = [sys.executable, "-m", "thermopower.cli", "fit", *map(str, paths), "--json"]
@@ -1283,7 +1293,7 @@ def test_a_report_file_that_fails_is_named_exit_2(tmp_path, capsys, traces, stdo
         finally:
             os.close(write_end)
     assert (done.returncode, done.stderr) == (2, "error: /dev/full: No space left on device\n")
-    if traces == "one" and stdout == "a pipe":  # the whole report, as a clean run wrote it
+    if stdout == "a pipe":  # the whole report, as a clean run wrote it
         report = json.loads(clean.stdout)
         report["command"] += ["--out-report", "/dev/full"]
         assert json.loads(done.stdout) == report

@@ -191,6 +191,8 @@ def test_rat_values():
     assert metric_rat([0.9, 1.0, 1.1]) == 0.0
     assert metric_rat([1.0, 1.0, 4.0]) == 1.0
     assert metric_rat([1.0]) == 0.0
+    with pytest.raises(LengthMismatch, match="^need at least one sample$"):
+        metric_rat([])
 
 
 def test_rat_small_on_seeded_noise():

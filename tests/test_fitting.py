@@ -329,6 +329,15 @@ def test_fit_error_single_full_residual():
     assert fit_error([1.0], [2.0]) == 1.0
 
 
+@pytest.mark.parametrize("pair", [([30.0, 40.0, 50.0], [1.0, 2.0]),
+                                  ([[30.0, 40.0, 50.0]], [[1.0, 2.0, 3.0]])],
+                         ids=["lengths", "2-D"])
+def test_fit_batch_rejects_a_pair_whose_columns_differ_in_shape(pair):
+    ok = ([30.0, 40.0, 50.0], [1.0, 2.0, 3.0])
+    with pytest.raises(LengthMismatch, match=r"^temps \(.*\) and powers \(.*\) differ$"):
+        fit_batch([ok, pair], FitKind.LINEAR)
+
+
 def test_fit_error_validation():
     with pytest.raises(LengthMismatch):
         fit_error([1.0, 2.0], [1.0])

@@ -107,6 +107,8 @@ def test_coefficient_set_validation():
         CoefficientSet("x", 0.1, 0.0, 0.0, 0.0, 0.0, 140.0, 0.0, 30.0)  # m4 = 0
     with pytest.raises(InvalidParams):
         CoefficientSet("x", 0.1, 0.0, 0.0, 2.0, 0.0, 140.0, 0.0, 0.0)  # a2 = 0
+    with pytest.raises(InvalidParams, match="^m6 must be finite$"):
+        CoefficientSet("x", 0.1, 0.0, 0.0, 2.0, 0.0, math.inf, 0.0, 30.0)
 
 
 def test_power_increasing_in_temperature():
@@ -176,22 +178,44 @@ def test_calibration_insufficient_span():
         calibrate([(f, 2, derive_params(a15, f, 2)) for f in GRIDS["A15"] for _ in (0, 1)])
 
 
-def test_calibration_singular_when_core_span_is_local():
+def _a15(f, c, a0=None, a2=None):
+    p = derive_params(builtin_set("A15"), f, c)
+    return f, c, ModelParams(p.a0 if a0 is None else a0, p.a1, p.a2 if a2 is None else a2)
+
+
+SINGULAR = {
     # three frequencies overall, but only two of them vary the core count
-    a15 = builtin_set("A15")
-    obs = [(f, c, derive_params(a15, f, c)) for f in (0.8, 1.0) for c in (1, 2)]
-    obs += [(1.2, 3, derive_params(a15, 1.2, 3)) for _ in range(4)]
-    with pytest.raises(SingularFit):
-        calibrate(obs)
-
-
-def test_calibration_singular_when_freq_is_affine_in_cores():
+    "core span local": (
+        [_a15(f, c) for f in (0.8, 1.0) for c in (1, 2)] + [_a15(1.2, 3)] * 4,
+        "need >= 3 frequencies with >= 2 core counts each to shape g_s(f); got 2"),
     # f = 0.4 + 0.2*c makes the a1 design's columns (f, 1, 5 - c) dependent
-    a15 = builtin_set("A15")
-    obs = [(0.4 + 0.2 * c, c, derive_params(a15, 0.4 + 0.2 * c, c))
-           for c in (1, 2, 3) for _ in range(3)]
-    with pytest.raises(SingularFit, match="^a1 regression design is rank-deficient$"):
+    "frequency affine in cores": (
+        [_a15(0.4 + 0.2 * c, c) for c in (1, 2, 3) for _ in range(3)],
+        "a1 regression design is rank-deficient"),
+    "a2 averages to zero": (
+        [_a15(f, c, a2=33.0 * (-1) ** c) for f in GRIDS["A15"] for c in (1, 2, 3, 4)],
+        "observed a2 values average to zero"),
+    # three frequencies a rounding step apart vary the core count; two
+    # others, one core count each, keep the a1 design full rank
+    "g_s design rank-deficient": (
+        [_a15(f, c) for f in (1.0, 1.0 + 2**-52, 1.0 + 2**-51) for c in (1, 2)]
+        + [_a15(0.5, 1), _a15(2.0, 3)],
+        "g_s quadratic design is rank-deficient"),
+    "g_o zero": (
+        [_a15(f, c, a0=0.25 * c) for f in GRIDS["A15"] for c in (1, 2, 3, 4)],
+        "a0 intercept g_o is zero at some frequency"),
+    "m4 zero": (
+        [_a15(f, c, a0=0.25) for f in GRIDS["A15"] for c in (1, 2, 3, 4)],
+        "degenerate g_s/g_o ratio"),
+}
+
+
+@pytest.mark.parametrize("case", SINGULAR)
+def test_calibration_singular(case):
+    obs, message = SINGULAR[case]
+    with pytest.raises(SingularFit) as exc:
         calibrate(obs)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize(("freq", "cores"), [(1.0, 2.5), (1.0, True), (True, 2), (1.0, 2.0)])
@@ -233,3 +257,6 @@ def test_coefficient_set_dict_round_trip():
             CoefficientSet.from_dict({k: v for k, v in good.items() if k != key})
     with pytest.raises(InvalidParams, match="label must be a string"):
         CoefficientSet.from_dict({**good, "label": 5})
+    for data in ([good], "A15", None):
+        with pytest.raises(InvalidParams, match="^a coefficient set must be an object, got "):
+            CoefficientSet.from_dict(data)

@@ -12,6 +12,7 @@ from thermopower.errors import (
     EmptyTrace,
     InvalidParams,
     InvalidSample,
+    LengthMismatch,
     MalformedRow,
     MissingMeta,
     NonMonotonicTime,
@@ -76,6 +77,13 @@ def test_meta_validation():
 def test_trace_needs_three_samples():
     with pytest.raises(EmptyTrace):
         Trace(META, [0.0, 0.2], [25.0, 26.0], [1.0, 1.1])
+
+
+def test_trace_columns_are_1d_of_one_length():
+    with pytest.raises(LengthMismatch, match=r"^column lengths differ: \[3, 4\]$"):
+        Trace(META, [0.0, 0.2, 0.4], [25.0, 26.0, 27.0, 28.0], [1.0, 1.1, 1.2])
+    with pytest.raises(LengthMismatch, match=r"^a column must be 1-D, got shape \(3, 1\)$"):
+        Trace(META, [[0.0], [0.2], [0.4]], [25.0, 26.0, 27.0], [1.0, 1.1, 1.2])
 
 
 def test_trace_time_strictly_increasing():
