@@ -204,7 +204,7 @@ def calibrate(
     m5, m6, m7 = sol.tolist()
 
     # per-frequency affine structure of a0 in c
-    gs_list, go_list, used = [], [], []
+    gs_list, go_list, used, flat = [], [], [], True
     for f in freqs:
         rows = [(c, p.a0) for ff, c, p in obs if ff == f]
         if len({c for c, _ in rows}) < 2:
@@ -214,11 +214,14 @@ def calibrate(
         gs_list.append(float(slope))
         go_list.append(float(intercept))
         used.append(f)
+        flat &= bool((a0s == a0s[0]).all())
     if len(used) < 3:
         raise SingularFit(
             f"need >= 3 frequencies with >= 2 core counts each to shape g_s(f); "
             f"got {len(used)}"
         )
+    if flat:  # every g_s is 0, though the regressions may round it to a few ulps
+        raise SingularFit("degenerate g_s/g_o ratio")
     sol, singular = _lstsq(np.vander(used, 3), np.array(gs_list))
     if singular:
         raise SingularFit("g_s quadratic design is rank-deficient")

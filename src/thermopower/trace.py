@@ -18,7 +18,11 @@ is formatted with %r, SLAB_BYTES of text at a time; a longer one a block
 of BLOCK_ROWS rows at a time, by _shortest.rows_text when every value of
 the block prints in fixed notation, else with %r.  It reads traces
 through _chunk_table (parse_traces) and other tables through
-parse_table, both one slab of at most SLAB_BYTES at a time.
+parse_table, both one slab of at most SLAB_BYTES at a time, the slabs of
+small texts joined: a batch of at least ARRAY_BYTES whose every field is
+a plain decimal (-?[0-9]+(\\.[0-9]+)?, as repr writes in fixed notation)
+goes through _shortest.rows_values, bit for bit as float() reads it, and
+any other batch is rid of blank lines and converted with float().
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ HEADER = "time_s,temp_c,power_w"
 _COLUMNS = tuple(HEADER.split(","))
 SLAB_BYTES = 1 << 16  # CSV text converted at once, read or written
 BLOCK_ROWS = 4096  # rows a long table writes at once, as arrays
+ARRAY_BYTES = 1 << 14  # a batch of CSV text at least this long is read as arrays
 
 
 def check_samples(time_s, temp_c, power_w, line_of=None) -> None:
@@ -231,52 +236,78 @@ def _read_rows(text: str, start: int, header_line: int, width: int):
 _BLANK_LINES = re.compile(r"\n\s*\n")
 
 
-def _batches(parts, ends: list[int]):
+def _batches(parts):
     """The lines below the header of each (text, start) in parts, cut into
     slabs of at most SLAB_BYTES at line ends (or of one longer line), each
-    stripped and rid of blank lines, and the slabs of small texts joined
-    up to SLAB_BYTES.  Appends the row each text ends at to ends."""
-    batch, size, rows = [], 0, ends[-1]
-    for text, start in parts:
+    ending in "\n", and the slabs of small texts joined up to SLAB_BYTES:
+    lists of (index of the text in parts, slab)."""
+    batch, size = [], 0
+    for i, (text, start) in enumerate(parts):
         while start < len(text):
             end = start + SLAB_BYTES  # the last line end before, else the first after
             cut = text.rfind("\n", start, end) + 1 or text.find("\n", end) + 1 or len(text)
-            body, start = _BLANK_LINES.sub("\n", text[start:cut].strip()), cut
-            if batch and size + len(body) > SLAB_BYTES:
-                yield "\n".join(batch)
+            slab, start = text[start:cut], cut
+            if batch and size + len(slab) > SLAB_BYTES:
+                yield batch
                 batch, size = [], 0
-            if body:
-                batch.append(body)
-                size += len(body) + 1
-                rows += body.count("\n") + 1
-        ends.append(rows)
+            batch.append((i, slab if slab.endswith("\n") else slab + "\n"))
+            size += len(slab)
     if batch:
-        yield "\n".join(batch)
+        yield batch
+
+
+def _float_rows(batch, rows: list[int], width: int):
+    """The (n, width) floats of a batch's slabs, each stripped and rid of
+    blank lines, or None if a row is not ``width`` ASCII decimals; takes
+    each slab's blank lines off rows[its text's index].  The rows are
+    converted with float() at once, a ";" field between rows: float()
+    rejects ";", so every row has ``width`` fields when each ";" lands on
+    its own slot and everything else converts."""
+    bodies = []
+    for i, slab in batch:
+        body = _BLANK_LINES.sub("\n", slab.strip())
+        kept = body.count("\n") + 1 if body else 0
+        rows[i] -= slab.count("\n") - kept
+        if body:
+            bodies.append(body)
+    if not bodies:
+        return np.empty((0, width))
+    text = "\n".join(bodies)
+    n = text.count("\n") + 1
+    tokens = text.replace("\n", ",;,").split(",")
+    if (not text.isascii() or "_" in text or len(tokens) != n * (width + 1) - 1
+            or tokens[width :: width + 1] != [";"] * (n - 1)):
+        return None
+    del tokens[width :: width + 1]
+    return np.fromiter(map(float, tokens), float, len(tokens)).reshape(n, width)
 
 
 def _read_table(parts, width: int):
     """The rows below the header of each (text, start) in parts: a
     C-contiguous (width, rows) float array and the row offsets where each
     text's rows end, or None if any row is not ``width`` finite ASCII
-    decimals.  Each batch is converted with float() at once, a ";" field
-    between rows: float() rejects ";", so every row has ``width`` fields
-    when each ";" lands on its own slot and everything else converts."""
-    most = sum(text.count("\n", start) + (not text.endswith("\n")) for text, start in parts)
-    table, ends, row = np.empty((width, most)), [0], 0
+    decimals.  A batch of at least ARRAY_BYTES that _shortest.rows_values
+    takes, every line a row of plain decimals, is converted by it; any
+    other by _float_rows."""
+    rows = [text.count("\n", start) + (start < len(text) and text[-1] != "\n")
+            for text, start in parts]  # lines, less blank ones as _float_rows finds them
+    table, row = np.empty((width, sum(rows))), 0
     try:
-        for batch in _batches(parts, ends):
-            n = batch.count("\n") + 1
-            tokens = batch.replace("\n", ",;,").split(",")
-            if (not batch.isascii() or "_" in batch or len(tokens) != n * (width + 1) - 1
-                    or tokens[width :: width + 1] != [";"] * (n - 1)):
-                return None
-            del tokens[width :: width + 1]
-            values = np.fromiter(map(float, tokens), float, len(tokens))
-            table[:, row : row + n] = values.reshape(n, width).T
-            row += n
+        for batch in _batches(parts):
+            text, values = "".join(slab for _, slab in batch), None
+            if len(text) >= ARRAY_BYTES and text.isascii():
+                from . import _shortest
+                values = _shortest.rows_values(text.encode("ascii"), width)
+            if values is None:
+                values = _float_rows(batch, rows, width)
+                if values is None:
+                    return None
+            table[:, row : row + len(values)] = values.T
+            row += len(values)
     except ValueError:
         return None
-    table = table if row == most else table[:, :row].copy()  # a row per line at most
+    table = table if row == table.shape[1] else table[:, :row].copy()
+    ends = list(itertools.accumulate(rows, initial=0))
     return (table, ends) if np.isfinite(table).all() else None
 
 

@@ -13,11 +13,18 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import thermopower
 from thermopower.cli import main
-from thermopower.trace import BLOCK_ROWS
+from thermopower.trace import (
+    BLOCK_ROWS,
+    TraceMeta,
+    generate_synthetic_trace,
+    write_table,
+    write_trace,
+)
 
 SRC = Path(thermopower.__file__).parents[1]
 INPUTS = Path(__file__).parent / "golden" / "inputs"
@@ -72,8 +79,21 @@ def test_a_command_imports_only_the_modules_it_uses(command, tmp_path):
     (["gen", "--params", "0.3,100.0,33.0", "--sweep", f"25,85,{BLOCK_ROWS}", "--seed", "0",
       "--out", "gen.csv"], True),
     (["--version"], False),
-], ids=["gen of a block", "version"])
+    (["fit", "small.csv"], False),
+    (["sensor-correct", "series.csv", "--model-json", str(INPUTS / "sensor_model.json"),
+      "--out", "out.csv"], False),
+    (["fit", "block.csv"], True),
+], ids=["gen of a block", "version", "fit of 20 rows", "sensor-correct of 20 rows",
+        "fit of a block"])
 def test_the_array_writer_loads_for_a_table_of_a_block_or_more(argv, loads, tmp_path):
+    """The array CSV writer and reader share one module, which a command
+    loads only for a table of BLOCK_ROWS rows or more."""
+    for name, rows in (("small.csv", 20), ("block.csv", BLOCK_ROWS)):
+        trace = generate_synthetic_trace(TraceMeta("A15", 1.2, 4), (0.3, 100.0, 33.0),
+                                         (25.0, 85.0, rows), noise=0.002, seed=1)
+        (tmp_path / name).write_text(write_trace(trace))
+    (tmp_path / "series.csv").write_text(write_table(
+        {}, ("time_s", "temp_c"), (0.2 * np.arange(1, 21), np.linspace(40.0, 60.0, 20))))
     done = subprocess.run([sys.executable, "-X", "importtime", "-m", "thermopower.cli", *argv],
                           env=ENV, cwd=tmp_path, capture_output=True)
     assert done.returncode == 0, done.stderr.decode()

@@ -7,6 +7,8 @@ running sum where the loop had one.
 """
 
 import math
+import random
+import re
 import statistics
 from fractions import Fraction
 
@@ -451,6 +453,163 @@ def test_parse_table_is_bit_exact_against_float(values):
     text = "a,b,c\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
     got = parse_table(text)[2]
     assert bits(got) == bits([float(repr(v)) for v in values])
+
+
+# --- the array reader: _shortest.rows_values, bit for bit against float() ---
+
+def read_rows(text: str, width: int):
+    """_shortest.rows_values of text, else None, and float() of each of
+    its fields when every line holds width of them."""
+    from thermopower import _shortest
+
+    got = _shortest.rows_values(text.encode("ascii"), width)
+    fields = [line.split(",") for line in text.split("\n")[:-1]]
+    assert got is None or (len(got), width) == got.shape and len(fields) == len(got)
+    return got, fields
+
+
+def assert_reads_as_float(text: str, width: int = 1):
+    got, fields = read_rows(text, width)
+    assert got is not None, text
+    want = [[float(field) for field in row] for row in fields]
+    assert bits(got) == bits(want), [
+        (field, a, b) for field, a, b in zip(sum(fields, []), got.ravel().tolist(),
+                                             sum(want, [])) if bits([a]) != bits([b])][:5]
+
+
+FIELD = r"-?[0-9]+(\.[0-9]+)?"
+DIGITS = st.text("0123456789", min_size=1, max_size=23)
+FIELDS = st.builds("{}{}{}".format, st.sampled_from(["", "-"]), DIGITS,
+                   st.one_of(st.just(""), DIGITS.map(".".__add__)))
+
+
+def plain(field: str) -> bool:
+    """Whether a field of the form FIELD is short enough for the array reader."""
+    digits = field.lstrip("-").replace(".", "")
+    places = len(field.partition(".")[2])
+    return len(digits) <= 24 and len(digits.lstrip("0")) <= 19 and places <= 22
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_the_array_reader_is_float_or_declines(data):
+    """Any string of the CSV alphabet reads as float() reads it, or not at
+    all; one of plain fields always reads."""
+    if data.draw(st.booleans()):
+        text = data.draw(st.text("0123456789.-,\n", max_size=120))
+        width = data.draw(st.integers(1, 4))
+    else:
+        width = data.draw(st.integers(1, 4))
+        rows = data.draw(st.lists(st.lists(FIELDS, min_size=width, max_size=width), max_size=8))
+        text = "".join(",".join(row) + "\n" for row in rows)
+    got, fields = read_rows(text, width)
+    if got is None:
+        regular = text.endswith("\n") and all(len(row) == width for row in fields)
+        assert not (regular and all(re.fullmatch(FIELD, f) and plain(f)
+                                    for row in fields for f in row)), text
+    else:
+        assert bits(got) == bits([[float(field) for field in row] for row in fields]), text
+
+
+def test_halfway_decimals_round_to_even():
+    """Decimals exactly between two doubles, and one unit of their last
+    place either side."""
+    rng = random.Random(25)
+    halfway = ["9007199254740993.0", "9007199254740995", "4503599627370496.5",
+               "4503599627370497.5", "2251799813685248.25", "2251799813685248.75"]
+    for e in range(44, 64):  # between 2**e and 2**(e + 1), spaced 2**(e - 52)
+        places = max(0, 53 - e)
+        for _ in range(100):
+            mid = Fraction(2) ** e + (2 * rng.randrange(1 << 52) + 1) * Fraction(2) ** (e - 53)
+            scaled = mid * 10**places
+            assert scaled.denominator == 1
+            for n in (scaled.numerator - 1, scaled.numerator, scaled.numerator + 1):
+                digits = str(n)
+                if len(digits) <= 19:
+                    halfway.append(f"{digits[:-places]}.{digits[-places:]}" if places else digits)
+    assert len(halfway) > 3000
+    assert_reads_as_float("".join(field + "\n" for field in halfway))
+
+
+def test_the_array_reader_on_signs_zeros_and_long_mantissas():
+    fields = ["-0.0", "-0", "0", "00", "000.000", "-000001.5", "007", "0.0000000000000000000001",
+              "1234567890123456789", "9999999999999999999", "-9223372036854775808",
+              "184467440737095.5161", "0.1234567890123456789", "00000123456789012345678.9",
+              "0.00012345678901234567", "12345678901234567.89"]
+    assert_reads_as_float("".join(field + "\n" for field in fields))
+    got = read_rows("-0.0,-0\n", 2)[0]
+    assert np.signbit(got).all()
+    for declined in ["99999999999999999999", "1.00000000000000000000000",
+                     "0000000000000000000000001", "1e5", ".5", "5.", "+1", "1 ", "--1", "1-",
+                     "1.2.3", "", "nan", "1_0", "1\r"]:
+        assert read_rows(f"1,{declined}\n", 2)[0] is None, declined
+    assert read_rows("1,2\n3\n", 2)[0] is None
+    assert read_rows("1,2,3\n", 2)[0] is None
+    assert read_rows("1,2", 2)[0] is None  # no line end
+    assert read_rows("1,2\n\n", 2)[0] is None
+
+
+def test_the_array_readers_powers_of_five_are_exact():
+    from thermopower import _shortest
+
+    assert _shortest._POW10F.tolist() == [float(10**p) for p in range(_shortest._PLACES + 1)]
+    t3, t2, t1, t0 = (limb.astype(object) for limb in _shortest._T5)
+    for p, (a, b, c, d, scale) in enumerate(zip(t3, t2, t1, t0, _shortest._SCALE.tolist())):
+        t = a << 96 | b << 64 | c << 32 | d
+        s = (5**p - 1).bit_length()
+        assert Fraction(2) ** (s - 1) < 5**p <= Fraction(2) ** s
+        assert Fraction(scale) == Fraction(2) ** (1 - s - p)
+        assert 2**127 <= t < 2**128
+        assert 0 <= t - Fraction(2) ** (127 + s) / 5**p < 1  # rounded up
+    assert 5**_shortest._PLACES < 2**64  # so a product's middle word says if it is exact
+    rng = np.random.default_rng(25)
+    m = rng.integers(1 << 53, 10**19, 20000, dtype=np.uint64)
+    places = rng.integers(0, _shortest._PLACES + 1, len(m))
+    got = _shortest._quotients(m, places)
+    assert bits(got) == bits([float(Fraction(int(a), 10**int(p)))
+                              for a, p in zip(m.tolist(), places.tolist())])
+
+
+@pytest.fixture
+def read(monkeypatch):
+    """Whether the array reader took each batch read while the test runs."""
+    from thermopower import _shortest
+
+    rows_values, read = _shortest.rows_values, []
+
+    def spy(data, width):
+        values = rows_values(data, width)
+        read.append(values is not None)
+        return values
+
+    monkeypatch.setattr(_shortest, "rows_values", spy)
+    return read
+
+
+def test_the_reader_reads_the_writers_doubles(doubles, read):
+    values, _ = doubles
+    text = write_table({}, ("a", "b", "c"), values.T)
+    assert bits(parse_table(text)[2]) == bits(values)
+    assert any(read) and not all(read)  # scientific notation goes through float()
+
+
+def test_a_long_table_reads_as_float_with_a_loose_row_in_some_slabs(read):
+    """Rows the array reader declines read through float() in their own
+    batches, and the other batches through the array reader."""
+    rng = np.random.default_rng(7)
+    values = rng.uniform(-1e4, 1e4, (120_000, 3))
+    lines = ["a,b,c", *reprs(values)]
+    step = len(lines) // 6
+    loose = {step: "3e2,1.0,2.0", 2 * step: ".5,1.0,2.0", 3 * step: "+1.0,1.0,2.0",
+             4 * step: "1.0,2.0,3.0\r", 5 * step: ""}
+    for i, line in loose.items():
+        lines.insert(i, line)
+    text = "\n".join(lines) + "\n"
+    want = [[float(field) for field in line.split(",")] for line in lines[1:] if line]
+    got = parse_table(text)[2]
+    assert got.shape == (len(values) + 4, 3)
+    assert bits(got) == bits(want)
+    assert read.count(False) == len(loose) and read.count(True) > 90
 
 
 # --- Trace construction ---

@@ -207,6 +207,10 @@ SINGULAR = {
     "m4 zero": (
         [_a15(f, c, a0=0.25) for f in GRIDS["A15"] for c in (1, 2, 3, 4)],
         "degenerate g_s/g_o ratio"),
+    # the per-frequency slopes of a flat a0 = 0.3 round to about 1e-17
+    "m4 rounding noise": (
+        [_a15(f, c, a0=0.3) for f in GRIDS["A15"] for c in (1, 2, 3, 4)],
+        "degenerate g_s/g_o ratio"),
 }
 
 
