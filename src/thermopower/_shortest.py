@@ -68,12 +68,12 @@ _DIGITS4 = (_DIGITS4 % 10 + ord("0")).astype(np.uint8).view(np.uint32).ravel()
 # separator, each of those three the last byte of its word; _KEEP says
 # which of the 48 bytes repr writes, by sign, integer digits (1..16) and
 # fraction digits (1..20)
-_SIGN, _WIDTH, _FRACTION = np.ix_([0, 1], np.arange(1, 17), np.arange(1, 21))
+_SIGN, _WIDTH, _PLACES = np.ix_([0, 1], np.arange(1, 17), np.arange(1, 21))
 _KEEP = np.zeros((2, 16, 20, 48), bool)
 _KEEP[..., 3] = _SIGN
 _KEEP[..., 4:20] = np.arange(16) >= 16 - _WIDTH[..., None]
 _KEEP[..., 23] = _KEEP[..., 47] = True
-_KEEP[..., 24:44] = np.arange(20) >= 20 - _FRACTION[..., None]
+_KEEP[..., 24:44] = np.arange(20) >= 20 - _PLACES[..., None]
 _KEEP = _KEEP.reshape(-1, 48)
 _MINUS, _POINT, _COMMA, _NEWLINE = np.frombuffer(b"   -   .   ,   \n", np.uint32)
 
@@ -166,19 +166,19 @@ def rows_text(table) -> str | None:
 # --- reading: CSV bytes to doubles, each value float() of its field ---
 
 # a field is -?[0-9]+(\.[0-9]+)? of at most _DIGITS digits, at most 19 of
-# them below its leading zeros, and at most _PLACES below the point, so
+# them below its leading zeros, and at most _MAX_PLACES below the point, so
 # 10**places is an exact double
-_DIGITS, _PLACES = 24, 22
-_POW10F = np.array([10.0**p for p in range(_PLACES + 1)])
+_DIGITS, _MAX_PLACES = 24, 22
+_POW10F = np.array([10.0**p for p in range(_MAX_PLACES + 1)])
 
 
 def _pow5_table():
-    """For each p in 0.._PLACES, 2**(127 + s) / 5**p rounded up to an
+    """For each p in 0.._MAX_PLACES, 2**(127 + s) / 5**p rounded up to an
     integer t, 2**127 <= t < 2**128, with 2**(s - 1) < 5**p <= 2**s: the
     four 32-bit limbs of t, the highest first, and 2**(1 - s - p), which
     scales m * t / 2**128 back to m / 10**p."""
     limbs, scale = [], []
-    for p in range(_PLACES + 1):
+    for p in range(_MAX_PLACES + 1):
         s = (5**p - 1).bit_length()
         t = -(-(1 << 127 + s) // 5**p)
         limbs.append([t >> 32 * i & 0xFFFFFFFF for i in (3, 2, 1, 0)])
@@ -197,12 +197,13 @@ _WORDS = np.array([[24], [16], [8]])
 
 def _quotients(m, places):
     """m / 10**places correctly rounded, 2**53 <= m < 2**64 and places <=
-    _PLACES, from the 192-bit product of m, shifted to 2**55 <= m < 2**64,
-    and the place's t (Eisel and Lemire): for places <= 27, 5**places <
-    2**64, so its top 64 bits are floor(m * 2**(s - 1) / 5**places) and
-    its middle 64 bits are 0 just when that is exact.  Rounded to odd at 55
-    bits or more, it converts to the nearest double, ties to even, as
-    m / 10**places does; the scales by powers of two are exact."""
+    _MAX_PLACES, from the 192-bit product of m, shifted to 2**55 <= m <
+    2**64, and the place's t (Eisel and Lemire): for places <= 27,
+    5**places < 2**64, so its top 64 bits are floor(m * 2**(s - 1) /
+    5**places) and its middle 64 bits are 0 just when that is exact.
+    Rounded to odd at 55 bits or more, it converts to the nearest double,
+    ties to even, as m / 10**places does; the scales by powers of two are
+    exact."""
     low2 = m < _U64(1 << 62)
     m = m << (low2.astype(_U64) << _U64(1))
     t3, t2, t1, t0 = (limb[places] for limb in _T5)
@@ -217,7 +218,7 @@ def _fields(b, width: int):
     """Each field's sign, number of digits and number of them below the
     point, of CSV bytes b whose every line ends in "\\n" and holds width
     fields of the form -?[0-9]+(\\.[0-9]+)?, none of more than _DIGITS
-    digits or _PLACES below its point, else None."""
+    digits or _MAX_PLACES below its point, else None."""
     if not len(b) or b[-1] != ord("\n"):
         return None
     marks = np.flatnonzero(b - np.uint8(ord("0")) >= 10)  # all but the digits
@@ -238,7 +239,7 @@ def _fields(b, width: int):
         return None
     places = gap[ends] * after[ends]
     count = gap[ends] + places.astype(bool) * gap[ends - 1]
-    if places.max() > _PLACES or count.max() > _DIGITS:
+    if places.max() > _MAX_PLACES or count.max() > _DIGITS:
         return None
     return minus[np.concatenate(([0], ends[:-1] + 1))], count, places
 
@@ -265,7 +266,7 @@ def rows_values(data: bytes, width: int):
     """The (rows, width) doubles of CSV bytes whose every line ends in
     "\\n" and holds width fields of the form -?[0-9]+(\\.[0-9]+)?, each
     float() of its field, or None for any other bytes or a field of more
-    than _DIGITS digits, 19 below its leading zeros or _PLACES below its
+    than _DIGITS digits, 19 below its leading zeros or _MAX_PLACES below its
     point.  Each field's digits are turned into an integer m < 10**19;
     m / 10**places is one IEEE division when m < 2**53 (Clinger), else
     _quotients.  Each step frees its temporaries as it returns."""

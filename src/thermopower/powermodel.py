@@ -220,8 +220,6 @@ def calibrate(
             f"need >= 3 frequencies with >= 2 core counts each to shape g_s(f); "
             f"got {len(used)}"
         )
-    if flat:  # every g_s is 0, though the regressions may round it to a few ulps
-        raise SingularFit("degenerate g_s/g_o ratio")
     sol, singular = _lstsq(np.vander(used, 3), np.array(gs_list))
     if singular:
         raise SingularFit("g_s quadratic design is rank-deficient")
@@ -230,7 +228,7 @@ def calibrate(
     if not np.all(np.isfinite(ratios)):
         raise SingularFit("a0 intercept g_o is zero at some frequency")
     m4 = float(np.mean(ratios))
-    if m4 == 0 or not math.isfinite(m4):
+    if flat or m4 == 0 or not math.isfinite(m4):  # flat: every g_s is 0, maybe a few ulps off
         raise SingularFit("degenerate g_s/g_o ratio")
 
     _check_finite(m1=m1, m2=m2, m3=m3, m5=m5, m6=m6, m7=m7, a2=a2)

@@ -19,10 +19,11 @@ of BLOCK_ROWS rows at a time, by _shortest.rows_text when every value of
 the block prints in fixed notation, else with %r.  It reads traces
 through _chunk_table (parse_traces) and other tables through
 parse_table, both one slab of at most SLAB_BYTES at a time, the slabs of
-small texts joined: a batch of at least ARRAY_BYTES whose every field is
-a plain decimal (-?[0-9]+(\\.[0-9]+)?, as repr writes in fixed notation)
-goes through _shortest.rows_values, bit for bit as float() reads it, and
-any other batch is rid of blank lines and converted with float().
+small texts joined.  Once a process has read ARRAY_BYTES of CSV text, the
+current table included, a batch whose every field is a plain decimal
+(-?[0-9]+(\\.[0-9]+)?, as repr writes in fixed notation) goes through
+_shortest.rows_values, bit for bit as float() reads it; any other batch,
+and every batch before, is rid of blank lines and converted with float().
 """
 
 from __future__ import annotations
@@ -56,7 +57,11 @@ HEADER = "time_s,temp_c,power_w"
 _COLUMNS = tuple(HEADER.split(","))
 SLAB_BYTES = 1 << 16  # CSV text converted at once, read or written
 BLOCK_ROWS = 4096  # rows a long table writes at once, as arrays
-ARRAY_BYTES = 1 << 14  # a batch of CSV text at least this long is read as arrays
+# CSV text read, in all, from which on a process reads with the array
+# kernel: the kernel saves about 0.01 ms a KB on float(), so 6 slabs repay
+# the 4 ms it takes to load _shortest from source
+ARRAY_BYTES = 6 * SLAB_BYTES
+_read_bytes = 0  # CSV text this process has passed to _read_table
 
 
 def check_samples(time_s, temp_c, power_w, line_of=None) -> None:
@@ -286,16 +291,19 @@ def _read_table(parts, width: int):
     """The rows below the header of each (text, start) in parts: a
     C-contiguous (width, rows) float array and the row offsets where each
     text's rows end, or None if any row is not ``width`` finite ASCII
-    decimals.  A batch of at least ARRAY_BYTES that _shortest.rows_values
-    takes, every line a row of plain decimals, is converted by it; any
-    other by _float_rows."""
+    decimals.  Once the process has read ARRAY_BYTES, parts included, a
+    batch that _shortest.rows_values takes, every line a row of plain
+    decimals, is converted by it; any other by _float_rows."""
+    global _read_bytes
+    _read_bytes += sum(len(text) - start for text, start in parts)
+    arrays = _read_bytes >= ARRAY_BYTES
     rows = [text.count("\n", start) + (start < len(text) and text[-1] != "\n")
             for text, start in parts]  # lines, less blank ones as _float_rows finds them
     table, row = np.empty((width, sum(rows))), 0
     try:
         for batch in _batches(parts):
             text, values = "".join(slab for _, slab in batch), None
-            if len(text) >= ARRAY_BYTES and text.isascii():
+            if arrays and text.isascii():
                 from . import _shortest
                 values = _shortest.rows_values(text.encode("ascii"), width)
             if values is None:

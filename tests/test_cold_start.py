@@ -19,6 +19,7 @@ import pytest
 import thermopower
 from thermopower.cli import main
 from thermopower.trace import (
+    ARRAY_BYTES,
     BLOCK_ROWS,
     TraceMeta,
     generate_synthetic_trace,
@@ -82,16 +83,21 @@ def test_a_command_imports_only_the_modules_it_uses(command, tmp_path):
     (["fit", "small.csv"], False),
     (["sensor-correct", "series.csv", "--model-json", str(INPUTS / "sensor_model.json"),
       "--out", "out.csv"], False),
-    (["fit", "block.csv"], True),
+    (["fit", "block.csv"], False),
+    (["fit", "long.csv"], True),
+    (["fit", "block.csv", "block.csv", "block.csv"], True),
 ], ids=["gen of a block", "version", "fit of 20 rows", "sensor-correct of 20 rows",
-        "fit of a block"])
+        "fit of a block", "fit of 4 blocks", "fit of 3 files of a block"])
 def test_the_array_writer_loads_for_a_table_of_a_block_or_more(argv, loads, tmp_path):
     """The array CSV writer and reader share one module, which a command
-    loads only for a table of BLOCK_ROWS rows or more."""
-    for name, rows in (("small.csv", 20), ("block.csv", BLOCK_ROWS)):
+    loads to write a table of BLOCK_ROWS rows or more, or once it has read
+    ARRAY_BYTES of CSV text, in one file or in several."""
+    for name, rows in (("small.csv", 20), ("block.csv", BLOCK_ROWS), ("long.csv", 4 * BLOCK_ROWS)):
         trace = generate_synthetic_trace(TraceMeta("A15", 1.2, 4), (0.3, 100.0, 33.0),
                                          (25.0, 85.0, rows), noise=0.002, seed=1)
         (tmp_path / name).write_text(write_trace(trace))
+    size = (tmp_path / "block.csv").stat().st_size
+    assert size < ARRAY_BYTES <= min(3 * size, (tmp_path / "long.csv").stat().st_size)
     (tmp_path / "series.csv").write_text(write_table(
         {}, ("time_s", "temp_c"), (0.2 * np.arange(1, 21), np.linspace(40.0, 60.0, 20))))
     done = subprocess.run([sys.executable, "-X", "importtime", "-m", "thermopower.cli", *argv],

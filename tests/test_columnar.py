@@ -552,7 +552,7 @@ def test_the_array_reader_on_signs_zeros_and_long_mantissas():
 def test_the_array_readers_powers_of_five_are_exact():
     from thermopower import _shortest
 
-    assert _shortest._POW10F.tolist() == [float(10**p) for p in range(_shortest._PLACES + 1)]
+    assert _shortest._POW10F.tolist() == [float(10**p) for p in range(_shortest._MAX_PLACES + 1)]
     t3, t2, t1, t0 = (limb.astype(object) for limb in _shortest._T5)
     for p, (a, b, c, d, scale) in enumerate(zip(t3, t2, t1, t0, _shortest._SCALE.tolist())):
         t = a << 96 | b << 64 | c << 32 | d
@@ -561,10 +561,10 @@ def test_the_array_readers_powers_of_five_are_exact():
         assert Fraction(scale) == Fraction(2) ** (1 - s - p)
         assert 2**127 <= t < 2**128
         assert 0 <= t - Fraction(2) ** (127 + s) / 5**p < 1  # rounded up
-    assert 5**_shortest._PLACES < 2**64  # so a product's middle word says if it is exact
+    assert 5**_shortest._MAX_PLACES < 2**64  # so a product's middle word says if it is exact
     rng = np.random.default_rng(25)
     m = rng.integers(1 << 53, 10**19, 20000, dtype=np.uint64)
-    places = rng.integers(0, _shortest._PLACES + 1, len(m))
+    places = rng.integers(0, _shortest._MAX_PLACES + 1, len(m))
     got = _shortest._quotients(m, places)
     assert bits(got) == bits([float(Fraction(int(a), 10**int(p)))
                               for a, p in zip(m.tolist(), places.tolist())])

@@ -204,6 +204,10 @@ SINGULAR = {
     "g_o zero": (
         [_a15(f, c, a0=0.25 * c) for f in GRIDS["A15"] for c in (1, 2, 3, 4)],
         "a0 intercept g_o is zero at some frequency"),
+    # flat too, but the zero intercept is what the message names
+    "a0 zero": (
+        [_a15(f, c, a0=0.0) for f in GRIDS["A15"] for c in (1, 2, 3, 4)],
+        "a0 intercept g_o is zero at some frequency"),
     "m4 zero": (
         [_a15(f, c, a0=0.25) for f in GRIDS["A15"] for c in (1, 2, 3, 4)],
         "degenerate g_s/g_o ratio"),
