@@ -1,17 +1,22 @@
 """CSV rows of doubles as arrays, both ways: the text of
 ``",".join(map(repr, row))`` for every row of a table whose values all
-print in fixed notation (rows_text), and float() of every field of CSV
-bytes of plain decimals (rows_values).
+print in fixed notation (rows_text, and reprs for a column of any
+doubles), and float() of every field of CSV bytes of plain decimals
+(rows_values).
 
 repr writes a double in fixed notation when it is ±0 or finite with
 1e-4 <= |x| < 1e16.  For those, rows_text finds each value's shortest
 correctly rounded digits with Schubfach (R. Giulietti, "The Schubfach way
-to render doubles", 2020) on uint64 arrays, lays every value out as ASCII
-in fixed-width fields of one matrix and keeps the bytes that repr writes.
+to render doubles", 2020) on uint64 arrays, from one 128-bit product a
+value: the ends of the rounding interval are that product plus or minus
+a shifted power of ten, with carries, as in Dragonbox (J. Jeon, 2020).
 Every power of ten the range needs is exact in 64 bits, so each product
 is exact, and integer arithmetic gives the same bytes on every machine.
 Python's repr has no "at least two digits" rule, so Java's s >= 100
-guard and its scaling of tiny significands are left out.
+guard and its scaling of tiny significands are left out.  Each value's
+digits are rendered once, as 20 zero-padded ASCII digits; tables of
+masks, taken by where the point goes and where the digits start and
+end, keep the bytes that repr writes.
 
 rows_values reads fields of the form -?[0-9]+(\\.[0-9]+)?, which covers
 every fixed-notation repr, and declines any other bytes.  It turns each
@@ -30,52 +35,67 @@ import numpy as np
 
 _U64 = np.uint64
 _M32 = _U64(0xFFFFFFFF)
-_SIG = _U64((1 << 52) - 1)
 
 # k = floor(log10(2**q)), or floor(log10(3/4 * 2**q)) when the lower
 # neighbour is closer, for every q of the range (the tests check it)
 _LOG10_2, _LOG10_4_3, _SHIFT = 1262611, 524031, 22
-# the binary exponents q of c * 2**q, 2**52 <= c < 2**53, for 1e-4..1e16
-_Q_LO, _Q_HI = -66, 1
-_K_LO = (_Q_LO * _LOG10_2 - _LOG10_4_3) >> _SHIFT
-_K_HI = (_Q_HI * _LOG10_2) >> _SHIFT
+# the biased exponents of the doubles 1e-4 <= v < 1e16
+_E_LO, _E_HI = 1009, 1076
 
 
-def _pow10_table():
-    """For each k in _K_LO.._K_HI, 10**-k as g * 2**r, 2**63 <= g < 2**64,
-    g as two 32-bit limbs, and r + 64.  Every k here is <= 0 and 10**-k is
-    5**-k * 2**-k with 5**-k < 2**64, so g holds it exactly: Schubfach's
-    g1, with a g0 of 0."""
-    limbs, shift = [], []
-    for k in range(_K_LO, _K_HI + 1):
-        p = 10**-k
-        r = p.bit_length() - 64
-        g = p >> r if r >= 0 else p << -r
-        limbs.append([g >> 32, g & 0xFFFFFFFF])
-        shift.append(r + 64)
-    return np.array(limbs, _U64).T.copy(), np.array(shift, np.int64)
+def _scales():
+    """For each biased exponent of the range and each closer, 0 or 1, in
+    column 2 * (exponent - _E_LO) + closer: with v = c * 2**q, 2**52 <= c <
+    2**53, k as above and 10**-k = g * 2**r, 2**63 <= g < 2**64 (every k
+    here is <= 0 and 5**-k < 2**64, so g holds it exactly: Schubfach's g1,
+    with a g0 of 0), g as two 32-bit limbs; s = q + r + 66, for which
+    4 * v * 10**-k = g * (c << s) / 2**64; g << (s - 1) and g << (s - 1 -
+    closer), the steps from there to the ends of v's rounding interval,
+    each as its high and low 64 bits; and 20 + k, where the point goes in
+    the 20 digits of d."""
+    columns = []
+    for exponent in range(_E_LO, _E_HI + 1):
+        q = exponent - 1075
+        for closer in (0, 1):
+            k = (q * _LOG10_2 - closer * _LOG10_4_3) >> _SHIFT
+            p = 10**-k
+            g, s = (p << 64) >> p.bit_length(), q + p.bit_length() + 2
+            up, down = g << s - 1, g << s - 1 - closer
+            columns.append([g >> 32, g % 2**32, s, up >> 64, up % 2**64, down >> 64,
+                            down % 2**64, 20 + k])
+    return np.array(columns, _U64).T.copy()
 
 
-_G, _R = _pow10_table()
-_POW10 = np.array([10**i for i in range(20)], _U64)
-# the four ASCII digits of 0..9999, one uint32 each, from uint16
-# temporaries: int64 ones would raise the peak memory of every command
-# that imports this module by about half a megabyte
-_DIGITS4 = np.arange(10000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16)
-_DIGITS4 = (_DIGITS4 % 10 + ord("0")).astype(np.uint8).view(np.uint32).ravel()
-# rows_text lays each value out as 12 uint32 words: the sign, 4 words of
-# 4 integer digits, the point, 5 words of 4 fraction digits and the
-# separator, each of those three the last byte of its word; _KEEP says
-# which of the 48 bytes repr writes, by sign, integer digits (1..16) and
-# fraction digits (1..20)
-_SIGN, _WIDTH, _PLACES = np.ix_([0, 1], np.arange(1, 17), np.arange(1, 21))
-_KEEP = np.zeros((2, 16, 20, 48), bool)
-_KEEP[..., 3] = _SIGN
-_KEEP[..., 4:20] = np.arange(16) >= 16 - _WIDTH[..., None]
-_KEEP[..., 23] = _KEEP[..., 47] = True
-_KEEP[..., 24:44] = np.arange(20) >= 20 - _PLACES[..., None]
-_KEEP = _KEEP.reshape(-1, 48)
-_MINUS, _POINT, _COMMA, _NEWLINE = np.frombuffer(b"   -   .   ,   \n", np.uint32)
+_SCALES = _scales()
+# rows_text lays each value out as a row of 7 words of 4 bytes of _CHARS:
+# a word of the sign, the 20 digits D of d, zero-padded, in 5 words, and a
+# word of the separator.  Byte p of the row holds
+#     p = 0: "-" or " ",  3: "0",  4 + i: D[i],  24: "0",  27: "," or "\n".
+# With the point after D[:at], repr writes the sign, the integer digits
+# D[lo:at] (lo = 20 - digits), or else the "0" before at, the point, the
+# fraction digits D[at:end] (end = 20 - trailing zeros), or else the "0"
+# at at, and the separator.  _KEEP_INT keeps the sign, the integer digits
+# and the separator of the row; _KEEP_FRACTION keeps the fraction digits
+# of the row shifted one byte on, which opens byte 4 + at for the point.
+# Every other byte is 0 or a space, which translate drops.
+_V = np.arange(10000, dtype=np.uint16)
+_CHARS = (_V // np.array([[1000], [100], [10], [1]], np.uint16) % 10 + 48).T
+_CHARS = np.append(_CHARS.astype(np.uint8, order="C").view(np.uint32),
+                   np.frombuffer(b"   0-  00  ,0  \n", np.uint32))
+# by group j of D, D[4j:4j + 4], and its value: where its nonzero digits
+# end in D, or 0 if it is 0
+_END = np.uint8(4) - (_V % 10 == 0) - (_V % 100 == 0) - (_V % 1000 == 0)
+_END = (_END + np.arange(0, 20, 4, dtype=np.uint8)[:, None]) * (_V > 0)
+_SIGN, _SEP = 10000, 10002  # the words of " " and ",", before "-" and "\n"
+_P, _AT = np.arange(28), np.arange(21)[:, None]
+# by (d has 17 digits, not 16; at)
+_KEEP_INT = ((_P % 27 == 0) | (_P < 4 + _AT) & (
+    _P >= 4 + np.minimum(4 - np.arange(2)[:, None, None], _AT - 1))).reshape(-1, 28)
+# by (at, end)
+_KEEP_FRACTION = ((_P > 4 + _AT[:, None]) & (
+    _P < 5 + np.maximum(_AT.T, _AT + 1)[..., None])).reshape(-1, 28)
+_POINTS = np.eye(21, 28, 4, np.uint8) * ord(".")  # by at
+del _V, _P, _AT
 
 
 def _product(g, cp):
@@ -89,50 +109,33 @@ def _product(g, cp):
     return high, (mid << _U64(32)) | (ll & _M32)
 
 
-def _round_to_odd(g, cp):
-    """floor(g * cp / 2**64), its lowest bit set if the rest is not 0."""
-    high, low = _product(g, cp)
-    return high | (low != 0)
-
-
 def _shortest(a):
-    """Each positive-or-zero double of a, all < 1e16 and none subnormal,
-    as (d, e), d * 10**e its shortest correctly rounded decimal with no
-    trailing zero below the decimal point."""
-    integral = (a < 2.0**53) & (a == np.floor(a))
-    bits = np.where(integral, 1.5, a).view(_U64)  # any double of the range
-    frac = bits & _SIG
-    c = frac | _U64(1 << 52)
-    q = (bits >> _U64(52)).astype(np.int64) - 1075
-    closer = frac == 0
-    k = (q * _LOG10_2 - closer * _LOG10_4_3) >> _SHIFT
-    g = _G[:, k - _K_LO]
-    h = (q + _R[k - _K_LO]).astype(_U64)
+    """(d, at) for each double of a, all 1e-4 <= a < 1e16: d * 10**k is its
+    shortest correctly rounded decimal, d of 16 or 17 digits with its
+    trailing zeros, and at = 20 + k.  Every integer here is a uint64."""
+    bits = a.view(_U64)
+    frac = bits & (1 << 52) - 1
+    c = frac | 1 << 52
+    i = (bits >> 52 << 1) + (frac == 0) - 2 * _E_LO
+    gh, gl, s, up_high, up_low, down_high, down_low, at = (row.take(i) for row in _SCALES)
+    high, low = _product((gh, gl), c << s)
     # 4 * v * 10**-k and the ends of v's rounding interval, rounded to odd
-    cb = c << _U64(2)
-    vb = _round_to_odd(g, cb << h)
-    vbl = _round_to_odd(g, (cb - _U64(2) + closer) << h)
-    vbr = _round_to_odd(g, (cb + _U64(2)) << h)
-    odd = c & _U64(1)
+    vb = high | (low != 0)
+    up, down = low + up_low, low - down_low
+    vbr = (high + up_high + (up < low)) | (up != 0)
+    vbl = (high - down_high - (down > low)) | (down != 0)
+    odd = c & 1
     lower, upper = vbl + odd, vbr - odd
-    s = vb >> _U64(2)
+    s = vb >> 2
     # one digit fewer: s // 10 or the next, if exactly one is in the interval
-    sp = s // _U64(10)
-    up, wp = lower <= sp * _U64(40), sp * _U64(40) + _U64(40) <= upper
+    sp = s // 10
+    tens = sp * 40
+    upin, wpin = lower <= tens, tens + 40 <= upper
     # else s or s + 1, whichever alone is in it, or the nearer, ties to even
-    u, w = lower <= s << _U64(2), (s << _U64(2)) + _U64(4) <= upper
-    mid = (s << _U64(2)) + _U64(2)
-    nearest = s + ((vb > mid) | ((vb == mid) & (s & _U64(1) == 1)))
-    d = np.where(up != wp, sp + wp, np.where(u != w, s + w, nearest))
-    e = k + (up != wp)
-    d = np.where(integral, a.astype(_U64), d)
-    e = np.where(integral, 0, e)
-    for n in (16, 8, 4, 2, 1):  # trailing zeros, only those below the point
-        high = d // _POW10[n]
-        strip = (e <= -n) & (high * _POW10[n] == d)
-        d = np.where(strip, high, d)
-        e = e + n * strip
-    return d, e
+    fours = s << 2
+    uin, win = lower <= fours, fours + 4 <= upper
+    nearer = vb + (s & 1) > fours + 2
+    return np.where(upin != wpin, (sp + wpin) * 10, s + np.where(uin != win, win, nearer)), at
 
 
 def rows_text(table) -> str | None:
@@ -140,27 +143,42 @@ def rows_text(table) -> str | None:
     or None if any value is not ±0 or finite with 1e-4 <= |x| < 1e16."""
     values = table.ravel()
     a = np.abs(values)
-    if not ((a >= 1e-4) & (a < 1e16) | (a == 0)).all():
+    zero = a == 0
+    if not (zero | (a >= 1e-4) & (a < 1e16)).all():
         return None
-    d, e = _shortest(a)
-    # d * 10**e = whole + part / 10**places
-    point = _POW10[np.clip(-e, 0, 19)]  # d < 10**17
-    whole = d // point
-    part = d - whole * point
-    whole = np.where(e > 0, d * _U64(10), whole)  # e is at most 1
-    text = np.empty((len(values), 12), np.uint32)
-    text[:, 0], text[:, 5] = _MINUS, _POINT
-    ends = text.reshape(*table.shape, 12)[..., 11]
-    ends[:], ends[:, -1] = _COMMA, _NEWLINE
-    for number, words in ((whole, range(4, 0, -1)), (part, range(10, 5, -1))):
-        for word in words:  # the lowest four digits first
-            high = number // _U64(10000)
-            text[:, word] = _DIGITS4.take(number - high * _U64(10000))
-            number = high
-    width = np.searchsorted(_POW10[1:17], whole, side="right")  # digits - 1
-    places = np.maximum(-e, 1)
-    keep = _KEEP.take((np.signbit(values) * 16 + width) * 20 + places - 1, axis=0)
-    return text.view(np.uint8)[keep].tobytes().decode("ascii")
+    a[zero] = 1.0  # any double of the range
+    d, at = _shortest(a)
+    d[zero] = 0
+    words = np.empty((len(values), 7), np.uint16)  # rows of _CHARS indices
+    words[:, 0] = np.signbit(values) + _SIGN
+    words[:, 6] = _SEP
+    words[table.shape[1] - 1 :: table.shape[1], 6] = _SEP + 1
+    end = np.zeros(len(values), np.uint8)
+    for group in 5, 4, 3, 2, 1:  # the lowest four digits first
+        rest = d // 10000
+        words[:, group] = digits = d - rest * 10000
+        np.maximum(end, _END[group - 1].take(digits), out=end)
+        d = rest
+    row = _CHARS.take(words).view(np.uint8).ravel()
+    # digits is now d // 10**16, 0 unless d has 17 digits
+    text = _KEEP_INT.take(at + (digits > 0) * _U64(21), axis=0).view(np.uint8).ravel()
+    text *= row
+    fraction = _KEEP_FRACTION.take(21 * at + end, axis=0).view(np.uint8).ravel()
+    fraction[1:] *= row[:-1]
+    text += fraction
+    text += _POINTS.take(at, axis=0).ravel()
+    return text.tobytes().translate(None, b" \0").decode("ascii")
+
+
+def reprs(values, other) -> list[str]:
+    """repr of each double of a 1-D float array, but other(x) of each x
+    that repr does not write in fixed notation, as rows_text does not."""
+    a = np.abs(values)
+    fixed = (a >= 1e-4) & (a < 1e16) | (a == 0)
+    texts = np.empty(len(values), object)
+    texts[fixed] = rows_text(values[fixed, None]).split("\n")[:-1]
+    texts[~fixed] = list(map(other, values[~fixed].tolist()))
+    return texts.tolist()
 
 
 # --- reading: CSV bytes to doubles, each value float() of its field ---

@@ -36,6 +36,10 @@ try:
     from pathlib import Path
     from types import GeneratorType
 
+    # OpenBLAS's pool of threads costs every command CPU and saves no wall
+    # time on these sizes: one thread, unless the user set a number
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     import numpy as np
 
     from . import __version__
@@ -54,6 +58,7 @@ try:
     # package's __getattr__, which -X importtime does not record
     from . import fitting
     from .trace import (
+        BLOCK_ROWS,
         SLAB_BYTES,
         TraceMeta,
         _chunk_table,
@@ -352,6 +357,26 @@ def _entries(paths: list[str], fits: dict):
     Yields _Batches of consecutive entries whose families failed alike,
     each of about SLAB_BYTES of text."""
     fits = [fits[kind] for kind in sorted(fits, key=lambda kind: kind.value)]
+    # a process that has loaded the array writer prints through it, at
+    # least BLOCK_ROWS values a call, where it pays
+    shortest = sys.modules.get(f"{__package__}._shortest")
+    windows = {f.kind: (0, 0, []) for f in fits}  # each family's printed rows
+
+    def floats(f, lo: int, hi: int) -> list[str]:
+        """_float of the coefficients and the error of f's rows lo:hi, row by row."""
+        start, stop, window = windows[f.kind]
+        width = f.coeffs.shape[1] + 1
+        if lo < start or hi > stop:
+            rows = -(-BLOCK_ROWS // width) if shortest else 0
+            start, stop = lo, min(len(f.ok), max(hi, lo + rows))
+            values = np.column_stack([f.coeffs[start:stop], f.error[start:stop]]).ravel()
+            if shortest:
+                window = shortest.reprs(values, _float)
+            else:  # float.__repr__ writes a finite float as _float does, with no call in Python
+                window = list(map(float.__repr__ if np.isfinite(values).all() else _float,
+                                  values.tolist()))
+            windows[f.kind] = start, stop, window
+        return window[(lo - start) * width : (hi - start) * width]
 
     def batch(lo: int, hi: int) -> _Batch:
         entry = {"fits": {}, "path": _Column(map(encode_basestring_ascii, paths[lo:hi]))}
@@ -359,10 +384,7 @@ def _entries(paths: list[str], fits: dict):
             if not f.ok[lo]:
                 entry["fits"][f.kind.value] = None
                 continue
-            values, width = np.column_stack([f.coeffs[lo:hi], f.error[lo:hi]]), f.coeffs.shape[1]
-            # float.__repr__ writes a finite float as _float does, with no call in Python
-            texts = list(map(float.__repr__ if np.isfinite(values).all() else _float,
-                             values.ravel().tolist()))
+            texts, width = floats(f, lo, hi), f.coeffs.shape[1]
             codes = f.code[lo:hi].tolist()
             entry["fits"][f.kind.value] = {
                 "coeffs": [_Column(texts[j :: width + 1]) for j in range(width)],

@@ -15,8 +15,11 @@ the shortest decimal form that parses back to the identical float, so
 write/parse is a bit-exact round trip.  Every CSV the package writes goes
 through write_table (_table_text): a table of fewer than BLOCK_ROWS rows
 is formatted with %r, SLAB_BYTES of text at a time; a longer one a block
-of BLOCK_ROWS rows at a time, by _shortest.rows_text when every value of
-the block prints in fixed notation, else with %r.  It reads traces
+of BLOCK_ROWS rows at a time, by _shortest.rows_text (Schubfach's digits
+from one 128-bit product a value, each value's digits rendered once)
+when every value of the block prints in fixed notation, else with %r.
+The report's floats go through the same kernel in processes that have
+loaded it (cli._entries).  It reads traces
 through _chunk_table (parse_traces) and other tables through
 parse_table, both one slab of at most SLAB_BYTES at a time, the slabs of
 small texts joined.  Once a process has read ARRAY_BYTES of CSV text, the

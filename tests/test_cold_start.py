@@ -172,6 +172,36 @@ def test_importing_cli_pauses_the_collector_and_leaves_it_as_it_found_it(enabled
         assert collecting[name] is False, name
 
 
+# the variable as the process sees it, and the threads it runs, on Linux
+THREADS_PROBE = """
+import os
+import {module}
+status = "/proc/self/status"
+lines = open(status).readlines() if os.path.exists(status) else []
+print(os.environ.get("OPENBLAS_NUM_THREADS"), *[line.split()[1] for line in lines
+                                                if line.startswith("Threads:")])
+"""
+
+
+@pytest.mark.parametrize("threads", [None, "2"], ids=["unset", "set by the user"])
+def test_cli_runs_openblas_on_one_thread_unless_the_user_set_a_number(threads):
+    """Importing cli before numpy sets OPENBLAS_NUM_THREADS to 1 when it is
+    unset and keeps a value the user set; the process then runs as many
+    threads as importing numpy alone does under that value."""
+    env = {key: value for key, value in ENV.items() if key != "OPENBLAS_NUM_THREADS"}
+
+    def seen(module: str, env: dict) -> list[str]:
+        done = subprocess.run([sys.executable, "-c", THREADS_PROBE.format(module=module)],
+                              env=env, capture_output=True)
+        assert done.returncode == 0, done.stderr.decode()
+        return done.stdout.decode().split()
+
+    told = env if threads is None else dict(env, OPENBLAS_NUM_THREADS=threads)
+    cli = seen("thermopower.cli", told)
+    assert cli[0] == (threads or "1")
+    assert cli == seen("numpy", dict(env, OPENBLAS_NUM_THREADS=threads or "1"))
+
+
 FREEZE_PROBE = """
 import atexit, gc, sys
 from thermopower import cli

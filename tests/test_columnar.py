@@ -283,24 +283,36 @@ def test_write_table_of_no_columns_is_its_header():
 def test_shortest_powers_of_ten_and_products_are_exact():
     from thermopower import _shortest
 
-    for q in range(_shortest._Q_LO, _shortest._Q_HI + 1):
-        for closer in (False, True):
+    assert (_shortest._E_LO, _shortest._E_HI) == (np.float64(1e-4).view(np.uint64) >> 52,
+                                                  np.float64(1e16).view(np.uint64) >> 52)
+    columns = _shortest._SCALES.T.astype(object).tolist()
+    for exponent in range(_shortest._E_LO, _shortest._E_HI + 1):
+        q = exponent - 1075
+        for closer in (0, 1):
+            i = 2 * (exponent - _shortest._E_LO) + closer
             k = (q * _shortest._LOG10_2 - closer * _shortest._LOG10_4_3) >> _shortest._SHIFT
             x = Fraction(2) ** q * (Fraction(3, 4) if closer else 1)
             assert Fraction(10) ** k <= x < Fraction(10) ** (k + 1), (q, closer)
-            assert _shortest._K_LO <= k <= _shortest._K_HI
-    gh, gl = (limb.astype(object) for limb in _shortest._G)
-    shifts = _shortest._R - 64
-    assert [(h << 32 | l) * Fraction(2) ** int(r) for h, l, r in zip(gh, gl, shifts)] == [
-        Fraction(10) ** -k for k in range(_shortest._K_LO, _shortest._K_HI + 1)]
+            gh, gl, s, up_high, up_low, down_high, down_low, at = columns[i]
+            assert at == 20 + k and 0 <= at <= 20
+            g = gh << 32 | gl
+            assert 1 << 63 <= g < 1 << 64 and (1 << 53) << s < 1 << 64
+            # 4 * v * 10**-k = g * (c << s) / 2**64 for v = c * 2**q
+            assert g * Fraction(2) ** (s - 64) == 4 * Fraction(2) ** q * Fraction(10) ** -k
+            assert up_high << 64 | up_low == g << s - 1
+            assert down_high << 64 | down_low == g << s - 1 - closer
+    for j in range(5):  # where the nonzero digits of group j end in the 20 digits
+        assert _shortest._END[j].tolist() == [
+            0 if v == 0 else 4 * j + len(f"{v:04}".rstrip("0")) for v in range(10000)]
     rng = np.random.default_rng(5)
     cp = rng.integers(0, 1 << 64, 3000, dtype=np.uint64, endpoint=False)
+    g = rng.integers(0, 1 << 32, (2, len(cp)), dtype=np.uint64, endpoint=False)
     cp[:3] = 0, 1, (1 << 64) - 1
-    g = _shortest._G[:, rng.integers(0, _shortest._G.shape[1], len(cp))]
-    got = _shortest._round_to_odd(g, cp).tolist()
-    for h, l, c, odd in zip(*g.tolist(), cp.tolist(), got):
+    g[:, :3] = (1 << 32) - 1
+    high, low = _shortest._product(g, cp)
+    for h, l, c, got_high, got_low in zip(*g.tolist(), cp.tolist(), high.tolist(), low.tolist()):
         product = (h << 32 | l) * c
-        assert odd == product >> 64 | (product % (1 << 64) != 0)
+        assert (got_high, got_low) == (product >> 64, product % (1 << 64))
 
 
 def reprs(values) -> list[str]:
@@ -386,6 +398,42 @@ def test_the_writer_is_repr_row_by_row(doubles, taken):
     bad = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), None)
     assert bad is None, (bad, values[bad].tolist(), got[bad], want[bad])
     assert len(taken) == -(-len(values) // BLOCK_ROWS) and any(taken) and not all(taken)
+
+
+@pytest.mark.parametrize("width", [1, 2, 4])
+def test_the_writer_is_repr_at_every_width_it_writes(doubles, taken, width):
+    """A report column (1), a corrected series or a plot (2) and a debiased
+    trace (4): seeded values of the fixture that print in fixed notation,
+    rows that end in -0.0, 1e-4 or the largest double below 1e16, a block
+    with one value in scientific notation and a short last block."""
+    values, _ = doubles
+    flat = values.ravel()
+    size = np.abs(flat)
+    rng = np.random.default_rng(width)
+    table = rng.choice(flat[(size >= 1e-4) & (size < 1e16) | (size == 0)],
+                       (3 * BLOCK_ROWS + 1000, width))
+    for i, edge in enumerate([-0.0, 1e-4, np.nextafter(1e16, 0.0)]):
+        table[i::7, -1] = edge
+    table[BLOCK_ROWS + 5, 0] = 1e-5
+    names = [f"c{j}" for j in range(width)]
+    got = write_table({}, names, table.T).split("\n")
+    want = [",".join(names), *reprs(table), ""]
+    bad = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), None)
+    assert bad is None, (bad, got[bad], want[bad])
+    assert len(got) == len(want) and taken == [True, False, True, True]
+
+
+def test_reprs_is_repr_or_other_of_each_value(doubles):
+    from thermopower import _shortest
+
+    values = np.concatenate([doubles[0][::50].ravel(), [math.nan, -math.inf, 5e-324, -0.0]])
+    size = np.abs(values)
+    fixed = (size >= 1e-4) & (size < 1e16) | (size == 0)
+    assert fixed.any() and not fixed.all()
+    assert _shortest.reprs(values, lambda x: "other") == [
+        repr(x) if f else "other" for x, f in zip(values.tolist(), fixed.tolist())]
+    assert _shortest.reprs(values[~fixed], lambda x: "other") == ["other"] * (~fixed).sum()
+    assert _shortest.reprs(np.array([]), repr) == []
 
 
 @pytest.mark.parametrize("rows", [2000, BLOCK_ROWS - 1, BLOCK_ROWS])

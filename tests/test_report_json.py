@@ -10,6 +10,7 @@ dicts of their FitResults' fields.
 import hashlib
 import json
 import math
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -22,7 +23,7 @@ from thermopower import cli, fitting
 from thermopower.cli import _chunks, _entries, _text, main
 from thermopower.errors import DegenerateInput
 from thermopower.fitting import FitKind, FitResult, compare_models, fit_batch
-from thermopower.trace import SLAB_BYTES, parse_traces
+from thermopower.trace import BLOCK_ROWS, SLAB_BYTES, parse_traces
 
 # any code point: non-ASCII, control characters and lone surrogates
 CHARS = st.characters() | st.characters(categories=["Cs"])
@@ -226,6 +227,83 @@ def test_a_fleet_report_writes_each_fit_as_the_dict_of_its_fit_result(
                                                    for key, errors in comparison.groups.items()})
     assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
     assert out.count("null") >= 2 * len(NON_FINITE_FITS)
+
+
+# both sides of repr's edges of fixed notation, subnormals, ±0 and the
+# non-finite, each of them also negated
+EDGES = [1e-4, np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0), 1e16, np.nextafter(1e16, 0.0),
+         np.nextafter(1e16, math.inf), 5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+         0.0, 1.7976931348623157e308, math.inf, math.nan]
+
+
+def float_texts(report: str) -> list[tuple[str, list]]:
+    """Each trace's (family, [its coefficient texts..., its error text])
+    in a fit report, a text None where the report writes null."""
+    texts = []
+    for entry in json.loads(report, parse_float=str)["results"]["traces"]:
+        for name, fit in sorted(entry["fits"].items()):
+            if fit is not None:
+                texts.append((name, [*fit["coeffs"], fit["error"]]))
+    return texts
+
+
+@pytest.mark.parametrize("loaded", [True, False], ids=["array writer", "repr"])
+def test_each_coefficient_and_error_text_is_float_of_its_value(monkeypatch, loaded):
+    """A process that has loaded thermopower._shortest prints the report's
+    coefficients and errors through it, at least BLOCK_ROWS values a call,
+    windows that span batches and failed rows; another prints them with
+    float.__repr__.  Either way each text is cli._float of its value."""
+    from thermopower import _shortest
+
+    calls = []
+    if loaded:
+        reprs = _shortest.reprs
+        monkeypatch.setattr(_shortest, "reprs",
+                            lambda values, other: calls.append(len(values)) or reprs(values, other))
+    else:
+        monkeypatch.delitem(sys.modules, "thermopower._shortest")
+    rng = np.random.default_rng(26)
+    n = 3000
+    columns = {kind: fitting._Fits(kind, n) for kind in FitKind}
+    for fits in columns.values():
+        size = fits.coeffs.size + n
+        values = rng.normal(0.0, 10.0 ** rng.integers(-7, 18, size))
+        edges = rng.integers(0, size, 800)
+        values[edges] = rng.choice(EDGES, len(edges)) * rng.choice([-1.0, 1.0], len(edges))
+        fits.coeffs[:], fits.error[:] = values[:-n].reshape(fits.coeffs.shape), values[-n:]
+        fits.ok[:] = True
+        for i in rng.integers(0, n, 40).tolist():  # failed rows in mid-window
+            fits.ok[i] = False
+            fits.failed[i] = DegenerateInput("failed")
+    paths = [f"t{i:04d}.csv" for i in range(n)]
+    report = "".join(_chunks({"results": {"traces": _entries(paths, columns)}}))
+    expected = [(kind.value, [None if text == "null" else text
+                              for text in map(cli._float, [*fits.coeffs[i].tolist(),
+                                                           fits.error[i]])])
+                for i in range(n) for kind, fits in sorted(columns.items(),
+                                                           key=lambda item: item[0].value)
+                if fits.ok[i]]
+    assert float_texts(report) == expected
+    texts = [text for _, row in expected for text in row]
+    assert None in texts and "-0.0" in texts and any("e" in t for t in texts if t)
+    if loaded:  # every call but each family's last window prints a block or more
+        assert calls and sum(count < BLOCK_ROWS for count in calls) <= len(columns)
+
+
+def test_a_fleet_report_writes_each_float_as_cli_float_of_it(tmp_path, capsys):
+    """A fleet whose fits lie on both sides of the edges of fixed notation."""
+    paths = fleet_files(tmp_path)
+    for i, path in enumerate(paths[::3]):  # powers scaled to microwatts or to gigawatts
+        lines = Path(path).read_text(encoding="utf-8").splitlines(keepends=True)
+        scale = 1e-6 if i % 2 else 1e9
+        rows = [line.rsplit(",", 1) for line in lines[4:]]
+        Path(path).write_text("".join(lines[:4]) + "".join(
+            f"{head},{float(power) * scale!r}\n" for head, power in rows), encoding="utf-8")
+    main(["fit", *paths, "--group-by", "proc-cores", "--json"])
+    texts = [text for _, row in float_texts(capsys.readouterr().out) for text in row]
+    assert all(text == cli._float(float(text)) for text in texts if text is not None)
+    fixed = ["e" not in text for text in texts if text is not None]
+    assert any(fixed) and not all(fixed)
 
 
 # --- a fleet's trace entries, written a run of one shape at a time ---
