@@ -61,6 +61,7 @@ try:
         BLOCK_ROWS,
         SLAB_BYTES,
         TraceMeta,
+        _about_to_read,
         _chunk_table,
         _json_number,
         _table_text,
@@ -212,13 +213,22 @@ class _Run:
         self.source: str | None = None  # the file being parsed, if any
 
     def read_bytes(self, path: str) -> bytes:
-        """The bytes of path, hashed into inputs.  An OSError's message
-        names path, as _write_file's does."""
+        """The bytes of path, hashed into inputs, read SLAB_BYTES at a time
+        with os.read until it returns b"" (on a pipe a short read is not
+        the end): a fleet's trace file takes one read and the read of b"",
+        where open() would also fstat twice and seek.  An OSError's
+        message names path, as _write_file's does."""
         try:
-            with open(path, "rb", buffering=0) as fh:  # one read: a buffer is a copy
-                data = fh.read()
+            fd = os.open(path, os.O_RDONLY)
+            try:
+                pieces = []
+                while piece := os.read(fd, SLAB_BYTES):
+                    pieces.append(piece)
+            finally:
+                os.close(fd)
         except OSError as exc:
             raise OSError(f"{path}: {exc.strerror or exc}") from None
+        data = b"".join(pieces)
         self.inputs[path] = "sha256:" + hashlib.sha256(data).hexdigest()
         return data
 
@@ -328,7 +338,9 @@ def _read_traces(paths: list[str], run: _Run):
     least one file each, the traces that run.parse(p, parse_trace) would
     read.  Each file is read once: a chunk that fails is parsed again from
     memory one file at a time, so the first bad path in order fails as it
-    would alone, before any file that cannot be read."""
+    would alone, before any file that cannot be read.  The fleet's size,
+    as the first chunk's files foretell it, is announced before that chunk
+    is parsed (trace._about_to_read)."""
     texts, first, size = [], 0, 0
     for i, path in enumerate(paths):
         try:
@@ -337,6 +349,8 @@ def _read_traces(paths: list[str], run: _Run):
             _parse_chunk(paths[first:i], texts, run)
             raise
         if texts and size + len(data) > SLAB_BYTES:
+            if not first:
+                _about_to_read(size * len(paths) // len(texts))
             chunk = _parse_chunk(paths[first:i], texts, run)
             texts, first, size = [], i, 0  # free before the chunk is fitted
             yield chunk

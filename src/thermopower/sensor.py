@@ -222,8 +222,9 @@ def b_factor(model: SensorModel, t):
         raise NonPositiveTime(f"sample {i}: the correction needs t > 0, got {float(times[i])!r}")
     delta = model.t_inf - model.t_init
     # a subnormal b sends -t/b to -inf, whose exp is the exact limit 0, and a
-    # huge a sends a/sqrt(4*alpha*t) to inf, whose erf is the exact limit 1
-    with np.errstate(over="ignore"):
+    # huge a, or a tiny t whose 4*alpha*t is 0, sends a/sqrt(4*alpha*t) to
+    # inf, whose erf is the exact limit 1
+    with np.errstate(over="ignore", divide="ignore"):
         decay = each(math.exp, -times / model.b)
         den = delta * erf(model.a / np.sqrt(4.0 * model.alpha * times)) + model.t_init
     num = delta * (1.0 - decay) + model.t_init

@@ -22,11 +22,15 @@ The report's floats go through the same kernel in processes that have
 loaded it (cli._entries).  It reads traces
 through _chunk_table (parse_traces) and other tables through
 parse_table, both one slab of at most SLAB_BYTES at a time, the slabs of
-small texts joined.  Once a process has read ARRAY_BYTES of CSV text, the
-current table included, a batch whose every field is a plain decimal
-(-?[0-9]+(\\.[0-9]+)?, as repr writes in fixed notation) goes through
-_shortest.rows_values, bit for bit as float() reads it; any other batch,
-and every batch before, is rid of blank lines and converted with float().
+small texts joined.  Texts that are all ASCII bytes stay bytes from the
+disk to the kernel, their headers matched on the str of their first
+_HEAD_CHARS bytes; any other chunk of texts is decoded first.  Once a
+process has read ARRAY_BYTES of CSV text, the current table included, or
+has been told it is about to (_about_to_read), a batch whose every field
+is a plain decimal (-?[0-9]+(\\.[0-9]+)?, as repr writes in fixed
+notation) goes through _shortest.rows_values, bit for bit as float()
+reads it; any other batch, and every batch before, is decoded, rid of
+blank lines and converted with float().
 """
 
 from __future__ import annotations
@@ -60,11 +64,22 @@ HEADER = "time_s,temp_c,power_w"
 _COLUMNS = tuple(HEADER.split(","))
 SLAB_BYTES = 1 << 16  # CSV text converted at once, read or written
 BLOCK_ROWS = 4096  # rows a long table writes at once, as arrays
-# CSV text read, in all, from which on a process reads with the array
-# kernel: the kernel saves about 0.01 ms a KB on float(), so 6 slabs repay
-# the 4 ms it takes to load _shortest from source
+# CSV text read or announced, in all, from which on a process reads with
+# the array kernel: the kernel saves about 0.01 ms a KB on float(), so 6
+# slabs repay the 4 ms it takes to load _shortest from source
 ARRAY_BYTES = 6 * SLAB_BYTES
-_read_bytes = 0  # CSV text this process has passed to _read_table
+# CSV text this process has passed to _read_table, and any _about_to_read
+# announced of ARRAY_BYTES or more
+_read_bytes = 0
+
+
+def _about_to_read(size: int) -> None:
+    """Count size bytes of CSV text that the process expects to read, if
+    they reach ARRAY_BYTES, so that the array kernel reads the first
+    table of them already."""
+    global _read_bytes
+    if size >= ARRAY_BYTES:
+        _read_bytes += size
 
 
 def check_samples(time_s, temp_c, power_w, line_of=None) -> None:
@@ -244,21 +259,22 @@ def _read_rows(text: str, start: int, header_line: int, width: int):
 _BLANK_LINES = re.compile(r"\n\s*\n")
 
 
-def _batches(parts):
+def _batches(parts, nl):
     """The lines below the header of each (text, start) in parts, cut into
-    slabs of at most SLAB_BYTES at line ends (or of one longer line), each
-    ending in "\n", and the slabs of small texts joined up to SLAB_BYTES:
-    lists of (index of the text in parts, slab)."""
+    slabs of at most SLAB_BYTES at line ends nl ("\n" or b"\n", as the
+    texts are str or bytes), or of one longer line, each ending in nl, and
+    the slabs of small texts joined up to SLAB_BYTES: lists of (index of
+    the text in parts, slab)."""
     batch, size = [], 0
     for i, (text, start) in enumerate(parts):
         while start < len(text):
             end = start + SLAB_BYTES  # the last line end before, else the first after
-            cut = text.rfind("\n", start, end) + 1 or text.find("\n", end) + 1 or len(text)
+            cut = text.rfind(nl, start, end) + 1 or text.find(nl, end) + 1 or len(text)
             slab, start = text[start:cut], cut
             if batch and size + len(slab) > SLAB_BYTES:
                 yield batch
                 batch, size = [], 0
-            batch.append((i, slab if slab.endswith("\n") else slab + "\n"))
+            batch.append((i, slab if slab.endswith(nl) else slab + nl))
             size += len(slab)
     if batch:
         yield batch
@@ -291,25 +307,30 @@ def _float_rows(batch, rows: list[int], width: int):
 
 
 def _read_table(parts, width: int):
-    """The rows below the header of each (text, start) in parts: a
-    C-contiguous (width, rows) float array and the row offsets where each
-    text's rows end, or None if any row is not ``width`` finite ASCII
-    decimals.  Once the process has read ARRAY_BYTES, parts included, a
-    batch that _shortest.rows_values takes, every line a row of plain
-    decimals, is converted by it; any other by _float_rows."""
+    """The rows below the header of each (text, start) in parts, the texts
+    all str or all ASCII bytes: a C-contiguous (width, rows) float array
+    and the row offsets where each text's rows end, or None if any row is
+    not ``width`` finite ASCII decimals.  Once the process has read
+    ARRAY_BYTES, parts included, a batch that _shortest.rows_values takes,
+    every line a row of plain decimals, is converted by it; any other by
+    _float_rows, as str."""
     global _read_bytes
     _read_bytes += sum(len(text) - start for text, start in parts)
     arrays = _read_bytes >= ARRAY_BYTES
-    rows = [text.count("\n", start) + (start < len(text) and text[-1] != "\n")
+    raw = bool(parts) and isinstance(parts[0][0], bytes)
+    nl = b"\n" if raw else "\n"
+    rows = [text.count(nl, start) + (start < len(text) and not text.endswith(nl))
             for text, start in parts]  # lines, less blank ones as _float_rows finds them
     table, row = np.empty((width, sum(rows))), 0
     try:
-        for batch in _batches(parts):
-            text, values = "".join(slab for _, slab in batch), None
+        for batch in _batches(parts, nl):
+            text, values = nl[:0].join(slab for _, slab in batch), None
             if arrays and text.isascii():
                 from . import _shortest
-                values = _shortest.rows_values(text.encode("ascii"), width)
+                values = _shortest.rows_values(text if raw else text.encode("ascii"), width)
             if values is None:
+                if raw:
+                    batch = [(i, slab.decode("ascii")) for i, slab in batch]
                 values = _float_rows(batch, rows, width)
                 if values is None:
                     return None
@@ -424,18 +445,21 @@ def _chunk_table(texts: Iterable[str | bytes]) -> tuple[list[TraceMeta], np.ndar
     C-contiguous (3, rows) table of times, temperatures and powers, and
     the row offsets where each text's rows start and the last ends.
 
-    Every body is converted a slab at a time and checked at once.  Each
+    Every body is converted a slab at a time and checked at once, as the
+    bytes it came in when every text is ASCII bytes, else as str.  Each
     distinct header text is parsed once (_head_meta).  If any text fails,
     or holds what only the line-by-line reader takes, such as non-ASCII
     whitespace around a number, each text is read alone, line by line and
     in order, so the first bad one raises its own error.
     """
     texts = list(texts)  # read again if the joined pass fails
+    raw = all(isinstance(text, bytes) and text.isascii() for text in texts)
     try:
         metas, parts = [], []
-        for text in map(_decode, texts):
-            head = _HEAD.match(text, 0, _HEAD_CHARS)
-            meta, start = _head_meta(head[0]) if head else _meta_of(text)
+        for text in texts if raw else map(_decode, texts):
+            # the header is matched on str, whose \s and strip() take \x1c too
+            head = _HEAD.match(text[:_HEAD_CHARS].decode() if raw else text, 0, _HEAD_CHARS)
+            meta, start = _head_meta(head[0]) if head else _meta_of(_decode(text))
             metas.append(meta)
             parts.append((text, start))
         read = _read_table(parts, len(_COLUMNS))

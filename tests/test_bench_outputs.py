@@ -3,13 +3,16 @@
 ``perfbench/run.py`` builds every workload's commands from a seeded corpus
 and refuses a run whose outputs fail its checks (``Runner._verify``).  Here
 the first pass of each plan runs in-process through ``cli.main`` under the
-same checks, so a report the benchmark would refuse fails this suite first.
+same checks, so a report the benchmark would refuse fails this suite first;
+and the benchmark's own self-tests run as its docstring says to run them.
 """
 
 import contextlib
 import importlib.util
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -50,3 +53,16 @@ def test_first_pass_passes_the_benchmark_checks(workload, tmp_path, monkeypatch)
                                                report_bytes, inputs)
         problems += cmd.check(results, outputs)
         assert problems == [], (cmd.tag, cmd.argv[:2])
+
+
+def test_the_benchmarks_own_self_tests_pass():
+    """perfbench's unittest suite, run from the repository root in a child
+    process against this checkout's src, writing no bytecode there: a
+    package change that breaks the benchmark's own checks fails here."""
+    root = RUN_PY.parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, "-m", "unittest", "discover", "-s", "perfbench", "-p", "test_*.py"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr[-4000:]

@@ -8,21 +8,25 @@ import errno
 import gc
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from thermopower import cli
+from thermopower import cli, trace
 from thermopower.cli import main
 from thermopower.sensor import SensorModel, b_factor, erf
 from thermopower.trace import (
+    ARRAY_BYTES,
+    SLAB_BYTES,
     TraceMeta,
     generate_synthetic_trace,
     parse_table,
@@ -244,6 +248,125 @@ def test_fit_missing_file_exit_2(tmp_path, capsys):
     code, _, err = run_cli(["fit", tmp_path / "nope.csv"], capsys)
     assert code == 2
     assert "error:" in err
+
+
+# --- reading: os.read until it returns b"" ---
+
+@pytest.mark.parametrize("size", [0, 1, SLAB_BYTES - 1, SLAB_BYTES, SLAB_BYTES + 1,
+                                  3 * SLAB_BYTES + 5])
+def test_read_bytes_returns_every_byte_and_its_digest(tmp_path, size):
+    data = (bytes(range(256)) * (size // 256 + 1))[:size]
+    path = tmp_path / "f.bin"
+    path.write_bytes(data)
+    run = cli._Run([])
+    assert run.read_bytes(str(path)) == data
+    assert run.inputs == {str(path): "sha256:" + hashlib.sha256(data).hexdigest()}
+
+
+def test_fit_of_a_directory_or_a_missing_path_names_it_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    assert run_cli(["fit", "d"], capsys) == (2, "", "error: d: Is a directory\n")
+    assert run_cli(["fit", "missing.csv"], capsys) == (
+        2, "", "error: missing.csv: No such file or directory\n")
+
+
+def test_fit_reads_a_fifo_as_it_reads_the_same_bytes_in_a_file(tmp_path, capsys, monkeypatch):
+    """A pipe hands its bytes over as they are written, so a short read is
+    not its end: a trace of more than a pipe's buffer, written in pieces,
+    reads whole."""
+    data = write_trace(generate_synthetic_trace(TraceMeta("A15", 1.2, 4), (0.3, 100.0, 33.0),
+                                                (25.0, 85.0, 2500), noise=0.002, seed=3)).encode()
+    assert len(data) > SLAB_BYTES
+    for side in ("file", "fifo"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "file" / "t.csv").write_bytes(data)
+    fifo = tmp_path / "fifo" / "t.csv"
+    os.mkfifo(fifo)
+
+    def write():
+        with open(fifo, "wb", buffering=0) as fh:  # one write call a piece
+            for i in range(0, len(data), 10_000):
+                fh.write(data[i : i + 10_000])
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    done = {}
+    for side in ("fifo", "file"):
+        monkeypatch.chdir(tmp_path / side)
+        done[side] = run_cli(["fit", "t.csv", "--json"], capsys)
+    writer.join(timeout=60)
+    assert not writer.is_alive()
+    assert done["fifo"] == done["file"]
+    code, out, err = done["file"]
+    assert (code, err) == (0, "")
+    assert json.loads(out)["inputs"] == {"t.csv": "sha256:" + hashlib.sha256(data).hexdigest()}
+
+
+# --- an ASCII fleet is read as bytes; any other text as str, as alone ---
+
+def _fleet_text(i: int) -> bytes:
+    meta = TraceMeta(("A7", "A15")[i % 2], 1.2, 1 + i % 4)
+    return write_trace(generate_synthetic_trace(meta, (0.3, 100.0, 33.0), (30.0, 80.0, 20),
+                                                noise=0.002, seed=i)).encode()
+
+
+# texts that only the float() path or the str path reads; str's \s and
+# strip() take \x1c, bytes' do not, so the last two test where the header
+# is matched
+ODD_TEXTS = {
+    "bom": lambda text: b"\xef\xbb\xbf" + text,
+    "non-ascii comment": lambda text: "#site=Köln\n".encode() + text,
+    "crlf": lambda text: text.replace(b"\n", b"\r\n"),
+    "no final newline": lambda text: text.rstrip(b"\n"),
+    "blank lines": lambda text: text.replace(b"\n0.4,", b"\n\n \n0.4,"),
+    "header led by x1c": lambda text: text.replace(b"\ntime_s,", b"\n\x1ctime_s,"),
+    "x1c line above the header": lambda text: text.replace(b"\ntime_s,", b"\n\x1c\ntime_s,"),
+}
+
+
+@pytest.mark.parametrize("kernel", [False, True], ids=["float()", "array kernel"])
+def test_a_fleet_of_odd_texts_reads_as_each_text_alone(tmp_path, capsys, monkeypatch, kernel):
+    odd = [make(_fleet_text(i)) for i, make in enumerate(ODD_TEXTS.values())]
+    assert all(text != _fleet_text(i) for i, text in enumerate(odd))
+    fleet = [text for i, text in enumerate(odd) for text in (_fleet_text(100 + i), text)]
+    ascii_fleet = [text for text in fleet if text.isascii()]
+    assert len(ascii_fleet) == len(fleet) - 2
+    alone = {text: trace._parse_alone(text) for text in fleet}
+    # from here on a table is read with the kernel, or never
+    monkeypatch.setattr(trace, "_read_bytes", ARRAY_BYTES if kernel else -(1 << 60))
+
+    def fallback(text):
+        raise AssertionError("the joined pass failed over to the line-by-line reader")
+
+    monkeypatch.setattr(trace, "_parse_alone", fallback)
+    for texts in (fleet, ascii_fleet, *([text] for text in odd)):
+        for budget in (16, 100, SLAB_BYTES):  # slabs of a few lines, or whole texts
+            monkeypatch.setattr(trace, "SLAB_BYTES", budget)
+            metas, table, ends = trace._chunk_table(texts)
+            traces = [alone[text] for text in texts]
+            assert metas == [t.meta for t in traces]
+            assert ends == list(itertools.accumulate(map(len, traces), initial=0))
+            assert table.tobytes() == np.concatenate(
+                [np.stack([t.time_s, t.temp_c, t.power_w]) for t in traces], axis=1).tobytes()
+    monkeypatch.undo()
+
+    # thermo fit reports the same as on each file's samples written plainly
+    names = [f"t{i:02d}.csv" for i in range(len(fleet))]
+    for side, texts in (("odd", fleet), ("plain", [write_trace(alone[t]).encode() for t in fleet])):
+        (tmp_path / side).mkdir()
+        for name, text in zip(names, texts):
+            (tmp_path / side / name).write_bytes(text)
+    reports = {}
+    for side in ("odd", "plain"):
+        monkeypatch.chdir(tmp_path / side)
+        code, reports[side], err = run_json(["fit", *names, "--group-by", "proc-cores"], capsys)
+        assert (code, err) == (0, "")
+    assert reports["odd"]["inputs"] == {
+        name: "sha256:" + hashlib.sha256(text).hexdigest() for name, text in zip(names, fleet)}
+    for report in reports.values():
+        del report["inputs"]
+    assert reports["odd"] == reports["plain"]
 
 
 def test_fit_plot_is_sorted_and_reparseable(tmp_path, capsys):

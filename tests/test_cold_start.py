@@ -1,6 +1,7 @@
 """What one ``thermo`` process pays for, each case in a fresh interpreter:
 a command imports only the modules it uses, the array CSV writer only for
-a table of a block or more, ``import thermopower`` loads
+a table of a block or more (or a fleet that reaches ARRAY_BYTES, whose
+batches, checked in-process, then all skip float()), ``import thermopower`` loads
 no submodule until one of its names is looked up, importing ``cli`` leaves
 the cyclic collector as it found it, and ``cli.run`` exits as ``cli.main``
 returns, with the heap frozen for the interpreter's teardown.
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 import thermopower
+from thermopower import trace as trace_module
 from thermopower.cli import main
 from thermopower.trace import (
     ARRAY_BYTES,
@@ -86,18 +88,24 @@ def test_a_command_imports_only_the_modules_it_uses(command, tmp_path):
     (["fit", "block.csv"], False),
     (["fit", "long.csv"], True),
     (["fit", "block.csv", "block.csv", "block.csv"], True),
+    (["fit", "@reaches.txt"], True),
+    (["fit", "@below.txt"], False),
 ], ids=["gen of a block", "version", "fit of 20 rows", "sensor-correct of 20 rows",
-        "fit of a block", "fit of 4 blocks", "fit of 3 files of a block"])
+        "fit of a block", "fit of 4 blocks", "fit of 3 files of a block",
+        "fit of small files reaching ARRAY_BYTES", "fit of small files below it"])
 def test_the_array_writer_loads_for_a_table_of_a_block_or_more(argv, loads, tmp_path):
     """The array CSV writer and reader share one module, which a command
-    loads to write a table of BLOCK_ROWS rows or more, or once it has read
-    ARRAY_BYTES of CSV text, in one file or in several."""
+    loads to write a table of BLOCK_ROWS rows or more, or once it has read,
+    or expects to read, ARRAY_BYTES of CSV text, in one file or in several."""
     for name, rows in (("small.csv", 20), ("block.csv", BLOCK_ROWS), ("long.csv", 4 * BLOCK_ROWS)):
         trace = generate_synthetic_trace(TraceMeta("A15", 1.2, 4), (0.3, 100.0, 33.0),
                                          (25.0, 85.0, rows), noise=0.002, seed=1)
         (tmp_path / name).write_text(write_trace(trace))
     size = (tmp_path / "block.csv").stat().st_size
     assert size < ARRAY_BYTES <= min(3 * size, (tmp_path / "long.csv").stat().st_size)
+    names = small_fleet(tmp_path, ARRAY_BYTES)
+    (tmp_path / "reaches.txt").write_text("".join(f"{name}\n" for name in names))
+    (tmp_path / "below.txt").write_text("".join(f"{name}\n" for name in names[::2]))
     (tmp_path / "series.csv").write_text(write_table(
         {}, ("time_s", "temp_c"), (0.2 * np.arange(1, 21), np.linspace(40.0, 60.0, 20))))
     done = subprocess.run([sys.executable, "-X", "importtime", "-m", "thermopower.cli", *argv],
@@ -106,6 +114,34 @@ def test_the_array_writer_loads_for_a_table_of_a_block_or_more(argv, loads, tmp_
     imported = {line.split("|")[-1].strip()
                 for line in done.stderr.decode().splitlines() if line.startswith("import time:")}
     assert ("thermopower._shortest" in imported) == loads
+
+
+def small_fleet(directory: Path, total: int) -> list[str]:
+    """Names of 20-sample trace files written in directory, fewest that
+    hold at least total bytes."""
+    trace = generate_synthetic_trace(TraceMeta("A7", 1.0, 2), (0.3, 100.0, 33.0),
+                                     (25.0, 85.0, 20), noise=0.002, seed=2)
+    text = write_trace(trace).encode()
+    names = [f"s{i:04d}.csv" for i in range(-(-total // len(text)))]
+    for name in names:
+        (directory / name).write_bytes(text)
+    return names
+
+
+def test_a_fleet_expected_to_reach_array_bytes_reads_no_batch_with_float(
+        tmp_path, monkeypatch, capsys):
+    """thermo fit foretells a fleet's size from its first chunk, so the
+    array kernel reads every batch of a fleet that reaches ARRAY_BYTES,
+    the first included, and float() none."""
+    names = small_fleet(tmp_path, ARRAY_BYTES)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(trace_module, "_read_bytes", 0)  # as in a new process
+    calls = []
+    float_rows = trace_module._float_rows
+    monkeypatch.setattr(trace_module, "_float_rows", lambda *a: calls.append(a) or float_rows(*a))
+    assert main(["fit", *names, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["traces"][-1]["path"] == names[-1]
+    assert calls == []
 
 
 def test_import_thermopower_loads_no_submodule():

@@ -125,6 +125,15 @@ def test_b_factor_small_time_limit():
     assert math.isclose(got, 25.0 / 55.0, rel_tol=1e-9)
 
 
+def test_b_factor_at_a_time_whose_diffusion_term_underflows_is_the_small_time_limit():
+    # 4 * alpha * 1e-320 rounds to 0, so a / sqrt(...) is inf, whose erf is 1;
+    # tier-1 turns numpy's divide-by-zero warning into an error
+    model = SensorModel(4.125e-07, 0.00825, 36.7, 25.0, 55.0)
+    assert 4.0 * model.alpha * 1e-320 == 0.0
+    assert b_factor(model, 1e-320) == 25.0 / 55.0
+    assert b_factor(model, np.array([1e-320, 60.0]))[0] == 25.0 / 55.0
+
+
 def test_b_factor_large_time_limit():
     got = b_factor(FIG_MODEL, 1e21)
     assert math.isclose(got, 55.0 / 25.0, rel_tol=1e-5)
