@@ -205,12 +205,14 @@ def _pow5_table():
 
 
 _T5, _SCALE = _pow5_table()
-# the digit values of a little-endian word of 8 ASCII digits, less its
-# first (lowest) k bytes, for each k in 0..8
-_NIBBLES = np.array([0x0F0F0F0F0F0F0F0F >> 8 * k << 8 * k for k in range(9)], _U64)
 # how far back from a field's end each word of its last _DIGITS digits
 # starts, the highest first
 _WORDS = np.array([[24], [16], [8]])
+# by a field's count of digits, the mask of each word's digit values: a
+# little-endian word of 8 ASCII digits less its first (lowest) bytes, those
+# that lie before the field
+_NIBBLES = np.array([[0x0F0F0F0F0F0F0F0F >> 8 * k << 8 * k for k in row]
+                     for row in np.clip(_WORDS - np.arange(_DIGITS + 1), 0, 8).tolist()], _U64)
 
 
 def _quotients(m, places):
@@ -224,7 +226,7 @@ def _quotients(m, places):
     exact."""
     low2 = m < _U64(1 << 62)
     m = m << (low2.astype(_U64) << _U64(1))
-    t3, t2, t1, t0 = (limb[places] for limb in _T5)
+    t3, t2, t1, t0 = _T5.take(places, axis=1)
     high, low = _product((t3, t2), m)
     carry, _ = _product((t1, t0), m)
     mid = low + carry
@@ -241,7 +243,9 @@ def _fields(b, width: int):
         return None
     marks = np.flatnonzero(b - np.uint8(ord("0")) >= 10)  # all but the digits
     kind = b[marks]
-    gap = np.diff(marks, prepend=-1) - 1  # the digits before each mark
+    gap = np.empty_like(marks)  # the digits before each mark
+    gap[0] = marks[0]
+    np.subtract(marks[1:], marks[:-1] + 1, out=gap[1:])
     sep, point = (kind == ord(",")) | (kind == ord("\n")), kind == ord(".")
     minus = kind == ord("-")
     opens = np.concatenate(([True], sep[:-1]))  # a mark that opens its field
@@ -271,7 +275,7 @@ def _mantissas(data: bytes, count):
     # the 8 bytes from each offset, unaligned
     words = np.ndarray((len(digits) - 7,), "<u8", digits, 0, (1,))
     last = np.cumsum(count) + _DIGITS  # each field's digits end here in digits
-    v = words[last - _WORDS] & _NIBBLES[np.clip(_WORDS - count, 0, 8)]
+    v = words[last - _WORDS] & _NIBBLES.take(count, axis=1)
     v = (v * _U64(10 << 8 | 1)) >> _U64(8) & _U64(0x00FF00FF00FF00FF)
     v = (v * _U64(100 << 16 | 1)) >> _U64(16) & _U64(0x0000FFFF0000FFFF)
     high, middle, low = (v * _U64(10000 << 32 | 1)) >> _U64(32)
@@ -297,6 +301,7 @@ def rows_values(data: bytes, width: int):
         return None
     values = m.astype(float) / _POW10F[places]  # exact m and 10**places below 2**53
     big = np.flatnonzero(m >= _U64(1 << 53))
-    values[big] = _quotients(m[big], places[big])
+    if big.size:
+        values[big] = _quotients(m[big], places[big])
     np.negative(values, out=values, where=neg)
     return values.reshape(-1, width)

@@ -30,6 +30,7 @@ try:
     import math
     import os
     import reprlib
+    import stat
     import sys
     import warnings
     from json.encoder import encode_basestring_ascii
@@ -213,22 +214,28 @@ class _Run:
         self.source: str | None = None  # the file being parsed, if any
 
     def read_bytes(self, path: str) -> bytes:
-        """The bytes of path, hashed into inputs, read SLAB_BYTES at a time
-        with os.read until it returns b"" (on a pipe a short read is not
-        the end): a fleet's trace file takes one read and the read of b"",
-        where open() would also fstat twice and seek.  An OSError's
-        message names path, as _write_file's does."""
+        """The bytes of path, hashed into inputs.  A regular file takes one
+        os.read of its size and a byte more, so the data are read into one
+        buffer and a short read marks the end; anything else (a pipe, where
+        a short read is not the end), or a file that grew meanwhile, is read
+        on, SLAB_BYTES at a time, until os.read returns b"".  open() would
+        fstat twice and seek.  An OSError's message names path, as
+        _write_file's does."""
         try:
             fd = os.open(path, os.O_RDONLY)
             try:
-                pieces = []
-                while piece := os.read(fd, SLAB_BYTES):
-                    pieces.append(piece)
+                info = os.fstat(fd)
+                regular = stat.S_ISREG(info.st_mode)
+                data = os.read(fd, info.st_size + 1) if regular else b""
+                if not regular or len(data) > info.st_size:
+                    pieces = [data]
+                    while piece := os.read(fd, SLAB_BYTES):
+                        pieces.append(piece)
+                    data = b"".join(pieces)
             finally:
                 os.close(fd)
         except OSError as exc:
             raise OSError(f"{path}: {exc.strerror or exc}") from None
-        data = b"".join(pieces)
         self.inputs[path] = "sha256:" + hashlib.sha256(data).hexdigest()
         return data
 

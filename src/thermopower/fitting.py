@@ -8,9 +8,9 @@ fits solve it as weighted least squares with weights 1/y_i**2 by modified
 Gram-Schmidt, and fail when some column's remainder is at most
 eps*max(n, p) of the column, in norm (see _lstsq).  The exponential fit
 uses variable projection: at each rate the offset and scale come from the
-same kind of weighted solve, leaving a 1-D Brent search over the rate (see
-fit_exponential).  FitResult.termination says why a fit stopped:
-"converged", or the rate limit it reached.
+same kind of weighted solve, leaving a 1-D search over the rate, with no
+tolerance to set (see fit_exponential).  FitResult.termination says why a
+fit stopped: "converged", or the rate limit it reached.
 
 Fits run over batches of traces whose samples lie in one array (see
 _fit_table), in waves of up to WAVE_SAMPLES samples.  The traces of one
@@ -49,9 +49,7 @@ from .errors import (
 )
 from .trace import Trace, check_samples
 
-_SQRT_EPS = math.sqrt(sys.float_info.epsilon)
 _LOG_TINY = -math.log(sys.float_info.min)
-_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 
 # Traces fitted together: enough to spread numpy's per-call cost thin.  A
 # wave's fit holds about ten (traces, samples) float arrays at once, so a
@@ -72,8 +70,9 @@ class FitResult:
 
     coeffs ordering: Linear (a1, a0); Quadratic (a2, a1, a0);
     Exponential (a0, a1, a2).  iterations is 0 for closed-form fits and
-    counts objective evaluations for the exponential one.  termination is
-    "converged" or the search limit the exponential fit stopped at.
+    counts the rates the exponential one evaluated, each its objective and
+    derivative from one projection.  termination is "converged" or the
+    search limit the exponential fit stopped at.
     """
 
     kind: FitKind
@@ -312,7 +311,12 @@ class _Separable:
     column's end entries differ by at least (1 - exp(-_LOG_TINY))/_LOG_TINY,
     so w.w >= half that squared, about 9.9e-7, at every rate the search asks for.
 
-    Each method takes the rates k of the rows ids.
+    start is each row's first rate: Jacquelin's (Regressions et equations
+    integrales, 2009).  y = a0 + C*exp(k*x) gives y = A + B*x + k*S, S the
+    integral of y over x = (T - T_lo)/span: a linear fit, here with S by
+    trapezoids in T order, the fits' weights and modified Gram-Schmidt on
+    1, x and S.  Where it has no answer the search starts at k = 0.  The
+    methods take the rates k of the rows ids.
     """
 
     def __init__(self, t: np.ndarray, y: np.ndarray):
@@ -325,49 +329,75 @@ class _Separable:
         self.uu = _dots(u, u)
         self.a_u = u.sum(axis=1) / self.uu
         self.r0 = 1.0 - self.a_u[:, None] * u  # residual of the best constant model
+        if not (t[:, 1:] >= t[:, :-1]).all():  # sort by T, ties in sample order
+            order = np.argsort(t, axis=1, kind="stable")
+            t, y, u = (np.take_along_axis(a, order, axis=1) for a in (t, y, u))
+        x = (t - self.t_lo[:, None]) / self.span[:, None]
+        y = np.ldexp(y, -self.e[:, None])
+        s = np.zeros_like(x)
+        np.cumsum((x[:, 1:] - x[:, :-1]) * (y[:, 1:] + y[:, :-1]) * 0.5, axis=1, out=s[:, 1:])
+        uu = _dots(u, u)  # weighted: the columns u, x*u and s*u, the target 1
+        xu, su = x * u, s * u
+        xu = xu - (_dots(u, xu) / uu)[:, None] * u
+        su = su - (_dots(u, su) / uu)[:, None] * u
+        su = su - (_dots(xu, su) / _dots(xu, xu))[:, None] * xu
+        k = _dots(su, 1.0 - (u.sum(axis=1) / uu)[:, None] * u) / _dots(su, su)
+        self.start = _clip(np.where(np.isfinite(k), k, 0.0))
 
     def _project(self, k: np.ndarray, ids):
         kc = k[:, None]
         u, r0 = self.u[ids], self.r0[ids]
-        line = kc == 0
-        d = np.where(kc > 0, self.d_rising[ids], self.d_falling[ids])
-        v = np.where(line, d, np.expm1(kc * d) / np.where(line, 1.0, kc)) * u
-        w = v - (_dots(u, v) / self.uu[ids])[:, None] * u  # orthogonal to 1/y
+        rising = self.d_rising[ids]
+        d = rising if (k > 0).all() else np.where(kc > 0, rising, self.d_falling[ids])
+        e = np.expm1(kc * d)
+        zero = k == 0
+        column = e / np.where(zero, 1.0, k)[:, None]  # (exp(k*d) - 1)/k, which tends to d
+        if zero.any():
+            column[zero] = d[zero]
+        v = column * u
+        w = (-_dots(u, v) / self.uu[ids])[:, None] * u
+        w += v  # v less its projection on 1/y
         ww = _dots(w, w)
         b = _dots(w, r0) / ww  # the coefficient of v; C = b/k
-        return d, u, v, w, ww, b, r0 - b[:, None] * w
+        r = b[:, None] * w
+        return d, u, e, column, w, ww, b, np.subtract(r0, r, out=r)
 
-    def answer(self, k: np.ndarray, ids, stepping: np.ndarray):
-        """The least sum of squared relative residuals at each rate k, or,
-        where stepping, k after one Gauss-Newton step on that reduced
-        objective; a k of 0 stays.  The rows are projected once.
-
-        The Jacobian is Kaufman's: the model's derivative in k with the
-        linear columns projected out (BIT 15, 1975).
+    def answer(self, k: np.ndarray, ids):
+        """At each rate k, from one projection of the rows: the least sum of
+        squared relative residuals f, g.r and g.g, where g is Kaufman's
+        Jacobian, the model's derivative in k with the linear columns
+        projected out (BIT 15, 1975).  g.r is minus half the derivative of
+        f, exactly, and k + g.r/g.g is the Gauss-Newton step.
         """
-        d, u, v, w, ww, b, r = self._project(k, ids)
-        f = _dots(r, r)
-        if not stepping.any():
-            return f
-        uu = self.uu[ids]
-        if not stepping.all():  # only the stepping rows: a row's arithmetic is its own
-            d, u, v, w, ww, b, r, k, uu = (a[stepping] for a in (d, u, v, w, ww, b, r, k, uu))
-        kc = k[:, None]
-        g = b[:, None] * d * (v + u / np.where(kc == 0, 1.0, kc))  # C*d*exp(k*d)/y
-        g = g - ((_dots(g, u) / uu)[:, None] * u + (_dots(g, w) / ww)[:, None] * w)
-        gg = _dots(g, g)
-        stepped = k + _dots(g, r) / np.where(gg > 0, gg, 1.0)
-        f[stepping] = np.where((k == 0) | ~(gg > 0), k, stepped)
-        return f
+        d, u, e, _, w, ww, b, r = self._project(k, ids)
+        zero = k == 0
+        g = d * u
+        g *= (b / np.where(zero, 1.0, k))[:, None]
+        e += 1.0
+        g *= e  # C*d*exp(k*d)/y, C = b/k held
+        if zero.any():  # at k = 0 the limit with b held, less a multiple of the column
+            g[zero] = b[zero, None] * d[zero] * (0.5 * d[zero] * u[zero])
+        along = (_dots(g, u) / self.uu[ids])[:, None] * u
+        along += (_dots(g, w) / ww)[:, None] * w
+        g -= along
+        return _dots(r, r), _dots(g, r), _dots(g, g)
 
     def params(self, k: np.ndarray, ids):
-        """(a0, a1, a2, C) of each row at rate k; C is nan where k is 0, and
-        a0, a1, a2 are only meaningful where C > 0.
+        """(a0, a1, a2, C, line) of each row at rate k; line marks the rows
+        where (exp(k*d) - 1)/k is a straight line in d to rounding: where,
+        less its best line, its squared norm is at most (eps*n)**2 times its
+        own, _lstsq's test (so at k = 0, where C is nan).  a0, a1, a2 are
+        only meaningful where C > 0.
 
         a0 is solved against exp(k*d) itself: from the expm1 column it
         would lose C*eps, which is large beside a0 on a steep curve.
         """
-        d, u, _, _, _, b, _ = self._project(k, ids)
+        d, u, _, column, _, _, b, _ = self._project(k, ids)
+        n = d.shape[1]
+        d_mean = d - (d.sum(axis=1) / n)[:, None]
+        curve = column - (column.sum(axis=1) / n)[:, None]
+        curve = curve - (_dots(curve, d_mean) / _dots(d_mean, d_mean))[:, None] * d_mean
+        line = ~(_dots(curve, curve) > (sys.float_info.epsilon * n) ** 2 * _dots(column, column))
         e = self.e[ids]
         c = np.where(k != 0, b / np.where(k != 0, k, 1.0), math.nan)
         positive = c > 0
@@ -376,160 +406,118 @@ class _Separable:
         a0 = self.a_u[ids] - c1 * _dots(u, np.exp(k1[:, None] * d) * u) / self.uu[ids]
         a2 = self.span[ids] / k1
         t_ref = np.where(k > 0, self.t_hi[ids], self.t_lo[ids])
-        return np.ldexp(a0, e), t_ref - a2 * each(math.log, np.ldexp(c1, e)), a2, np.ldexp(c, e)
+        a1 = t_ref - a2 * each(math.log, np.ldexp(c1, e))
+        return np.ldexp(a0, e), a1, a2, np.ldexp(c, e), line
 
 
-_WALK, _BRENT, _STEP, _TRY = range(4)  # what a row's pending rate waits for; see _search
+_MIN_INT = np.int64(-(2**63))
 
 
+def _clip(k: np.ndarray) -> np.ndarray:
+    """k within [-_LOG_TINY, _LOG_TINY]; nan stays nan."""
+    return np.minimum(np.maximum(k, -_LOG_TINY), _LOG_TINY)
+
+
+def _middle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The double halfway between a and b in the order of doubles, for
+    finite a <= b: the order of the sign-magnitude bits read as integers,
+    each negative double -x at minus the bits of x."""
+    i = np.stack([a, b]).view(np.int64)
+    i = np.where(i < 0, _MIN_INT - i, i)
+    m = (i[0] >> 1) + (i[1] >> 1) + (i[0] & i[1] & 1)
+    return np.where(m < 0, _MIN_INT - m, m).view(float)
+
+
+def _advance(s: np.ndarray, f: np.ndarray, gr: np.ndarray, gg: np.ndarray) -> np.ndarray:
+    """Move every row of the rate search's state s (see _search) on by one
+    round, given f, g.r and g.g at its rate k; return the rows that stop,
+    whose best rate and its f are final."""
+    k, lo, hi, gn_last, last, before, best, f_best = s
+    better = f < f_best
+    np.copyto(best, k, where=better)
+    np.copyto(f_best, f, where=better)
+    np.copyto(lo, k, where=gr > 0)
+    np.copyto(hi, k, where=gr < 0)
+    gn = gr / gg
+    secant = gn * last / (gn_last - gn)
+    ahead = _clip(k + np.where(secant * gn > 0, secant, gn))
+    fixed = ahead == k
+    step = ahead - k
+    inside = (lo < ahead) & (ahead < hi)
+    grow = ~(np.abs(step) <= 0.5 * before) & inside
+    if np.count_nonzero(grow):
+        far = _clip(k + np.copysign(np.maximum(np.abs(step), 2.0 * np.abs(last)), step))
+        np.copyto(ahead, far, where=grow)
+        inside = (lo < ahead) & (ahead < hi)
+    if not inside.all():
+        middle = _middle(np.maximum(lo, -_LOG_TINY), np.minimum(hi, _LOG_TINY))
+        np.copyto(ahead, middle, where=~inside)
+    np.abs(last, out=before)
+    np.copyto(before, math.nan, where=grow & inside)  # so the next step grows too
+    np.subtract(ahead, k, out=last)
+    gn_last[:] = gn
+    finished = fixed | (ahead == k) | ~(np.nextafter(lo, math.inf) < hi)
+    k[:] = ahead
+    return finished
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _search(models: Sequence[_Separable]):
     """Search the rate of every row of every model, all in step.
 
-    A row walks downhill from k = 0, doubling its step until f rises, to
-    bracket the minimum (_WALK); runs Brent's method in the bracket
-    (_BRENT); then takes Gauss-Newton steps while they lower f (_STEP, and
-    _TRY for f at the step); see fit_exponential.  The state of every live
-    row sits in flat arrays.  A round answers each row's pending rate k
-    with one answer call per model, which projects its live rows once, and
-    moves every row on by masked updates.  These use + - * /, comparisons,
-    abs and copysign, with Python's min(p, q) written where(q < p, q, p):
-    each row takes, to the bit, the steps of the same search on Python
+    A row starts at its model's start rate, and each round evaluates its
+    rate k once: f, and g.r and g.g (see _Separable.answer).  The sign of
+    g.r says on which side of k the minimum lies, which narrows the
+    bracket (lo, hi), at first (-inf, inf).  The next rate is k plus the
+    Gauss-Newton step g.r/g.g, or, where the last two steps agree in
+    sign, the secant through the steps at the last two rates (Gauss-Newton
+    converges only linearly where the residuals are large), kept within
+    +-_LOG_TINY.  A step that does not halve the step before last is taken
+    at least twice as long as the last, and so are the ones after it, until
+    a step leaves the bracket: such a step becomes a bisection of the
+    bracket (see _middle; an infinite end counts as +-_LOG_TINY).  A row
+    stops when the step no longer changes k, or when no double lies
+    between lo and hi.  So no tolerance is set: the search ends where the
+    rounding of g.r decides the step.
+
+    The state of every live row sits in flat arrays.  A round answers each
+    row's rate with one answer call per model, which projects its live rows
+    once, and moves every row on by masked updates (see _advance).  These
+    use + - * /, comparisons, abs, copysign, min, max and integer halving,
+    so each row takes, to the bit, the steps of the same search on Python
     floats.  Steps no row takes may divide by zero.
 
-    Returns each row's k, whether it ended at the exp_range_limit, and its
-    objective evaluations, the rows of models in order.
+    Returns, the rows of models in order, the rate of each row with the
+    least f it evaluated, whether that rate is the exp_range_limit
+    +-_LOG_TINY, and the row's evaluations.
     """
     sizes = [len(model.span) for model in models]
     starts = list(itertools.accumulate(sizes, initial=0))
     n = starts[-1]
-    k_out, evaluations = np.full(n, math.nan), np.zeros(n, int)
-    at_limit = np.zeros(n, bool)
-    # (x, f(x)), (w, f(w)), (v, f(v)): Brent's best three points, or the
-    # walk's best; (k, f): the pending rate and, once answered, its value
-    s = np.zeros((14, n))
-    x, fx, w, fw, v, fv, k, f, a, b, behind, step, prev, limit = s
-    for model, start, size in zip(models, starts, sizes):
-        for value, rates in ((fx, np.zeros(size)), (f, np.ones(size))):
-            value[start : start + size] = model.answer(rates, slice(None), np.zeros(size, bool))
-    down = f < fx  # walk on up from 1 if f is lower there, else down from 0
-    behind[:], x[:] = np.where(down, 0.0, 1.0), np.where(down, 1.0, 0.0)
-    step[:] = np.where(down, 2.0, -1.0)
-    np.copyto(fx, f, where=down)
-    k[:] = x + step  # |x + step| <= 3: inside [-_LOG_TINY, _LOG_TINY]
-    ints = np.stack([np.arange(n), np.full(n, _WALK), np.zeros(n, int)])  # row, phase, GN steps
-    rounds = 0
+    k_out, evaluations = np.zeros(n), np.zeros(n, int)
+    # k; the bracket (lo, hi); the last Gauss-Newton step; the last step
+    # taken; the size of the one before; the best rate so far and its f
+    s = np.empty((8, n))
+    s[0] = np.concatenate([[], *(model.start for model in models)])
+    s[1:] = np.array([[-math.inf], [math.inf], [math.nan], [math.inf], [math.inf], [math.nan],
+                      [math.inf]])
+    row, rounds = np.arange(n), 0
     while n := s.shape[1]:
-        x, fx, w, fw, v, fv, k, f, a, b, behind, step, prev, limit = s
-        xp, wp, vp, kp = s[0:2], s[2:4], s[4:6], s[6:8]
-        row, phase, steps = ints
-        no = np.zeros(n, bool)
         bounds = np.searchsorted(row, starts).tolist()
-        blocks = [(model, lo, hi, slice(None) if hi - lo == size else row[lo:hi] - start)
-                  for model, lo, hi, start, size in zip(models, bounds, bounds[1:], starts, sizes)
-                  if lo < hi]
-        while True:  # rounds until a row retires; each live row asks once a round
+        blocks = [(model, a, b, slice(None) if b - a == size else row[a:b] - start)
+                  for model, a, b, start, size in zip(models, bounds, bounds[1:], starts, sizes)
+                  if a < b]
+        while True:  # rounds until a row retires
             rounds += 1
-            counts = np.bincount(phase, minlength=4).tolist()
-            was = [phase == p if c else None for p, c in enumerate(counts)]
-            stepping = was[_STEP] if counts[_STEP] else no
-            for model, lo, hi, ids in blocks:
-                f[lo:hi] = model.answer(k[lo:hi], ids, stepping[lo:hi])
-            finished = hit = ended = no  # done; done at the limit; walk ended
-            if counts[_STEP]:  # f is the stepped rate: try it if inside (a, b)
-                m = was[_STEP]
-                steps += m
-                inside = m & (a < f) & (f < b)
-                finished = m & ~inside
-                np.copyto(k, f, where=inside)
-                phase[inside] = _TRY
-            if counts[_TRY]:  # keep the step if it lowered f, and step again
-                m = was[_TRY]
-                better = m & (f < fx)
-                finished = finished | (m & ~better)
-                np.copyto(xp, kp, where=better)
-                phase[better] = _STEP
-            if counts[_WALK]:  # end where f rose or the walk was cut at a limit
-                m = was[_WALK]
-                rose = f > fx
-                ended = m & (rose | (k == -_LOG_TINY) | (k == _LOG_TINY))
-                if np.count_nonzero(ended):  # Brent starts in [a, b] from x
-                    np.copyto(limit, np.where(rose, math.nan, k), where=ended)
-                    np.copyto(a, np.where(k < behind, k, behind), where=ended)
-                    np.copyto(b, np.where(k > behind, k, behind), where=ended)
-                    np.copyto(s[2:6], s[[0, 1, 0, 1]], where=ended)  # w = v = x
-                    np.copyto(s[11:13], 0.0, where=ended)  # step = prev = 0
-                    phase[ended] = _BRENT
-                go = m & ~ended
-                np.copyto(behind, x, where=go)
-                np.copyto(xp, kp, where=go)
-                np.copyto(step, step + step, where=go)
-                ahead = x + step  # min(x + step, hi) up, max(x + step, lo) down
-                np.copyto(ahead, _LOG_TINY, where=_LOG_TINY < ahead)
-                np.copyto(ahead, -_LOG_TINY, where=-_LOG_TINY > ahead)
-                np.copyto(k, ahead, where=go)
-            if counts[_BRENT]:  # f at u = k: shrink the bracket, keep the best three
-                m = was[_BRENT]
-                lower, left = f <= fx, k < x
-                end = np.where(lower, x, k)
-                np.copyto(a, end, where=m & (left != lower))
-                np.copyto(b, end, where=m & (left == lower))
-                kept, higher = m & lower, m & ~lower
-                if np.count_nonzero(higher):  # u is second or third best, or neither
-                    second = higher & ((f <= fw) | (w == x))
-                    np.copyto(vp, kp, where=higher & ((f <= fv) | (v == x) | (v == w)))
-                    np.copyto(vp, wp, where=second)
-                    np.copyto(wp, kp, where=second)
-                np.copyto(vp, wp, where=kept)
-                np.copyto(wp, xp, where=kept)
-                np.copyto(xp, kp, where=kept)
-            if counts[_BRENT] or np.count_nonzero(ended):
-                brent = phase == _BRENT
-                mid = 0.5 * (a + b)
-                tol = _SQRT_EPS * (1.0 + np.abs(x))
-                tol2 = tol + tol  # 2*tol
-                close = brent & (np.abs(x - mid) <= tol2 - 0.5 * (b - a))
-                if np.count_nonzero(go := brent & ~close):
-                    # a parabola through the three points where it steps inside
-                    # the bracket and shrinks faster than the step before last,
-                    # else a golden section into the larger side
-                    parabolic, ax, bx = no, a - x, b - x
-                    if np.count_nonzero(trial := go & (np.abs(prev) > tol)):
-                        xw, xv = x - w, x - v
-                        r = xw * (fx - fv)
-                        q = xv * (fx - fw)
-                        p = xv * q - xw * r
-                        q = 2.0 * (q - r)
-                        np.negative(p, out=p, where=q > 0)
-                        q = np.abs(q)
-                        parabolic = trial & (np.abs(p) < np.abs(0.5 * q * prev))
-                        parabolic &= (q * ax < p) & (p < q * bx)
-                        parabola = p / q
-                        gap_a, gap_b = x + parabola - a, bx - parabola
-                        near = np.where(gap_b < gap_a, gap_b, gap_a) < tol2
-                        np.copyto(parabola, np.copysign(tol, mid - x), where=near)
-                        np.copyto(prev, step, where=parabolic)
-                        np.copyto(step, parabola, where=parabolic)
-                    if np.count_nonzero(golden := go & ~parabolic):
-                        side = np.where(x < mid, bx, ax)
-                        np.copyto(prev, side, where=golden)
-                        np.copyto(step, _GOLDEN * side, where=golden)
-                    move = np.copysign(tol, step)
-                    np.copyto(move, step, where=np.abs(step) >= tol)
-                    np.copyto(k, x + move, where=go)
-                if np.count_nonzero(close):
-                    hit = close & ((limit == a) | (limit == b))
-                    finished = finished | hit
-                    # Brent knows x to _SQRT_EPS; Gauss-Newton converges quadratically
-                    # where the residual vanishes, so take its steps while they help
-                    np.copyto(k, x, where=close)
-                    phase[close] = _STEP
-            if finished is not no and np.count_nonzero(finished):
+            f, gr, gg = np.empty((3, n))
+            for model, a, b, ids in blocks:
+                f[a:b], gr[a:b], gg[a:b] = model.answer(s[0, a:b], ids)
+            finished = _advance(s, f, gr, gg)
+            if np.count_nonzero(finished):
                 break
-        k_out[row[finished]] = np.where(hit, limit, x)[finished]
-        at_limit[row[finished]] = hit[finished]
-        evaluations[row[finished]] = 2 + rounds - steps[finished]
-        s, ints = s[:, ~finished], ints[:, ~finished]
-    return k_out, at_limit, evaluations
+        k_out[row[finished]], evaluations[row[finished]] = s[6, finished], rounds
+        s, row = s[:, ~finished], row[~finished]
+    return k_out, np.abs(k_out) == _LOG_TINY, evaluations
 
 
 def _fit_exponential(blocks: Sequence[_Rows]) -> None:
@@ -549,16 +537,16 @@ def _fit_exponential(blocks: Sequence[_Rows]) -> None:
         with np.errstate(over="ignore"):  # d = (T - T_ref)/span must run from -1 to 0 or 0 to 1
             rows.fail(np.isinf(np.ptp(rows.t, axis=1)), lambda _: DegenerateInput(
                 "the temperatures span more than the double range: max T - min T overflows"))
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             model = _Separable(rows.t, rows.y)
-        wide = ~np.isfinite(model.uu)
-        if wide.any():  # build the model again without those rows
-            rows.fail(wide, lambda _: DegenerateInput(
-                "the powers span more than the double range: the weights (max P / P)^2 overflow"))
-            model = _Separable(rows.t, rows.y)
+            wide = ~np.isfinite(model.uu)
+            if wide.any():  # build the model again without those rows
+                rows.fail(wide, lambda _: DegenerateInput(
+                    "the powers span more than the double range: the weights (max P / P)^2 "
+                    "overflow"))
+                model = _Separable(rows.t, rows.y)
         models.append((rows, model))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k_all, limits, evaluations_all = _search([model for _, model in models])
+    k_all, limits, evaluations_all = _search([model for _, model in models])
     end = 0
     for rows, model in models:
         start, end = end, end + len(rows.ids)
@@ -566,13 +554,13 @@ def _fit_exponential(blocks: Sequence[_Rows]) -> None:
         codes = limits[start:end].astype(int)  # indices into _TERMINATIONS
         # rows whose a0, a1, C or curve overflow are failed below
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            a0, a1, a2, c = model.params(k, slice(None))
+            a0, a1, a2, c, line = model.params(k, slice(None))
             # a1 holds t_ref - a2*log(C) to its own ulp, which a small a2 can
             # make too large for exp((T - a1)/a2) at the samples
             top = np.exp(np.max((rows.t - a1[:, None]) / a2[:, None], axis=1))
 
         def degenerate(j):
-            if k[j] == 0:
+            if line[j]:
                 return DegenerateInput("the best curve is the straight line, which the "
                                        "exponential family reaches only as C -> inf")
             if c[j] > 0:
@@ -582,7 +570,7 @@ def _fit_exponential(blocks: Sequence[_Rows]) -> None:
                                    "needs C > 0")
 
         a0, a1, a2, codes, evaluations = rows.fail(
-            ~(c > 0) | ~(np.isfinite(a0) & np.isfinite(a1) & np.isfinite(top)), degenerate,
+            line | ~(c > 0) | ~(np.isfinite(a0) & np.isfinite(a1) & np.isfinite(top)), degenerate,
             a0, a1, a2, codes, evaluations,
         )
         rows.finish(np.stack([a0, a1, a2], axis=1), evaluations, codes)
@@ -694,17 +682,17 @@ def fit_exponential(data) -> FitResult:
     Variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 1973): the
     best (a0, C) of a0 + C*exp(k*d) is solved exactly at each rate k (see
     _Separable), leaving a 1-D minimization over k.  The search starts at
-    k = 0, the straight line, and walks downhill from there, doubling its
-    step, to bracket the minimum; Brent's method (Algorithms for
-    Minimization without Derivatives, 1973, ch. 5) finds it to
-    _SQRT_EPS*(1 + |k|), and Gauss-Newton steps follow while they lower
-    the objective.  It runs on arrays over a whole batch (see _search),
-    each trace taking the steps it would take alone.  The walk stops at
-    |k| = -ln(smallest normal double), where the exponential's range
-    across the sweep leaves the double range; if the minimum cannot be
-    told apart from that limit, the result has converged=False and
-    termination "exp_range_limit", otherwise termination is "converged".
-    iterations counts objective evaluations.
+    Jacquelin's rate, a linear fit, and takes Gauss-Newton steps, sped up
+    by secants, inside a bracket kept by the sign of the objective's
+    derivative; steps that do not converge become bisections (see
+    _search).  It stops where the step no longer changes k or the bracket
+    holds no double, so it needs no tolerance, and returns the rate of least
+    objective it evaluated.  It runs on arrays over a whole batch, each
+    trace taking the steps it would take alone.  Rates stay within
+    |k| = -ln(smallest normal double), where the exponential's range across
+    the sweep leaves the double range; a fit at that limit has
+    converged=False and termination "exp_range_limit", any other
+    "converged".  iterations counts the rates evaluated.
     Raises DegenerateInput when the best C is not positive (concave data,
     say), when the best curve is the straight line, which the family
     reaches only as C -> inf, or when the powers are all equal: the family

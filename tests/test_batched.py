@@ -10,6 +10,7 @@ the block boundaries fall.
 
 import itertools
 import math
+import struct
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -36,9 +37,7 @@ from thermopower.trace import Trace, TraceMeta, generate_synthetic_trace, parse_
 
 # --- the per-trace reference ---
 
-_SQRT_EPS = math.sqrt(sys.float_info.epsilon)
 _LOG_TINY = -math.log(sys.float_info.min)
-_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 def ref_fit_error(y, model):
@@ -58,33 +57,46 @@ def ref_xy(data):
     return t, y
 
 
-def ref_poly_fit(data, degree, kind):
-    t, y = ref_xy(data)
-    if len(np.unique(t)) < degree + 1:
-        raise DegenerateInput(f"{kind.value} fit needs >= {degree + 1} distinct temperatures")
-    design = [t**k / y for k in range(degree, -1, -1)]
-    # modified Gram-Schmidt on columns scaled by powers of two, with the
-    # target carried along as the residual, then back-substitution
-    e = [math.frexp(float(np.abs(a).max()))[1] for a in design]
-    tol = (sys.float_info.epsilon * max(len(t), degree + 1)) ** 2
-    done, u, z, r = [], {}, [], np.ones_like(y)
-    for j, w in enumerate(np.ldexp(a, -ej) for a, ej in zip(design, e)):
+def ref_lstsq(columns, target):
+    """The least-squares coefficients of target on columns, or None where
+    the design is rank-deficient: modified Gram-Schmidt on columns scaled
+    by powers of two, with the target carried along as the residual, then
+    back-substitution."""
+    e = [math.frexp(float(np.abs(a).max()))[1] for a in columns]
+    tol = (sys.float_info.epsilon * max(len(target), len(columns))) ** 2
+    done, u, z, r = [], {}, [], target
+    for j, w in enumerate(np.ldexp(a, -ej) for a, ej in zip(columns, e)):
         aa = float(w @ w)
         for i, (v, vv) in enumerate(done):
             u[i, j] = float(v @ w) / vv
             w = w - u[i, j] * v
         ww = float(w @ w)
         if not ww > tol * aa:
-            raise DegenerateInput(f"{kind.value} fit design matrix is rank-deficient")
+            return None
         z.append(float(w @ r) / ww)
         r = r - z[j] * w
         done.append((w, ww))
-    for j in range(degree - 1, -1, -1):
-        for k in range(j + 1, degree + 1):
+    for j in range(len(z) - 2, -1, -1):
+        for k in range(j + 1, len(z)):
             z[j] -= u[j, k] * z[k]
-    coeffs = tuple(math.ldexp(zj, -ej) for zj, ej in zip(z, e))
-    model = ref_predict(FitResult(kind, coeffs, 0.0, 0, True), t)
-    return FitResult(kind, coeffs, ref_fit_error(y, model), 0, True)
+    return [math.ldexp(zj, -ej) for zj, ej in zip(z, e)]
+
+
+def ref_poly_fit(data, degree, kind):
+    t, y = ref_xy(data)
+    if len(np.unique(t)) < degree + 1:
+        raise DegenerateInput(f"{kind.value} fit needs >= {degree + 1} distinct temperatures")
+    coeffs = ref_lstsq([t**k / y for k in range(degree, -1, -1)], np.ones_like(y))
+    if coeffs is None:
+        raise DegenerateInput(f"{kind.value} fit design matrix is rank-deficient")
+    model = ref_predict(FitResult(kind, tuple(coeffs), 0.0, 0, True), t)
+    return FitResult(kind, tuple(coeffs), ref_fit_error(y, model), 0, True)
+
+
+def div(a, b):
+    """a/b as numpy divides: inf or nan where b is 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.divide(a, b))
 
 
 class RefSeparable:
@@ -93,29 +105,52 @@ class RefSeparable:
         self.span = self.t_hi - self.t_lo
         self.d_rising = (t - self.t_hi) / self.span
         self.d_falling = (t - self.t_lo) / self.span
-        self.scale = math.ldexp(1.0, math.frexp(float(y.max()))[1])
+        e = math.frexp(float(y.max()))[1]
+        self.scale = math.ldexp(1.0, e)
         self.u = self.scale / y
         self.uu = float(self.u @ self.u)
         self.a_u = float(self.u.sum()) / self.uu
         self.r0 = 1.0 - self.a_u * self.u
+        # Jacquelin's regression of y on (1, x, S) in T order, weighted by u
+        order = np.argsort(t, kind="stable")
+        x = (t[order] - self.t_lo) / self.span
+        ys, u = np.ldexp(y[order], -e), self.u[order]
+        s = np.concatenate([[0.0], np.cumsum((x[1:] - x[:-1]) * (ys[1:] + ys[:-1]) * 0.5)])
+        uu = float(u @ u)
+        xu, su = x * u, s * u
+        xu = xu - (float(u @ xu) / uu) * u
+        su = su - (float(u @ su) / uu) * u
+        su = su - (float(xu @ su) / float(xu @ xu)) * xu
+        k = div(float(su @ (1.0 - (float(u.sum()) / uu) * u)), float(su @ su))
+        self.start = min(max(k, -_LOG_TINY), _LOG_TINY) if math.isfinite(k) else 0.0
         self.evaluations = 0
 
     def _project(self, k):
         d = self.d_rising if k > 0 else self.d_falling
-        v = (np.expm1(k * d) / k if k else d) * self.u
+        e = np.expm1(k * d)
+        column = e / k if k else d
+        v = column * self.u
         w = v - (float(self.u @ v) / self.uu) * self.u
         ww = float(w @ w)
         b = float(w @ self.r0) / ww
-        return d, v, w, ww, b, self.r0 - b * w
+        return d, e, column, w, ww, b, self.r0 - b * w
 
-    def objective(self, k):
+    def answer(self, k):
+        """f, g.r and g.g at rate k."""
         self.evaluations += 1
-        r = self._project(k)[-1]
-        return float(r @ r)
+        d, e, _, w, ww, b, r = self._project(k)
+        u = self.u
+        g = (b / k) * (d * u) * (e + 1.0) if k else b * d * (0.5 * d * u)
+        g = g - ((float(g @ u) / self.uu) * u + (float(g @ w) / ww) * w)
+        return float(r @ r), float(g @ r), float(g @ g)
 
     def params(self, k):
-        d, _, _, _, b, _ = self._project(k)
-        if not k:
+        d, _, column, _, _, b, _ = self._project(k)
+        n = len(d)
+        d_mean = d - float(d.sum()) / n
+        curve = column - float(column.sum()) / n
+        curve = curve - (float(curve @ d_mean) / float(d_mean @ d_mean)) * d_mean
+        if not float(curve @ curve) > (sys.float_info.epsilon * n) ** 2 * float(column @ column):
             raise DegenerateInput("the best curve is the straight line, which the exponential "
                                   "family reaches only as C -> inf")
         c = b / k  # C/scale, as a0 below is a0/scale
@@ -127,78 +162,47 @@ class RefSeparable:
         t_ref = self.t_hi if k > 0 else self.t_lo
         return a0 * self.scale, t_ref - a2 * math.log(c * self.scale), a2
 
-    def gauss_newton(self, k):
-        if not k:
-            return k
-        d, v, w, ww, b, r = self._project(k)
-        g = b * d * (v + self.u / k)
-        g -= (float(g @ self.u) / self.uu) * self.u + (float(g @ w) / ww) * w
-        gg = float(g @ g)
-        return k + float(g @ r) / gg if gg > 0 else k
+
+def ref_middle(a, b):
+    """The double halfway between a and b in the order of doubles."""
+    def key(x):
+        i = struct.unpack("<q", struct.pack("<d", x))[0]
+        return i if i >= 0 else -(2**63) - i
+
+    m = (key(a) + key(b)) >> 1
+    return struct.unpack("<d", struct.pack("<q", m if m >= 0 else -(2**63) - m))[0]
 
 
-def ref_bracket(f, x, lo, hi):
-    fx = f(x)
-    f_ahead = f(x + 1.0)
-    if f_ahead < fx:
-        behind, x, fx, step = x, x + 1.0, f_ahead, 2.0
-    else:
-        behind, step = x + 1.0, -1.0
+def ref_search(model):
+    """(k, whether k is at the exp_range_limit) of the rate search, k the
+    rate of least f it evaluated."""
+    lo, hi = -math.inf, math.inf
+    k, gn_last, last, before = model.start, math.nan, math.inf, math.inf
+    best, f_best = math.nan, math.inf
     while True:
-        ahead = min(x + step, hi) if step > 0 else max(x + step, lo)
-        f_ahead = f(ahead)
-        ends = (min(behind, ahead), x, max(behind, ahead), fx)
-        if f_ahead > fx:
-            return (*ends, None)
-        if ahead in (lo, hi):
-            return (*ends, ahead)
-        behind, x, fx = x, ahead, f_ahead
-        step *= 2
-
-
-def ref_brent(f, a, x, b, fx):
-    w = v = x
-    fw = fv = fx
-    step = prev_step = 0.0
-    while True:
-        mid = 0.5 * (a + b)
-        tol = _SQRT_EPS * (1.0 + abs(x))
-        if abs(x - mid) <= 2 * tol - 0.5 * (b - a):
-            return a, x, b, fx
-        parabolic = False
-        if abs(prev_step) > tol:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0:
-                p = -p
-            q = abs(q)
-            if abs(p) < abs(0.5 * q * prev_step) and q * (a - x) < p < q * (b - x):
-                prev_step, step = step, p / q
-                if min(x + step - a, b - x - step) < 2 * tol:
-                    step = math.copysign(tol, mid - x)
-                parabolic = True
-        if not parabolic:
-            prev_step = (b - x) if x < mid else (a - x)
-            step = _GOLDEN * prev_step
-        u = x + (step if abs(step) >= tol else math.copysign(tol, step))
-        fu = f(u)
-        if fu <= fx:
-            if u < x:
-                b = x
-            else:
-                a = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            f, gr, gg = model.answer(k)
+        if f < f_best:
+            best, f_best = k, f
+        if gr > 0:
+            lo = k
+        elif gr < 0:
+            hi = k
+        gn = div(gr, gg)
+        secant = div(gn * last, gn_last - gn)
+        ahead = min(max(k + (secant if secant * gn > 0 else gn), -_LOG_TINY), _LOG_TINY)
+        fixed = ahead == k
+        step = ahead - k
+        grow = not abs(step) <= 0.5 * before and lo < ahead < hi
+        if grow:
+            far = k + math.copysign(max(abs(step), 2.0 * abs(last)), step)
+            ahead = min(max(far, -_LOG_TINY), _LOG_TINY)
+            grow = lo < ahead < hi
+        if not lo < ahead < hi:
+            ahead = ref_middle(max(lo, -_LOG_TINY), min(hi, _LOG_TINY))
+        if fixed or ahead == k or not np.nextafter(lo, math.inf) < hi:
+            return best, abs(best) == _LOG_TINY
+        before, last, gn_last, k = math.nan if grow else abs(last), ahead - k, gn, ahead
 
 
 def ref_fit_exponential(data):
@@ -208,21 +212,9 @@ def ref_fit_exponential(data):
     if y.min() == y.max():
         raise DegenerateInput("flat power data; a2 is unidentifiable")
     model = RefSeparable(t, y)
-    a, k, b, fk, limit = ref_bracket(model.objective, 0.0, -_LOG_TINY, _LOG_TINY)
-    a, k, b, fk = ref_brent(model.objective, a, k, b, fk)
-    if limit in (a, b):
-        k, termination = limit, "exp_range_limit"
-    else:
-        while True:
-            k_new = model.gauss_newton(k)
-            if not a < k_new < b:
-                break
-            f_new = model.objective(k_new)
-            if not f_new < fk:
-                break
-            k, fk = k_new, f_new
-        termination = "converged"
+    k, at_limit = ref_search(model)
     a0, a1, a2 = model.params(k)
+    termination = "exp_range_limit" if at_limit else "converged"
     error = ref_fit_error(
         y, ref_predict(FitResult(FitKind.EXPONENTIAL, (a0, a1, a2), 0.0, 0, True), t))
     return FitResult(FitKind.EXPONENTIAL, (float(a0), float(a1), float(a2)), error,
@@ -525,9 +517,10 @@ def test_powers_spanning_more_than_the_double_range_fail_alone():
     ([([-1e308, 0.0, 1e308], [1.0, 2.0, 3.0]),
       ([-1.7e308, 0.0, 1e300, 1e308], [1.0, 1.2, 1.5, 2.0])],
      "the temperatures span more than the double range: max T - min T overflows"),
-    # a1 rounds to 1e15 - 0.125 beside an a2 of 5e-4, so (T - a1)/a2 reaches
-    # 765; and span/k underflows to an a2 of 0
-    ([([1e15, 1e15 + 0.125, 1e15 + 0.25], [0.8e308, 0.75e308, 0.85e308]),
+    # a1 lies 2.4 below the samples beside an a2 of 0.0033, so (T - a1)/a2
+    # reaches 720; and span/k underflows to an a2 of 0
+    ([([437946966090325.56, 437946966090325.7, 437946966090325.8],
+       [8.074067995585017e306, 5.846698970430042e306, 8.325099338657844e306]),
       ([5e-324, 1e-323, 1.5e-323], [2e-320, 1e-320, 3e-320])],
      "the best curve leaves the double range: "),
 ], ids=["temperature span", "curve at a sample"])
@@ -600,15 +593,15 @@ def inject(monkeypatch, hit, fault):
     project, ref_project = fitting._Separable._project, RefSeparable._project
 
     def batched(self, k, ids):
-        d, u, v, w, ww, b, r = project(self, k, ids)
+        *rest, r = project(self, k, ids)
         r = np.where(hit(k)[:, None], math.nan if fault == "nan" else self.r0[ids], r)
-        return d, u, v, w, ww, b, r
+        return *rest, r
 
     def scalar(self, k):
-        d, v, w, ww, b, r = ref_project(self, k)
+        *rest, r = ref_project(self, k)
         if hit(np.array([k]))[0]:
             r = r * math.nan if fault == "nan" else self.r0
-        return d, v, w, ww, b, r
+        return *rest, r
 
     monkeypatch.setattr(fitting._Separable, "_project", batched)
     monkeypatch.setattr(RefSeparable, "_project", scalar)
@@ -616,16 +609,15 @@ def inject(monkeypatch, hit, fault):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("fault", ["nan", "tie"])
-@pytest.mark.parametrize("where", ["walk", "bracket", "near the minimum"])
+@pytest.mark.parametrize("where", ["start", "steps", "near the minimum"])
 def test_array_search_keeps_the_scalar_steps_past_a_zero_ww_a_nan_or_a_tie(
         monkeypatch, fault, where):
     fleet = exp_fleet()
     clean, _ = fit_both(fleet)
-    hit = {
-        "walk": lambda k: (k == 3.0) | (k == -7.0),  # the walk's third and fourth points
-        "bracket": lambda k: (k > 1.5) & (k < 2.5),  # Brent's steps between walk points
-        # the last Brent and the Gauss-Newton steps of the first trace
-        "near the minimum": lambda k: (k > 3.93) & (k < 3.94),
+    hit = {  # the first trace starts at 3.9185 and ends at 3.9340818125684
+        "start": lambda k: (k > 3.9185) & (k < 3.9186),
+        "steps": lambda k: (k > 3.934) & (k < 3.9340805),  # its second rate
+        "near the minimum": lambda k: (k > 3.9340818125) & (k < 3.9340818126),
     }[where]
     inject(monkeypatch, hit, fault)
     with wave_size(100):
@@ -634,32 +626,34 @@ def test_array_search_keeps_the_scalar_steps_past_a_zero_ww_a_nan_or_a_tie(
     assert got != clean
 
 
-def test_the_rate_search_projects_each_block_once_a_round(monkeypatch):
-    """A round projects all of a block's live rows in one call, whichever
-    of them take a Gauss-Newton step, and rows only ever retire, so the
-    row counts of one model's _project calls never rise during the search."""
-    counts, project, search = {}, fitting._Separable._project, fitting._search
+def test_the_rate_search_answers_each_length_once_a_round(monkeypatch):
+    """A round answers the live rows of each length in one call, which
+    projects them once, and rows only ever retire, so the row counts of one
+    model's answer calls never rise."""
+    calls, project, answer = [], fitting._Separable._project, fitting._Separable.answer
 
     def spy_project(self, k, ids):
-        if searching:
-            counts.setdefault(self, []).append(len(k))
+        calls.append((self, "project", len(k)))
         return project(self, k, ids)
 
-    def spy_search(models):
-        nonlocal searching
-        searching = True
-        try:
-            return search(models)
-        finally:
-            searching = False
+    def spy_answer(self, k, ids):
+        calls.append((self, "answer", len(k)))
+        return answer(self, k, ids)
 
-    searching = False
     monkeypatch.setattr(fitting._Separable, "_project", spy_project)
-    monkeypatch.setattr(fitting, "_search", spy_search)
-    fit_batch(exp_fleet(), FitKind.EXPONENTIAL)
-    assert len(counts) == 6
-    for sizes in counts.values():
+    monkeypatch.setattr(fitting._Separable, "answer", spy_answer)
+    results = fit_batch(exp_fleet(), FitKind.EXPONENTIAL)
+    answered = [i for i, (_, what, _) in enumerate(calls) if what == "answer"]
+    assert all(calls[i + 1][:2] == (calls[i][0], "project") for i in answered)
+    models = dict.fromkeys(calls[i][0] for i in answered)
+    assert len(models) == 6  # the 16 traces join at once: one model for each length
+    rounds = []
+    for model in models:
+        sizes = [n for m, what, n in calls if m is model and what == "answer"]
+        assert sizes[0] == len(model.span)
         assert all(b <= a for a, b in itertools.pairwise(sizes)), sizes
+        rounds.append(len(sizes))
+    assert max(rounds) == max(r.iterations for r in results if isinstance(r, FitResult))
 
 
 # --- the bound that keeps w.w away from zero ---
@@ -694,7 +688,7 @@ def watching_ww():
 
     def spy_project(self, k, ids):
         out = project(self, k, ids)
-        seen["ww"].append(out[4])
+        seen["ww"].append(out[5])
         return out
 
     def spy_search(models):
@@ -728,7 +722,7 @@ def assert_ww_bound(data):
              np.nextafter(_LOG_TINY, 0.0), _LOG_TINY]
     for model in seen["models"]:
         for k in rates + [-k for k in rates]:
-            ww = model._project(np.full(len(model.span), k), slice(None))[4]
+            ww = model._project(np.full(len(model.span), k), slice(None))[5]
             assert np.all(ww >= WW_FLOOR), (k, ww.min())
     return len(seen["ww"])
 
@@ -748,3 +742,48 @@ def test_ww_bound_holds_on_the_search_fleet_the_golden_fleet_and_hostile_traces(
     out = fit_batch(hostile, FitKind.EXPONENTIAL)
     assert sum("temperatures span" in str(r) for r in out) == 2 * len(hostile) // 9
     assert sum(isinstance(r, FitResult) for r in out) > 0
+
+
+# --- the rate search on fleets: bit for bit, few rounds, and it always stops ---
+
+def synthetic_fleet(count, seed):
+    """count 20-sample traces of the paper's exponential at 2-10 mW noise,
+    as the benchmark's fleet draws them."""
+    rng = np.random.default_rng(seed)
+    fleet = []
+    for i in range(count):
+        params = (rng.uniform(0.05, 0.5), rng.uniform(90.0, 140.0), rng.uniform(30.0, 36.0))
+        sweep = (rng.uniform(25.0, 30.0), rng.uniform(80.0, 85.0), 20)
+        fleet.append(generate_synthetic_trace(META, params, sweep, noise=rng.uniform(0.002, 0.01),
+                                              seed=i))
+    return fleet
+
+
+def test_a_block_of_512_traces_matches_the_scalar_search_in_few_evaluations():
+    fleet = synthetic_fleet(512, 29)
+    got, expected = fit_both(fleet)  # one block: 512 traces of 20 samples
+    assert got == expected
+    evaluations = [r.iterations for r in fit_batch(fleet, FitKind.EXPONENTIAL)
+                   if isinstance(r, FitResult)]
+    assert len(evaluations) > 480
+    assert np.median(evaluations) <= 7 and max(evaluations) <= 27
+
+
+def test_every_hostile_and_generated_trace_stops():
+    """The search has no cap on its rounds: each of its steps halves the
+    step before last, grows, or bisects the bracket in the order of
+    doubles, so it ends; on these traces, within a few dozen rounds."""
+    for data in (hostile_pairs(), [tr for seed in range(3) for tr in exp_fleet()],
+                 synthetic_fleet(200, 3)):
+        out = fit_batch(data, FitKind.EXPONENTIAL)
+        evaluations = [r.iterations for r in out if isinstance(r, FitResult)]
+        assert evaluations and max(evaluations) <= 64, max(evaluations)
+
+
+def test_the_golden_fleet_fails_the_same_traces_with_the_same_error():
+    paths = sorted(GOLDEN_FLEET.iterdir())
+    out = fit_batch([parse_trace(p.read_bytes()) for p in paths], FitKind.EXPONENTIAL)
+    failed = {p.stem: r for p, r in zip(paths, out) if isinstance(r, Exception)}
+    assert sorted(failed) == ["concave0", "concave1", "concave2", "f08", "f14", "f22", "f26"]
+    for r in failed.values():
+        assert isinstance(r, DegenerateInput) and str(r).endswith("; the family needs C > 0")

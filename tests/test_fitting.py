@@ -281,8 +281,8 @@ def test_exponential_concave_data_has_no_positive_scale():
 
 RANGE_EDGE = {
     # a0 * scale overflows on the way to the C <= 0 failure
-    "C <= 0": ([5.2963431966683405, 48.56622465956784, 54.36446577638626],
-               [4.933117872297185e307, 3.205772026136974e257, 4.797299808706361e279],
+    "C <= 0": ([86.76889619160423, 92.6750335378737, 53.72190615670465],
+               [8.949398481392491e261, 2.961770217241768e280, 8.871921502338566e307],
                "C > 0"),
     # C * scale overflows, leaving a0 and a1 infinite
     "C overflows": ([90.01571285538161, 27.612421784778086, 33.71461455412502],
