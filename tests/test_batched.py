@@ -141,7 +141,7 @@ class RefSeparable:
         d, e, _, w, ww, b, r = self._project(k)
         u = self.u
         g = (b / k) * (d * u) * (e + 1.0) if k else b * d * (0.5 * d * u)
-        g = g - ((float(g @ u) / self.uu) * u + (float(g @ w) / ww) * w)
+        g = g - ((float(g @ u) / self.uu) * u + div(float(g @ w), ww) * w)
         return float(r @ r), float(g @ r), float(g @ g)
 
     def params(self, k):
@@ -587,28 +587,42 @@ def test_exponential_batch_of_mixed_lengths_matches_the_scalar_search(wave):
 
 
 def inject(monkeypatch, hit, fault):
-    """Make the residuals NaN, or the objective that of the best constant
-    (so that it ties), at every rate where hit(k), in the batched model and
-    in the reference alike."""
+    """At every rate where hit(k), make the residuals NaN, or the objective
+    that of the best constant (so that it ties), or the column's part
+    orthogonal to 1/y zero (so that w.w is 0 and b is 0/0), in the batched
+    model and in the reference alike."""
     project, ref_project = fitting._Separable._project, RefSeparable._project
 
     def batched(self, k, ids):
-        *rest, r = project(self, k, ids)
-        r = np.where(hit(k)[:, None], math.nan if fault == "nan" else self.r0[ids], r)
-        return *rest, r
+        d, u, e, column, w, ww, b, r = project(self, k, ids)
+        at, r0 = hit(k), self.r0[ids]
+        if fault == "zero ww":
+            w = np.where(at[:, None], 0.0, w)
+            ww = fitting._dots(w, w)
+            b = fitting._dots(w, r0) / ww
+            r = r0 - b[:, None] * w
+        else:
+            r = np.where(at[:, None], math.nan if fault == "nan" else r0, r)
+        return d, u, e, column, w, ww, b, r
 
     def scalar(self, k):
-        *rest, r = ref_project(self, k)
+        d, e, column, w, ww, b, r = ref_project(self, k)
         if hit(np.array([k]))[0]:
-            r = r * math.nan if fault == "nan" else self.r0
-        return *rest, r
+            if fault == "zero ww":
+                w = w * 0.0
+                ww = float(w @ w)
+                b = div(float(w @ self.r0), ww)
+                r = self.r0 - b * w
+            else:
+                r = r * math.nan if fault == "nan" else self.r0
+        return d, e, column, w, ww, b, r
 
     monkeypatch.setattr(fitting._Separable, "_project", batched)
     monkeypatch.setattr(RefSeparable, "_project", scalar)
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("fault", ["nan", "tie"])
+@pytest.mark.parametrize("fault", ["nan", "tie", "zero ww"])
 @pytest.mark.parametrize("where", ["start", "steps", "near the minimum"])
 def test_array_search_keeps_the_scalar_steps_past_a_zero_ww_a_nan_or_a_tie(
         monkeypatch, fault, where):

@@ -263,6 +263,21 @@ def test_read_bytes_returns_every_byte_and_its_digest(tmp_path, size):
     assert run.inputs == {str(path): "sha256:" + hashlib.sha256(data).hexdigest()}
 
 
+def test_a_regular_file_is_read_by_one_os_read_into_one_buffer(tmp_path, monkeypatch):
+    data = bytes(range(256)) * (3 * SLAB_BYTES // 256 + 7)
+    path = tmp_path / "f.bin"
+    path.write_bytes(data)
+    sizes, read = [], os.read
+
+    def spy(fd, n):
+        sizes.append(n)
+        return read(fd, n)
+
+    monkeypatch.setattr(os, "read", spy)
+    assert cli._Run([]).read_bytes(str(path)) == data
+    assert sizes == [len(data) + 1]
+
+
 def test_fit_of_a_directory_or_a_missing_path_names_it_exit_2(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "d").mkdir()
