@@ -62,7 +62,6 @@ try:
         BLOCK_ROWS,
         SLAB_BYTES,
         TraceMeta,
-        _about_to_read,
         _chunk_table,
         _json_number,
         _table_text,
@@ -216,18 +215,18 @@ class _Run:
     def read_bytes(self, path: str) -> bytes:
         """The bytes of path, hashed into inputs.  A regular file takes one
         os.read of its size and a byte more, so the data are read into one
-        buffer and a short read marks the end; anything else (a pipe, where
-        a short read is not the end), or a file that grew meanwhile, is read
-        on, SLAB_BYTES at a time, until os.read returns b"".  open() would
-        fstat twice and seek.  An OSError's message names path, as
-        _write_file's does."""
+        buffer; anything else (a pipe), or a file whose first read returns
+        other than its size (a short read, as Linux gives of a file over
+        2 GiB, or a file that grew meanwhile), is read on, SLAB_BYTES at a
+        time, until os.read returns b"".  open() would fstat twice and
+        seek.  An OSError's message names path, as _write_file's does."""
         try:
             fd = os.open(path, os.O_RDONLY)
             try:
                 info = os.fstat(fd)
                 regular = stat.S_ISREG(info.st_mode)
                 data = os.read(fd, info.st_size + 1) if regular else b""
-                if not regular or len(data) > info.st_size:
+                if not regular or len(data) != info.st_size:
                     pieces = [data]
                     while piece := os.read(fd, SLAB_BYTES):
                         pieces.append(piece)
@@ -330,9 +329,9 @@ def _write_plot(path: str, temps, powers) -> None:
 
 # --- fit ---
 
-def _parse_chunk(paths: list[str], texts: list[bytes], run: _Run) -> tuple:
+def _parse_chunk(paths: list[str], texts: list[bytes], run: _Run, size: int) -> tuple:
     try:
-        return _chunk_table(texts)
+        return _chunk_table(texts, size)
     except (ThermoError, ValueError):
         for run.source, text in zip(paths, texts):  # the first bad text fails again, named
             _parse_alone(text)
@@ -345,25 +344,26 @@ def _read_traces(paths: list[str], run: _Run):
     least one file each, the traces that run.parse(p, parse_trace) would
     read.  Each file is read once: a chunk that fails is parsed again from
     memory one file at a time, so the first bad path in order fails as it
-    would alone, before any file that cannot be read.  The fleet's size,
-    as the first chunk's files foretell it, is announced before that chunk
-    is parsed (trace._about_to_read)."""
-    texts, first, size = [], 0, 0
+    would alone, before any file that cannot be read.  Each chunk is told
+    the fleet's size as the larger of the first chunk's forecast and the
+    bytes read so far, so that its converter follows the whole input."""
+    texts, first, size, read, forecast = [], 0, 0, 0, 0
     for i, path in enumerate(paths):
         try:
             data = run.read_bytes(path)
         except OSError:
-            _parse_chunk(paths[first:i], texts, run)
+            _parse_chunk(paths[first:i], texts, run, 0)
             raise
         if texts and size + len(data) > SLAB_BYTES:
             if not first:
-                _about_to_read(size * len(paths) // len(texts))
-            chunk = _parse_chunk(paths[first:i], texts, run)
-            texts, first, size = [], i, 0  # free before the chunk is fitted
+                forecast = size * len(paths) // len(texts)
+            chunk = _parse_chunk(paths[first:i], texts, run, max(forecast, read))
+            texts, first, size = [], i, 0  # freed while the caller takes the chunk
             yield chunk
         texts.append(data)
         size += len(data)
-    chunk = _parse_chunk(paths[first:], texts, run)
+        read += len(data)
+    chunk = _parse_chunk(paths[first:], texts, run, max(forecast, read))
     texts = data = None
     yield chunk
 

@@ -19,18 +19,17 @@ of BLOCK_ROWS rows at a time, by _shortest.rows_text (Schubfach's digits
 from one 128-bit product a value, each value's digits rendered once)
 when every value of the block prints in fixed notation, else with %r.
 The report's floats go through the same kernel in processes that have
-loaded it (cli._entries).  It reads traces
-through _chunk_table (parse_traces) and other tables through
-parse_table, both one slab of at most SLAB_BYTES at a time, the slabs of
-small texts joined.  Texts that are all ASCII bytes stay bytes from the
-disk to the kernel, their headers matched on the str of their first
-_HEAD_CHARS bytes; any other chunk of texts is decoded first.  Once a
-process has read ARRAY_BYTES of CSV text, the current table included, or
-has been told it is about to (_about_to_read), a batch whose every field
-is a plain decimal (-?[0-9]+(\\.[0-9]+)?, as repr writes in fixed
-notation) goes through _shortest.rows_values, bit for bit as float()
-reads it; any other batch, and every batch before, is decoded, rid of
-blank lines and converted with float().
+loaded it (cli._entries).  It reads traces through _chunk_table
+(parse_traces) and other tables through parse_table, both one slab of at
+most SLAB_BYTES at a time, the slabs of small texts joined.  Each text is
+read as UTF-8 bytes (_utf8), from the disk to the numbers; its header
+lines are decoded only to strip and split them.  When the text in hand,
+or the whole input as its caller sizes it, reaches ARRAY_BYTES, a batch
+whose every field is a plain decimal (-?[0-9]+(\\.[0-9]+)?, as repr
+writes in fixed notation) goes through _shortest.rows_values, bit for bit
+as float() reads it; any other batch, and every batch of a smaller input,
+is rid of blank lines and converted with float().  A text the joined pass
+declines is read line by line, as str.
 """
 
 from __future__ import annotations
@@ -64,22 +63,10 @@ HEADER = "time_s,temp_c,power_w"
 _COLUMNS = tuple(HEADER.split(","))
 SLAB_BYTES = 1 << 16  # CSV text converted at once, read or written
 BLOCK_ROWS = 4096  # rows a long table writes at once, as arrays
-# CSV text read or announced, in all, from which on a process reads with
-# the array kernel: the kernel saves about 0.01 ms a KB on float(), so 6
-# slabs repay the 4 ms it takes to load _shortest from source
+# CSV text in one input, from which on it is read with the array kernel:
+# the kernel saves about 0.01 ms a KB on float(), so 6 slabs repay the
+# 4 ms it takes to load _shortest from source
 ARRAY_BYTES = 6 * SLAB_BYTES
-# CSV text this process has passed to _read_table, and any _about_to_read
-# announced of ARRAY_BYTES or more
-_read_bytes = 0
-
-
-def _about_to_read(size: int) -> None:
-    """Count size bytes of CSV text that the process expects to read, if
-    they reach ARRAY_BYTES, so that the array kernel reads the first
-    table of them already."""
-    global _read_bytes
-    if size >= ARRAY_BYTES:
-        _read_bytes += size
 
 
 def check_samples(time_s, temp_c, power_w, line_of=None) -> None:
@@ -237,12 +224,26 @@ def _parse_number(token: str, line_no: int) -> float:
     return value
 
 
-def _read_rows(text: str, start: int, header_line: int, width: int):
-    """text[start:], the lines below the header, parsed one line at a time:
-    a (rows, width) float array and each row's line number.  Raises
-    MalformedRow at the first bad line."""
+def _utf8(text: str | bytes) -> bytes:
+    """text as UTF-8 bytes: a str encoded, a lone surrogate as the three
+    bytes that decode back to it; bytes rid of one leading byte order
+    mark, which spreadsheets write, and unless all ASCII checked to decode,
+    raising the UnicodeDecodeError that decoding the whole text does."""
+    if isinstance(text, str):
+        return text.encode("utf-8", "surrogatepass")
+    data = text.removeprefix(codecs.BOM_UTF8)
+    if not data.isascii():
+        data.decode()
+    return data
+
+
+def _read_rows(data: bytes, start: int, header_line: int, width: int):
+    """The lines of _utf8 bytes below the header at data[start:], decoded
+    and parsed one line at a time: a (rows, width) float array and each
+    row's line number.  Raises MalformedRow at the first bad line."""
     rows, line_nos = [], []
-    for line_no, raw in enumerate(text[start:].split("\n"), start=header_line + 1):
+    lines = data[start:].decode("utf-8", "surrogatepass").split("\n")
+    for line_no, raw in enumerate(lines, start=header_line + 1):
         line = raw.strip()
         if not line:
             continue
@@ -256,25 +257,24 @@ def _read_rows(text: str, start: int, header_line: int, width: int):
     return np.array(rows, float).reshape(-1, width), line_nos
 
 
-_BLANK_LINES = re.compile(r"\n\s*\n")
+_BLANK_LINES = re.compile(rb"\n\s*\n")
 
 
-def _batches(parts, nl):
-    """The lines below the header of each (text, start) in parts, cut into
-    slabs of at most SLAB_BYTES at line ends nl ("\n" or b"\n", as the
-    texts are str or bytes), or of one longer line, each ending in nl, and
-    the slabs of small texts joined up to SLAB_BYTES: lists of (index of
-    the text in parts, slab)."""
+def _batches(parts):
+    """The lines below the header of each (data, start) in parts, cut into
+    slabs of at most SLAB_BYTES at line ends, or of one longer line, each
+    ending in a line end, and the slabs of small texts joined up to
+    SLAB_BYTES: lists of (index of the text in parts, slab)."""
     batch, size = [], 0
-    for i, (text, start) in enumerate(parts):
-        while start < len(text):
+    for i, (data, start) in enumerate(parts):
+        while start < len(data):
             end = start + SLAB_BYTES  # the last line end before, else the first after
-            cut = text.rfind(nl, start, end) + 1 or text.find(nl, end) + 1 or len(text)
-            slab, start = text[start:cut], cut
+            cut = data.rfind(b"\n", start, end) + 1 or data.find(b"\n", end) + 1 or len(data)
+            slab, start = data[start:cut], cut
             if batch and size + len(slab) > SLAB_BYTES:
                 yield batch
                 batch, size = [], 0
-            batch.append((i, slab if slab.endswith(nl) else slab + nl))
+            batch.append((i, slab if slab.endswith(b"\n") else slab + b"\n"))
             size += len(slab)
     if batch:
         yield batch
@@ -286,51 +286,47 @@ def _float_rows(batch, rows: list[int], width: int):
     each slab's blank lines off rows[its text's index].  The rows are
     converted with float() at once, a ";" field between rows: float()
     rejects ";", so every row has ``width`` fields when each ";" lands on
-    its own slot and everything else converts."""
+    its own slot and everything else converts.  Only ASCII whitespace is
+    blank or stripped here; a line that str would strip further fails to
+    convert, and is left to the line-by-line reader."""
     bodies = []
     for i, slab in batch:
-        body = _BLANK_LINES.sub("\n", slab.strip())
-        kept = body.count("\n") + 1 if body else 0
-        rows[i] -= slab.count("\n") - kept
+        body = _BLANK_LINES.sub(b"\n", slab.strip())
+        kept = body.count(b"\n") + 1 if body else 0
+        rows[i] -= slab.count(b"\n") - kept
         if body:
             bodies.append(body)
     if not bodies:
         return np.empty((0, width))
-    text = "\n".join(bodies)
-    n = text.count("\n") + 1
-    tokens = text.replace("\n", ",;,").split(",")
-    if (not text.isascii() or "_" in text or len(tokens) != n * (width + 1) - 1
-            or tokens[width :: width + 1] != [";"] * (n - 1)):
+    text = b"\n".join(bodies)
+    n = text.count(b"\n") + 1
+    tokens = text.replace(b"\n", b",;,").split(b",")
+    if (not text.isascii() or b"_" in text or len(tokens) != n * (width + 1) - 1
+            or tokens[width :: width + 1] != [b";"] * (n - 1)):
         return None
     del tokens[width :: width + 1]
     return np.fromiter(map(float, tokens), float, len(tokens)).reshape(n, width)
 
 
-def _read_table(parts, width: int):
-    """The rows below the header of each (text, start) in parts, the texts
-    all str or all ASCII bytes: a C-contiguous (width, rows) float array
-    and the row offsets where each text's rows end, or None if any row is
-    not ``width`` finite ASCII decimals.  Once the process has read
-    ARRAY_BYTES, parts included, a batch that _shortest.rows_values takes,
-    every line a row of plain decimals, is converted by it; any other by
-    _float_rows, as str."""
-    global _read_bytes
-    _read_bytes += sum(len(text) - start for text, start in parts)
-    arrays = _read_bytes >= ARRAY_BYTES
-    raw = bool(parts) and isinstance(parts[0][0], bytes)
-    nl = b"\n" if raw else "\n"
-    rows = [text.count(nl, start) + (start < len(text) and not text.endswith(nl))
-            for text, start in parts]  # lines, less blank ones as _float_rows finds them
+def _read_table(parts, width: int, size: int = 0):
+    """The rows below the header of each (data, start) in parts, _utf8
+    bytes: a C-contiguous (width, rows) float array and the row offsets
+    where each text's rows end, or None if any row is not ``width`` finite
+    ASCII decimals.  When the parts, or the size in bytes that the caller
+    gives for the whole input they belong to, reach ARRAY_BYTES, a batch
+    that _shortest.rows_values takes, every line a row of plain decimals,
+    is converted by it; any other by _float_rows."""
+    arrays = max(size, sum(len(data) - start for data, start in parts)) >= ARRAY_BYTES
+    rows = [data.count(b"\n", start) + (start < len(data) and not data.endswith(b"\n"))
+            for data, start in parts]  # lines, less blank ones as _float_rows finds them
     table, row = np.empty((width, sum(rows))), 0
     try:
-        for batch in _batches(parts, nl):
-            text, values = nl[:0].join(slab for _, slab in batch), None
-            if arrays and text.isascii():
+        for batch in _batches(parts):
+            values = None
+            if arrays:
                 from . import _shortest
-                values = _shortest.rows_values(text if raw else text.encode("ascii"), width)
+                values = _shortest.rows_values(b"".join(slab for _, slab in batch), width)
             if values is None:
-                if raw:
-                    batch = [(i, slab.decode("ascii")) for i, slab in batch]
                 values = _float_rows(batch, rows, width)
                 if values is None:
                     return None
@@ -343,22 +339,16 @@ def _read_table(parts, width: int):
     return (table, ends) if np.isfinite(table).all() else None
 
 
-def _decode(text: str | bytes) -> str:
-    """UTF-8 text without one leading byte order mark, which spreadsheets
-    write; utf-8-sig does the same at four times the cost."""
-    return text.removeprefix(codecs.BOM_UTF8).decode("utf-8") if isinstance(text, bytes) else text
-
-
-def _header(text: str) -> tuple[dict[str, str], list[str], int, int]:
-    """The ``#key=value`` lines and the column header of CSV text: (meta
-    dict, column names, offset of the line below the header, header line
-    number)."""
+def _header(data: bytes) -> tuple[dict[str, str], list[str], int, int]:
+    """The ``#key=value`` lines and the column header of _utf8 bytes, each
+    line decoded to strip and split it as str: (meta dict, column names,
+    offset of the line below the header, header line number)."""
     meta: dict[str, str] = {}
     start = 0
     for line_no in itertools.count(1):
-        end = text.find("\n", start)
-        line = text[start : None if end < 0 else end].strip()
-        start = len(text) if end < 0 else end + 1
+        end = data.find(b"\n", start)
+        line = data[start : None if end < 0 else end].decode("utf-8", "surrogatepass").strip()
+        start = len(data) if end < 0 else end + 1
         if line.startswith("#"):
             key, sep, value = line[1:].partition("=")
             if not sep or not key:
@@ -376,10 +366,10 @@ def parse_table(text: str | bytes) -> tuple[dict[str, str], list[str], np.ndarra
     Returns (meta dict, column names, a (rows, columns) float array,
     header line number).
     """
-    text = _decode(text)
-    meta, columns, start, header_line = _header(text)
-    read = _read_table([(text, start)], len(columns))  # else read line by line
-    rows = read[0].T if read else _read_rows(text, start, header_line, len(columns))[0]
+    data = _utf8(text)
+    meta, columns, start, header_line = _header(data)
+    read = _read_table([(data, start)], len(columns))  # else read line by line
+    rows = read[0].T if read else _read_rows(data, start, header_line, len(columns))[0]
     return meta, columns, rows, header_line
 
 
@@ -402,18 +392,20 @@ def _trace_meta(meta_raw: dict[str, str], columns: list[str], header_line: int) 
     return TraceMeta(meta_raw.get("processor", "unknown"), freq, cores)
 
 
-def _meta_of(text: str) -> tuple[TraceMeta, int]:
+def _meta_of(data: bytes) -> tuple[TraceMeta, int]:
     """The TraceMeta of a trace text's header and the offset below it."""
-    meta_raw, columns, start, header_line = _header(text)
+    meta_raw, columns, start, header_line = _header(data)
     return _trace_meta(meta_raw, columns, header_line), start
 
 
 # the "#key=value" lines and the column header that open a trace text,
-# within its first _HEAD_CHARS characters, whose header line starts with
-# neither "#" nor whitespace, so _header ends on it in the match as in the
-# whole text; a fleet's files repeat a few such texts
-_HEAD = re.compile(r"(?:#[^\n]*\n)*[^#\s][^\n]*\n")
-_HEAD_CHARS = 1024
+# within its first _HEAD_BYTES bytes, whose header line starts with neither
+# "#" nor a byte that may begin what str strips (ASCII whitespace,
+# \x1c-\x1f, or a non-ASCII character such as U+00A0), so _header ends on
+# it in the match as in the whole text; a fleet's files repeat a few such
+# texts
+_HEAD = re.compile(rb"(?:#[^\n]*\n)*[^#\s\x1c-\x1f\x80-\xff][^\n]*\n")
+_HEAD_BYTES = 1024
 # _meta_of of such a header text, parsed once and its TraceMeta shared
 _head_meta = functools.lru_cache(maxsize=1024)(_meta_of)
 
@@ -440,29 +432,29 @@ def parse_traces(texts: Iterable[str | bytes]) -> list[Trace]:
     return _traces(*_chunk_table(texts))
 
 
-def _chunk_table(texts: Iterable[str | bytes]) -> tuple[list[TraceMeta], np.ndarray, list[int]]:
+def _chunk_table(texts: Iterable[str | bytes], size: int = 0
+                 ) -> tuple[list[TraceMeta], np.ndarray, list[int]]:
     """The TraceMetas of trace CSV texts, their samples as one read-only,
     C-contiguous (3, rows) table of times, temperatures and powers, and
     the row offsets where each text's rows start and the last ends.
 
-    Every body is converted a slab at a time and checked at once, as the
-    bytes it came in when every text is ASCII bytes, else as str.  Each
+    Each text is taken as _utf8 bytes once, and every body is converted a
+    slab at a time and checked at once (_read_table, to which size, the
+    bytes of the whole input as the caller knows it, is passed on).  Each
     distinct header text is parsed once (_head_meta).  If any text fails,
     or holds what only the line-by-line reader takes, such as non-ASCII
     whitespace around a number, each text is read alone, line by line and
     in order, so the first bad one raises its own error.
     """
     texts = list(texts)  # read again if the joined pass fails
-    raw = all(isinstance(text, bytes) and text.isascii() for text in texts)
     try:
         metas, parts = [], []
-        for text in texts if raw else map(_decode, texts):
-            # the header is matched on str, whose \s and strip() take \x1c too
-            head = _HEAD.match(text[:_HEAD_CHARS].decode() if raw else text, 0, _HEAD_CHARS)
-            meta, start = _head_meta(head[0]) if head else _meta_of(_decode(text))
+        for data in map(_utf8, texts):
+            head = _HEAD.match(data, 0, _HEAD_BYTES)
+            meta, start = _head_meta(head[0]) if head else _meta_of(data)
             metas.append(meta)
-            parts.append((text, start))
-        read = _read_table(parts, len(_COLUMNS))
+            parts.append((data, start))
+        read = _read_table(parts, len(_COLUMNS), size)
         if read is not None and metas:  # no texts is no traces, below
             _check_table(*read)
             return metas, *read
@@ -480,9 +472,9 @@ def _chunk_table(texts: Iterable[str | bytes]) -> tuple[list[TraceMeta], np.ndar
 def _parse_alone(text: str | bytes) -> Trace:
     """One trace text, read line by line: its rows are checked first, then
     its metadata, then its samples, each error naming its line."""
-    text = _decode(text)
-    meta_raw, columns, start, header_line = _header(text)
-    rows, line_nos = _read_rows(text, start, header_line, len(columns))
+    data = _utf8(text)
+    meta_raw, columns, start, header_line = _header(data)
+    rows, line_nos = _read_rows(data, start, header_line, len(columns))
     meta = _trace_meta(meta_raw, columns, header_line)
     table = rows.T.copy()
     _check_table(table, [0, len(rows)], line_nos.__getitem__)

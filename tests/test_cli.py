@@ -23,6 +23,7 @@ import pytest
 
 from thermopower import cli, trace
 from thermopower.cli import main
+from thermopower.errors import MalformedRow
 from thermopower.sensor import SensorModel, b_factor, erf
 from thermopower.trace import (
     ARRAY_BYTES,
@@ -278,6 +279,19 @@ def test_a_regular_file_is_read_by_one_os_read_into_one_buffer(tmp_path, monkeyp
     assert sizes == [len(data) + 1]
 
 
+def test_a_regular_file_whose_first_read_comes_back_short_is_read_on(tmp_path, monkeypatch):
+    """One read returns at most 0x7ffff000 bytes on Linux, so a regular
+    file whose first read is short of its size is read on to its end."""
+    data = bytes(range(256)) * 20
+    path = tmp_path / "f.bin"
+    path.write_bytes(data)
+    read = os.read
+    monkeypatch.setattr(os, "read", lambda fd, n: read(fd, min(n, 1000)))
+    run = cli._Run([])
+    assert run.read_bytes(str(path)) == data
+    assert run.inputs == {str(path): "sha256:" + hashlib.sha256(data).hexdigest()}
+
+
 def test_fit_of_a_directory_or_a_missing_path_names_it_exit_2(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "d").mkdir()
@@ -318,7 +332,7 @@ def test_fit_reads_a_fifo_as_it_reads_the_same_bytes_in_a_file(tmp_path, capsys,
     assert json.loads(out)["inputs"] == {"t.csv": "sha256:" + hashlib.sha256(data).hexdigest()}
 
 
-# --- an ASCII fleet is read as bytes; any other text as str, as alone ---
+# --- a fleet is read as UTF-8 bytes, as each text alone ---
 
 def _fleet_text(i: int) -> bytes:
     meta = TraceMeta(("A7", "A15")[i % 2], 1.2, 1 + i % 4)
@@ -326,9 +340,9 @@ def _fleet_text(i: int) -> bytes:
                                                 noise=0.002, seed=i)).encode()
 
 
-# texts that only the float() path or the str path reads; str's \s and
-# strip() take \x1c, bytes' do not, so the last two test where the header
-# is matched
+# texts that only the float() path reads, or whose header only str's
+# strip() finds; str's \s and strip() take \x1c, bytes' do not, so the
+# last two test where the header is matched
 ODD_TEXTS = {
     "bom": lambda text: b"\xef\xbb\xbf" + text,
     "non-ascii comment": lambda text: "#site=Köln\n".encode() + text,
@@ -348,8 +362,8 @@ def test_a_fleet_of_odd_texts_reads_as_each_text_alone(tmp_path, capsys, monkeyp
     ascii_fleet = [text for text in fleet if text.isascii()]
     assert len(ascii_fleet) == len(fleet) - 2
     alone = {text: trace._parse_alone(text) for text in fleet}
-    # from here on a table is read with the kernel, or never
-    monkeypatch.setattr(trace, "_read_bytes", ARRAY_BYTES if kernel else -(1 << 60))
+    size = ARRAY_BYTES if kernel else 0  # the input sized to read with the kernel, or not
+    assert sum(map(len, fleet)) < ARRAY_BYTES
 
     def fallback(text):
         raise AssertionError("the joined pass failed over to the line-by-line reader")
@@ -358,7 +372,7 @@ def test_a_fleet_of_odd_texts_reads_as_each_text_alone(tmp_path, capsys, monkeyp
     for texts in (fleet, ascii_fleet, *([text] for text in odd)):
         for budget in (16, 100, SLAB_BYTES):  # slabs of a few lines, or whole texts
             monkeypatch.setattr(trace, "SLAB_BYTES", budget)
-            metas, table, ends = trace._chunk_table(texts)
+            metas, table, ends = trace._chunk_table(texts, size)
             traces = [alone[text] for text in texts]
             assert metas == [t.meta for t in traces]
             assert ends == list(itertools.accumulate(map(len, traces), initial=0))
@@ -382,6 +396,97 @@ def test_a_fleet_of_odd_texts_reads_as_each_text_alone(tmp_path, capsys, monkeyp
     for report in reports.values():
         del report["inputs"]
     assert reports["odd"] == reports["plain"]
+
+
+BASE_META = {"processor": "A7", "freq_ghz": "1.2", "cores": "1"}
+
+
+def _base_table(line=4, columns=("time_s", "temp_c", "power_w"), **meta):
+    """parse_table's reading of the base text's rows, under its meta and
+    these more, these columns and a header on this line."""
+    return {**BASE_META, **meta}, list(columns), line
+
+
+SAME = ("base", _base_table())  # as the base text reads
+
+
+def _fails(error, message):
+    return (error, message), (error, message)
+
+
+# the text cases of _fleet_text(0) as bytes, their str form decoded with
+# surrogateescape (an invalid byte a lone surrogate); for the str form,
+# then the bytes form, what parse_trace and parse_traces read ("base", the
+# base text's Trace, or an error's type and message), then parse_table
+STR_AND_BYTES = {
+    "bom": (_fails(MalformedRow, "line 2: comment lines must precede the column header"),
+            SAME),
+    "non-ascii comment": (("base", _base_table(5, site="Köln")),) * 2,
+    "crlf": (SAME, SAME),
+    "no final newline": (SAME, SAME),
+    "blank lines": (SAME, SAME),
+    "header led by x1c": (SAME, SAME),
+    "x1c line above the header": (("base", _base_table(5)),) * 2,
+    "U+00A0 and U+3000 around a number": (SAME, SAME),
+    "U+00A0 line above the header": (("base", _base_table(5)),) * 2,
+    "U+3000 line above the header": (("base", _base_table(5)),) * 2,
+    "x1c in a body line": (SAME, SAME),
+    "lone surrogate in a comment": (
+        ("base", _base_table(5, note="\udced\udca0\udc80")),
+        _fails(UnicodeDecodeError,
+               "'utf-8' codec can't decode byte 0xed in position 34: invalid continuation byte")),
+    "invalid utf-8 in the header line": (
+        ((MalformedRow, "line 4: expected header 'time_s,temp_c,power_w'"),
+         _base_table(columns=("time_s", "temp_c", "power_w\udcff"))),
+        _fails(UnicodeDecodeError,
+               "'utf-8' codec can't decode byte 0xff in position 58: invalid start byte")),
+    "invalid utf-8 in a body line": (
+        _fails(MalformedRow, "line 7: not a number: '0.4\\udcff'"),
+        _fails(UnicodeDecodeError,
+               "'utf-8' codec can't decode byte 0xff in position 132: invalid start byte")),
+}
+MORE_TEXTS = {
+    "U+00A0 and U+3000 around a number":
+        lambda text: text.replace(b"\n0.4,", "\n\u00a00.4\u3000,".encode()),
+    "U+00A0 line above the header":
+        lambda text: text.replace(b"\ntime_s,", "\n\u00a0\ntime_s,".encode()),
+    "U+3000 line above the header":
+        lambda text: text.replace(b"\ntime_s,", "\n\u3000\ntime_s,".encode()),
+    "x1c in a body line": lambda text: text.replace(b"\n0.4,", b"\n\x1c0.4,"),
+    "lone surrogate in a comment":
+        lambda text: text.replace(b"\n#cores", b"\n#note=\xed\xa0\x80\n#cores"),
+    "invalid utf-8 in the header line": lambda text: text.replace(b",power_w", b",power_w\xff"),
+    "invalid utf-8 in a body line": lambda text: text.replace(b"\n0.4,", b"\n0.4\xff,"),
+}
+
+
+@pytest.mark.parametrize("form", ["str", "bytes"])
+@pytest.mark.parametrize("case", STR_AND_BYTES)
+def test_str_and_bytes_read_each_as_it_always_has(case, form):
+    """Each form of each text reads as it always has, pinned above: alone
+    and in a fleet to the same Trace, as a table to the same bits, or to
+    the same error type and message."""
+    base = _fleet_text(0)
+    data = {**ODD_TEXTS, **MORE_TEXTS}[case](base)
+    assert data != base
+    text = data if form == "bytes" else data.decode("utf-8", "surrogateescape")
+    traces, table = STR_AND_BYTES[case][form == "bytes"]
+
+    def read(parse):
+        try:
+            return parse()
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    expected = trace.parse_trace(base) if traces == "base" else traces
+    assert read(lambda: trace.parse_trace(text)) == expected
+    assert read(lambda: trace.parse_traces([_fleet_text(1), text])[1]) == expected
+    got = read(lambda: parse_table(text))
+    if isinstance(table[0], dict):
+        meta, columns, rows, line = got
+        assert rows.tobytes() == parse_table(base)[2].tobytes()
+        got = meta, columns, line
+    assert got == table
 
 
 def test_fit_plot_is_sorted_and_reparseable(tmp_path, capsys):
@@ -1238,9 +1343,9 @@ def _chunked(monkeypatch, argv, capsys):
     chunks = []
     parse_chunk = cli._parse_chunk
 
-    def spy(paths, texts, run):
+    def spy(paths, *rest):
         chunks.append(list(paths))
-        return parse_chunk(paths, texts, run)
+        return parse_chunk(paths, *rest)
 
     monkeypatch.setattr(cli, "_parse_chunk", spy)
     return run_cli(argv, capsys), chunks

@@ -18,11 +18,13 @@ import numpy as np
 import pytest
 
 import thermopower
+from thermopower import cli
 from thermopower import trace as trace_module
 from thermopower.cli import main
 from thermopower.trace import (
     ARRAY_BYTES,
     BLOCK_ROWS,
+    SLAB_BYTES,
     TraceMeta,
     generate_synthetic_trace,
     write_table,
@@ -128,6 +130,14 @@ def small_fleet(directory: Path, total: int) -> list[str]:
     return names
 
 
+def float_rows_spy(monkeypatch) -> list:
+    """The calls, from here on, of trace._float_rows, which converts with float()."""
+    calls = []
+    float_rows = trace_module._float_rows
+    monkeypatch.setattr(trace_module, "_float_rows", lambda *a: calls.append(a) or float_rows(*a))
+    return calls
+
+
 def test_a_fleet_expected_to_reach_array_bytes_reads_no_batch_with_float(
         tmp_path, monkeypatch, capsys):
     """thermo fit foretells a fleet's size from its first chunk, so the
@@ -135,13 +145,57 @@ def test_a_fleet_expected_to_reach_array_bytes_reads_no_batch_with_float(
     the first included, and float() none."""
     names = small_fleet(tmp_path, ARRAY_BYTES)
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(trace_module, "_read_bytes", 0)  # as in a new process
-    calls = []
-    float_rows = trace_module._float_rows
-    monkeypatch.setattr(trace_module, "_float_rows", lambda *a: calls.append(a) or float_rows(*a))
+    calls = float_rows_spy(monkeypatch)
     assert main(["fit", *names, "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["traces"][-1]["path"] == names[-1]
     assert calls == []
+
+
+def test_a_small_table_after_a_long_one_is_read_with_float(monkeypatch):
+    """The converter follows the input in hand, not what the process read
+    before it: after a table of ARRAY_BYTES or more, which the kernel
+    reads, a 20-row table goes through float()."""
+    tables = {}
+    for rows in (3 * BLOCK_ROWS, 20):
+        trace = generate_synthetic_trace(TraceMeta("A15", 1.2, 4), (0.3, 100.0, 33.0),
+                                         (25.0, 85.0, rows), noise=0.002, seed=1)
+        tables[rows] = write_trace(trace).encode()
+    assert len(tables[20]) < ARRAY_BYTES <= len(tables[3 * BLOCK_ROWS])
+    calls = float_rows_spy(monkeypatch)
+    trace_module.parse_table(tables[3 * BLOCK_ROWS])
+    assert calls == []
+    rows = trace_module.parse_table(tables[20])[2]
+    assert len(calls) == 1 and rows.shape == (20, 3)
+
+
+def test_a_fleet_takes_the_kernel_once_its_reads_reach_array_bytes(tmp_path, monkeypatch, capsys):
+    """A fleet whose first chunk, of small files, foretells less than
+    ARRAY_BYTES reads with float() until the bytes read reach it, and
+    every later chunk with the kernel."""
+    names = [*small_fleet(tmp_path, SLAB_BYTES), "b0.csv", "b1.csv"]
+    block = generate_synthetic_trace(TraceMeta("A15", 1.2, 4), (0.3, 100.0, 33.0),
+                                     (25.0, 85.0, BLOCK_ROWS), noise=0.002, seed=1)
+    for name in names[-2:]:
+        (tmp_path / name).write_text(write_trace(block))
+    sizes = {name: (tmp_path / name).stat().st_size for name in names}
+    assert sum(sizes.values()) - sizes["b1.csv"] < ARRAY_BYTES <= sum(sizes.values())
+    monkeypatch.chdir(tmp_path)
+    calls = float_rows_spy(monkeypatch)
+    chunks, parse_chunk = [], cli._parse_chunk
+
+    def spy(paths, *rest):  # each chunk's paths, and whether float() read any of it
+        before = len(calls)
+        chunk = parse_chunk(paths, *rest)
+        chunks.append((list(paths), len(calls) > before))
+        return chunk
+
+    monkeypatch.setattr(cli, "_parse_chunk", spy)
+    assert main(["fit", *names, "--json"]) == 0
+    capsys.readouterr()
+    first = chunks[0][0]
+    assert sum(map(sizes.get, first)) * len(names) // len(first) < ARRAY_BYTES
+    assert [paths for paths, _ in chunks][-2:] == [["b0.csv"], ["b1.csv"]]
+    assert [took for _, took in chunks] == [True] * (len(chunks) - 1) + [False]
 
 
 def test_import_thermopower_loads_no_submodule():
