@@ -45,6 +45,7 @@ try:
 
     from . import __version__
     from .errors import (
+        SLAB_BYTES,
         EmptyTrace,
         InvalidParams,
         InvalidSample,
@@ -53,29 +54,11 @@ try:
         NonMonotonicTime,
         NonPositiveTime,
         ThermoError,
-    )
-    from .fitting import FitKind
-    # after the import above: alone, this would import fitting through the
-    # package's __getattr__, which -X importtime does not record
-    from . import fitting
-    from .trace import (
-        BLOCK_ROWS,
-        SLAB_BYTES,
-        TraceMeta,
-        _chunk_table,
         _json_number,
-        _table_text,
-        _trace_table,
-        generate_synthetic_trace,
-        _parse_alone,
-        parse_table,
-        parse_trace,
     )
 finally:
     if _collecting:
         gc.enable()
-
-_MODEL_FLAGS = {"linear": FitKind.LINEAR, "quad": FitKind.QUADRATIC, "exp": FitKind.EXPONENTIAL}
 
 
 def _styled(text: str) -> str:
@@ -323,6 +306,8 @@ def _write_file(path: str, pieces, digest=None) -> None:
 def _write_plot(path: str, temps, powers) -> None:
     """(temp, power) rows of two float arrays, sorted by temperature, then
     by power."""
+    from .trace import _table_text
+
     order = np.lexsort((powers, temps))
     _write_file(path, _table_text({}, ("temp_c", "power_w"), (temps[order], powers[order])))
 
@@ -330,6 +315,8 @@ def _write_plot(path: str, temps, powers) -> None:
 # --- fit ---
 
 def _parse_chunk(paths: list[str], texts: list[bytes], run: _Run, size: int) -> tuple:
+    from .trace import _chunk_table, _parse_alone
+
     try:
         return _chunk_table(texts, size)
     except (ThermoError, ValueError):
@@ -368,15 +355,16 @@ def _read_traces(paths: list[str], run: _Run):
     yield chunk
 
 
-_TERMINATION_TEXT = [encode_basestring_ascii(why) for why in fitting._TERMINATIONS]
-
-
 def _entries(paths: list[str], fits: dict):
     """results.traces of `thermo fit`, from each family's fitting._Fits:
     for each trace, {"fits": {family: the dict of its FitResult's fields,
     or None}, "path": path}, and with one family, a failed fit's "message".
     Yields _Batches of consecutive entries whose families failed alike,
     each of about SLAB_BYTES of text."""
+    from .fitting import _TERMINATIONS
+    from .trace import BLOCK_ROWS
+
+    terminations = [encode_basestring_ascii(why) for why in _TERMINATIONS]
     fits = [fits[kind] for kind in sorted(fits, key=lambda kind: kind.value)]
     # a process that has loaded the array writer prints through it, at
     # least BLOCK_ROWS values a call, where it pays
@@ -413,7 +401,7 @@ def _entries(paths: list[str], fits: dict):
                 "error": _Column(texts[width :: width + 1]),
                 "iterations": _Column(map(int.__repr__, f.iterations[lo:hi].tolist())),
                 "kind": f.kind.value,
-                "termination": _Column(map(_TERMINATION_TEXT.__getitem__, codes))}
+                "termination": _Column(map(terminations.__getitem__, codes))}
         if len(fits) == 1 and not fits[0].ok[lo]:
             entry["message"] = _Column(encode_basestring_ascii(f"{type(exc).__name__}: {exc}")
                                        for exc in map(fits[0].failed.get, range(lo, hi)))
@@ -453,14 +441,16 @@ def _read_fleet(args, run: _Run) -> tuple:
 
 
 def cmd_fit(args, run: _Run) -> tuple[int, dict, list[str]]:
+    from .fitting import FitKind, _Comparison, _curve, _fit_table, _Fits
+
     temps, powers, ends, groups = _read_fleet(args, run)
     if args.model == "all":
-        comparison = fitting._Comparison(temps, powers, ends, {}, groups)
+        comparison = _Comparison(temps, powers, ends, {}, groups)
         kinds, fits = comparison.kinds, comparison.fits
-    else:
-        kinds = (_MODEL_FLAGS[args.model],)
-        fits = {kinds[0]: fitting._Fits(kinds[0], len(args.traces))}
-        fitting._fit_table(fits[kinds[0]], temps, powers, ends)
+    else:  # --model names a family by the start of its value
+        kinds = (next(kind for kind in FitKind if kind.value.startswith(args.model)),)
+        fits = {kinds[0]: _Fits(kinds[0], len(args.traces))}
+        _fit_table(fits[kinds[0]], temps, powers, ends)
     results = {"traces": _entries(args.traces, fits)}
     lines = []
     if not args.json and not args.quiet:  # else the lines go unprinted
@@ -509,7 +499,7 @@ def cmd_fit(args, run: _Run) -> tuple[int, dict, list[str]]:
         lines.append(run.warnings[-1])
     elif args.plot:
         temps = temps[: ends[1]]
-        _write_plot(args.plot, temps, fitting._curve(kind, plotted.coeffs[0].tolist(), temps))
+        _write_plot(args.plot, temps, _curve(kind, plotted.coeffs[0].tolist(), temps))
     return (1 if failed else 0), results, lines
 
 
@@ -592,9 +582,11 @@ def cmd_model_calibrate(args, run: _Run) -> tuple[int, dict, list[str]]:
 
 def cmd_debias(args, run: _Run) -> tuple[int, dict, list[str]]:
     from .debias import DebiasSpec, _debiased_table, debias, fit_eta
+    from .fitting import FitKind
+    from .trace import _table_text, parse_trace
 
     trace = run.parse(args.trace, parse_trace)
-    kind = _MODEL_FLAGS[args.kind]
+    kind = next(kind for kind in FitKind if kind.value.startswith(args.kind))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         if args.eta:
@@ -642,6 +634,8 @@ def _fraction(hits: np.ndarray):
 
 
 def _series_table(data: bytes):
+    from .trace import parse_table
+
     table = parse_table(data)
     if len(table[2]) == 0:
         raise EmptyTrace("a series needs at least 1 sample, got 0")
@@ -650,6 +644,7 @@ def _series_table(data: bytes):
 
 def cmd_sensor_correct(args, run: _Run) -> tuple[int, dict, list[str]]:
     from .sensor import SensorModel, b_factor, correct_series, model_from_json
+    from .trace import _table_text
 
     _, columns, rows, _ = run.parse(args.series, _series_table)
     if columns[:2] != ["time_s", "temp_c"] or len(columns) > 3 or (
@@ -706,6 +701,8 @@ def cmd_sensor_correct(args, run: _Run) -> tuple[int, dict, list[str]]:
 # --- gen ---
 
 def cmd_gen(args, run: _Run) -> tuple[int, dict, list[str]]:
+    from .trace import TraceMeta, _table_text, _trace_table, generate_synthetic_trace
+
     meta = TraceMeta(args.processor, args.freq, args.cores)
     lo, hi, count = args.sweep
     if not count.is_integer():  # False for inf and nan as well

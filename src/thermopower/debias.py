@@ -24,8 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
+from ._numeric import exp_curve
 from .errors import InvalidParams, LengthMismatch, ZeroSpread
-from .fitting import FitKind, exp_curve, fit_exponential, fit_linear, fit_quadratic
+from .fitting import FitKind, fit_exponential, fit_linear, fit_quadratic
 from .trace import Trace, _trace_table, write_table
 
 _ETA_ARITY = {FitKind.LINEAR: 1, FitKind.QUADRATIC: 2, FitKind.EXPONENTIAL: 2}

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types, the checks of an operating point and a JSON number, and SLAB_BYTES."""
+
+import math
+import reprlib
+import sys
+
+SLAB_BYTES = 1 << 16  # CSV text converted at once, read or written
 
 
 class ThermoError(Exception):
@@ -104,3 +110,25 @@ class ZeroDenominator(ThermoError):
 
 class NonPositiveTime(ThermoError):
     """The sensor correction is only defined for t > 0."""
+
+
+def _check_operating_point(freq: float, cores: int) -> None:
+    # bool is an int subclass, but True is not a frequency or a core count
+    if isinstance(freq, bool) or not (
+        isinstance(freq, (int, float)) and math.isfinite(freq) and freq > 0
+    ):
+        raise InvalidFreq(f"freq must be a positive number of GHz, got {freq!r}")
+    if isinstance(cores, bool) or not isinstance(cores, int) or not 1 <= cores <= 4:
+        raise InvalidCores(f"cores must be an integer in 1..4, got {cores!r}")
+
+
+def _json_number(obj: dict, key: str, what: str) -> float:
+    """obj[key] as a float when it is a JSON number a double can hold: an int
+    or a float, not a bool, no larger than the largest double.  Anything else,
+    a missing key included, raises InvalidParams "<what> must be numbers ..."."""
+    value = obj.get(key)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if number and abs(value) <= sys.float_info.max:  # false for nan, exact for any int
+        return float(value)
+    shown = reprlib.repr(value) if key in obj else "missing"
+    raise InvalidParams(f"{what} must be numbers a double can hold, got {key} {shown}")

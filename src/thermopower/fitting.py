@@ -6,10 +6,10 @@ relative residuals sum(((model_i - y_i)/y_i)**2), so the reported error
 sqrt(objective) is exactly the minimized quantity.  Linear and quadratic
 fits solve it as weighted least squares with weights 1/y_i**2 by modified
 Gram-Schmidt, and fail when some column's remainder is at most
-eps*max(n, p) of the column, in norm (see _lstsq).  The exponential fit
-uses variable projection: at each rate the offset and scale come from the
-same kind of weighted solve, leaving a 1-D search over the rate, with no
-tolerance to set (see fit_exponential).  FitResult.termination says why a
+eps*max(n, p) of the column, in norm (see _numeric._lstsq).  The
+exponential fit uses variable projection: at each rate the offset and
+scale come from the same kind of weighted solve, leaving a 1-D search over
+the rate, with no tolerance to set (see fit_exponential).  FitResult.termination says why a
 fit stopped: "converged", or the rate limit it reached.
 
 Fits run over batches of traces whose samples lie in one array (see
@@ -38,6 +38,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from ._numeric import _dots, _lstsq, each, exp_curve
 from .errors import (
     AllTies,
     DegenerateInput,
@@ -100,39 +101,6 @@ def _curve(kind: FitKind, coeffs, temp):
     return exp_curve(temp, a1, a2) + a0
 
 
-def each(fn, x):
-    """fn(x) for a float x, or fn of every element of an array x.
-
-    The elements go through fn as Python floats, so an array result has
-    the bits the scalar calls would give: numpy's exp, say, may differ
-    from the C library's math.exp in the last place.
-    """
-    if isinstance(x, np.ndarray):
-        return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
-    return fn(x)
-
-
-def exp_curve(temp, a1, a2):
-    """exp((temp - a1)/a2), the temperature term of every exponential
-    curve in the package, at a float or at each element of an array.
-
-    Raises InvalidParams when a2 is 0 or the result leaves the double
-    range, as where (temp - a1)/a2 overflows to +inf; at -inf it is 0.
-    """
-    if np.any(a2 == 0):
-        raise InvalidParams("a2 must be nonzero")
-    with np.errstate(over="ignore"):
-        x = (temp - a1) / a2
-    if not np.any(x == math.inf):  # math.exp(inf) is inf, not an OverflowError
-        try:
-            return each(math.exp, x)
-        except OverflowError:
-            pass
-    raise InvalidParams(
-        f"exp((T - a1)/a2) leaves the double range: (T - a1)/a2 reaches {float(np.max(x))!r}"
-    )
-
-
 def _as_xy(data) -> tuple[np.ndarray, np.ndarray]:
     """Accept a Trace or a (temps, powers) pair a Trace could hold; return float arrays."""
     if isinstance(data, Trace):
@@ -157,12 +125,6 @@ def fit_error(measured: Sequence[float], model: Sequence[float]) -> float:
     if np.any(y == 0):
         raise ZeroMeasurement("relative residuals undefined for measured power 0")
     return math.sqrt(np.sum(((m - y) / y) ** 2))
-
-
-def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a[i] @ b[i] for every row i.  A stacked matmul of a row by a column
-    is the dot product that a 1-D a[i] @ b[i] takes, bit for bit."""
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def _distinct(t: np.ndarray) -> np.ndarray:
@@ -243,35 +205,6 @@ class _Rows:
         fits.ok[ids] = True
         if self.squares is not None:
             self.squares[self.at[:, None] + np.arange(squares.shape[1])] = squares
-
-
-@np.errstate(divide="ignore", invalid="ignore")
-def _lstsq(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares x of a @ x ~ b for every (n, p) design a[..., :, :] and
-    target b[..., :], and a mask of the rank-deficient designs, whose x
-    means nothing.  Modified Gram-Schmidt with b carried along as the
-    residual (Björck, BIT 7, 1967), on columns scaled by powers of two,
-    which is exact and keeps their dot products in range.  Rank-deficient:
-    some column's remainder has a squared norm at most (eps*max(n, p))**2
-    times the column's own, lstsq's default rcond taken column by column.
-    """
-    n, p = a.shape[-2:]
-    e = np.frexp(np.abs(a).max(axis=-2, initial=0.0))[1]
-    # contiguous columns: a dot product over a strided row may sum in another order
-    w = [np.ldexp(a[..., j], -e[..., j, None]) for j in range(p)]
-    u, (z, ww, aa) = np.zeros((*e.shape, p)), np.zeros((3, *e.shape))
-    for j in range(p):
-        aa[..., j] = _dots(w[j], w[j])
-        for i in range(j):
-            u[..., i, j] = _dots(w[i], w[j]) / ww[..., i]
-            w[j] = w[j] - u[..., i, j, None] * w[i]
-        ww[..., j] = _dots(w[j], w[j])
-        z[..., j] = _dots(w[j], b) / ww[..., j]
-        b = b - z[..., j, None] * w[j]
-    for j in range(p - 2, -1, -1):  # back-substitution turns z into x
-        for k in range(j + 1, p):
-            z[..., j] -= u[..., j, k] * z[..., k]
-    return np.ldexp(z, -e), ~(ww > (sys.float_info.epsilon * max(n, p)) ** 2 * aa).all(axis=-1)
 
 
 def _fit_poly(rows: _Rows, degree: int, kind: FitKind) -> None:

@@ -23,13 +23,14 @@ from typing import Sequence
 
 import numpy as np
 
+from ._numeric import _lstsq, exp_curve
 from .errors import (
     InsufficientSpan,
     InvalidParams,
     SingularFit,
+    _check_operating_point,
+    _json_number,
 )
-from .fitting import _lstsq, exp_curve
-from .trace import _check_operating_point, _json_number
 
 
 @dataclass(frozen=True)
@@ -175,7 +176,7 @@ def calibrate(
     stages: an affine regression of a0 on c within each frequency yields
     g_s(f) (slope) and g_o(f) (intercept); g_s is then fitted quadratically
     in f for (m1, m2, m3), and m4 is the mean of g_s/g_o over the usable
-    frequencies.  Each regression is fitting._lstsq.  Raises InvalidParams
+    frequencies.  Each regression is _numeric._lstsq.  Raises InvalidParams
     for an operating point TraceMeta would reject, and SingularFit when a
     regression design is rank-deficient or a coefficient or a residual
     summary leaves the double range.

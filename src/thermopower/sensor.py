@@ -8,11 +8,11 @@ time-dependent factor
            / [(T_inf - T_init)*erf(a / sqrt(4*alpha*t)) + T_init]
 
 and the hotspot estimate is T_hotspot(t) = B(t) * T_sensor(t).  The
-quotient is evaluated exactly in this printed form.  (alpha, a, b) are fit
-constants in whatever shared unit system they were calibrated in, and the
-temperatures enter on the scale the caller supplies, so use one consistent
-scale throughout.  B(t) tends to T_init/T_inf as t -> 0+ and to
-T_inf/T_init as t -> infinity.
+quotient is evaluated exactly in this printed form, with _numeric's erf.
+(alpha, a, b) are fit constants in whatever shared unit system they were
+calibrated in, and the temperatures enter on the scale the caller
+supplies, so use one consistent scale throughout.  B(t) tends to
+T_init/T_inf as t -> 0+ and to T_inf/T_init as t -> infinity.
 """
 
 from __future__ import annotations
@@ -24,138 +24,14 @@ from typing import Sequence
 
 import numpy as np
 
+from ._numeric import each, erf
 from .errors import (
     InvalidParams,
     NonMonotonicTime,
     NonPositiveTime,
     ZeroDenominator,
+    _json_number,
 )
-from .fitting import each
-from .trace import _json_number
-
-# Rational minimax fits for the Gauss error function (classic libm-style
-# double precision coefficients); agrees with math.erf to ~1 ulp but does
-# not depend on the platform's libm, keeping outputs byte-identical.
-_ERX = 8.45062911510467529297e-01
-_EFX = 1.28379167095512586316e-01
-
-_PP = (
-    1.28379167095512558561e-01,
-    -3.25042107247001499370e-01,
-    -2.84817495755985104766e-02,
-    -5.77027029648944159157e-03,
-    -2.37630166566501626084e-05,
-)
-_QQ = (
-    1.0,
-    3.97917223959155352819e-01,
-    6.50222499887672944485e-02,
-    5.08130628187576562776e-03,
-    1.32494738004321644526e-04,
-    -3.96022827877536812320e-06,
-)
-_PA = (
-    -2.36211856075265944077e-03,
-    4.14856118683748331666e-01,
-    -3.72207876035701323847e-01,
-    3.18346619901161753674e-01,
-    -1.10894694282396677476e-01,
-    3.54783043256182359371e-02,
-    -2.16637559486879084300e-03,
-)
-_QA = (
-    1.0,
-    1.06420880400844228286e-01,
-    5.40397917702171048937e-01,
-    7.18286544141962662868e-02,
-    1.26171219808761642112e-01,
-    1.36370839120290507362e-02,
-    1.19844998467991074170e-02,
-)
-_RA = (
-    -9.86494403484714822705e-03,
-    -6.93858572707181764372e-01,
-    -1.05586262253232909814e01,
-    -6.23753324503260060396e01,
-    -1.62396669462573470355e02,
-    -1.84605092906711035994e02,
-    -8.12874355063065934246e01,
-    -9.81432934416914548592e00,
-)
-_SA = (
-    1.0,
-    1.96512716674392571292e01,
-    1.37657754143519042600e02,
-    4.34565877475229228821e02,
-    6.45387271733267880336e02,
-    4.29008140027567833386e02,
-    1.08635005541779435134e02,
-    6.57024977031928170135e00,
-    -6.04244152148580987438e-02,
-)
-_RB = (
-    -9.86494292470009928597e-03,
-    -7.99283237680523006574e-01,
-    -1.77579549177547519889e01,
-    -1.60636384855821916062e02,
-    -6.37566443368389627722e02,
-    -1.02509513161107724954e03,
-    -4.83519191608651397019e02,
-)
-_SB = (
-    1.0,
-    3.03380607434824582924e01,
-    3.25792512996573918826e02,
-    1.53672958608443695994e03,
-    3.19985821950859553908e03,
-    2.55305040643316442583e03,
-    4.74528541206955367215e02,
-    -2.24409524465858183362e01,
-)
-
-_ONE_BELOW_1 = math.nextafter(1.0, 0.0)
-
-
-def _poly(coeffs: tuple[float, ...], x):
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def erf(x):
-    """Gauss error function, odd and confined to the open interval (-1, 1).
-
-    x is a float, or an array evaluated element by element with the same
-    branches and the same Horner order, so both give the same bits.
-    """
-    if not isinstance(x, np.ndarray):
-        return float(erf(np.array([x], float))[0])
-    ax = np.abs(x)
-    mag = np.ones_like(ax)  # 1 from 6 up
-    low = ax < 0.84375
-    z = ax[low] * ax[low]
-    mag[low] = ax[low] + ax[low] * (_poly(_PP, z) / _poly(_QQ, z))
-    mid = ~low & (ax < 1.25)
-    s = ax[mid] - 1.0
-    mag[mid] = _ERX + _poly(_PA, s) / _poly(_QA, s)
-    for tail, (num, den) in (
-        (~low & ~mid & (ax < 1.0 / 0.35), (_RA, _SA)),
-        ((ax >= 1.0 / 0.35) & (ax < 6.0), (_RB, _SB)),
-    ):
-        z = ax[tail] * ax[tail]
-        s = 1.0 / z
-        big_r = _poly(num, s) / _poly(den, s)
-        mag[tail] = 1.0 - each(math.exp, -z - 0.5625 + big_r) / ax[tail]
-    # keep the range open: true values this close to 1 are not
-    # representable below it in double precision anyway
-    mag[mag >= 1.0] = _ONE_BELOW_1
-    out = np.where(x < 0, -mag, mag)
-    tiny = ax < 2.0**-28
-    out[tiny] = x[tiny] + _EFX * x[tiny]
-    nan = np.isnan(x)
-    out[nan] = x[nan]
-    return out
 
 
 @dataclass(frozen=True)

@@ -40,16 +40,15 @@ import itertools
 import math
 import re
 import reprlib
-import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from ._numeric import exp_curve
 from .errors import (
+    SLAB_BYTES,
     EmptyTrace,
-    InvalidCores,
-    InvalidFreq,
     InvalidParams,
     InvalidSample,
     LengthMismatch,
@@ -57,11 +56,11 @@ from .errors import (
     MissingMeta,
     NonMonotonicTime,
     ThermoError,
+    _check_operating_point,
 )
 
 HEADER = "time_s,temp_c,power_w"
 _COLUMNS = tuple(HEADER.split(","))
-SLAB_BYTES = 1 << 16  # CSV text converted at once, read or written
 BLOCK_ROWS = 4096  # rows a long table writes at once, as arrays
 # CSV text in one input, from which on it is read with the array kernel:
 # the kernel saves about 0.01 ms a KB on float(), so 6 slabs repay the
@@ -131,28 +130,6 @@ class TraceMeta:
 
     def __post_init__(self):
         _check_operating_point(self.freq_ghz, self.cores)
-
-
-def _check_operating_point(freq: float, cores: int) -> None:
-    # bool is an int subclass, but True is not a frequency or a core count
-    if isinstance(freq, bool) or not (
-        isinstance(freq, (int, float)) and math.isfinite(freq) and freq > 0
-    ):
-        raise InvalidFreq(f"freq must be a positive number of GHz, got {freq!r}")
-    if isinstance(cores, bool) or not isinstance(cores, int) or not 1 <= cores <= 4:
-        raise InvalidCores(f"cores must be an integer in 1..4, got {cores!r}")
-
-
-def _json_number(obj: dict, key: str, what: str) -> float:
-    """obj[key] as a float when it is a JSON number a double can hold: an int
-    or a float, not a bool, no larger than the largest double.  Anything else,
-    a missing key included, raises InvalidParams "<what> must be numbers ..."."""
-    value = obj.get(key)
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if number and abs(value) <= sys.float_info.max:  # false for nan, exact for any int
-        return float(value)
-    shown = reprlib.repr(value) if key in obj else "missing"
-    raise InvalidParams(f"{what} must be numbers a double can hold, got {key} {shown}")
 
 
 class Trace:
@@ -553,8 +530,6 @@ def generate_synthetic_trace(
     InvalidParams, and a power that does so after the noise or the
     rounding raises the InvalidSample a Trace of it would.
     """
-    from .fitting import exp_curve  # fitting imports this module
-
     a0, a1, a2 = params
     temp_lo, temp_hi, count = sweep
     if not all(map(math.isfinite, (a0, a1, a2, temp_lo, temp_hi))):

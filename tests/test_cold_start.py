@@ -50,32 +50,36 @@ def probe(source: str) -> str:
     return done.stdout.decode()
 
 
-# each command's argv, and the submodules it uses besides errors, trace and fitting
+# each command's argv, and the submodules it uses besides cli and errors
 COMMANDS = {
-    "fit": (["fit", str(GOLDEN_TRACE), "--json"], set()),
+    "--version": (["--version"], set()),
+    "fit": (["fit", str(GOLDEN_TRACE), "--json"], {"_numeric", "trace", "fitting"}),
     "gen": (["gen", "--params", "0.3,100.0,33.0", "--sweep", "25,85,20", "--seed", "0",
-             "--out", "gen.csv"], set()),
+             "--out", "gen.csv"], {"_numeric", "trace"}),
     "model eval": (["model", "eval", "--proc", "A7", "--temp", "50", "--freq", "0.5",
-                    "--cores", "3"], {"powermodel"}),
+                    "--cores", "3"], {"_numeric", "powermodel"}),
     "model calibrate": (["model", "calibrate", str(INPUTS / "observations.json")],
-                        {"powermodel"}),
+                        {"_numeric", "powermodel"}),
     "debias": (["debias", str(GOLDEN_TRACE), "--ref-temp", "55", "--kind", "exp",
-                "--out", "out.csv"], {"debias"}),
+                "--out", "out.csv"], {"_numeric", "trace", "fitting", "debias"}),
     "sensor-correct": (["sensor-correct", str(INPUTS / "sensor3.csv"), "--model-json",
-                        str(INPUTS / "sensor_model.json"), "--out", "out.csv"], {"sensor"}),
+                        str(INPUTS / "sensor_model.json"), "--out", "out.csv"],
+                       {"_numeric", "trace", "sensor"}),
 }
 
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_a_command_imports_only_the_modules_it_uses(command, tmp_path):
     argv, uses = COMMANDS[command]
-    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "thermopower.cli", *argv],
+    # cli imported, not run as __main__, so that -X importtime records it too
+    done = subprocess.run([sys.executable, "-X", "importtime", "-c",
+                           "from thermopower.cli import run; run()", *argv],
                           env=ENV, cwd=tmp_path, capture_output=True)
     assert done.returncode == 0, done.stderr.decode()
     imported = {line.split("|")[-1].strip()
                 for line in done.stderr.decode().splitlines() if line.startswith("import time:")}
-    package = {name for name in imported if name.startswith("thermopower.")}
-    assert package == {f"thermopower.{name}" for name in ("errors", "trace", "fitting", *uses)}
+    package = {name for name in imported if name.split(".")[0] == "thermopower"}
+    assert package == {"thermopower", *(f"thermopower.{name}" for name in ("cli", "errors", *uses))}
     assert "numpy" in imported
     assert not imported & {"fractions", "decimal"}
 
@@ -253,13 +257,14 @@ def test_importing_cli_pauses_the_collector_and_leaves_it_as_it_found_it(enabled
                          and collecting.setdefault(args[0], gc.isenabled()))
         {"gc.enable()" if enabled else "gc.disable()"}
         import thermopower.cli
-        print(json.dumps([gc.isenabled(), collecting]))
+        print(json.dumps([gc.isenabled(), collecting, sorted(sys.modules)]))
     """)
-    after, collecting = json.loads(seen)
+    after, collecting, loaded = json.loads(seen)
     assert after == enabled
     assert collecting["thermopower.cli"] == enabled
-    for name in ("numpy", "thermopower.errors", "thermopower.fitting", "thermopower.trace"):
+    for name in ("numpy", "thermopower.errors"):
         assert collecting[name] is False, name
+    assert not {"thermopower.fitting", "thermopower.trace"} & set(loaded)
 
 
 # the variable as the process sees it, and the threads it runs, on Linux

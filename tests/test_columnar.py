@@ -17,16 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from thermopower.debias import DebiasSpec, _median, debias, write_debiased
-from thermopower.errors import LengthMismatch, MalformedRow
-from thermopower.fitting import (
-    FitKind,
-    aggregate_error,
-    fit_exponential,
-    fit_linear,
-    fit_quadratic,
-)
-from thermopower.sensor import (
+from thermopower._numeric import (
     _EFX,
     _ERX,
     _ONE_BELOW_1,
@@ -38,11 +29,18 @@ from thermopower.sensor import (
     _RB,
     _SA,
     _SB,
-    SensorModel,
-    b_factor,
-    correct_series,
     erf,
 )
+from thermopower.debias import DebiasSpec, _median, debias, write_debiased
+from thermopower.errors import LengthMismatch, MalformedRow
+from thermopower.fitting import (
+    FitKind,
+    aggregate_error,
+    fit_exponential,
+    fit_linear,
+    fit_quadratic,
+)
+from thermopower.sensor import SensorModel, b_factor, correct_series
 from thermopower.trace import (
     BLOCK_ROWS,
     SLAB_BYTES,
